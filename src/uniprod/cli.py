@@ -30,7 +30,6 @@ from .induced import (
     build_context,
     fixup,
     label_instance,
-    unpack_label,
     verify_labelling,
 )
 from .product import Graph
@@ -194,10 +193,7 @@ def _cmd_test_adjacency(args) -> int:
         u, v = keys[args.u], keys[args.v]
     except KeyError as missing:
         raise ValueError(f"no vertex {missing} in {args.labels}") from None
-    verdict = adjacency_test(
-        unpack_label(li.packed[u], li.params),
-        unpack_label(li.packed[v], li.params),
-    )
+    verdict = adjacency_test(li.labels[u], li.labels[v])
     print("adjacent" if verdict else "not adjacent")
     return 0
 

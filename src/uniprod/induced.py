@@ -14,6 +14,12 @@ a label.  The default scheme first runs a parent-depth fixup pass that drags
 every parent's tree node to within one level of its child's, then ships only
 the vertex's own signature plus one overflow bit per row; bag colours stay
 injective per bag, so the tester keeps exact.
+
+A Label derives what the tester reads once, when it is built or unpacked:
+the next row's signature is decoded from its transition code then, and
+each parent slot is keyed by (node signature, bag colour).  Testing a pair
+is then one dict lookup per direction, so the full-pair audit and the
+assembly decode nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -47,6 +53,7 @@ class LabelParams:
     t: int
     version: int = 1
     maxheight: int | None = None  # covers every tree depth a label may store
+    codec: LcpCodec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.t < 1:
@@ -54,6 +61,7 @@ class LabelParams:
         if self.maxheight is None:
             guess = (max(self.n, 2) - 1).bit_length() + (self.t + 1).bit_length() + 8
             object.__setattr__(self, "maxheight", guess)
+        object.__setattr__(self, "codec", LcpCodec(self.maxheight))
 
     @property
     def depth_bits(self) -> int:
@@ -63,10 +71,6 @@ class LabelParams:
     @property
     def phi_bits(self) -> int:
         return max(1, self.t.bit_length())
-
-    @property
-    def codec(self) -> LcpCodec:
-        return LcpCodec(self.maxheight)
 
 
 def _ancestor_at_depth(tree: Bst, key, depth: int):
@@ -166,6 +170,8 @@ def build_context(
         params = LabelParams(n=instance.graph.n, t=tt.t)
     if params.t != tt.t:
         raise ValueError(f"instance is a {tt.t}-tree but params.t = {params.t}")
+    if instance.graph.n > params.n:
+        raise ValueError(f"instance has {instance.graph.n} vertices but params.n = {params.n}")
     if rep is None:
         pd = tree_to_path_decomposition(tt.family_decomposition(), n=tt.n)
         rep = path_decomposition_to_intervals(pd)
@@ -377,9 +383,18 @@ def bag_stats(ctx: LabelContext) -> dict:
     return report
 
 
-@dataclass
+@dataclass(slots=True)
 class Label:
-    """Decoded label; the packed bitstring is its identity."""
+    """Decoded label; the packed bitstring is its identity.
+
+    Construction also derives, once, everything the tester reads: the
+    next row's signature (decoded from mu), the next row's alpha1, and for
+    rows y and y+1 the vertex's own (node signature, bag colour) key and a
+    map from each parent slot's (node signature, bag colour) to the first
+    slot holding it.  These fields stay out of equality.  A label whose
+    fields contradict each other raises ValueError here, so the tester
+    never meets one.
+    """
 
     scheme: str
     t: int
@@ -394,37 +409,48 @@ class Label:
     r: dict
     has_prev: bool
     has_next: bool
-    codec: LcpCodec = field(repr=False, compare=False, default=None)
+    codec: InitVar[LcpCodec]
+    next_sig: str | None = field(init=False, repr=False, compare=False)
+    next_alpha: str | None = field(init=False, repr=False, compare=False)
+    own_key: tuple = field(init=False, repr=False, compare=False)  # b -> (signature, colour) or None
+    parent_slot: tuple = field(init=False, repr=False, compare=False)  # b -> {(signature, colour): slot}
 
-    def own_signature(self, b: int) -> str | None:
-        """Signature of this vertex's own (post-fixup) node in row y+b."""
-        base = self._base(b)
-        if base is None:
-            return None
-        d = self.depths.get((self.phi, b))
-        if d is None or d > len(base):
-            return None
-        return base[:d]
+    def __post_init__(self, codec: LcpCodec):
+        self.next_sig = codec.decode(self.sig, self.mu) if self.mu is not None else None
+        self.next_alpha = _next_alpha(self.alpha1, self.hint)
+        own, slots = [], []
+        for b, base in ((0, self.sig), (1, self.next_sig)):
+            if base is None:
+                own.append(None)
+                slots.append({})
+                continue
+            d = self.depths.get((self.phi, b))
+            if d is None or d > len(base):
+                raise ValueError(f"own colour slot of row y{b:+d} missing or deeper than its {len(base)}-bit signature")
+            own.append((base[:d], self.psi[(self.phi, b)]))
+            # signature of the deepest clique-parent node in row y+b
+            path = base if self.scheme == "legacy" else base[:d] + self.r.get(b, "")
+            first = {}
+            for i in range(1, self.t + 2):
+                di = self.depths.get((i, b))
+                if di is not None and di <= len(path):
+                    first.setdefault((path[:di], self.psi[(i, b)]), i)
+            slots.append(first)
+        self.own_key = tuple(own)
+        self.parent_slot = tuple(slots)
 
-    def path_signature(self, b: int) -> str | None:
-        """Signature of the deepest clique-parent node in row y+b."""
-        base = self._base(b)
-        if base is None:
-            return None
-        if self.scheme == "legacy":
-            return base
-        return self.own_signature(b) + self.r.get(b, "")
 
-    def _base(self, b: int) -> str | None:
-        if b == 0:
-            return self.sig
-        if b == 1 and self.has_next and self.mu is not None:
-            return self.codec.decode(self.sig, self.mu)
+def _next_alpha(alpha1: str, hint: tuple) -> str | None:
+    """Row signature of row y+1, rebuilt from alpha1 and the successor hint."""
+    kind, delta = hint
+    if kind == "end":
         return None
-
-
-class LegacyLabel(Label):
-    """Label shipping the full clique path signature, no fixup."""
+    if kind == "append":
+        return alpha1 + "1" + "0" * delta
+    cut = len(alpha1) - delta - 1
+    if cut < 0 or alpha1[cut] != "0" or set(alpha1[cut + 1:]) - {"1"}:
+        raise ValueError("successor hint contradicts the row signature")
+    return alpha1[:cut]
 
 
 def make_label(ctx: LabelContext, v, y: int) -> Label:
@@ -433,11 +459,12 @@ def make_label(ctx: LabelContext, v, y: int) -> Label:
     return _label(ctx, v, y, "fixed")
 
 
-def make_label_legacy(ctx: LabelContext, v, y: int) -> LegacyLabel:
+def make_label_legacy(ctx: LabelContext, v, y: int) -> Label:
+    """Label shipping the full clique path signature, no fixup."""
     return _label(ctx, v, y, "legacy")
 
 
-def _label(ctx: LabelContext, v, y: int, scheme: str):
+def _label(ctx: LabelContext, v, y: int, scheme: str) -> Label:
     if (v, y) not in ctx.inv:
         raise ValueError(f"({v!r}, {y}) is not a vertex of the instance")
     primed = scheme == "fixed"
@@ -448,11 +475,7 @@ def _label(ctx: LabelContext, v, y: int, scheme: str):
     else:
         base = ctx.path_string(y, v, primed=False)
         following = ctx.path_string(y + 1, v, primed=False) if y < ctx.h else None
-    mu = None
-    if following is not None:
-        mu = J.encode(base, following)
-        if J.decode(base, mu) != following:
-            raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
+    mu = None if following is None else J.encode(base, following)
 
     parents = ctx.tt.parents(v)
     depths, psi, abits, rsuf = {}, {}, {}, {}
@@ -471,8 +494,7 @@ def _label(ctx: LabelContext, v, y: int, scheme: str):
         if primed:
             rsuf[b] = ctx.r_string(yb, v)
 
-    cls = Label if primed else LegacyLabel
-    return cls(
+    label = Label(
         scheme=scheme,
         t=t,
         alpha1=ctx.alpha1[y],
@@ -488,6 +510,9 @@ def _label(ctx: LabelContext, v, y: int, scheme: str):
         has_next=y < ctx.h,
         codec=J,
     )
+    if label.next_sig != following:
+        raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
+    return label
 
 
 _HINT_CODES = {"end": 0, "strip": 1, "append": 2}
@@ -510,32 +535,39 @@ def pack_label(label: Label, params: LabelParams) -> str:
         w.prefixed(label.mu)
     w.fixed(label.phi - 1, params.phi_bits)
     absent = (1 << params.depth_bits) - 1
-    for i, b in _slots(label):
+    slots = _slots(label.t, label.has_prev, label.has_next)
+    for i, b in slots:
         w.fixed(label.depths.get((i, b), absent), params.depth_bits)
-    for i, b in _slots(label):
+    for i, b in slots:
         if (i, b) in label.psi:
             w.gamma(label.psi[(i, b)])
-    for i, b in _slots(label):
+    for i, b in slots:
         w.bits(str(label.abits.get((i, b), 0)))
     if label.scheme != "legacy":
-        for b in (-1, 0, 1):
-            if (b == -1 and not label.has_prev) or (b == 1 and not label.has_next):
-                continue
+        for b in _rows(label.has_prev, label.has_next):
             rv = label.r.get(b, "")
             w.bits("0" if rv == "" else "1" + rv)
     return w.getvalue()
 
 
-def _slots(label: Label):
-    for b in (-1, 0, 1):
-        if (b == -1 and not label.has_prev) or (b == 1 and not label.has_next):
-            continue
-        for i in range(1, label.t + 2):
-            yield i, b
+def _rows(has_prev: bool, has_next: bool):
+    """Row offsets b in (-1, 0, 1) whose row y+b exists."""
+    return [b for b in (-1, 0, 1) if (b != -1 or has_prev) and (b != 1 or has_next)]
+
+
+def _slots(t: int, has_prev: bool, has_next: bool):
+    """Parent slots (colour i, row offset b) in field order."""
+    return [(i, b) for b in _rows(has_prev, has_next) for i in range(1, t + 2)]
 
 
 def unpack_label(bits: str, params: LabelParams) -> Label:
-    """Inverse of pack_label; malformed input raises, never misreads."""
+    """Inverse of pack_label; malformed input raises, never misreads.
+
+    Besides the layout itself, the decoded fields must agree with each
+    other: mu parses against the codec, the successor hint fits alpha1 and
+    the row count n allows, and the own colour has a slot in rows y and
+    y+1 no deeper than that row's signature.
+    """
     try:
         return _unpack(bits, params)
     except (ValueError, KeyError, IndexError) as exc:
@@ -550,56 +582,40 @@ def _unpack(bits: str, params: LabelParams) -> Label:
     alpha1 = r.prefixed()
     kind = _HINT_KINDS[r.fixed(2)]
     delta = r.gamma() - 1 if kind != "end" else 0
+    # a row tree over at most n rows has signatures shorter than n bits
+    if kind == "append" and len(alpha1) + 1 + delta >= params.n:
+        raise ValueError(f"successor hint {delta} overruns {params.n} rows")
     sig = r.prefixed()
     mu = r.prefixed() if has_next else None
     phi = r.fixed(params.phi_bits) + 1
     if phi > params.t + 1:
         raise ValueError(f"colour {phi} out of range")
-    shell = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, {}, {}, {}, {}, has_prev, has_next)
+    slots = _slots(params.t, has_prev, has_next)
     absent = (1 << params.depth_bits) - 1
     depths = {}
-    for i, b in _slots(shell):
+    for i, b in slots:
         d = r.fixed(params.depth_bits)
         if d != absent:
             if d > params.maxheight:
                 raise ValueError(f"depth {d} beyond layout cap")
             depths[(i, b)] = d
     psi = {}
-    for i, b in _slots(shell):
+    for i, b in slots:
         if (i, b) in depths:
             psi[(i, b)] = r.gamma()
     abits = {}
-    for i, b in _slots(shell):
+    for i, b in slots:
         abits[(i, b)] = int(r.bits(1))
     rsuf = {}
     if scheme != "legacy":
-        for b in (-1, 0, 1):
-            if (b == -1 and not has_prev) or (b == 1 and not has_next):
-                continue
+        for b in _rows(has_prev, has_next):
             rsuf[b] = "" if r.bits(1) == "0" else r.bits(1)
     if not r.at_end():
         raise ValueError("trailing bits")
-    if (phi, 0) not in depths:
-        raise ValueError("own colour slot missing")
-    return type(shell)(
+    return Label(
         scheme, params.t, alpha1, (kind, delta), sig, mu, phi,
-        depths, psi, abits, rsuf, has_prev, has_next, codec=params.codec,
-    ) if scheme == "fixed" else LegacyLabel(
-        scheme, params.t, alpha1, (kind, delta), sig, mu, phi,
-        depths, psi, abits, rsuf, has_prev, has_next, codec=params.codec,
+        depths, psi, abits, rsuf, has_prev, has_next, params.codec,
     )
-
-
-def _next_alpha(label: Label) -> str | None:
-    kind, delta = label.hint
-    if kind == "end":
-        return None
-    if kind == "append":
-        return label.alpha1 + "1" + "0" * delta
-    cut = len(label.alpha1) - delta - 1
-    if cut < 0 or label.alpha1[cut] != "0" or set(label.alpha1[cut + 1:]) - {"1"}:
-        raise ValueError("undecodable label: successor hint contradicts the row signature")
-    return label.alpha1[:cut]
 
 
 def adjacency_test(l1: Label, l2: Label) -> bool:
@@ -607,17 +623,17 @@ def adjacency_test(l1: Label, l2: Label) -> bool:
 
     Row signatures classify the pair: same row, consecutive rows (either
     order), or too far apart.  Within reach, each side is checked as a
-    clique parent of the other by comparing the recovered node signature
-    and bag colour against the stored parent slots; a hit reads the
-    matching adjacency bit, no hit means no host edge.
+    clique parent of the other by looking up its own node signature and
+    bag colour among the other's parent slots; a hit reads the matching
+    adjacency bit, no hit means no host edge.
     """
     if l1.scheme != l2.scheme or l1.t != l2.t:
         raise ValueError("labels come from different schemes")
     if l1.alpha1 == l2.alpha1:
         duos = ((l1, 0, l2, 0), (l2, 0, l1, 0))
-    elif _next_alpha(l1) == l2.alpha1:
+    elif l1.next_alpha == l2.alpha1:
         duos = ((l1, 1, l2, 0), (l2, 0, l1, 1))
-    elif _next_alpha(l2) == l1.alpha1:
+    elif l2.next_alpha == l1.alpha1:
         duos = ((l2, 1, l1, 0), (l1, 0, l2, 1))
     else:
         return False
@@ -630,19 +646,13 @@ def adjacency_test(l1: Label, l2: Label) -> bool:
 
 def _parent_bit(la: Label, ba: int, lb: Label, bb: int):
     """Adjacency bit of lb for slot i if la's vertex is its colour-i parent."""
-    sa = la.own_signature(ba)
-    ca = la.psi.get((la.phi, ba))
-    pstr = lb.path_signature(bb)
-    if sa is None or ca is None or pstr is None:
+    key = la.own_key[ba]
+    if key is None:
         return None
-    delta = bb - ba  # row offset of la's vertex relative to lb's
-    for i in range(1, lb.t + 2):
-        d = lb.depths.get((i, bb))
-        if d is None or d > len(pstr):
-            continue
-        if pstr[:d] == sa and lb.psi.get((i, bb)) == ca:
-            return lb.abits.get((i, delta), 0)
-    return None
+    i = lb.parent_slot[bb].get(key)
+    if i is None:
+        return None
+    return lb.abits.get((i, bb - ba), 0)  # bb - ba: row offset of la's vertex from lb's
 
 
 @dataclass
@@ -728,13 +738,15 @@ def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance
 def verify_labelling(li: LabelledInstance) -> int:
     """Check every vertex pair against the tester; returns pairs checked."""
     keys = sorted(li.labels, key=repr)
+    labels = [li.labels[g] for g in keys]
     checked = 0
-    for g1, g2 in combinations(keys, 2):
-        got = adjacency_test(li.labels[g1], li.labels[g2])
-        want = li.graph.has_edge(g1, g2)
-        if got != want:
-            raise AssertionError(f"pair {g1!r},{g2!r}: tester says {got}, instance says {want}")
-        checked += 1
+    for k, (g1, l1) in enumerate(zip(keys, labels)):
+        nbrs = li.graph.neighbors(g1)
+        for g2, l2 in zip(keys[k + 1:], labels[k + 1:]):
+            got = adjacency_test(l1, l2)
+            if got != (g2 in nbrs):
+                raise AssertionError(f"pair {g1!r},{g2!r}: tester says {got}, instance says {not got}")
+            checked += 1
     return checked
 
 
@@ -752,8 +764,8 @@ def assemble_universal(corpus: list) -> Graph:
     for li in corpus[1:]:
         if li.params != first.params or li.scheme != first.scheme:
             raise ValueError("corpus labelled with different parameters")
-    packs = sorted({bits for li in corpus for bits in li.packed.values()})
-    decoded = {bits: unpack_label(bits, first.params) for bits in packs}
+    decoded = {bits: li.labels[g] for li in corpus for g, bits in li.packed.items()}
+    packs = sorted(decoded)
     un = Graph(packs, name=f"universal(n={first.params.n}, t={first.params.t})")
     by_alpha = defaultdict(list)
     for bits in packs:
@@ -763,15 +775,17 @@ def assemble_universal(corpus: list) -> Graph:
             if adjacency_test(decoded[b1], decoded[b2]):
                 un.add_edge(b1, b2)
     for b1 in packs:
-        succ = _next_alpha(decoded[b1])
-        for b2 in by_alpha.get(succ, ()) if succ is not None else ():
+        for b2 in by_alpha.get(decoded[b1].next_alpha, ()):
             if adjacency_test(decoded[b1], decoded[b2]):
                 un.add_edge(b1, b2)
     for li in corpus:
         keys = sorted(li.packed, key=repr)
-        for g1, g2 in combinations(keys, 2):
-            if un.has_edge(li.packed[g1], li.packed[g2]) != li.graph.has_edge(g1, g2):
-                raise AssertionError(f"instance pair {g1!r},{g2!r} is not induced faithfully")
+        bits = [li.packed[g] for g in keys]
+        for k, g1 in enumerate(keys):
+            un_nbrs, nbrs = un.neighbors(bits[k]), li.graph.neighbors(g1)
+            for g2, b2 in zip(keys[k + 1:], bits[k + 1:]):
+                if (b2 in un_nbrs) != (g2 in nbrs):
+                    raise AssertionError(f"instance pair {g1!r},{g2!r} is not induced faithfully")
     return un
 
 

@@ -37,14 +37,12 @@ class LcpCodec:
 
     max_len: int  # largest signature length the length field must cover
     codec_id: int = 1
+    width: int = field(init=False, repr=False, compare=False)  # bits of the length field
 
     def __post_init__(self):
         if self.max_len < 1:
             raise ValueError("max_len >= 1 required")
-
-    @property
-    def width(self) -> int:
-        return max(1, math.ceil(math.log2(self.max_len + 1)))
+        object.__setattr__(self, "width", max(1, math.ceil(math.log2(self.max_len + 1))))
 
     def encode(self, before: str, after: str) -> str:
         check_bits(before)

@@ -1,7 +1,10 @@
+import dataclasses
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uniprod.decomp import generate_qt_instance
 from uniprod.induced import (
@@ -20,6 +23,7 @@ from uniprod.induced import (
     unpack_label,
     verify_labelling,
 )
+from uniprod.treeseq import LcpCodec
 
 
 def contexts(seeds, tmax=2, nmax=26):
@@ -114,6 +118,13 @@ def test_unpack_rejects_garbage():
     bits = sorted(li.packed.values())[0]
     with pytest.raises(ValueError):
         unpack_label(bits + "0", li.params)  # trailing bits must be rejected
+    # a successor row signature of n bits or more cannot come from n rows
+    first = li.labels[sorted(li.labels, key=repr)[0]]
+    label = dataclasses.replace(first, hint=("append", li.params.n), codec=li.params.codec)
+    with pytest.raises(ValueError):
+        unpack_label(pack_label(label, li.params), li.params)
+    with pytest.raises(ValueError):
+        build_context(ctx.instance, params=LabelParams(n=ctx.instance.graph.n - 1, t=ctx.params.t))
 
 
 def test_tester_is_exact_on_random_instances():
@@ -189,3 +200,105 @@ def test_assembled_graph_contains_each_member_induced():
         verts = sorted(li.packed, key=repr)
         for a, b in itertools.combinations(verts, 2):
             assert un.has_edge(li.packed[a], li.packed[b]) == li.graph.has_edge(a, b)
+
+
+def test_tester_reads_no_codes_on_built_labels(monkeypatch):
+    # labels decode their transition codes once, when built or read; the
+    # full-pair audit and the assembly only look them up
+    corpus = []
+    params = LabelParams(n=20, t=2)
+    for seed in range(3):
+        inst = generate_qt_instance(2, 20, 3 + seed, rng_seed=seed + 5)
+        corpus.append(label_instance(fixup(build_context(inst, params=params)), "fixed"))
+    calls = []
+    decode = LcpCodec.decode
+
+    def counted(self, before, nu):
+        calls.append(nu)
+        return decode(self, before, nu)
+
+    monkeypatch.setattr(LcpCodec, "decode", counted)
+    for li in corpus:
+        verify_labelling(li)
+    assemble_universal(corpus)
+    assert calls == []
+    li = corpus[0]
+    g = next(g for g, lab in li.labels.items() if lab.has_next)
+    unpack_label(li.packed[g], params)
+    assert len(calls) == 1  # a label read from bits decodes its own code once
+
+
+def test_built_and_unpacked_labels_agree_with_the_graph():
+    for ctx in contexts(range(60, 70), tmax=3, nmax=22):
+        fixup(ctx)
+        for scheme in ("fixed", "legacy"):
+            li = label_instance(ctx, scheme)
+            back = {g: unpack_label(bits, li.params) for g, bits in li.packed.items()}
+            for g1, g2 in itertools.permutations(sorted(li.packed, key=repr), 2):
+                want = li.graph.has_edge(g1, g2)
+                for l1, l2 in ((li.labels[g1], back[g2]), (back[g1], li.labels[g2]), (back[g1], back[g2])):
+                    assert adjacency_test(l1, l2) == want, (scheme, g1, g2)
+
+
+def test_assemble_reuses_labels_exactly():
+    params = LabelParams(n=18, t=2)
+    corpus = []
+    for seed in range(4):
+        inst = generate_qt_instance(2, 18, seed + 1, rng_seed=seed + 30)
+        corpus.append(label_instance(fixup(build_context(inst, params=params)), "fixed"))
+    reread = [
+        LabelledInstance(
+            li.params, li.scheme, li.lam,
+            {g: unpack_label(bits, li.params) for g, bits in li.packed.items()},
+            li.packed, li.graph,
+        )
+        for li in corpus
+    ]
+    edges = {frozenset(e) for e in assemble_universal(corpus).edges()}
+    assert edges == {frozenset(e) for e in assemble_universal(reread).edges()}
+
+
+@functools.cache
+def mutant_instances():
+    ctx = fixup(build_context(generate_qt_instance(2, 64, 4, rng_seed=5)))
+    out = []
+    for scheme in ("fixed", "legacy"):
+        li = label_instance(ctx, scheme)
+        keys = sorted(li.packed, key=repr)
+        out.append((li.params, [li.packed[g] for g in keys], [li.labels[g] for g in keys]))
+    return out
+
+
+# explicit mutants: flip 21 gives an own-colour depth past the row signature,
+# flip 6 a strip hint that contradicts alpha1
+@example(0, 0, "flip", 21, "")
+@example(0, 0, "flip", 6, "")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 1),
+    st.integers(0, 63),
+    st.sampled_from(["flip", "cut", "extend"]),
+    st.integers(0, 200),
+    st.text(alphabet="01", min_size=1, max_size=8),
+)
+def test_unpack_is_total_on_mutants(scheme, k, kind, pos, tail):
+    params, packed, labels = mutant_instances()[scheme]
+    bits = packed[k]
+    pos %= len(bits)
+    if kind == "flip":
+        bits = bits[:pos] + "10"[int(bits[pos])] + bits[pos + 1:]
+    elif kind == "cut":
+        bits = bits[:pos]
+    else:
+        bits = bits + tail
+    try:
+        mutant = unpack_label(bits, params)
+    except ValueError:
+        return
+    for other in labels:
+        if other.scheme != mutant.scheme:
+            with pytest.raises(ValueError):
+                adjacency_test(mutant, other)
+            continue
+        assert adjacency_test(mutant, other) in (True, False)
+        assert adjacency_test(other, mutant) in (True, False)
