@@ -36,11 +36,6 @@ def lcp_len(x: str, y: str) -> int:
     return i
 
 
-def render(s: str) -> str:
-    """Human-readable form for reports: the empty string prints as epsilon."""
-    return s if s else "ε"
-
-
 class Bst:
     """Immutable binary search tree over distinct integer keys."""
 
@@ -265,10 +260,12 @@ class BitReader:
         return int(self.bits(width), 2) if width else 0
 
     def gamma(self) -> int:
-        zeros = 0
-        while self.bits(1) == "0":
-            zeros += 1
-        return int("1" + self.bits(zeros), 2) if zeros else 1
+        end = self._data.find("1", self._pos)
+        if end < 0:
+            raise ValueError("bit underrun")
+        zeros = end - self._pos
+        self._pos = end
+        return self.fixed(zeros + 1)
 
     def prefixed(self) -> str:
         return self.bits(self.gamma() - 1)

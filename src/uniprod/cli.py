@@ -7,7 +7,9 @@ induced-universal graph, and run batch suites.  Every command is
 deterministic given its flags; artifacts default into a cache directory
 overridable via UNIPROD_CACHE.
 
-Exit codes: 0 success, 1 verification or assertion failure, 2 bad usage.
+Exit codes: 0 success; 1 verification failed or an input was rejected
+(AssertionError, ValueError, RuntimeError, OSError); 2 bad usage; 3 internal
+error: any other exception is a bug, and its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 
-from .closure import IntervalRep
-from .compressor import Saturator, build_saturator, compress, verify_saturation
+from .compressor import build_saturator, compress, verify_saturation
 from .decomp import QtInstance, generate_qt_instance
 from .harness import Report, gen_bad_example, run_suite
 from .induced import (
@@ -32,6 +34,7 @@ from .induced import (
     label_instance,
     verify_labelling,
 )
+from .io import key, read_records, write_records
 from .product import Graph
 from .unigraph import (
     QtEmbedding,
@@ -82,32 +85,35 @@ def _cmd_embed(args) -> int:
     p = _params(args, args.n or inst.graph.n)
     emb = embed_qt(p, inst)
     out = _out_path(args, os.path.basename(args.instance) + ".witness.jsonl")
-    with open(out, "w") as fh:
-        head = {"kind": "qt-witness", "n": p.n, "lam": p.lam, "omega": emb.omega}
-        fh.write(json.dumps(head) + "\n")
-        for v in sorted(emb.mapping, key=repr):
-            (x, y, z), col = emb.mapping[v]
-            fh.write(json.dumps({"v": v, "i": col, "x": x, "y": y, "z": z}) + "\n")
+    records = (
+        {"v": v, "i": col, "x": x, "y": y, "z": z}
+        for v, ((x, y, z), col) in sorted(emb.mapping.items(), key=lambda item: repr(item[0]))
+    )
+    write_records(out, "qt-witness", {"n": p.n, "lam": p.lam, "omega": emb.omega}, records)
     print(f"embedded {inst.graph.n} vertices into ug(n={p.n}) x K_{emb.omega} -> {out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
     inst = QtInstance.read_jsonl(args.instance)
-    with open(args.witness) as fh:
-        head = json.loads(fh.readline())
-        if head.get("kind") != "qt-witness":
-            raise ValueError(f"{args.witness} is not a witness file")
+
+    def parse(head, records):
         mapping = {}
-        for line in fh:
-            rec = json.loads(line)
-            v = rec["v"]
-            key = tuple(v) if isinstance(v, list) else v
-            mapping[key] = ((rec["x"], rec["y"], rec["z"]), rec["i"])
-    p = UgParams(head["n"], lam=head["lam"])
-    emb = QtEmbedding(mapping=mapping, omega=head["omega"], params=p, projection={})
-    validate_qt_embedding(p, inst, emb)
-    print(f"witness ok: {len(mapping)} vertices, {inst.graph.m} edges verified")
+        for rec in records:
+            v, x, y, z, col = key(rec["v"]), rec["x"], rec["y"], rec["z"], rec["i"]
+            if not inst.graph.has_vertex(v):
+                raise ValueError(f"vertex {v!r} is not in {args.instance}")
+            if not (isinstance(x, str) and isinstance(y, str) and type(z) is int and type(col) is int):
+                raise ValueError(f"vertex {v!r}: x and y must be strings, z and i integers")
+            mapping[v] = ((x, y, z), col)
+        if type(head["omega"]) is not int:
+            raise ValueError("omega must be an integer")
+        p = UgParams(head["n"], lam=head["lam"])
+        return QtEmbedding(mapping=mapping, omega=head["omega"], params=p, projection={})
+
+    emb = read_records(args.witness, "qt-witness", parse)
+    validate_qt_embedding(emb.params, inst, emb)
+    print(f"witness ok: {len(emb.mapping)} vertices, {inst.graph.m} edges verified")
     return 0
 
 
@@ -232,9 +238,12 @@ def _cmd_run_suite(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.path) as fh:
         data = json.load(fh)
-    rep = Report(data["suite"], data.get("config", {}), checks=data.get("checks", []),
-                 rows=data.get("rows", []), runtime=data.get("runtime_s", 0.0))
-    print(rep.summary())
+    try:
+        rep = Report(data["suite"], data.get("config", {}), checks=data.get("checks", []),
+                     rows=data.get("rows", []), runtime=data.get("runtime_s", 0.0))
+        print(rep.summary())
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{args.path} is not a suite report: {exc!r}") from None
     return 0 if rep.ok else 1
 
 
@@ -339,9 +348,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AssertionError, ValueError, TypeError, KeyError, RuntimeError, OSError) as exc:
+    except (AssertionError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,13 +12,13 @@ is the workhorse behind the small-treewidth hosts elsewhere.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable
 
 from .bitcore import Bst
+from .io import key, read_records, write_records
 from .product import CliqueFactor, Graph, ProductWitness
 
 
@@ -85,16 +85,6 @@ class ClosureGraph:
 
     def adjacent(self, u: int, v: int) -> bool:
         return u != v and (self.is_ancestor(u, v) or self.is_ancestor(v, u))
-
-    def top_in_range(self, lo: int, hi: int) -> int:
-        """The unique minimum-depth node with lo <= v <= hi."""
-        if not (1 <= lo <= hi <= self.n):
-            raise ValueError(f"bad range [{lo}, {hi}]")
-        v = self.root
-        while not lo <= v <= hi:
-            j = _tz(v) - 1
-            v += (1 << j) if lo > v else -(1 << j)
-        return v
 
     def graph(self) -> Graph:
         g = Graph(self.vertices(), name=f"C_{self.d}")
@@ -186,34 +176,22 @@ class IntervalRep:
         return sorted(self.intervals, key=lambda v: (self.intervals[v][0], repr(v)))
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"kind": "intervals", "n": self.n}) + "\n")
-            for v, (a, b) in self.intervals.items():
-                fh.write(
-                    json.dumps(
-                        {
-                            "v": v,
-                            "a": [a.numerator, a.denominator],
-                            "b": [b.numerator, b.denominator],
-                        }
-                    )
-                    + "\n"
-                )
+        records = (
+            {"v": v, "a": [a.numerator, a.denominator], "b": [b.numerator, b.denominator]}
+            for v, (a, b) in self.intervals.items()
+        )
+        write_records(path, "intervals", {"n": self.n}, records)
 
     @classmethod
     def read_jsonl(cls, path) -> "IntervalRep":
-        ivs = {}
-        with open(path) as fh:
-            head = json.loads(fh.readline())
-            if head.get("kind") != "intervals":
-                raise ValueError("not an interval file")
-            for line in fh:
-                rec = json.loads(line)
-                v = rec["v"]
-                if isinstance(v, list):
-                    v = tuple(v)
-                ivs[v] = (Fraction(*rec["a"]), Fraction(*rec["b"]))
-        return cls(ivs)
+        def parse(head, records):
+            ivs = {}
+            for rec in records:
+                (an, ad), (bn, bd) = rec["a"], rec["b"]
+                ivs[key(rec["v"])] = (Fraction(an, ad), Fraction(bn, bd))
+            return cls(ivs)
+
+        return read_records(path, "intervals", parse)
 
 
 def perturb_left_endpoints(rep: IntervalRep) -> IntervalRep:

@@ -13,12 +13,12 @@ exhaustively at toy sizes and by sampled matching checks beyond.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
 
+from .io import read_records, write_records
 from .product import Graph, validate_subgraph_embedding
 
 
@@ -53,44 +53,25 @@ class Saturator:
                 raise ValueError(f"neighbour of {v} outside U")
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "saturator",
-                        "n0": self.n0,
-                        "k": self.k,
-                        "eps": self.eps,
-                        "seed": self.seed,
-                        "d_sat": self.d_sat,
-                        "n_v": self.n_v,
-                    }
-                )
-                + "\n"
-            )
-            for v in range(self.n_v):
-                for u in sorted(self.adj[v]):
-                    fh.write(json.dumps({"e": [v, u]}) + "\n")
+        head = {"n0": self.n0, "k": self.k, "eps": self.eps, "seed": self.seed, "d_sat": self.d_sat, "n_v": self.n_v}
+        records = ({"e": [v, u]} for v in range(self.n_v) for u in sorted(self.adj[v]))
+        write_records(path, "saturator", head, records)
 
     @classmethod
     def read_jsonl(cls, path) -> "Saturator":
-        with open(path) as fh:
-            head = json.loads(fh.readline())
-            if head.get("kind") != "saturator":
-                raise ValueError("not a saturator file")
-            adj = {v: set() for v in range(head["n_v"])}
-            for line in fh:
-                v, u = json.loads(line)["e"]
+        def parse(head, records):
+            n_v, k = head["n_v"], head["k"]
+            adj = {v: set() for v in range(n_v)}
+            u_side = range(n_v // k)
+            for rec in records:
+                v, u = rec["e"]
+                if v not in adj or u not in u_side:
+                    raise ValueError(f"edge {v!r}-{u!r} leaves V = 0..{n_v - 1} or U = 0..{len(u_side) - 1}")
                 adj[v].add(u)
-        s = cls(
-            n0=head["n0"],
-            k=head["k"],
-            eps=head["eps"],
-            seed=head["seed"],
-            d_sat=head["d_sat"],
-            n_v=head["n_v"],
-            adj={v: frozenset(us) for v, us in adj.items()},
-        )
+            adj = {v: frozenset(us) for v, us in adj.items()}
+            return cls(head["n0"], k, head["eps"], head["seed"], head["d_sat"], n_v, adj)
+
+        s = read_records(path, "saturator", parse)
         s.validate()
         return s
 

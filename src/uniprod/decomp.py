@@ -10,13 +10,13 @@ subgraphs of ttree x path products act as test instances downstream.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
 from .closure import IntervalRep
+from .io import endpoints, key, read_records, write_records
 from .product import ExplicitFactor, Graph, PathFactor, ProductWitness
 
 
@@ -34,9 +34,6 @@ class TreeDecomposition:
     @property
     def width(self) -> int:
         return max((len(b) for b in self.bags.values()), default=0) - 1
-
-    def node_count(self) -> int:
-        return len(self.bags)
 
     def adjacency(self) -> dict:
         adj = {x: set() for x in self.bags}
@@ -87,32 +84,6 @@ class TreeDecomposition:
                         stack.append(y)
             if comp != nodes:
                 raise ValueError(f"bags containing {v!r} are disconnected")
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(
-                json.dumps({"kind": "tree-decomposition", "nodes": self.node_count()})
-                + "\n"
-            )
-            for x, b in self.bags.items():
-                fh.write(json.dumps({"node": x, "bag": sorted(b)}) + "\n")
-            for a, b in self.edges:
-                fh.write(json.dumps({"tree_edge": [a, b]}) + "\n")
-
-    @classmethod
-    def read_jsonl(cls, path) -> "TreeDecomposition":
-        bags, edges = {}, []
-        with open(path) as fh:
-            head = json.loads(fh.readline())
-            if head.get("kind") != "tree-decomposition":
-                raise ValueError("not a tree decomposition file")
-            for line in fh:
-                rec = json.loads(line)
-                if "node" in rec:
-                    bags[rec["node"]] = frozenset(rec["bag"])
-                else:
-                    edges.append(tuple(rec["tree_edge"]))
-        return cls(bags, edges)
 
 
 @dataclass
@@ -521,63 +492,52 @@ class QtInstance:
     seed: int
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(
-                json.dumps({"kind": "qt-instance", "t": self.t, "h": self.h, "seed": self.seed}) + "\n"
-            )
-            coords = self.witness.coords
+        coords = self.witness.coords
+
+        def records():
             for g in sorted(coords, key=repr):
                 v, y = coords[g]
-                fh.write(json.dumps({"gv": g, "c": [v, y]}) + "\n")
+                yield {"gv": g, "c": [v, y]}
             for a, b in self.graph.edges():
-                fh.write(json.dumps({"ge": [a, b]}) + "\n")
+                yield {"ge": [a, b]}
             for v in self.host.vertices():
-                fh.write(json.dumps({"hv": v}) + "\n")
+                yield {"hv": v}
             for u, v in self.host.edges():
-                fh.write(json.dumps({"he": [u, v]}) + "\n")
+                yield {"he": [u, v]}
             for x, bag in self.decomposition.bags.items():
-                fh.write(json.dumps({"dnode": x, "bag": sorted(bag, key=repr)}) + "\n")
+                yield {"dnode": x, "bag": sorted(bag, key=repr)}
             for a, b in self.decomposition.edges:
-                fh.write(json.dumps({"de": [a, b]}) + "\n")
+                yield {"de": [a, b]}
+
+        write_records(path, "qt-instance", {"t": self.t, "h": self.h, "seed": self.seed}, records())
 
     @classmethod
     def read_jsonl(cls, path) -> "QtInstance":
-        def key(v):
-            return tuple(v) if isinstance(v, list) else v
-
-        with open(path) as fh:
-            head = json.loads(fh.readline())
-            if head.get("kind") != "qt-instance":
-                raise ValueError("not an instance file")
-            coords, g_edges, h_verts, h_edges, bags, d_edges = {}, [], [], [], {}, []
-            for line in fh:
-                rec = json.loads(line)
+        def parse(head, records):
+            graph, host = Graph(name="qt instance"), Graph(name="host")
+            coords, bags, d_edges = {}, {}, []
+            for rec in records:
                 if "gv" in rec:
-                    coords[key(rec["gv"])] = (key(rec["c"][0]), rec["c"][1])
+                    v = key(rec["gv"])
+                    coords[v] = (key(rec["c"][0]), rec["c"][1])
+                    graph.add_vertex(v)
                 elif "ge" in rec:
-                    g_edges.append((key(rec["ge"][0]), key(rec["ge"][1])))
+                    graph.add_edge(*endpoints(rec["ge"], coords))
                 elif "hv" in rec:
-                    h_verts.append(key(rec["hv"]))
+                    host.add_vertex(key(rec["hv"]))
                 elif "he" in rec:
-                    h_edges.append((key(rec["he"][0]), key(rec["he"][1])))
+                    host.add_edge(*endpoints(rec["he"], host.vertices()))
                 elif "dnode" in rec:
                     bags[key(rec["dnode"])] = frozenset(key(v) for v in rec["bag"])
                 else:
-                    d_edges.append((key(rec["de"][0]), key(rec["de"][1])))
-        graph = Graph(coords, g_edges, name="qt instance")
-        host = Graph(h_verts, h_edges, name="host")
-        witness = ProductWitness(graph, (ExplicitFactor(host), PathFactor(head["h"])), coords)
-        witness.validate()
-        inst = cls(
-            graph=graph,
-            witness=witness,
-            host=host,
-            decomposition=TreeDecomposition(bags, d_edges),
-            t=head["t"],
-            h=head["h"],
-            seed=head["seed"],
-        )
-        inst.decomposition.validate(host)
+                    d_edges.append(endpoints(rec["de"], bags))
+            witness = ProductWitness(graph, (ExplicitFactor(host), PathFactor(head["h"])), coords)
+            decomposition = TreeDecomposition(bags, d_edges)
+            return cls(graph, witness, host, decomposition, t=head["t"], h=head["h"], seed=head["seed"])
+
+        inst = read_records(path, "qt-instance", parse)
+        inst.witness.validate()
+        inst.decomposition.validate(inst.host)
         return inst
 
 

@@ -24,12 +24,11 @@ assembly decode nothing.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .bitcore import BitReader, BitWriter, Bst, build_biased_bst
@@ -41,6 +40,7 @@ from .decomp import (
     tree_to_path_decomposition,
     ttree_from_decomposition,
 )
+from .io import endpoints, key, read_records, write_records
 from .product import Graph
 from .treeseq import LcpCodec, build_tree_sequence
 
@@ -667,51 +667,40 @@ class LabelledInstance:
     graph: Graph
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "kind": "labels",
-                        "version": self.params.version,
-                        "n": self.params.n,
-                        "t": self.params.t,
-                        "maxheight": self.params.maxheight,
-                        "codec_id": self.params.codec.codec_id,
-                        "lam": self.lam,
-                        "scheme": self.scheme,
-                        "count": len(self.packed),
-                    }
-                )
-                + "\n"
-            )
-            for g in sorted(self.packed, key=repr):
-                fh.write(json.dumps({"v": g, "bits": self.packed[g]}) + "\n")
-            for a, b in self.graph.edges():
-                fh.write(json.dumps({"ge": [a, b]}) + "\n")
+        head = {
+            "version": self.params.version,
+            "n": self.params.n,
+            "t": self.params.t,
+            "maxheight": self.params.maxheight,
+            "codec_id": self.params.codec.codec_id,
+            "lam": self.lam,
+            "scheme": self.scheme,
+            "count": len(self.packed),
+        }
+        labels = ({"v": g, "bits": self.packed[g]} for g in sorted(self.packed, key=repr))
+        edges = ({"ge": [a, b]} for a, b in self.graph.edges())
+        write_records(path, "labels", head, chain(labels, edges))
 
     @classmethod
     def read_jsonl(cls, path) -> "LabelledInstance":
-        with open(path) as fh:
-            head = json.loads(fh.readline())
-            if head.get("kind") != "labels":
-                raise ValueError("not a label file")
+        def parse(head, records):
             params = LabelParams(n=head["n"], t=head["t"], version=head["version"], maxheight=head["maxheight"])
             if params.codec.codec_id != head["codec_id"]:
                 raise ValueError("codec mismatch")
-            packed, edges = {}, []
-            for line in fh:
-                rec = json.loads(line)
+            labels, packed, graph = {}, {}, Graph(name="labelled instance")
+            for rec in records:
                 if "v" in rec:
-                    v = tuple(rec["v"]) if isinstance(rec["v"], list) else rec["v"]
+                    v = key(rec["v"])
                     packed[v] = rec["bits"]
+                    labels[v] = unpack_label(rec["bits"], params)
+                    graph.add_vertex(v)
                 else:
-                    a, b = rec["ge"]
-                    edges.append((tuple(a) if isinstance(a, list) else a, tuple(b) if isinstance(b, list) else b))
-        graph = Graph(packed, name="labelled instance")
-        for a, b in edges:
-            graph.add_edge(a, b)
-        labels = {g: unpack_label(bits, params) for g, bits in packed.items()}
-        return cls(params, head["scheme"], head["lam"], labels, packed, graph)
+                    graph.add_edge(*endpoints(rec["ge"], packed))
+            if len(packed) != head["count"]:
+                raise ValueError(f"header count {head['count']} but {len(packed)} labelled vertices")
+            return cls(params, head["scheme"], head["lam"], labels, packed, graph)
+
+        return read_records(path, "labels", parse)
 
 
 def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance:

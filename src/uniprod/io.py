@@ -1,0 +1,65 @@
+"""File records: the one layout of the files the pipeline writes and reads.
+
+Line 1 is a JSON header object whose ``kind`` names the format (``graph``,
+``qt-instance``, ``labels``, ...); every later line is one JSON record.
+Readers are total: a malformed file raises ``ValueError("<path>:<line>: ...")``.
+"""
+
+from __future__ import annotations
+
+import json
+
+
+def write_records(path, kind: str, head: dict, records) -> None:
+    """Write the header ``{"kind": kind, **head}``, then one line per record.
+
+    Records are streamed from the iterable, so a file is never held whole.
+    """
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"kind": kind, **head}) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+
+
+def read_records(path, kind: str, parse):
+    """Check a ``kind`` header, then return ``parse(head, records)``.
+
+    ``records`` iterates over the decoded objects of lines 2, 3, ...  A
+    KeyError, IndexError, TypeError, ValueError or ZeroDivisionError raised
+    while line k is decoded or parsed becomes ``ValueError("<path>:<k>: ...")``;
+    one raised after the last record (a check against the header) names line 1.
+    """
+    line = 1
+    with open(path) as fh:
+
+        def records():
+            nonlocal line
+            for line, text in enumerate(fh, 2):
+                yield json.loads(text)
+            line = 1
+
+        try:
+            text = fh.readline()
+            if not text:
+                raise ValueError("empty file")
+            head = json.loads(text)
+            if not isinstance(head, dict) or head.get("kind") != kind:
+                raise ValueError(f"header is not a {kind} header")
+            return parse(head, records())
+        except KeyError as exc:
+            raise ValueError(f"{path}:{line}: missing field {exc}") from None
+        except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
+
+
+def key(v):
+    """A vertex id read back from JSON: tuples were written as lists."""
+    return tuple(v) if isinstance(v, list) else v
+
+
+def endpoints(pair, declared):
+    """The two ends of an edge record, each of them a member of ``declared``."""
+    a, b = map(key, pair)
+    if a not in declared or b not in declared:
+        raise ValueError(f"edge {a!r}-{b!r} names an undeclared vertex")
+    return a, b

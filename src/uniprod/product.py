@@ -1,4 +1,4 @@
-"""Simple graphs, strong products, and product-membership witnesses.
+"""Simple graphs, product factors, and product-membership witnesses.
 
 A witness records an injection of a graph's vertices into coordinate
 tuples over a list of host factors; validity means every edge maps to a
@@ -7,9 +7,10 @@ pair that is equal-or-adjacent in every coordinate and differs somewhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Hashable, Iterable
+
+from .io import endpoints, read_records, write_records
 
 
 class Graph:
@@ -78,41 +79,22 @@ class Graph:
     def write_jsonl(self, path) -> None:
         """Graph file: a header line then one record per edge (dense int ids)."""
         index = {v: i for i, v in enumerate(sorted(self._adj, key=repr))}
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"kind": "graph", "n": self.n, "name": self.name}) + "\n")
-            for u, v in sorted((min(index[a], index[b]), max(index[a], index[b])) for a, b in self.edges()):
-                fh.write(json.dumps({"edge": [u, v]}) + "\n")
+        edges = sorted((min(index[a], index[b]), max(index[a], index[b])) for a, b in self.edges())
+        write_records(path, "graph", {"n": self.n, "name": self.name}, ({"edge": [u, v]} for u, v in edges))
 
     @classmethod
     def read_jsonl(cls, path) -> "Graph":
-        with open(path) as fh:
-            head = json.loads(fh.readline())
-            if head.get("kind") != "graph":
-                raise ValueError("not a graph file")
+        def parse(head, records):
             g = cls(range(head["n"]), name=head.get("name", ""))
-            for line in fh:
-                rec = json.loads(line)
-                g.add_edge(*rec["edge"])
-        return g
+            for rec in records:
+                g.add_edge(*endpoints(rec["edge"], g._adj))
+            return g
+
+        return read_records(path, "graph", parse)
 
 
 def path_graph(h: int) -> Graph:
     return Graph(range(1, h + 1), ((i, i + 1) for i in range(1, h)), name=f"P_{h}")
-
-
-def complete_graph(k: int) -> Graph:
-    return Graph(range(1, k + 1), ((i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)), name=f"K_{k}")
-
-
-def strong_product(a: Graph, b: Graph) -> Graph:
-    """Strong product: coordinates pairwise equal-or-adjacent, not all equal."""
-    g = Graph(((u, v) for u in a.vertices() for v in b.vertices()), name=f"({a.name})x({b.name})")
-    for u1, v1 in g.vertices():
-        for u2 in (*a.neighbors(u1), u1):
-            for v2 in (*b.neighbors(v1), v1):
-                if (u1, v1) != (u2, v2):
-                    g.add_edge((u1, v1), (u2, v2))
-    return g
 
 
 # Host factors: anything exposing vertex membership and an adjacency test.
@@ -216,71 +198,6 @@ class ProductWitness:
                 if x != y and not f.adjacent(x, y):
                     raise WitnessError(f"edge {u!r}{v!r}: {x!r},{y!r} not equal or adjacent in {f!r}")
             # all-equal is impossible here: coords are injective
-
-    def used(self, i: int) -> set:
-        return {c[i] for c in self.coords.values()}
-
-
-def trim_witness(w: ProductWitness) -> ProductWitness:
-    """Restrict factors to used coordinates.
-
-    Path factors are compacted monotonically onto 1..h' (consecutive used
-    rows stay consecutive, so validity is preserved); other factors become
-    explicit induced subgraphs on the used values.
-    """
-    w.validate()
-    new_factors = []
-    maps = []
-    for i, f in enumerate(w.factors):
-        used = w.used(i)
-        if isinstance(f, PathFactor):
-            order = {r: k + 1 for k, r in enumerate(sorted(used))}
-            new_factors.append(PathFactor(len(used)))
-            maps.append(order.__getitem__)
-        else:
-            sub = Graph(used)
-            for u in used:
-                for v in used:
-                    if u != v and f.adjacent(u, v) and not sub.has_edge(u, v):
-                        sub.add_edge(u, v)
-            new_factors.append(ExplicitFactor(sub))
-            maps.append(lambda x: x)
-    coords = {v: tuple(m(x) for m, x in zip(maps, c)) for v, c in w.coords.items()}
-    out = ProductWitness(w.graph, tuple(new_factors), coords)
-    out.validate()
-    return out
-
-
-def lift_embedding(row_embed: dict, new_factors, w: ProductWitness) -> ProductWitness:
-    """Replace the first coordinate through an embedding of the first factor.
-
-    row_embed maps each used first-coordinate value to a vertex of the new
-    host (a tuple when the host is itself a product, matching new_factors).
-    It must be injective and carry the first factor's edges to host edges.
-    """
-    new_factors = tuple(new_factors)
-    first = w.factors[0]
-    used = w.used(0)
-    if not used <= set(row_embed):
-        raise WitnessError("row_embed misses used first-factor vertices")
-
-    def coord(x):
-        c = row_embed[x]
-        return c if isinstance(c, tuple) else (c,)
-
-    if len({coord(x) for x in used}) != len(used):
-        raise WitnessError("row_embed not injective")
-    for u in used:
-        for v in used:
-            if u != v and first.adjacent(u, v):
-                cu, cv = coord(u), coord(v)
-                for f, x, y in zip(new_factors, cu, cv):
-                    if x != y and not f.adjacent(x, y):
-                        raise WitnessError(f"row_embed breaks edge {u!r}{v!r} in {f!r}")
-    coords = {v: coord(c[0]) + c[1:] for v, c in w.coords.items()}
-    out = ProductWitness(w.graph, new_factors + tuple(w.factors[1:]), coords)
-    out.validate()
-    return out
 
 
 def validate_subgraph_embedding(g: Graph, mapping: dict, host: Graph) -> None:

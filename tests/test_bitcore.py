@@ -192,3 +192,7 @@ def test_bitreader_underrun():
         r.bits(1)
     with pytest.raises(ValueError):
         BitReader("0").fixed(2)
+    with pytest.raises(ValueError, match="bit underrun"):
+        BitReader("000").gamma()
+    with pytest.raises(ValueError, match="bit underrun"):
+        BitReader("001").gamma()

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from uniprod import cli
 from uniprod.cli import main
 
 
@@ -118,3 +120,61 @@ def test_usage_errors_exit_2():
 
 def test_missing_file_exits_1(tmp_path):
     run("label", "--instance", str(tmp_path / "absent.jsonl"), check=1)
+
+
+def test_malformed_header_exits_1_naming_the_line(tmp_path, capsys):
+    inst = tmp_path / "inst.jsonl"
+    inst.write_text("[1]\n")
+    run("label", "--instance", str(inst), check=1)
+    assert f"{inst}:1:" in capsys.readouterr().err
+
+
+def test_malformed_report_exits_1(tmp_path):
+    rep = tmp_path / "rep.json"
+    for text in ("{}", "[1]", '{"suite": "sizes", "checks": [1]}'):
+        rep.write_text(text)
+        run("report", str(rep), check=1)
+
+
+def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
+    def broken(p):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(cli, "vertex_count_bound", broken)
+    run("count", "--n", "4", check=3)
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: a bug" in err
+
+
+# SHA-256 of every file the commands in test_file_formats_are_stable write.
+# A mismatch means a file format changed, and files already on disk may no
+# longer read.
+FORMATS = {
+    "inst.jsonl": "c17a3ec25f6c43a09165d8bc15b18be828d2f99e5c91f2477214bb0a6f968a46",
+    "wit.jsonl": "b62243fec0740a0bcebe7e98d8191f149911767b344149a0ca2ab113a1470255",
+    "lab.jsonl": "79578649bc77219725a5a2f92856e6e5e15a4901e670634cf0191924944e270c",
+    "uni.jsonl": "f5a958906f7a07400add07e96e0a5b3a1f677488f6597a9b47922e8d4b282704",
+    "ug.jsonl": "9e12e91aca2c7f0873e3034bb820d70bc695babeaa7ee13dd4a84eef6d64ae7f",
+    "comp.jsonl": "26bec8b02085f61060321189c5918d5b0e740ad049ecb03b1dd930d24715bfb4",
+    "comp.saturator.jsonl": "c92a7cb1f49bd340fb148c5e83323cebb1e9e0f1629265866da0cecf53ecfe61",
+    "bad.intervals.jsonl": "7cec124e4b0107e0fab9524c2cf93d73e71802e8656d408bff5fa7ce6ab61bfe",
+}
+
+
+def test_file_formats_are_stable(tmp_path, monkeypatch):
+    monkeypatch.setenv("UNIPROD_CACHE", str(tmp_path / "cache"))
+
+    def p(name):
+        return str(tmp_path / name)
+
+    run("gen", "qt", "--t", "2", "--n", "14", "--h", "3", "--seed", "5", "--out", p("inst.jsonl"))
+    run("embed", "--instance", p("inst.jsonl"), "--out", p("wit.jsonl"))
+    run("label", "--instance", p("inst.jsonl"), "--out", p("lab.jsonl"))
+    run("assemble", "--labels", p("lab.jsonl"), "--out", p("uni.jsonl"))
+    run("build-ug", "--n", "2", "--lambda", "1", "--mode", "explicit", "--out", p("ug.jsonl"))
+    run("compress", "--graph", p("uni.jsonl"), "--k", "2", "--seed", "1", "--out", p("comp.jsonl"))
+    # bad.jsonl itself is not compared: the double-star instance's record
+    # order follows string hashing, so it changes with PYTHONHASHSEED.
+    run("gen", "bad", "--n", "24", "--out", p("bad.jsonl"))
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FORMATS}
+    assert got == FORMATS

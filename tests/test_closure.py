@@ -61,18 +61,6 @@ def test_closure_adjacency_is_ancestry():
         ClosureGraph(-1)
 
 
-def test_top_in_range_is_min_depth():
-    cg = ClosureGraph(4)
-    rng = random.Random(2)
-    for _ in range(200):
-        lo = rng.randint(1, cg.n)
-        hi = rng.randint(lo, cg.n)
-        top = cg.top_in_range(lo, hi)
-        assert lo <= top <= hi
-        want = min((cg.depth(v), v) for v in range(lo, hi + 1))
-        assert (cg.depth(top), top) == want
-
-
 def test_min_depth_in_range_matches_scan():
     rng = random.Random(9)
     for _ in range(100):

@@ -11,7 +11,7 @@ from uniprod.compressor import (
     maximum_matching,
     verify_saturation,
 )
-from uniprod.product import Graph, WitnessError, complete_graph, path_graph
+from uniprod.product import Graph, WitnessError, path_graph
 
 
 def brute_matching_size(lefts, neighbors) -> int:
@@ -134,7 +134,7 @@ def test_embed_compressed_produces_valid_embedding():
 
 def test_embed_compressed_rejects_bad_premise():
     s = build_saturator(6, 2, 1.0, seed=2)
-    g = complete_graph(3)
+    g = Graph(range(1, 4), itertools.combinations(range(1, 4), 2))
     gz = Graph(range(s.n_v), [(0, 1), (1, 2)])
     with pytest.raises(WitnessError):
         embed_compressed(g, {1: 0, 2: 1, 3: 2}, s, gz)

@@ -51,15 +51,6 @@ def test_tree_decomposition_validates():
         split_track.validate(Graph(range(3), [(0, 1), (1, 2), (0, 2)]))
 
 
-def test_decomposition_jsonl_roundtrip(tmp_path):
-    _, td = sample_tree_decomposition()
-    path = tmp_path / "td.jsonl"
-    td.write_jsonl(path)
-    back = TreeDecomposition.read_jsonl(path)
-    assert back.bags == td.bags
-    assert sorted(back.edges) == sorted(td.edges)
-
-
 def test_normalize_keeps_validity_and_width():
     g, td = sample_tree_decomposition()
     norm = normalize_decomposition(td)

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import itertools
+import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -165,6 +167,27 @@ def test_labelled_instance_jsonl_roundtrip(tmp_path):
     assert set(back.packed.values()) == set(li.packed.values())
     assert back.graph.n == li.graph.n and back.graph.m == li.graph.m
     assert verify_labelling(back) == verify_labelling(li)
+
+
+def test_label_reader_rejects_unlabelled_edge_and_bad_count(tmp_path):
+    ctx = next(contexts([8], tmax=2, nmax=18))
+    fixup(ctx)
+    path = tmp_path / "labels.jsonl"
+    label_instance(ctx, "fixed").write_jsonl(path)
+    lines = path.read_text().splitlines()
+    vertex = json.loads(lines[1])["v"]
+
+    extra_edge = tmp_path / "extra_edge.jsonl"
+    extra_edge.write_text("\n".join(lines + [json.dumps({"ge": [vertex, "ghost"]})]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{extra_edge}:{len(lines) + 1}:")):
+        LabelledInstance.read_jsonl(extra_edge)
+
+    head = json.loads(lines[0])
+    for count in (head["count"] - 1, head["count"] + 1):
+        bad_count = tmp_path / f"count{count}.jsonl"
+        bad_count.write_text("\n".join([json.dumps({**head, "count": count})] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad_count}:1:")):
+            LabelledInstance.read_jsonl(bad_count)
 
 
 def test_assemble_universal_and_growth():
