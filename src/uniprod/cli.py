@@ -30,7 +30,6 @@ from .induced import (
     adjacency_test,
     assemble_universal,
     build_context,
-    fixup,
     label_instance,
     verify_labelling,
 )
@@ -57,11 +56,6 @@ def _out_path(args, default_name: str) -> str:
     return args.out if args.out else os.path.join(_cache_dir(), default_name)
 
 
-def _params(args, n: int) -> UgParams:
-    lam = getattr(args, "lam", None)
-    return UgParams(n, lam=lam) if lam is not None else UgParams(n)
-
-
 def _cmd_gen(args) -> int:
     if args.kind == "qt":
         inst = generate_qt_instance(args.t, args.n, args.h, args.seed)
@@ -82,7 +76,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_embed(args) -> int:
     inst = QtInstance.read_jsonl(args.instance)
-    p = _params(args, args.n or inst.graph.n)
+    p = UgParams(args.n or inst.graph.n, lam=args.lam)
     emb = embed_qt(p, inst)
     out = _out_path(args, os.path.basename(args.instance) + ".witness.jsonl")
     records = (
@@ -118,7 +112,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_build_ug(args) -> int:
-    p = _params(args, args.n)
+    p = UgParams(args.n, lam=args.lam)
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
     if args.mode == "implicit":
         print(f"n={p.n} d={p.d} lam={p.lam} budget={p.budget}")
@@ -132,7 +126,7 @@ def _cmd_build_ug(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    p = _params(args, args.n)
+    p = UgParams(args.n, lam=args.lam)
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
     row = {"n": p.n, "d": p.d, "lam": p.lam, "vertex_bound": vb, "edge_bound": eb}
     if vb <= args.cap:
@@ -176,8 +170,6 @@ def _cmd_label(args) -> int:
     inst = QtInstance.read_jsonl(args.instance)
     params = LabelParams(n=args.n or inst.graph.n, t=inst.t)
     ctx = build_context(inst, params=params)
-    if args.scheme == "fixed":
-        fixup(ctx)
     li = label_instance(ctx, scheme=args.scheme)
     out = _out_path(args, os.path.basename(args.instance) + f".{args.scheme}.labels.jsonl")
     li.write_jsonl(out)

@@ -62,14 +62,6 @@ class ClosureGraph:
             return ()
         return v - (1 << (j - 1)), v + (1 << (j - 1))
 
-    def parent(self, v: int) -> int | None:
-        if v == self.root:
-            return None
-        j = _tz(v)
-        # the parent is the neighbour at the next level whose subtree contains v
-        up = v + (1 << j)
-        return up if _tz(up) == j + 1 else v - (1 << j)
-
     def is_ancestor(self, u: int, v: int) -> bool:
         """True when u lies on the root path of v (u == v counts)."""
         lo, hi = self.descendant_interval(u)
@@ -241,15 +233,13 @@ def interval_separator(rep: IntervalRep, omega: int):
     return x1, x2, z
 
 
-def embed_interval_graph(
-    rep: IntervalRep, omega: int | None = None, n: int | None = None
-) -> ProductWitness:
-    """Embed the intersection graph into closure(ceil(log2 n)) x K_omega.
+def embed_interval_graph(rep: IntervalRep, omega: int | None = None) -> ProductWitness:
+    """Embed the intersection graph into closure(ceil(log2 n)) x K_omega, n = rep.n.
 
     Separator recursion: the separator clique goes to a tree node with
     distinct colours, the two sides go to the two child subtrees.  A
     subtree of height h absorbs up to 2^(h+1)-1 vertices, so the height
-    ceil(log2 n) derived from the default n = rep.n is always enough.
+    ceil(log2 n) is always enough.
     """
     rep = perturb_left_endpoints(rep)
     w = rep.clique_number()
@@ -257,11 +247,7 @@ def embed_interval_graph(
         omega = max(1, w)
     elif omega < w:
         raise ValueError(f"clique number {w} exceeds omega {omega}")
-    if n is None:
-        n = rep.n
-    elif n < rep.n:
-        raise ValueError(f"n = {n} below vertex count {rep.n}")
-    d = (n - 1).bit_length() if n else 0
+    d = (rep.n - 1).bit_length() if rep.n else 0
     host = ClosureGraph(d)
     coords = {}
 

@@ -76,23 +76,19 @@ class Saturator:
         return s
 
 
-def build_saturator(
-    n0: int, k: int, eps: float, seed: int = 0, d_sat: int | None = None
-) -> Saturator:
+def build_saturator(n0: int, k: int, eps: float, seed: int = 0) -> Saturator:
     """Union of d_sat seeded k-to-1 contraction maps.
 
     Each round contracts a fresh random permutation of V in blocks of k,
-    so every V-vertex gains at most one neighbour per round.  The
-    default round count follows the 2^8 k^2 / eps^2 window, clamped to
-    |U| where it degenerates to the complete bipartite graph.
+    so every V-vertex gains at most one neighbour per round.  The round
+    count d_sat follows the 2^8 k^2 / eps^2 window, clamped to |U| where
+    it degenerates to the complete bipartite graph.
     """
     if n0 < 1 or k < 1 or eps <= 0:
         raise ValueError("need n0 >= 1, k >= 1, eps > 0")
     n_v = k * -(-n0 // k)
     n_u = n_v // k
-    if d_sat is None:
-        d_sat = math.ceil(256 * k * k / (eps * eps))
-    d_sat = max(1, min(d_sat, n_u))
+    d_sat = max(1, min(math.ceil(256 * k * k / (eps * eps)), n_u))
     rng = random.Random(seed)
     adj = {v: set() for v in range(n_v)}
     perm = list(range(n_v))

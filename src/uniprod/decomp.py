@@ -49,7 +49,7 @@ class TreeDecomposition:
         return out
 
     def validate(self, g: Graph) -> None:
-        """Check coverage of vertices and edges plus bag connectivity."""
+        """Check that the bags cover exactly the vertices of g, and its edges, plus bag connectivity."""
         if not self.bags:
             raise ValueError("decomposition has no nodes")
         adj = self.adjacency()
@@ -66,6 +66,9 @@ class TreeDecomposition:
         if len(seen) != len(self.bags):
             raise ValueError("decomposition tree is disconnected")
         covered = self.covered_vertices()
+        stray = covered - set(g.vertices())
+        if stray:
+            raise ValueError(f"bags name non-vertices: {sorted(map(repr, stray))[:5]}")
         missing = set(g.vertices()) - covered
         if missing:
             raise ValueError(f"vertices not covered: {sorted(map(repr, missing))[:5]}")
@@ -120,7 +123,8 @@ def normalize_decomposition(td: TreeDecomposition) -> TreeDecomposition:
 
     Afterwards no bag is a subset of a neighbouring bag, which caps the
     node count at the number of covered vertices (each leaf then owns a
-    private vertex).
+    private vertex).  Neighbours are visited in repr order, so the result
+    does not follow set iteration order.
     """
     bags = dict(td.bags)
     adj = {x: set(ys) for x, ys in td.adjacency().items()}
@@ -128,7 +132,7 @@ def normalize_decomposition(td: TreeDecomposition) -> TreeDecomposition:
     while changed:
         changed = False
         for a in list(bags):
-            for b in list(adj[a]):
+            for b in sorted(adj[a], key=repr):
                 if bags[a] <= bags[b]:
                     for c in adj[a]:
                         if c != b:
@@ -152,15 +156,19 @@ def normalize_decomposition(td: TreeDecomposition) -> TreeDecomposition:
 
 
 def _centroid(nodes: set, adj: dict):
-    """Tree node whose removal leaves components of at most len(nodes)//2."""
+    """Tree node whose removal leaves components of at most len(nodes)//2.
+
+    The search starts at the least node by repr and visits neighbours in
+    repr order, so the centroid chosen does not follow set iteration order.
+    """
     n = len(nodes)
-    start = next(iter(nodes))
+    start = min(nodes, key=repr)
     order, parent = [], {start: None}
     stack = [start]
     while stack:
         x = stack.pop()
         order.append(x)
-        for y in adj[x]:
+        for y in sorted(adj[x], key=repr):
             if y in nodes and y != parent[x]:
                 parent[y] = x
                 stack.append(y)
@@ -201,20 +209,20 @@ def _is_path(td: TreeDecomposition):
     return order
 
 
-def tree_to_path_decomposition(td: TreeDecomposition, n: int | None = None) -> PathDecomposition:
+def tree_to_path_decomposition(td: TreeDecomposition) -> PathDecomposition:
     """Convert a tree decomposition into a path decomposition.
 
     Path-shaped inputs pass through unchanged.  Otherwise the tree is
     normalized and split at a centroid whose bag is unioned into every
     bag of the recursively built segments, so the width of the result is
-    below (w + 1) * (ceil(log2 n) + 1) where w is the input width.
+    below (w + 1) * (ceil(log2 n) + 1) where w is the input width and n
+    the number of covered vertices.
     """
     path_order = _is_path(td)
     if path_order is not None:
         return PathDecomposition([td.bags[x] for x in path_order])
     norm = normalize_decomposition(td)
-    if n is None:
-        n = max(1, len(norm.covered_vertices()))
+    n = max(1, len(norm.covered_vertices()))
     adj = norm.adjacency()
 
     def rec(nodes: set) -> list:
@@ -223,8 +231,10 @@ def tree_to_path_decomposition(td: TreeDecomposition, n: int | None = None) -> P
         c = _centroid(nodes, adj)
         rest = nodes - {c}
         segs = []
-        while rest:
-            comp = {next(iter(rest))}
+        for first in sorted(rest, key=repr):  # components in the repr order of their least members
+            if first not in rest:
+                continue
+            comp = {first}
             stack = list(comp)
             while stack:
                 x = stack.pop()
@@ -277,21 +287,17 @@ class TTree:
     order: list
     graph: Graph
     attach: dict
-    cliques: dict = field(default_factory=dict)
-    colour: dict = field(default_factory=dict)
     owner: dict = field(default_factory=dict)
+    cliques: dict = field(init=False)
+    colour: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.cliques:
-            base = frozenset(self.order[: self.t + 1])
-            for i, v in enumerate(self.order):
-                self.cliques[v] = (
-                    base if i <= self.t else self.attach[v] | {v}
-                )
-        if not self.colour:
-            for v in self.order:
-                used = {self.colour[w] for w in self.attach[v]}
-                self.colour[v] = min(c for c in range(1, self.t + 2) if c not in used)
+        base = frozenset(self.order[: self.t + 1])
+        self.cliques = {v: base if i <= self.t else self.attach[v] | {v} for i, v in enumerate(self.order)}
+        self.colour = {}
+        for v in self.order:
+            used = {self.colour[w] for w in self.attach[v]}
+            self.colour[v] = min(c for c in range(1, self.t + 2) if c not in used)
 
     @property
     def n(self) -> int:
@@ -416,17 +422,17 @@ def _mcs_order(vertices: list, adj: dict) -> list:
     return out
 
 
-def ttree_from_decomposition(td: TreeDecomposition, t: int | None = None) -> TTree:
+def ttree_from_decomposition(td: TreeDecomposition) -> TTree:
     """Complete the graph described by a tree decomposition to a t-tree.
 
-    The union of bag cliques is chordal, so a maximum cardinality search
-    yields an order in which each vertex's earlier neighbours form a
-    clique of size at most t.  Attach sets are padded to exactly t
-    vertices out of an enclosing family clique, which always exists
-    because every clique of a t-tree lies inside some family clique.
+    t is the width of the decomposition.  The union of bag cliques is
+    chordal, so a maximum cardinality search yields an order in which
+    each vertex's earlier neighbours form a clique of size at most t.
+    Attach sets are padded to exactly t vertices out of an enclosing
+    family clique, which always exists because every clique of a t-tree
+    lies inside some family clique.
     """
-    if t is None:
-        t = td.width
+    t = td.width
     verts = sorted(td.covered_vertices(), key=repr)
     if len(verts) < t + 1:
         raise ValueError("decomposition covers fewer than t + 1 vertices")
@@ -539,6 +545,21 @@ class QtInstance:
         inst.witness.validate()
         inst.decomposition.validate(inst.host)
         return inst
+
+
+def host_layout(inst: QtInstance) -> tuple[TTree, IntervalRep]:
+    """The host layout that embedding and labelling both start from.
+
+    The host's decomposition is completed to a t-tree, which must keep
+    every host edge; the intervals are those of the path decomposition
+    converted from the t-tree's family decomposition.
+    """
+    tt = ttree_from_decomposition(inst.decomposition)
+    for u, v in inst.host.edges():
+        if not tt.graph.has_edge(u, v):
+            raise ValueError(f"t-tree completion lost host edge {u!r}-{v!r}")
+    pd = tree_to_path_decomposition(tt.family_decomposition())
+    return tt, path_decomposition_to_intervals(pd)
 
 
 def generate_qt_instance(t: int, n: int, h: int, rng_seed: int = 0) -> QtInstance:

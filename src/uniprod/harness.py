@@ -29,7 +29,6 @@ from .induced import (
     assemble_universal,
     bag_stats,
     build_context,
-    fixup,
     growth_report,
     label_instance,
     unpack_label,
@@ -134,8 +133,6 @@ def bad_family_counts(n: int, scheme: str, check_one: bool = False) -> dict:
     for i in range(1, m + 1):
         ex = gen_bad_example(n, i, i)
         ctx = build_context(ex.instance, params=params, rep=ex.rep, tt=ex.ttree)
-        if scheme == "fixed":
-            fixup(ctx)
         li = label_instance(ctx, scheme)
         if check_one and i == 1:
             verify_labelling(li)
@@ -244,9 +241,8 @@ def _suite_universality(cfg: dict, report: Report) -> None:
 
 def _suite_sizes(cfg: dict, report: Report) -> None:
     n = int(cfg.get("n", 4))
-    lam = cfg.get("lam")
     cap = int(cfg.get("cap", 300_000))
-    p = UgParams(n, lam=int(lam)) if lam is not None else UgParams(n)
+    p = UgParams(n, lam=cfg.get("lam"))
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
     report.add("bounds computed", True, n=n, lam=p.lam, vertex_bound=vb, edge_bound=eb)
     row = {"n": n, "lam": p.lam, "vertex_bound": vb, "edge_bound": eb}
@@ -273,7 +269,7 @@ def _suite_labels(cfg: dict, report: Report) -> None:
     for k in range(count):
         hi = rng.randint(1, max(1, n // 4))
         inst = generate_qt_instance(t, n, hi, rng.randrange(1 << 30))
-        ctx = fixup(build_context(inst, params=params))
+        ctx = build_context(inst, params=params)
         stats = bag_stats(ctx)
         report.add(f"bags instance {k}", stats["max_bag_fixed"] <= stats["reference"], **stats)
         for scheme in ("fixed", "legacy"):

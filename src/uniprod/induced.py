@@ -33,13 +33,7 @@ from math import comb
 
 from .bitcore import BitReader, BitWriter, Bst, build_biased_bst
 from .closure import IntervalRep, min_depth_in_range, perturb_left_endpoints
-from .decomp import (
-    QtInstance,
-    TTree,
-    path_decomposition_to_intervals,
-    tree_to_path_decomposition,
-    ttree_from_decomposition,
-)
+from .decomp import QtInstance, TTree, host_layout
 from .io import endpoints, key, read_records, write_records
 from .product import Graph
 from .treeseq import LcpCodec, build_tree_sequence
@@ -51,9 +45,11 @@ class LabelParams:
 
     n: int
     t: int
-    version: int = 1
     maxheight: int | None = None  # covers every tree depth a label may store
     codec: LcpCodec = field(init=False, repr=False, compare=False)
+    # one spare code above maxheight is reserved as the absent-slot marker
+    depth_bits: int = field(init=False, repr=False, compare=False)
+    phi_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.t < 1:
@@ -62,15 +58,8 @@ class LabelParams:
             guess = (max(self.n, 2) - 1).bit_length() + (self.t + 1).bit_length() + 8
             object.__setattr__(self, "maxheight", guess)
         object.__setattr__(self, "codec", LcpCodec(self.maxheight))
-
-    @property
-    def depth_bits(self) -> int:
-        # one spare code above maxheight is reserved as the absent-slot marker
-        return (self.maxheight + 1).bit_length()
-
-    @property
-    def phi_bits(self) -> int:
-        return max(1, self.t.bit_length())
+        object.__setattr__(self, "depth_bits", (self.maxheight + 1).bit_length())
+        object.__setattr__(self, "phi_bits", max(1, self.t.bit_length()))
 
 
 def _ancestor_at_depth(tree: Bst, key, depth: int):
@@ -97,13 +86,13 @@ class LabelContext:
     """Everything derived from one instance that labelling needs.
 
     Rows, clique unions and their per-row search trees are built once by
-    build_context; the primed maps (xp, bags_p, psi_p) appear after fixup.
+    build_context, which ends by running fixup to fill the primed maps
+    (xp, bags_p, psi_p).
     """
 
     instance: QtInstance
     params: LabelParams
     tt: TTree
-    rep: IntervalRep
     rank: dict
     span: dict  # vertex -> (lo, hi) rank window of its interval
     rows: dict  # y -> sorted row members
@@ -113,14 +102,13 @@ class LabelContext:
     x: dict  # y -> {vertex: tree key}
     bags: dict  # y -> {tree key: members sorted by rank}
     psi: dict  # y -> {vertex: 1-based slot in its bag}
-    row_tree: Bst
     alpha1: dict
     hint: dict
     inv: dict  # (host vertex, row) -> instance vertex
     edge_set: set
-    xp: dict | None = None
-    bags_p: dict | None = None
-    psi_p: dict | None = None
+    xp: dict = field(init=False)
+    bags_p: dict = field(init=False)
+    psi_p: dict = field(init=False)
 
     @property
     def h(self) -> int:
@@ -157,24 +145,22 @@ def build_context(
 ) -> LabelContext:
     """Derive rows, clique unions, rank trees and row machinery for labelling.
 
-    The host is completed to a t-tree (or taken as given), every host edge
-    must be covered by the interval representation, and each clique's node
-    set is checked to sit on a single root path of its row tree.
+    The host layout is host_layout(instance) unless rep and tt prescribe
+    one together.  Every t-tree edge must be covered by the interval
+    representation, and each clique's node set is checked to sit on a
+    single root path of its row tree.  The context is returned after
+    fixup, so both label schemes can read it.
     """
+    if (rep is None) != (tt is None):
+        raise ValueError("rep and tt prescribe a host layout together")
     if tt is None:
-        tt = ttree_from_decomposition(instance.decomposition)
-    for u, v in instance.host.edges():
-        if not tt.graph.has_edge(u, v):
-            raise ValueError(f"t-tree completion lost host edge {u!r}-{v!r}")
+        tt, rep = host_layout(instance)
     if params is None:
         params = LabelParams(n=instance.graph.n, t=tt.t)
     if params.t != tt.t:
         raise ValueError(f"instance is a {tt.t}-tree but params.t = {params.t}")
     if instance.graph.n > params.n:
         raise ValueError(f"instance has {instance.graph.n} vertices but params.n = {params.n}")
-    if rep is None:
-        pd = tree_to_path_decomposition(tt.family_decomposition(), n=tt.n)
-        rep = path_decomposition_to_intervals(pd)
     rep = perturb_left_endpoints(rep)
     for v in tt.graph.vertices():
         if v not in rep.intervals:
@@ -236,7 +222,6 @@ def build_context(
         instance=instance,
         params=params,
         tt=tt,
-        rep=rep,
         rank=rank,
         span=span,
         rows={y: sorted(rows[y], key=rank.__getitem__) for y in rows},
@@ -246,14 +231,13 @@ def build_context(
         x=x,
         bags=bags,
         psi=psi,
-        row_tree=row_tree,
         alpha1=alpha1,
         hint=hint,
         inv=inv,
         edge_set=edge_set,
     )
     _check_root_paths(ctx, primed=False)
-    return ctx
+    return fixup(ctx)
 
 
 def _group_bags(assign: dict, rank: dict) -> dict:
@@ -321,8 +305,9 @@ def run_fixup_pass(tree: Bst, assign: dict, cliques: dict, members, sort_key) ->
 def fixup(ctx: LabelContext) -> LabelContext:
     """Bound every clique parent's node depth by its child's plus one.
 
-    Fills the primed maps on the context: new node assignments (always
-    ancestors of the originals), their bags, and fresh per-bag colours.
+    Fills the primed maps on the context from ctx.x: new node assignments
+    (always ancestors of the originals), their bags, and fresh per-bag
+    colours.  build_context runs it; running it again recomputes them.
     """
     xp, bags_p, psi_p = {}, {}, {}
     cliques = {v: frozenset(ctx.tt.cliques[v]) for v in ctx.tt.order}
@@ -352,8 +337,6 @@ def bag_stats(ctx: LabelContext) -> dict:
     distance d stays under C(d+t, t), and each post-fixup bag is covered
     by pre-fixup bags of the node's ancestors weighted by those counts.
     """
-    if ctx.xp is None:
-        raise ValueError("run fixup before asking for bag statistics")
     t = ctx.params.t
     max_bag = max(len(m) for y in ctx.bags for m in ctx.bags[y].values())
     max_bag_p = max(len(m) for y in ctx.bags_p for m in ctx.bags_p[y].values())
@@ -454,8 +437,6 @@ def _next_alpha(alpha1: str, hint: tuple) -> str | None:
 
 
 def make_label(ctx: LabelContext, v, y: int) -> Label:
-    if ctx.xp is None:
-        raise ValueError("run fixup before labelling")
     return _label(ctx, v, y, "fixed")
 
 
@@ -655,6 +636,9 @@ def _parent_bit(la: Label, ba: int, lb: Label, bb: int):
     return lb.abits.get((i, bb - ba), 0)  # bb - ba: row offset of la's vertex from lb's
 
 
+LABEL_FILE_VERSION = 1
+
+
 @dataclass
 class LabelledInstance:
     """One instance's labels, packed strings, and graph for ground truth."""
@@ -668,11 +652,11 @@ class LabelledInstance:
 
     def write_jsonl(self, path) -> None:
         head = {
-            "version": self.params.version,
+            "version": LABEL_FILE_VERSION,
             "n": self.params.n,
             "t": self.params.t,
             "maxheight": self.params.maxheight,
-            "codec_id": self.params.codec.codec_id,
+            "codec_id": LcpCodec.codec_id,
             "lam": self.lam,
             "scheme": self.scheme,
             "count": len(self.packed),
@@ -684,15 +668,19 @@ class LabelledInstance:
     @classmethod
     def read_jsonl(cls, path) -> "LabelledInstance":
         def parse(head, records):
-            params = LabelParams(n=head["n"], t=head["t"], version=head["version"], maxheight=head["maxheight"])
-            if params.codec.codec_id != head["codec_id"]:
+            if head["version"] != LABEL_FILE_VERSION:
+                raise ValueError(f"label file version {head['version']!r}, expected {LABEL_FILE_VERSION}")
+            if head["codec_id"] != LcpCodec.codec_id:
                 raise ValueError("codec mismatch")
+            params = LabelParams(n=head["n"], t=head["t"], maxheight=head["maxheight"])
             labels, packed, graph = {}, {}, Graph(name="labelled instance")
             for rec in records:
                 if "v" in rec:
                     v = key(rec["v"])
                     packed[v] = rec["bits"]
                     labels[v] = unpack_label(rec["bits"], params)
+                    if labels[v].scheme != head["scheme"]:
+                        raise ValueError(f"label of {v!r} is {labels[v].scheme} but the header says {head['scheme']!r}")
                     graph.add_vertex(v)
                 else:
                     graph.add_edge(*endpoints(rec["ge"], packed))

@@ -45,13 +45,12 @@ class Graph:
         return self._adj.keys()
 
     def edges(self):
-        seen = set()
+        done = set()  # vertices whose edges have all been yielded
         for u, nbrs in self._adj.items():
             for v in nbrs:
-                e = frozenset((u, v))
-                if e not in seen:
-                    seen.add(e)
+                if v not in done:
                     yield u, v
+            done.add(u)
 
     def has_vertex(self, v) -> bool:
         return v in self._adj

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .bitcore import Bst, build_biased_bst, check_bits, lcp_len
 
 
-def lambda_default(n: int, c: float = 1.0) -> int:
-    """Default slack budget: ceil(c * sqrt(log2 n * log2 log2 n)).
+def lambda_default(n: int) -> int:
+    """Default slack budget: ceil(sqrt(log2 n * log2 log2 n)).
 
     The inner log is clamped below at 1 so tiny n still get a positive
     budget.
@@ -23,7 +24,7 @@ def lambda_default(n: int, c: float = 1.0) -> int:
     if n < 2:
         raise ValueError("n >= 2 required")
     lg = math.log2(n)
-    return math.ceil(c * math.sqrt(lg * max(1.0, math.log2(lg))))
+    return math.ceil(math.sqrt(lg * max(1.0, math.log2(lg))))
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class LcpCodec:
     matter where nu came from.  codec_id versions the bit layout in files.
     """
 
+    codec_id: ClassVar[int] = 1
     max_len: int  # largest signature length the length field must cover
-    codec_id: int = 1
     width: int = field(init=False, repr=False, compare=False)  # bits of the length field
 
     def __post_init__(self):

@@ -11,7 +11,7 @@ small-treewidth pipeline, landing in an implicit clique product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iter_product
 
 from .bitcore import (
@@ -22,10 +22,8 @@ from .bitcore import (
     lcp_len,
     successor_set,
 )
-from .closure import ClosureGraph, min_depth_in_range
-from .decomp import QtInstance, tree_to_path_decomposition, ttree_from_decomposition
-from .decomp import path_decomposition_to_intervals
-from .closure import embed_interval_graph
+from .closure import ClosureGraph, embed_interval_graph, min_depth_in_range
+from .decomp import QtInstance, host_layout
 from .product import Graph, PathFactor, ProductWitness
 from .treeseq import LcpCodec, build_tree_sequence, lambda_default
 
@@ -36,43 +34,34 @@ class UgParams:
 
     lam defaults to the smallest value that lets embed certify every
     transition with the default codec (one code is a length field plus a
-    suffix of a signature, so width + d + 2 bits always suffice).
+    suffix of a signature, so width + d + 2 bits always suffice).  The
+    derived values are set once, at construction.
     """
 
     n: int
     lam: int | None = None
-    codec: LcpCodec | None = None
+    d: int = field(init=False, repr=False, compare=False)
+    horizon: int = field(init=False, repr=False, compare=False)  # cap on row-signature lengths in the successor condition
+    budget: int = field(init=False, repr=False, compare=False)  # cap on |x| + |y| for a vertex
+    codec: LcpCodec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n >= 1 required")
         d = (self.n - 1).bit_length()
-        if self.lam is None:
+        lam = self.lam
+        if lam is None:
             lam = max(1, lambda_default(max(self.n, 2)))
             while True:
                 need = LcpCodec(d + lam + 2).width + d + 2
                 if need <= lam:
                     break
                 lam = need
-            object.__setattr__(self, "lam", lam)
-        if self.lam < 0:
+        if lam < 0:
             raise ValueError("lam >= 0 required")
-        if self.codec is None:
-            object.__setattr__(self, "codec", LcpCodec(d + self.lam + 2))
-
-    @property
-    def d(self) -> int:
-        return (self.n - 1).bit_length()
-
-    @property
-    def horizon(self) -> int:
-        """Cap on row-signature lengths in the successor condition."""
-        return self.d + 2
-
-    @property
-    def budget(self) -> int:
-        """Cap on |x| + |y| for a vertex."""
-        return self.d + self.lam + 2
+        derived = {"lam": lam, "d": d, "horizon": d + 2, "budget": d + lam + 2, "codec": LcpCodec(d + lam + 2)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 def check_vertex(p: UgParams, v) -> None:
@@ -324,17 +313,12 @@ class QtEmbedding:
 def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
     """Full pipeline into (universal graph) x K_omega, implicitly.
 
-    Stages: complete the host's decomposition to a t-tree, convert to a
-    path decomposition and intervals, embed those into closure x clique,
-    project the instance through that embedding (colours absorb the
-    contracted pairs), then apply embed over closure x path.
+    Stages: lay the host out as intervals (host_layout), embed those into
+    closure x clique, project the instance through that embedding
+    (colours absorb the contracted pairs), then apply embed over
+    closure x path.
     """
-    tt = ttree_from_decomposition(inst.decomposition)
-    for u, v in inst.host.edges():
-        if not tt.graph.has_edge(u, v):
-            raise ValueError("t-tree completion lost a host edge")
-    pd = tree_to_path_decomposition(tt.family_decomposition(), n=tt.n)
-    rep = path_decomposition_to_intervals(pd)
+    _, rep = host_layout(inst)
     omega = max(1, rep.clique_number())
     row_witness = embed_interval_graph(rep, omega=omega)
     host_cg = row_witness.factors[0]

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import uniprod
 from uniprod import cli
 from uniprod.cli import main
 
@@ -129,6 +133,33 @@ def test_malformed_header_exits_1_naming_the_line(tmp_path, capsys):
     assert f"{inst}:1:" in capsys.readouterr().err
 
 
+def test_bag_member_outside_the_host_exits_1(tmp_path, capsys):
+    inst = tmp_path / "inst.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "10", "--out", str(inst))
+    lines = inst.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if "dnode" in json.loads(line))
+    rec = json.loads(lines[k])
+    lines[k] = json.dumps({**rec, "bag": rec["bag"] + [999]})
+    inst.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    run("embed", "--instance", str(inst), "--out", str(tmp_path / "wit.jsonl"), check=1)
+    assert "999" in capsys.readouterr().err
+
+
+def test_label_header_scheme_must_match_the_labels(tmp_path, capsys):
+    inst, labels = tmp_path / "inst.jsonl", tmp_path / "labels.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "10", "--h", "2", "--out", str(inst))
+    run("label", "--instance", str(inst), "--scheme", "fixed", "--out", str(labels))
+    lines = labels.read_text().splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "scheme": "legacy"})
+    labels.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    run("test-adjacency", "--labels", str(labels), check=1)
+    assert f"{labels}:2:" in capsys.readouterr().err
+    run("assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl"), check=1)
+    assert f"{labels}:2:" in capsys.readouterr().err
+
+
 def test_malformed_report_exits_1(tmp_path):
     rep = tmp_path / "rep.json"
     for text in ("{}", "[1]", '{"suite": "sizes", "checks": [1]}'):
@@ -144,6 +175,24 @@ def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
     run("count", "--n", "4", check=3)
     err = capsys.readouterr().err
     assert "Traceback" in err and "TypeError: a bug" in err
+
+
+def test_labels_do_not_follow_string_hashing(tmp_path):
+    # double-star vertex ids are strings, so set iteration order changes
+    # with PYTHONHASHSEED; the labels must not
+    src = os.path.dirname(os.path.dirname(uniprod.__file__))
+    records = []
+    for seed in ("0", "1"):
+        inst, labels = tmp_path / f"bad{seed}.jsonl", tmp_path / f"labels{seed}.jsonl"
+        script = (
+            "import sys; from uniprod.cli import main; "
+            f"main(['gen', 'bad', '--n', '120', '--i', '4', '--j', '4', '--out', {str(inst)!r}]); "
+            f"sys.exit(main(['label', '--instance', {str(inst)!r}, '--out', {str(labels)!r}]))"
+        )
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, timeout=120)
+        records.append([line for line in labels.read_text().splitlines() if '"bits"' in line])
+    assert records[0] and records[0] == records[1]
 
 
 # SHA-256 of every file the commands in test_file_formats_are_stable write.

@@ -74,7 +74,7 @@ def test_tree_to_path_width_bound():
         tt = build_ttree(t, n, rng_seed=trial)
         td = tt.family_decomposition()
         td.validate(tt.graph)
-        pd = tree_to_path_decomposition(td, n=n)
+        pd = tree_to_path_decomposition(td)
         pd.validate(tt.graph)
         cap = (td.width + 1) * (max(1, n - 1).bit_length() + 1) - 1
         assert pd.width <= cap

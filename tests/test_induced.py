@@ -89,9 +89,6 @@ def test_fixup_contract():
 
 def test_bag_stats_accounting():
     ctx = next(contexts([5], tmax=2, nmax=24))
-    with pytest.raises(ValueError):
-        bag_stats(ctx)  # fixup required first
-    fixup(ctx)
     stats = bag_stats(ctx)
     assert stats["max_bag_fixed"] >= 1
     assert stats["accounting_ok"] is True
@@ -188,6 +185,15 @@ def test_label_reader_rejects_unlabelled_edge_and_bad_count(tmp_path):
         bad_count.write_text("\n".join([json.dumps({**head, "count": count})] + lines[1:]) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{bad_count}:1:")):
             LabelledInstance.read_jsonl(bad_count)
+
+
+def test_label_reader_rejects_other_versions(tmp_path):
+    path, bad = tmp_path / "labels.jsonl", tmp_path / "v2.jsonl"
+    label_instance(next(contexts([8], tmax=2, nmax=18)), "fixed").write_jsonl(path)
+    lines = path.read_text().splitlines()
+    bad.write_text("\n".join([json.dumps({**json.loads(lines[0]), "version": 2})] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:1:")):
+        LabelledInstance.read_jsonl(bad)
 
 
 def test_assemble_universal_and_growth():

@@ -101,6 +101,14 @@ def test_materialized_counts_stay_under_bounds():
         materialize(UgParams(1 << 16), cap=1000)
 
 
+def test_materialize_builds_exactly_the_is_edge_graph():
+    for n, lam in [(2, 1), (4, 0), (2, 2)]:
+        p = UgParams(n, lam=lam)
+        g = materialize(p)
+        for u, v in itertools.combinations(g.vertices(), 2):
+            assert g.has_edge(u, v) == is_edge(p, u, v), (n, lam, u, v)
+
+
 def test_degree_domination():
     p = UgParams(4, lam=1)
     assert degree_domination_check(materialize(p), 4)
