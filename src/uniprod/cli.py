@@ -103,7 +103,7 @@ def _cmd_verify(args) -> int:
         if type(head["omega"]) is not int:
             raise ValueError("omega must be an integer")
         p = UgParams(head["n"], lam=head["lam"])
-        return QtEmbedding(mapping=mapping, omega=head["omega"], params=p, projection={})
+        return QtEmbedding(mapping=mapping, omega=head["omega"], params=p)
 
     emb = read_records(args.witness, "qt-witness", parse)
     validate_qt_embedding(emb.params, inst, emb)

@@ -12,7 +12,7 @@ is the workhorse behind the small-treewidth hosts elsewhere.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable
@@ -111,16 +111,28 @@ def min_depth_in_range(t: Bst, lo, hi):
 # Interval representations
 
 
+def _exact(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass
 class IntervalRep:
-    """Closed intervals [a_v, b_v] with rational endpoints, one per vertex."""
+    """Closed intervals [a_v, b_v] with exact rational endpoints, one per vertex.
 
-    intervals: dict[Hashable, tuple[Fraction, Fraction]]
+    Integral endpoints are stored as int and only the others as Fraction,
+    so the rank form and path decompositions compare plain ints.
+    """
+
+    intervals: dict[Hashable, tuple]
 
     def __post_init__(self):
         norm = {}
         for v, (a, b) in self.intervals.items():
-            a, b = Fraction(a), Fraction(b)
+            a, b = _exact(a), _exact(b)
             if a > b:
                 raise ValueError(f"empty interval for {v!r}")
             norm[v] = (a, b)
@@ -136,31 +148,28 @@ class IntervalRep:
         return max(au, av) <= min(bu, bv)
 
     def intersection_graph(self) -> Graph:
-        vs = list(self.intervals)
-        g = Graph(vs, name="interval graph")
-        for i, u in enumerate(vs):
-            for v in vs[i + 1 :]:
-                if self.meets(u, v):
-                    g.add_edge(u, v)
+        """The meeting pairs, read off the rank form in O(n log n + m).
+
+        In rank form the interval of rank r meets exactly ranks r+1..b'
+        among the later ones, b' being its right endpoint.
+        """
+        g = Graph(self.intervals, name="interval graph")
+        ranked = perturb_left_endpoints(self).intervals
+        order = list(ranked)
+        for r, (u, (_, hi)) in enumerate(ranked.items()):
+            for v in order[r + 1 : hi + 1]:
+                g.add_edge(u, v)
         return g
 
     def clique_number(self) -> int:
         """Maximum point load; attained at a left endpoint by Helly."""
-        if not self.intervals:
-            return 0
         # starts open before ends at the same coordinate (closed intervals)
-        events = []
-        for a, b in self.intervals.values():
-            events.append((a, 0))
-            events.append((b, 1))
-        events.sort()
+        ivs = self.intervals.values()
+        events = sorted([(a, -1) for a, _ in ivs] + [(b, 1) for _, b in ivs])
         best = cur = 0
         for _, kind in events:
-            if kind == 0:
-                cur += 1
-                best = max(best, cur)
-            else:
-                cur -= 1
+            cur -= kind
+            best = max(best, cur)
         return best
 
     def left_order(self) -> list:
@@ -187,26 +196,17 @@ class IntervalRep:
 
 
 def perturb_left_endpoints(rep: IntervalRep) -> IntervalRep:
-    """Make left endpoints pairwise distinct, keeping the same graph.
+    """The rank form of rep: left endpoints 0..n-1, the same graph.
 
-    Already-distinct representations pass through unchanged.  Otherwise
-    everything is cleared to integers, stretched by m+1, and each left
-    endpoint is offset by the vertex's rank while every right endpoint
-    gets the full offset m; order comparisons between old endpoints are
-    unchanged because all offsets are below the stretch factor.
+    Vertex order[r] of order = rep.left_order() gets [r, q], q being the
+    last rank whose old left endpoint is at most its old right one, so
+    a_u <= b_v holds exactly when a'_u <= b'_v and every meeting,
+    clique and separator is unchanged.  The result is keyed in rank
+    order, and a rep already in rank form maps to itself.
     """
-    lefts = [a for a, _ in rep.intervals.values()]
-    if len(set(lefts)) == len(lefts):
-        return IntervalRep(dict(rep.intervals))
-    m = rep.n
-    scale = 1
-    for a, b in rep.intervals.values():
-        scale = math.lcm(scale, a.denominator, b.denominator)
-    out = {}
-    for r, v in enumerate(rep.left_order()):
-        a, b = rep.intervals[v]
-        out[v] = (Fraction((m + 1) * a * scale + r), Fraction((m + 1) * b * scale + m))
-    return IntervalRep(out)
+    order = rep.left_order()
+    lefts = [rep.intervals[v][0] for v in order]
+    return IntervalRep({v: (r, bisect_right(lefts, rep.intervals[v][1]) - 1) for r, v in enumerate(order)})
 
 
 def interval_separator(rep: IntervalRep, omega: int):

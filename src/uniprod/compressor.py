@@ -197,17 +197,19 @@ def compress(gU: Graph, s: Saturator) -> Graph:
 
     Output vertices are all of U; u and u' are adjacent when some input
     edge has one endpoint attached to u and the other to u', so the edge
-    count multiplies by at most d_sat squared.
+    count multiplies by at most d_sat squared.  Each u attached to v
+    gains, in one union, the U-neighbours of all of v's neighbours.
     """
     for v in gU.vertices():
         if not (isinstance(v, int) and 0 <= v < s.n_v):
             raise ValueError(f"vertex {v!r} outside the saturator's V part")
-    hn = Graph(range(s.n_u), name=f"compressed({gU.name or 'graph'})")
-    for v, vp in gU.edges():
+    near = {u: set() for u in range(s.n_u)}
+    for v in gU.vertices():
+        far = set().union(*(s.adj[w] for w in gU.neighbors(v)))
         for u in s.adj[v]:
-            for up in s.adj[vp]:
-                if u != up:
-                    hn.add_edge(u, up)
+            near[u] |= far
+    edges = ((u, up) for u, ups in near.items() for up in ups if up > u)
+    hn = Graph(range(s.n_u), edges, name=f"compressed({gU.name or 'graph'})")
     if hn.m > s.d_sat**2 * gU.m:
         raise AssertionError("edge bound d_sat^2 |E| violated")
     return hn

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 from .closure import IntervalRep
@@ -65,27 +64,27 @@ class TreeDecomposition:
             stack.extend(adj[x])
         if len(seen) != len(self.bags):
             raise ValueError("decomposition tree is disconnected")
-        covered = self.covered_vertices()
-        stray = covered - set(g.vertices())
+        where = {}  # vertex -> nodes whose bag holds it
+        for x, b in self.bags.items():
+            for v in b:
+                where.setdefault(v, set()).add(x)
+        stray = where.keys() - set(g.vertices())
         if stray:
             raise ValueError(f"bags name non-vertices: {sorted(map(repr, stray))[:5]}")
-        missing = set(g.vertices()) - covered
+        missing = set(g.vertices()) - where.keys()
         if missing:
             raise ValueError(f"vertices not covered: {sorted(map(repr, missing))[:5]}")
         for u, v in g.edges():
-            if not any(u in b and v in b for b in self.bags.values()):
+            if where[u].isdisjoint(where[v]):
                 raise ValueError(f"edge {u!r}-{v!r} in no bag")
-        for v in covered:
-            nodes = {x for x, b in self.bags.items() if v in b}
-            comp = {next(iter(nodes))}
-            stack = list(comp)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in nodes and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            if comp != nodes:
+        # the nodes holding v induce a forest of the tree, which is a
+        # subtree exactly when it has len(where[v]) - 1 edges
+        inner = dict.fromkeys(where, 0)
+        for a, b in self.edges:
+            for v in self.bags[a] & self.bags[b]:
+                inner[v] += 1
+        for v, nodes in where.items():
+            if inner[v] != len(nodes) - 1:
                 raise ValueError(f"bags containing {v!r} are disconnected")
 
 
@@ -262,9 +261,7 @@ def path_decomposition_to_intervals(pd: PathDecomposition) -> IntervalRep:
         for v in b:
             first.setdefault(v, i)
             last[v] = i
-    return IntervalRep(
-        {v: (Fraction(first[v]), Fraction(last[v])) for v in first}
-    )
+    return IntervalRep({v: (first[v], last[v]) for v in first})
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ assembly decode nothing.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
 from itertools import chain, combinations
@@ -169,12 +168,8 @@ def build_context(
         if not rep.meets(u, v):
             raise ValueError(f"interval supergraph misses edge {u!r}-{v!r}")
 
-    order = rep.left_order()
-    rank = {v: i for i, v in enumerate(order)}
-    lefts = [rep.intervals[v][0] for v in order]
-    span = {}
-    for v, (a, b) in rep.intervals.items():
-        span[v] = (rank[v], bisect_right(lefts, b) - 1)
+    span = rep.intervals
+    rank = {v: lo for v, (lo, _) in span.items()}
 
     h = instance.h
     coords = instance.witness.coords

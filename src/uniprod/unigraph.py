@@ -307,7 +307,6 @@ class QtEmbedding:
     mapping: dict
     omega: int
     params: UgParams
-    projection: dict
 
 
 def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
@@ -319,9 +318,8 @@ def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
     closure x path.
     """
     _, rep = host_layout(inst)
-    omega = max(1, rep.clique_number())
-    row_witness = embed_interval_graph(rep, omega=omega)
-    host_cg = row_witness.factors[0]
+    row_witness = embed_interval_graph(rep)
+    host_cg, omega = row_witness.factors[0], row_witness.factors[1].k
     if host_cg.d > p.d:
         raise ValueError(f"host closure needs d = {host_cg.d} but params give {p.d}")
     proj, colour = {}, {}
@@ -337,7 +335,7 @@ def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
     pw.validate()
     zeta = embed(p, pw)
     mapping = {v: (zeta[proj[v]], colour[v]) for v in inst.graph.vertices()}
-    out = QtEmbedding(mapping=mapping, omega=omega, params=p, projection=proj)
+    out = QtEmbedding(mapping=mapping, omega=omega, params=p)
     validate_qt_embedding(p, inst, out)
     return out
 

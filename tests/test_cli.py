@@ -207,6 +207,8 @@ FORMATS = {
     "comp.jsonl": "26bec8b02085f61060321189c5918d5b0e740ad049ecb03b1dd930d24715bfb4",
     "comp.saturator.jsonl": "c92a7cb1f49bd340fb148c5e83323cebb1e9e0f1629265866da0cecf53ecfe61",
     "bad.intervals.jsonl": "7cec124e4b0107e0fab9524c2cf93d73e71802e8656d408bff5fa7ce6ab61bfe",
+    "wit120.jsonl": "9d50a1a55d8e6743e169ff563a61d90cdad64310f987f7534f98619150829982",
+    "lab120.jsonl": "951d831c132c4e720ff754a402d4fb55f64c3487b7b1d95eee71ffda16491a8e",
 }
 
 
@@ -225,5 +227,10 @@ def test_file_formats_are_stable(tmp_path, monkeypatch):
     # bad.jsonl itself is not compared: the double-star instance's record
     # order follows string hashing, so it changes with PYTHONHASHSEED.
     run("gen", "bad", "--n", "24", "--out", p("bad.jsonl"))
+    # n=14 lays out 5 host intervals and barely recurses; n=120 lays out 60
+    # on 31 distinct left endpoints, so ties are broken all through the recursion.
+    run("gen", "qt", "--t", "2", "--n", "120", "--h", "2", "--seed", "5", "--out", p("inst120.jsonl"))
+    run("embed", "--instance", p("inst120.jsonl"), "--out", p("wit120.jsonl"))
+    run("label", "--instance", p("inst120.jsonl"), "--out", p("lab120.jsonl"))
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in FORMATS}
     assert got == FORMATS

@@ -84,6 +84,8 @@ def test_interval_basics():
     g = rep.intersection_graph()
     assert g.has_edge("u", "v") and not g.has_edge("v", "w")
     assert rep.clique_number() == 2
+    # integral endpoints are stored as int, the others stay Fraction
+    assert [type(x) for x in IntervalRep({0: (Fraction(4, 2), Fraction(7, 2))}).intervals[0]] == [int, Fraction]
     with pytest.raises(ValueError):
         IntervalRep({"x": (3, 1)})
 
@@ -100,12 +102,30 @@ def test_perturbation_keeps_the_graph():
     for _ in range(200):
         rep = random_rep(rng, rng.randint(1, 12))
         pert = perturb_left_endpoints(rep)
-        lefts = [a for a, _ in pert.intervals.values()]
-        assert len(set(lefts)) == len(lefts)
-        for u in rep.intervals:
-            for v in rep.intervals:
+        # rank form: left endpoints 0..n-1 in left_order() order
+        assert [pert.intervals[v][0] for v in rep.left_order()] == list(range(rep.n))
+        for u, (au, _) in rep.intervals.items():
+            for v, (_, bv) in rep.intervals.items():
+                assert (au <= bv) == (pert.intervals[u][0] <= pert.intervals[v][1]), (u, v)
                 if u != v:
                     assert rep.meets(u, v) == pert.meets(u, v), (u, v)
+        assert perturb_left_endpoints(pert) == pert
+
+
+def test_intersection_graph_matches_pairwise_meets():
+    rng = random.Random(8)
+    for _ in range(400):
+        ivs = {}
+        for i in range(rng.randint(0, 12)):
+            a = Fraction(rng.randint(0, 12), rng.choice((1, 2, 3)))
+            b = a + Fraction(rng.randint(0, 8), rng.choice((1, 2)))
+            ivs[i if rng.random() < 0.5 else f"v{i}"] = (a, b)
+        rep = IntervalRep(ivs)
+        g = rep.intersection_graph()
+        assert set(g.vertices()) == set(ivs)
+        vs = list(ivs)
+        want = {frozenset((u, v)) for i, u in enumerate(vs) for v in vs[i + 1 :] if rep.meets(u, v)}
+        assert {frozenset(e) for e in g.edges()} == want
 
 
 def test_separator_postconditions():

@@ -2,7 +2,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from uniprod.bitcore import successor_set
 from uniprod.closure import ClosureGraph
 from uniprod.decomp import generate_qt_instance
 from uniprod.product import Graph, PathFactor, ProductWitness, path_graph
@@ -67,6 +69,30 @@ def test_closed_form_matches_exhaustive_adjacency():
         rng.shuffle(pairs)
         for u, v in pairs[:4000]:
             assert is_edge(p, u, v) == is_edge_exhaustive(p, u, v), (u, v, n, lam)
+
+
+@st.composite
+def full_budget_pairs(draw):
+    """Two vertices of a tiny UgParams with lam >= codec.width, up to the
+    full budget; the second row is often a successor and the second
+    position often shares a prefix with the first, so that both edge
+    types come into play."""
+    p = draw(st.sampled_from([UgParams(2, lam=3), UgParams(4, lam=3)]))
+    y1 = draw(st.text("01", max_size=p.horizon))
+    y2 = draw(st.sampled_from(sorted(successor_set(y1, p.horizon) | {y1})) | st.text("01", max_size=p.budget))
+    x1 = draw(st.text("01", max_size=p.budget - len(y1)))
+    room = p.budget - len(y2)
+    keep = draw(st.integers(0, min(len(x1), room)))
+    x2 = x1[:keep] + draw(st.text("01", max_size=room - keep))
+    return p, (x1, y1, draw(st.integers(0, p.d))), (x2, y2, draw(st.integers(0, p.d)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(full_budget_pairs())
+def test_closed_form_matches_exhaustive_adjacency_at_full_budget(case):
+    p, u, v = case
+    assert p.lam >= p.codec.width
+    assert is_edge(p, u, v) == is_edge_exhaustive(p, u, v)
 
 
 def test_adjacency_is_symmetric_and_irreflexive():
@@ -177,4 +203,4 @@ def test_validate_qt_embedding_catches_corruption():
     a, b = sorted(broken, key=repr)[:2]
     broken[a] = broken[b]
     with pytest.raises(ValueError):
-        validate_qt_embedding(p, inst, QtEmbedding(broken, emb.omega, p, {}))
+        validate_qt_embedding(p, inst, QtEmbedding(broken, emb.omega, p))
