@@ -137,11 +137,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    g = Graph.read_jsonl(args.graph)
-    vs = sorted(g.vertices(), key=repr)
-    if vs != list(range(len(vs))):  # saturators act on 0..n_v-1
-        pos = {v: i for i, v in enumerate(vs)}
-        g = Graph(range(len(vs)), ((pos[a], pos[b]) for a, b in g.edges()), name=g.name)
+    g = Graph.read_jsonl(args.graph)  # vertices 0..n-1, as saturators expect
     n0 = args.n0 if args.n0 is not None else g.n
     s = verdict = None
     for attempt in range(args.retries + 1):

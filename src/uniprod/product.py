@@ -24,6 +24,16 @@ class Graph:
         for u, v in edges:
             self.add_edge(u, v)
 
+    @classmethod
+    def from_adjacency(cls, adj: dict, name: str = "") -> "Graph":
+        """Adopt a vertex -> neighbour-set map as it is, without copying.
+
+        The caller guarantees the map is symmetric and loop-free.
+        """
+        g = cls(name=name)
+        g._adj = adj
+        return g
+
     def add_vertex(self, v) -> None:
         self._adj.setdefault(v, set())
 
@@ -76,10 +86,20 @@ class Graph:
         return f"Graph({self.n} vertices, {self.m} edges{', ' + self.name if self.name else ''})"
 
     def write_jsonl(self, path) -> None:
-        """Graph file: a header line then one record per edge (dense int ids)."""
-        index = {v: i for i, v in enumerate(sorted(self._adj, key=repr))}
-        edges = sorted((min(index[a], index[b]), max(index[a], index[b])) for a, b in self.edges())
-        write_records(path, "graph", {"n": self.n, "name": self.name}, ({"edge": [u, v]} for u, v in edges))
+        """Graph file: a header line then one record per edge (dense int ids).
+
+        Ids follow the repr order of the vertices; edges come out sorted,
+        vertex by vertex, each as its smaller id then the larger.
+        """
+        order = sorted(self._adj, key=repr)
+        index = {v: i for i, v in enumerate(order)}
+
+        def records():
+            for i, v in enumerate(order):
+                for j in sorted(j for j in map(index.__getitem__, self._adj[v]) if j > i):
+                    yield {"edge": [i, j]}
+
+        write_records(path, "graph", {"n": self.n, "name": self.name}, records())
 
     @classmethod
     def read_jsonl(cls, path) -> "Graph":

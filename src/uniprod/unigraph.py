@@ -4,7 +4,9 @@ Vertices are triples (x, y, z): two bitstrings naming positions in a
 per-row tree and in a tree over the rows, plus a depth coordinate used
 only to keep embeddings injective.  Adjacency is pure bit arithmetic, so
 the graph exists implicitly at any size; small instances can also be
-materialized to check the counting bounds.  embed realizes an arbitrary
+materialized to check the counting bounds.  Adjacency never reads z, so
+the materialized host is the strong product R x K_{d+1} of a row graph R
+on (x, y) pairs with a clique on the depths.  embed realizes an arbitrary
 subgraph of closure(d) x P_h in here, and embed_qt runs the whole
 small-treewidth pipeline, landing in an implicit clique product.
 """
@@ -163,6 +165,11 @@ def edge_count_bound(p: UgParams) -> int:
 def materialize(p: UgParams, cap: int = 200_000) -> Graph:
     """Build the graph explicitly; vertices are the (x, y, z) triples.
 
+    Adjacency never reads z: on equal (x, y) the one-way condition is
+    is_prefix(x, x), which holds.  So the host is the strong product
+    R x K_{d+1} of the row graph R on (x, y) pairs with a clique on the
+    d+1 depths, and R's edges are enumerated once, without z.
+
     Refuses when the vertex-count bound passes cap; at that point the
     implicit interface (is_edge) is the only sensible access path.
     """
@@ -173,26 +180,20 @@ def materialize(p: UgParams, cap: int = 200_000) -> Graph:
         )
     b, d, lam = p.budget, p.d, p.lam
     by_len = [["".join(t) for t in iter_product("01", repeat=L)] for L in range(b + 1)]
-    g = Graph(name=f"ug(n={p.n}, lam={lam})")
-    zs = range(d + 1)
-    for ly in range(b + 1):
-        for y in by_len[ly]:
-            for lx in range(b - ly + 1):
-                for x in by_len[lx]:
-                    for z in zs:
-                        g.add_vertex((x, y, z))
-    # type 1: prefix pairs within a row
-    for ly in range(b + 1):
-        for y in by_len[ly]:
-            for lx in range(b - ly + 1):
-                for x1 in by_len[lx]:
-                    for k in range(lx + 1):
-                        x2 = x1[:k]
-                        for z1 in zs:
-                            for z2 in zs:
-                                if k == lx and z1 == z2:
-                                    continue
-                                g.add_edge((x1, y, z1), (x2, y, z2))
+    rows = {
+        (x, y): set()
+        for ly in range(b + 1)
+        for y in by_len[ly]
+        for lx in range(b - ly + 1)
+        for x in by_len[lx]
+    }
+    # type 1: proper prefix pairs within a row
+    for r, nbrs in rows.items():
+        x1, y = r
+        for k in range(len(x1)):
+            prefix = (x1[:k], y)
+            nbrs.add(prefix)
+            rows[prefix].add(r)
     # type 2: successor rows, enumerated by reachable targets
     w = p.codec.width
     capw = (1 << w) - 1
@@ -220,11 +221,20 @@ def materialize(p: UgParams, cap: int = 200_000) -> Graph:
                                 for lt in range(budget1 - need + 1)
                                 for tail in by_len[lt]
                             ]
+                        target = rows[x2, y2]
                         for x1 in srcs:
-                            for z1 in zs:
-                                for z2 in zs:
-                                    g.add_edge((x1, y1, z1), (x2, y2, z2))
-    return g
+                            rows[x1, y1].add((x2, y2))
+                            target.add((x1, y1))
+    # R x K_{d+1}: (r, z) meets every triple of r and of r's R-neighbours
+    triples = {r: [(*r, z) for z in range(d + 1)] for r in rows}
+    adj = {}
+    for r, nbrs in rows.items():
+        block = set(triples[r])
+        for s in nbrs:
+            block.update(triples[s])
+        for t in triples[r]:
+            adj[t] = block - {t}
+    return Graph.from_adjacency(adj, name=f"ug(n={p.n}, lam={lam})")
 
 
 def degree_domination_check(g: Graph, n: int) -> bool:

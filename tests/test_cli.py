@@ -54,6 +54,33 @@ def test_build_ug_and_count(tmp_path, capsys):
     assert head["n"] == row["vertices"]
 
 
+# (n, lam): (|V|, |E|) of the materialized host, on the bounds grid.
+HOST_SIZES = {
+    (1, 0): (17, 14), (1, 1): (49, 62), (1, 2): (129, 222), (1, 3): (321, 2_134),
+    (2, 0): (98, 297), (2, 1): (258, 1_017), (2, 2): (642, 3_129), (2, 3): (1_538, 32_769),
+    (4, 0): (387, 2_385), (4, 1): (963, 7_281), (4, 2): (2_307, 20_721), (4, 3): (5_379, 241_773),
+    (8, 0): (1_284, 13_158), (8, 1): (3_076, 37_350), (8, 2): (7_172, 100_838), (8, 3): (16_388, 262_118),
+    (16, 0): (3_845, 58_840), (16, 1): (8_965, 158_680), (16, 2): (20_485, 412_120),
+    (16, 3): (46_085, 1_039_320),
+}
+
+
+def test_count_gives_the_exact_host_sizes(capsys):
+    for (n, lam), want in HOST_SIZES.items():
+        capsys.readouterr()
+        run("count", "--n", str(n), "--lambda", str(lam))
+        row = json.loads(capsys.readouterr().out)
+        assert (row["vertices"], row["edges"]) == want, (n, lam)
+
+
+def test_sizes_suite_reports_the_exact_host_sizes(tmp_path):
+    for n, lam in [(1, 3), (4, 1), (8, 2), (16, 0)]:
+        rep = tmp_path / f"sizes_{n}_{lam}.json"
+        run("run-suite", "sizes", "--n", str(n), "--lambda", str(lam), "--out", str(rep))
+        [row] = json.loads(rep.read_text())["rows"]
+        assert (row["vertices"], row["edges"]) == HOST_SIZES[n, lam], (n, lam)
+
+
 def test_label_test_adjacency_assemble(tmp_path, monkeypatch):
     monkeypatch.setenv("UNIPROD_CACHE", str(tmp_path / "cache"))
     inst1 = tmp_path / "i1.jsonl"
@@ -209,6 +236,7 @@ FORMATS = {
     "bad.intervals.jsonl": "7cec124e4b0107e0fab9524c2cf93d73e71802e8656d408bff5fa7ce6ab61bfe",
     "wit120.jsonl": "9d50a1a55d8e6743e169ff563a61d90cdad64310f987f7534f98619150829982",
     "lab120.jsonl": "951d831c132c4e720ff754a402d4fb55f64c3487b7b1d95eee71ffda16491a8e",
+    "ug8.jsonl": "b659fda05946ae9137a1b2c4b6a679dc69f4c9a9f896887fd35c380bde620063",
 }
 
 
@@ -223,6 +251,8 @@ def test_file_formats_are_stable(tmp_path, monkeypatch):
     run("label", "--instance", p("inst.jsonl"), "--out", p("lab.jsonl"))
     run("assemble", "--labels", p("lab.jsonl"), "--out", p("uni.jsonl"))
     run("build-ug", "--n", "2", "--lambda", "1", "--mode", "explicit", "--out", p("ug.jsonl"))
+    # n=2 gives d=1, so only two depths; n=8 gives four
+    run("build-ug", "--n", "8", "--lambda", "2", "--mode", "explicit", "--out", p("ug8.jsonl"))
     run("compress", "--graph", p("uni.jsonl"), "--k", "2", "--seed", "1", "--out", p("comp.jsonl"))
     # bad.jsonl itself is not compared: the double-star instance's record
     # order follows string hashing, so it changes with PYTHONHASHSEED.

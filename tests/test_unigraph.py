@@ -128,7 +128,7 @@ def test_materialized_counts_stay_under_bounds():
 
 
 def test_materialize_builds_exactly_the_is_edge_graph():
-    for n, lam in [(2, 1), (4, 0), (2, 2)]:
+    for n, lam in [(2, 1), (4, 0), (2, 2), (1, 3), (4, 1)]:
         p = UgParams(n, lam=lam)
         g = materialize(p)
         for u, v in itertools.combinations(g.vertices(), 2):
