@@ -40,6 +40,7 @@ from .unigraph import (
     UgParams,
     edge_count_bound,
     embed_qt,
+    host_degree_sequence,
     materialize,
     validate_qt_embedding,
     vertex_count_bound,
@@ -130,8 +131,8 @@ def _cmd_count(args) -> int:
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
     row = {"n": p.n, "d": p.d, "lam": p.lam, "vertex_bound": vb, "edge_bound": eb}
     if vb <= args.cap:
-        g = materialize(p, cap=args.cap)
-        row.update({"vertices": g.n, "edges": g.m})
+        seq = host_degree_sequence(p, cap=args.cap)
+        row.update({"vertices": len(seq), "edges": sum(seq) // 2})
     print(json.dumps(row))
     return 0
 

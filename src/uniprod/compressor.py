@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .io import read_records, write_records
+from .io import read_records, write_pairs
 from .product import Graph, validate_subgraph_embedding
 
 
@@ -54,8 +54,8 @@ class Saturator:
 
     def write_jsonl(self, path) -> None:
         head = {"n0": self.n0, "k": self.k, "eps": self.eps, "seed": self.seed, "d_sat": self.d_sat, "n_v": self.n_v}
-        records = ({"e": [v, u]} for v in range(self.n_v) for u in sorted(self.adj[v]))
-        write_records(path, "saturator", head, records)
+        pairs = ((v, u) for v in range(self.n_v) for u in sorted(self.adj[v]))
+        write_pairs(path, "saturator", head, "e", pairs)
 
     @classmethod
     def read_jsonl(cls, path) -> "Saturator":
@@ -81,8 +81,9 @@ def build_saturator(n0: int, k: int, eps: float, seed: int = 0) -> Saturator:
 
     Each round contracts a fresh random permutation of V in blocks of k,
     so every V-vertex gains at most one neighbour per round.  The round
-    count d_sat follows the 2^8 k^2 / eps^2 window, clamped to |U| where
-    it degenerates to the complete bipartite graph.
+    count d_sat follows the 2^8 k^2 / eps^2 window, clamped to |U|.  The
+    rounds draw neighbours independently, so even at d_sat = |U| a
+    V-vertex meets only about 1 - 1/e of U, not all of it.
     """
     if n0 < 1 or k < 1 or eps <= 0:
         raise ValueError("need n0 >= 1, k >= 1, eps > 0")
@@ -198,16 +199,19 @@ def compress(gU: Graph, s: Saturator) -> Graph:
     Output vertices are all of U; u and u' are adjacent when some input
     edge has one endpoint attached to u and the other to u', so the edge
     count multiplies by at most d_sat squared.  Each u attached to v
-    gains, in one union, the U-neighbours of all of v's neighbours.
+    gains, in one union, the U-neighbours of all of v's neighbours, unless
+    u's set already holds all of U (at d_sat = |U| it does within a few v).
     """
     for v in gU.vertices():
         if not (isinstance(v, int) and 0 <= v < s.n_v):
             raise ValueError(f"vertex {v!r} outside the saturator's V part")
-    near = {u: set() for u in range(s.n_u)}
+    full = s.n_u
+    near = {u: set() for u in range(full)}
     for v in gU.vertices():
         far = set().union(*(s.adj[w] for w in gU.neighbors(v)))
         for u in s.adj[v]:
-            near[u] |= far
+            if len(near[u]) < full:
+                near[u] |= far
     edges = ((u, up) for u, ups in near.items() for up in ups if up > u)
     hn = Graph(range(s.n_u), edges, name=f"compressed({gU.name or 'graph'})")
     if hn.m > s.d_sat**2 * gU.m:

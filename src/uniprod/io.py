@@ -21,6 +21,18 @@ def write_records(path, kind: str, head: dict, records) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def write_pairs(path, kind: str, head: dict, name: str, pairs) -> None:
+    """Write the header, then one record ``{name: [a, b]}`` per int pair (a, b).
+
+    The bytes are those of ``write_records`` on the same records; each line
+    is formatted directly, as ``json.dumps`` per record dominates large files.
+    """
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"kind": kind, **head}) + "\n")
+        start = "{" + json.dumps(name) + ": ["
+        fh.writelines(f"{start}{a}, {b}]}}\n" for a, b in pairs)
+
+
 def read_records(path, kind: str, parse):
     """Check a ``kind`` header, then return ``parse(head, records)``.
 

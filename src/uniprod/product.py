@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .io import endpoints, read_records, write_records
+from .io import endpoints, read_records, write_pairs
 
 
 class Graph:
@@ -94,12 +94,12 @@ class Graph:
         order = sorted(self._adj, key=repr)
         index = {v: i for i, v in enumerate(order)}
 
-        def records():
+        def pairs():
             for i, v in enumerate(order):
                 for j in sorted(j for j in map(index.__getitem__, self._adj[v]) if j > i):
-                    yield {"edge": [i, j]}
+                    yield i, j
 
-        write_records(path, "graph", {"n": self.n, "name": self.name}, records())
+        write_pairs(path, "graph", {"n": self.n, "name": self.name}, "edge", pairs())
 
     @classmethod
     def read_jsonl(cls, path) -> "Graph":

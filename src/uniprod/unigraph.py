@@ -3,10 +3,11 @@
 Vertices are triples (x, y, z): two bitstrings naming positions in a
 per-row tree and in a tree over the rows, plus a depth coordinate used
 only to keep embeddings injective.  Adjacency is pure bit arithmetic, so
-the graph exists implicitly at any size; small instances can also be
-materialized to check the counting bounds.  Adjacency never reads z, so
-the materialized host is the strong product R x K_{d+1} of a row graph R
-on (x, y) pairs with a clique on the depths.  embed realizes an arbitrary
+the graph exists implicitly at any size.  Adjacency never reads z, so the
+host is the strong product R x K_{d+1} of a row graph R on (x, y) pairs
+with a clique on the depths: small hosts are counted from R alone
+(host_degree_sequence, for count and the sizes suite) and materialized
+as triples only to be written out (build-ug).  embed realizes an arbitrary
 subgraph of closure(d) x P_h in here, and embed_qt runs the whole
 small-treewidth pipeline, landing in an implicit clique product.
 """
@@ -162,13 +163,13 @@ def edge_count_bound(p: UgParams) -> int:
     return (1 << (p.d + 2 * p.lam + 5)) * (p.budget + 1) ** 6
 
 
-def materialize(p: UgParams, cap: int = 200_000) -> Graph:
-    """Build the graph explicitly; vertices are the (x, y, z) triples.
+def row_graph(p: UgParams, cap: int = 200_000) -> dict:
+    """The row graph R: each (x, y) pair mapped to the set of its R-neighbours.
 
     Adjacency never reads z: on equal (x, y) the one-way condition is
-    is_prefix(x, x), which holds.  So the host is the strong product
-    R x K_{d+1} of the row graph R on (x, y) pairs with a clique on the
-    d+1 depths, and R's edges are enumerated once, without z.
+    is_prefix(x, x), which holds.  So two distinct triples are adjacent
+    exactly when their (x, y) parts are equal or adjacent in R, and the
+    host is the strong product R x K_{d+1}.
 
     Refuses when the vertex-count bound passes cap; at that point the
     implicit interface (is_edge) is the only sensible access path.
@@ -178,7 +179,7 @@ def materialize(p: UgParams, cap: int = 200_000) -> Graph:
         raise ValueError(
             f"vertex bound {bound} exceeds cap {cap}; query is_edge implicitly instead"
         )
-    b, d, lam = p.budget, p.d, p.lam
+    b, lam = p.budget, p.lam
     by_len = [["".join(t) for t in iter_product("01", repeat=L)] for L in range(b + 1)]
     rows = {
         (x, y): set()
@@ -225,8 +226,19 @@ def materialize(p: UgParams, cap: int = 200_000) -> Graph:
                         for x1 in srcs:
                             rows[x1, y1].add((x2, y2))
                             target.add((x1, y1))
-    # R x K_{d+1}: (r, z) meets every triple of r and of r's R-neighbours
-    triples = {r: [(*r, z) for z in range(d + 1)] for r in rows}
+    return rows
+
+
+def materialize(p: UgParams, cap: int = 200_000) -> Graph:
+    """Build the graph explicitly; vertices are the (x, y, z) triples.
+
+    The host is R x K_{d+1} (see row_graph), so R's edges are enumerated
+    once, without z, and each triple (r, z) meets every triple of r and
+    of r's R-neighbours.  Only a graph file needs this; the sizes come
+    from R alone (host_degree_sequence).
+    """
+    rows = row_graph(p, cap)
+    triples = {r: [(*r, z) for z in range(p.d + 1)] for r in rows}
     adj = {}
     for r, nbrs in rows.items():
         block = set(triples[r])
@@ -234,7 +246,18 @@ def materialize(p: UgParams, cap: int = 200_000) -> Graph:
             block.update(triples[s])
         for t in triples[r]:
             adj[t] = block - {t}
-    return Graph.from_adjacency(adj, name=f"ug(n={p.n}, lam={lam})")
+    return Graph.from_adjacency(adj, name=f"ug(n={p.n}, lam={p.lam})")
+
+
+def host_degree_sequence(p: UgParams, cap: int = 200_000) -> list[int]:
+    """The host's degree sequence, sorted descending, read off R alone.
+
+    In R x K_{d+1} each of the d+1 triples of r has degree
+    (d+1)(deg_R(r) + 1) - 1; so |V| is the length and |E| half the sum.
+    """
+    k = p.d + 1
+    degrees = sorted((len(nbrs) for nbrs in row_graph(p, cap).values()), reverse=True)
+    return [k * (deg + 1) - 1 for deg in degrees for _ in range(k)]
 
 
 def degree_domination_check(g: Graph, n: int) -> bool:
@@ -244,10 +267,12 @@ def degree_domination_check(g: Graph, n: int) -> bool:
     (n-1, n//2 - 1, n//3 - 1, ...), since t disjoint stars with n//t - 1
     leaves each must fit simultaneously.
     """
-    if g.n < n:
-        return False
-    seq = g.degree_sequence()
-    return all(seq[i] >= n // (i + 1) - 1 for i in range(n))
+    return dominates_stars(g.degree_sequence(), n)
+
+
+def dominates_stars(seq: list[int], n: int) -> bool:
+    """The test of degree_domination_check on a descending degree sequence."""
+    return len(seq) >= n and all(seq[i] >= n // (i + 1) - 1 for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -81,23 +81,49 @@ def test_sampled_verdict_on_larger_saturators():
     assert verdict
 
 
+def check_compress_exact(g: Graph, s: Saturator) -> None:
+    """compress(g, s) has exactly the pairs u != u' attached across an edge of g."""
+    hn = compress(g, s)
+    assert hn.n == s.n_u
+    assert hn.m <= s.d_sat**2 * g.m
+    for u, up in hn.edges():
+        hit = any(
+            (u in s.adj[a] and up in s.adj[b]) or (u in s.adj[b] and up in s.adj[a])
+            for a, b in g.edges()
+        )
+        assert hit, (u, up)
+    for a, b in g.edges():
+        for u in s.adj[a]:
+            for up in s.adj[b]:
+                assert u == up or hn.has_edge(u, up), (a, b, u, up)
+
+
+def random_graph(rng, n: int) -> Graph:
+    g = Graph(range(n))
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.sample(range(n), 2)
+        g.add_edge(a, b)
+    return g
+
+
 def test_compress_edge_bound_and_soundness():
     rng = random.Random(31)
     for trial in range(30):
         s = build_saturator(rng.randint(4, 14), rng.randint(1, 3), 1.0, seed=trial)
-        g = Graph(range(s.n_v))
-        for _ in range(rng.randint(0, 2 * s.n_v)):
-            a, b = rng.sample(range(s.n_v), 2)
-            g.add_edge(a, b)
-        hn = compress(g, s)
-        assert hn.n == s.n_u
-        assert hn.m <= s.d_sat**2 * g.m
-        for u, up in hn.edges():
-            hit = any(
-                (u in s.adj[a] and up in s.adj[b]) or (u in s.adj[b] and up in s.adj[a])
-                for a, b in g.edges()
-            )
-            assert hit, (u, up)
+        check_compress_exact(random_graph(rng, s.n_v), s)
+
+
+def test_compress_is_exact_on_sparse_saturators():
+    # hand-built: each V-vertex attached to 0..d_sat random U-vertices, far
+    # from complete bipartite, so the saturated-set shortcut rarely applies
+    rng = random.Random(37)
+    for trial in range(40):
+        k, n_u, d_sat = rng.randint(1, 4), rng.randint(2, 12), rng.randint(1, 3)
+        n_v = k * n_u
+        adj = {v: frozenset(rng.sample(range(n_u), rng.randint(0, d_sat))) for v in range(n_v)}
+        s = Saturator(n0=n_v, k=k, eps=1.0, seed=trial, d_sat=d_sat, n_v=n_v, adj=adj)
+        s.validate()
+        check_compress_exact(random_graph(rng, n_v), s)
 
 
 def test_compress_rejects_foreign_vertices():

@@ -11,6 +11,7 @@ from uniprod.closure import IntervalRep
 from uniprod.compressor import Saturator, build_saturator
 from uniprod.decomp import QtInstance, generate_qt_instance
 from uniprod.induced import LabelledInstance, LabelParams, build_context, fixup, label_instance
+from uniprod.io import write_pairs, write_records
 from uniprod.product import Graph
 
 
@@ -99,3 +100,38 @@ def test_interval_reader_rejects_zero_denominator(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{path}:2:")):
         IntervalRep.read_jsonl(path)
 
+
+
+ODD_NAME = 'say "hi" \\ ü λ 図'
+
+
+@pytest.mark.parametrize("pairs", [[], [(0, 0), (0, 1), (3, 2**31), (2**31 + 5, 2**63 + 1)]])
+@pytest.mark.parametrize("name", ["edge", "e"])
+def test_pair_writer_matches_write_records(tmp_path, name, pairs):
+    head = {"n": 3, "name": ODD_NAME}
+    write_pairs(tmp_path / "fast.jsonl", "graph", head, name, iter(pairs))
+    write_records(tmp_path / "slow.jsonl", "graph", head, ({name: [a, b]} for a, b in pairs))
+    assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "slow.jsonl").read_bytes()
+
+
+def test_graph_and_saturator_files_match_write_records(tmp_path):
+    g = Graph(range(12), [(0, 11), (10, 2), (3, 4), (11, 3), (5, 0)], name=ODD_NAME)
+    g.add_vertex(12)  # isolated, so the file has a vertex without records
+    g.write_jsonl(tmp_path / "g.jsonl")
+    order = sorted(g.vertices(), key=repr)
+    index = {v: i for i, v in enumerate(order)}
+    edges = sorted(tuple(sorted((index[a], index[b]))) for a, b in g.edges())
+    head = {"n": g.n, "name": g.name}
+    write_records(tmp_path / "g0.jsonl", "graph", head, ({"edge": list(e)} for e in edges))
+    assert (tmp_path / "g.jsonl").read_bytes() == (tmp_path / "g0.jsonl").read_bytes()
+    assert Graph.read_jsonl(tmp_path / "g.jsonl").name == ODD_NAME
+    Graph(range(3), name=ODD_NAME).write_jsonl(tmp_path / "empty.jsonl")
+    assert (tmp_path / "empty.jsonl").read_text(encoding="utf-8").count("\n") == 1
+
+    s = build_saturator(10, 2, 3.0, seed=4)
+    s.write_jsonl(tmp_path / "s.jsonl")
+    head = {"n0": s.n0, "k": s.k, "eps": s.eps, "seed": s.seed, "d_sat": s.d_sat, "n_v": s.n_v}
+    recs = ({"e": [v, u]} for v in range(s.n_v) for u in sorted(s.adj[v]))
+    write_records(tmp_path / "s0.jsonl", "saturator", head, recs)
+    assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "s0.jsonl").read_bytes()
+    assert Saturator.read_jsonl(tmp_path / "s.jsonl").adj == s.adj

@@ -16,9 +16,11 @@ from uniprod.unigraph import (
     edge_count_bound,
     embed,
     embed_qt,
+    host_degree_sequence,
     is_edge,
     is_edge_exhaustive,
     materialize,
+    row_graph,
     validate_qt_embedding,
     vertex_count_bound,
 )
@@ -133,6 +135,21 @@ def test_materialize_builds_exactly_the_is_edge_graph():
         g = materialize(p)
         for u, v in itertools.combinations(g.vertices(), 2):
             assert g.has_edge(u, v) == is_edge(p, u, v), (n, lam, u, v)
+
+
+def test_row_graph_gives_the_host_sizes():
+    grid = [(n, lam) for n in range(1, 9) for lam in range(4)] + [(16, 1)]
+    for n, lam in grid:
+        p = UgParams(n, lam=lam)
+        g = materialize(p)
+        rows = row_graph(p)
+        assert all(r not in nbrs and all(r in rows[s] for s in nbrs) for r, nbrs in rows.items())
+        assert (p.d + 1) * len(rows) == g.n, (n, lam)
+        seq = host_degree_sequence(p)
+        assert seq == g.degree_sequence(), (n, lam)
+        assert (len(seq), sum(seq) // 2) == (g.n, g.m), (n, lam)
+    with pytest.raises(ValueError):
+        row_graph(UgParams(1 << 16), cap=1000)
 
 
 def test_degree_domination():
