@@ -32,7 +32,7 @@ from .induced import (
     label_instance,
     verify_labelling,
 )
-from .product import CliqueFactor, ExplicitFactor, Graph, PathFactor, ProductWitness
+from .product import CliqueFactor, Graph, PathFactor, ProductWitness
 from .treeseq import LcpCodec, TreeSequence, build_tree_sequence
 from .unigraph import UgParams, embed_qt, is_edge, materialize, validate_qt_embedding
 
@@ -71,7 +71,6 @@ __all__ = [
     "Graph",
     "PathFactor",
     "CliqueFactor",
-    "ExplicitFactor",
     "ProductWitness",
     "LcpCodec",
     "TreeSequence",

@@ -98,10 +98,6 @@ class Bst:
         return f"Bst({len(self)} keys, root={self.root}, height={self.height})"
 
 
-def signature(t: Bst, key) -> str:
-    return t.signature(key)
-
-
 def build_biased_bst(keys: Iterable[int], weights=None) -> Bst:
     """Build a BST by the half-weight rule.
 

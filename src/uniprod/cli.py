@@ -36,6 +36,7 @@ from .induced import (
 from .io import key, read_records, write_records
 from .product import Graph
 from .unigraph import (
+    HOST_CAP,
     QtEmbedding,
     UgParams,
     edge_count_bound,
@@ -273,14 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
     bu.add_argument("--n", type=int, required=True)
     bu.add_argument("--lambda", dest="lam", type=int)
     bu.add_argument("--mode", choices=("explicit", "implicit"), default="implicit")
-    bu.add_argument("--cap", type=int, default=200_000)
+    bu.add_argument("--cap", type=int, default=HOST_CAP)
     bu.add_argument("--out")
     bu.set_defaults(func=_cmd_build_ug)
 
     co = sub.add_parser("count", help="size bounds, plus exact counts when materializable")
     co.add_argument("--n", type=int, required=True)
     co.add_argument("--lambda", dest="lam", type=int)
-    co.add_argument("--cap", type=int, default=200_000)
+    co.add_argument("--cap", type=int, default=HOST_CAP)
     co.set_defaults(func=_cmd_count)
 
     cp = sub.add_parser("compress", help="contract a graph through a verified saturator")

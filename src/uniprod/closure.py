@@ -67,23 +67,8 @@ class ClosureGraph:
         lo, hi = self.descendant_interval(u)
         return lo <= v <= hi
 
-    def root_path(self, v: int) -> list[int]:
-        """Ancestors of v from the root down to v itself."""
-        path = [self.root]
-        while path[-1] != v:
-            j = _tz(path[-1]) - 1
-            path.append(path[-1] + (1 << j) if v > path[-1] else path[-1] - (1 << j))
-        return path
-
     def adjacent(self, u: int, v: int) -> bool:
         return u != v and (self.is_ancestor(u, v) or self.is_ancestor(v, u))
-
-    def graph(self) -> Graph:
-        g = Graph(self.vertices(), name=f"C_{self.d}")
-        for v in self.vertices():
-            for u in self.root_path(v)[:-1]:
-                g.add_edge(u, v)
-        return g
 
     def __repr__(self):
         return f"ClosureGraph(d={self.d})"

@@ -38,9 +38,6 @@ class Saturator:
     def n_u(self) -> int:
         return self.n_v // self.k
 
-    def neighbors(self, v: int) -> frozenset:
-        return self.adj[v]
-
     def validate(self) -> None:
         if self.n_v % self.k:
             raise ValueError("N must be divisible by k")

@@ -16,7 +16,7 @@ from math import comb
 
 from .closure import IntervalRep
 from .io import endpoints, key, read_records, write_records
-from .product import ExplicitFactor, Graph, PathFactor, ProductWitness
+from .product import Graph, PathFactor, ProductWitness
 
 
 @dataclass
@@ -300,13 +300,6 @@ class TTree:
     def n(self) -> int:
         return len(self.order)
 
-    def i_parent(self, v, i: int):
-        """The member of v's family clique carrying colour i."""
-        for w in self.cliques[v]:
-            if self.colour[w] == i:
-                return w
-        raise KeyError(f"no colour-{i} member in the clique of {v!r}")
-
     def parents(self, v) -> dict:
         return {self.colour[w]: w for w in self.cliques[v]}
 
@@ -349,7 +342,7 @@ class TTree:
             cq = self.cliques[v]
             if len(cq) != t + 1 or len({self.colour[w] for w in cq}) != t + 1:
                 raise ValueError(f"family clique of {v!r} misses a colour")
-            if self.i_parent(v, self.colour[v]) != v:
+            if self.parents(v)[self.colour[v]] != v:
                 raise ValueError("vertex is not its own colour-parent")
         for v in self.order[1:]:
             u = self.owner.get(v)
@@ -534,13 +527,15 @@ class QtInstance:
                     bags[key(rec["dnode"])] = frozenset(key(v) for v in rec["bag"])
                 else:
                     d_edges.append(endpoints(rec["de"], bags))
-            witness = ProductWitness(graph, (ExplicitFactor(host), PathFactor(head["h"])), coords)
+            witness = ProductWitness(graph, (host, PathFactor(head["h"])), coords)
             decomposition = TreeDecomposition(bags, d_edges)
             return cls(graph, witness, host, decomposition, t=head["t"], h=head["h"], seed=head["seed"])
 
         inst = read_records(path, "qt-instance", parse)
         inst.witness.validate()
         inst.decomposition.validate(inst.host)
+        if inst.decomposition.width != inst.t:
+            raise ValueError(f"{path}:1: header says t = {inst.t} but the decomposition has width {inst.decomposition.width}")
         return inst
 
 
@@ -590,7 +585,7 @@ def generate_qt_instance(t: int, n: int, h: int, rng_seed: int = 0) -> QtInstanc
                 continue
             if rng.random() < 0.5:
                 g.add_edge(i, j)
-    witness = ProductWitness(g, (ExplicitFactor(host), PathFactor(h)), coords)
+    witness = ProductWitness(g, (host, PathFactor(h)), coords)
     witness.validate()
     return QtInstance(
         graph=g,

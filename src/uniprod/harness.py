@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .compressor import build_saturator, compress, embed_compressed, verify_saturation
-from .decomp import QtInstance, TTree, TreeDecomposition, generate_qt_instance
+from .decomp import QtInstance, TTree, generate_qt_instance
 from .closure import IntervalRep
 from .induced import (
+    SCHEMES,
     LabelParams,
     adjacency_test,
     assemble_universal,
@@ -34,8 +35,9 @@ from .induced import (
     unpack_label,
     verify_labelling,
 )
-from .product import ExplicitFactor, Graph, PathFactor, ProductWitness, validate_subgraph_embedding
+from .product import Graph, PathFactor, ProductWitness
 from .unigraph import (
+    HOST_CAP,
     UgParams,
     dominates_stars,
     edge_count_bound,
@@ -106,7 +108,7 @@ def gen_bad_example(n: int, i: int, j: int) -> BadExample:
     tt.validate()
 
     coords = {v: (v, 1) for v in verts}
-    witness = ProductWitness(graph, (ExplicitFactor(graph), PathFactor(1)), coords)
+    witness = ProductWitness(graph, (graph, PathFactor(1)), coords)
     witness.validate()
     instance = QtInstance(
         graph=graph,
@@ -120,36 +122,47 @@ def gen_bad_example(n: int, i: int, j: int) -> BadExample:
     return BadExample(n, i, j, graph, rep, tt, instance, {"v": "v", "u": u, "w": w, "alpha": "a", "beta": "b"})
 
 
-def bad_family_counts(n: int, scheme: str, check_one: bool = False) -> dict:
-    """Hub-label statistics over the diagonal family i = j = 1..n/12.
+def bad_family_counts(n: int) -> dict:
+    """Hub-label statistics of both schemes over the diagonal family i = j = 1..n/12.
 
-    Counts the distinct labels the two hubs take across the family and
-    the tester edges between the two label sets; the legacy scheme gives
-    a full bipartite pattern there, the fixup scheme a near-linear one.
+    Each member is built once and both schemes label its one context;
+    member 1 is audited on every vertex pair.  Per scheme, counts the
+    distinct labels the two hubs take across the family and the tester
+    edges between the two label sets; the legacy scheme gives a full
+    bipartite pattern there, the fixup scheme a near-linear one.
     """
     params = LabelParams(n=n, t=1)
     m = n // 12
-    lv, lu = [], []
+    hubs = {scheme: ([], []) for scheme in SCHEMES}
     for i in range(1, m + 1):
         ex = gen_bad_example(n, i, i)
         ctx = build_context(ex.instance, params=params, rep=ex.rep, tt=ex.ttree)
-        li = label_instance(ctx, scheme)
-        if check_one and i == 1:
-            verify_labelling(li)
-        lv.append(li.packed[ex.spine["v"]])
-        lu.append(li.packed[ex.spine["u"]])
-    sv, su = sorted(set(lv)), sorted(set(lu))
-    dec = {s: unpack_label(s, params) for s in set(sv) | set(su)}
-    cross = sum(1 for a in sv for b in su if a != b and adjacency_test(dec[a], dec[b]))
-    return {"n": n, "family": m, "scheme": scheme, "labels_v": len(sv), "labels_u": len(su), "cross_edges": cross}
+        for scheme, (lv, lu) in hubs.items():
+            li = label_instance(ctx, scheme)
+            if i == 1:
+                verify_labelling(li)
+            lv.append(li.packed[ex.spine["v"]])
+            lu.append(li.packed[ex.spine["u"]])
+    points = {}
+    for scheme, (lv, lu) in hubs.items():
+        sv, su = sorted(set(lv)), sorted(set(lu))
+        dec = {s: unpack_label(s, params) for s in set(sv) | set(su)}
+        cross = sum(1 for a in sv for b in su if a != b and adjacency_test(dec[a], dec[b]))
+        points[scheme] = {"n": n, "family": m, "scheme": scheme, "labels_v": len(sv), "labels_u": len(su),
+                          "cross_edges": cross}
+    return points
 
 
-def bad_family_slope(scheme: str, ns=(120, 240, 480), check_one: bool = False) -> dict:
-    """Log-log growth rate of the cross-edge count over the family sizes."""
-    points = [bad_family_counts(n, scheme, check_one=check_one) for n in ns]
-    lo, hi = points[0], points[-1]
-    slope = math.log(hi["cross_edges"] / lo["cross_edges"]) / math.log(hi["n"] / lo["n"])
-    return {"scheme": scheme, "points": points, "slope": slope}
+def bad_family_slope(ns=(120, 240, 480)) -> dict:
+    """Per scheme, the log-log growth rate of the cross-edge count over the family sizes."""
+    counts = [bad_family_counts(n) for n in ns]
+    out = {}
+    for scheme in SCHEMES:
+        points = [c[scheme] for c in counts]
+        lo, hi = points[0], points[-1]
+        slope = math.log(hi["cross_edges"] / lo["cross_edges"]) / math.log(hi["n"] / lo["n"])
+        out[scheme] = {"scheme": scheme, "points": points, "slope": slope}
+    return out
 
 
 @dataclass
@@ -241,19 +254,18 @@ def _suite_universality(cfg: dict, report: Report) -> None:
 
 def _suite_sizes(cfg: dict, report: Report) -> None:
     n = int(cfg.get("n", 4))
-    cap = int(cfg.get("cap", 300_000))
     p = UgParams(n, lam=cfg.get("lam"))
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
     report.add("bounds computed", True, n=n, lam=p.lam, vertex_bound=vb, edge_bound=eb)
     row = {"n": n, "lam": p.lam, "vertex_bound": vb, "edge_bound": eb}
-    if vb <= cap:
-        seq = host_degree_sequence(p, cap=cap)
+    if vb <= HOST_CAP:
+        seq = host_degree_sequence(p)
         nv, ne = len(seq), sum(seq) // 2
         report.add("materialized within bounds", nv <= vb and ne <= eb, vertices=nv, edges=ne)
         report.add("degree domination", dominates_stars(seq, n), n=n)
         row.update({"vertices": nv, "edges": ne})
     else:
-        report.add("materialization skipped", True, reason=f"vertex bound {vb} over cap {cap}")
+        report.add("materialization skipped", True, reason=f"vertex bound {vb} over cap {HOST_CAP}")
     report.rows.append(row)
 
 
@@ -287,18 +299,12 @@ def _suite_labels(cfg: dict, report: Report) -> None:
 
 def _suite_growth(cfg: dict, report: Report) -> None:
     ns = tuple(cfg.get("ns") or (48, 96, 192))
-    slopes = {}
-    for scheme in ("legacy", "fixed"):
-        res = bad_family_slope(scheme, ns=ns, check_one=bool(cfg.get("check", True)))
-        slopes[scheme] = res["slope"]
-        report.rows.extend(res["points"])
-        report.add(f"{scheme} slope measured", True, slope=round(res["slope"], 3))
-    report.add(
-        "fixup grows slower than legacy",
-        slopes["fixed"] < slopes["legacy"],
-        legacy=round(slopes["legacy"], 3),
-        fixed=round(slopes["fixed"], 3),
-    )
+    res = bad_family_slope(ns=ns)
+    for scheme in SCHEMES:
+        report.rows.extend(res[scheme]["points"])
+        report.add(f"{scheme} slope measured", True, slope=round(res[scheme]["slope"], 3))
+    legacy, fixed = res["legacy"]["slope"], res["fixed"]["slope"]
+    report.add("fixup grows slower than legacy", fixed < legacy, legacy=round(legacy, 3), fixed=round(fixed, 3))
 
 
 def _suite_compression(cfg: dict, report: Report) -> None:

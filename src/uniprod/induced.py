@@ -97,7 +97,6 @@ class LabelContext:
     rows: dict  # y -> sorted row members
     s_plus: dict  # y -> sorted clique-union superset
     trees: dict  # y -> Bst over ranks
-    ts_lambda: int
     x: dict  # y -> {vertex: tree key}
     bags: dict  # y -> {tree key: members sorted by rank}
     psi: dict  # y -> {vertex: 1-based slot in its bag}
@@ -115,12 +114,6 @@ class LabelContext:
 
     def sig(self, y: int, key) -> str:
         return self.trees[y].signature(key)
-
-    def node(self, y: int, v, primed: bool):
-        return (self.xp if primed else self.x)[y][v]
-
-    def slot(self, y: int, v, primed: bool) -> int:
-        return (self.psi_p if primed else self.psi)[y][v]
 
     def path_string(self, y: int, v, primed: bool) -> str:
         """Signature of the deepest clique-parent node of v in row y."""
@@ -222,7 +215,6 @@ def build_context(
         rows={y: sorted(rows[y], key=rank.__getitem__) for y in rows},
         s_plus=s_plus,
         trees=trees,
-        ts_lambda=ts.lambda_height,
         x=x,
         bags=bags,
         psi=psi,
@@ -431,16 +423,13 @@ def _next_alpha(alpha1: str, hint: tuple) -> str | None:
     return alpha1[:cut]
 
 
-def make_label(ctx: LabelContext, v, y: int) -> Label:
-    return _label(ctx, v, y, "fixed")
+SCHEMES = ("legacy", "fixed")
 
 
-def make_label_legacy(ctx: LabelContext, v, y: int) -> Label:
-    """Label shipping the full clique path signature, no fixup."""
-    return _label(ctx, v, y, "legacy")
-
-
-def _label(ctx: LabelContext, v, y: int, scheme: str) -> Label:
+def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
+    """Label of v in row y; the legacy scheme ships the full clique path signature, no fixup."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown label scheme {scheme!r}")
     if (v, y) not in ctx.inv:
         raise ValueError(f"({v!r}, {y}) is not a vertex of the instance")
     primed = scheme == "fixed"
@@ -454,6 +443,7 @@ def _label(ctx: LabelContext, v, y: int, scheme: str) -> Label:
     mu = None if following is None else J.encode(base, following)
 
     parents = ctx.tt.parents(v)
+    assign, slot = (ctx.xp, ctx.psi_p) if primed else (ctx.x, ctx.psi)
     depths, psi, abits, rsuf = {}, {}, {}, {}
     for b in (-1, 0, 1):
         yb = y + b
@@ -464,8 +454,8 @@ def _label(ctx: LabelContext, v, y: int, scheme: str) -> Label:
             p = parents.get(i)
             if p is None:
                 continue
-            depths[(i, b)] = tree.depth(ctx.node(yb, p, primed))
-            psi[(i, b)] = ctx.slot(yb, p, primed)
+            depths[(i, b)] = tree.depth(assign[yb][p])
+            psi[(i, b)] = slot[yb][p]
             abits[(i, b)] = 1 if frozenset(((v, y), (p, yb))) in ctx.edge_set else 0
         if primed:
             rsuf[b] = ctx.r_string(yb, v)
@@ -640,7 +630,6 @@ class LabelledInstance:
 
     params: LabelParams
     scheme: str
-    lam: int
     labels: dict
     packed: dict
     graph: Graph
@@ -652,7 +641,6 @@ class LabelledInstance:
             "t": self.params.t,
             "maxheight": self.params.maxheight,
             "codec_id": LcpCodec.codec_id,
-            "lam": self.lam,
             "scheme": self.scheme,
             "count": len(self.packed),
         }
@@ -681,19 +669,18 @@ class LabelledInstance:
                     graph.add_edge(*endpoints(rec["ge"], packed))
             if len(packed) != head["count"]:
                 raise ValueError(f"header count {head['count']} but {len(packed)} labelled vertices")
-            return cls(params, head["scheme"], head["lam"], labels, packed, graph)
+            return cls(params, head["scheme"], labels, packed, graph)
 
         return read_records(path, "labels", parse)
 
 
 def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance:
     """Label every vertex and run the per-instance assertion suite."""
-    make = make_label if scheme == "fixed" else make_label_legacy
     coords = ctx.instance.witness.coords
     labels, packed = {}, {}
     for g in sorted(coords, key=repr):
         v, y = coords[g]
-        lab = make(ctx, v, y)
+        lab = make_label(ctx, v, y, scheme)
         labels[g] = lab
         packed[g] = pack_label(lab, ctx.params)
         back = unpack_label(packed[g], ctx.params)
@@ -704,7 +691,7 @@ def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance
         if bits in seen:
             raise AssertionError(f"vertices {seen[bits]!r} and {g!r} share a label")
         seen[bits] = g
-    return LabelledInstance(ctx.params, scheme, ctx.ts_lambda, labels, packed, ctx.instance.graph)
+    return LabelledInstance(ctx.params, scheme, labels, packed, ctx.instance.graph)
 
 
 def verify_labelling(li: LabelledInstance) -> int:

@@ -68,6 +68,10 @@ class Graph:
     def has_edge(self, u, v) -> bool:
         return u in self._adj and v in self._adj[u]
 
+    def adjacent(self, u, v) -> bool:
+        """The factor interface's adjacency test, so a graph is a host factor."""
+        return self.has_edge(u, v)
+
     def neighbors(self, v):
         return self._adj[v]
 
@@ -112,11 +116,8 @@ class Graph:
         return read_records(path, "graph", parse)
 
 
-def path_graph(h: int) -> Graph:
-    return Graph(range(1, h + 1), ((i, i + 1) for i in range(1, h)), name=f"P_{h}")
-
-
-# Host factors: anything exposing vertex membership and an adjacency test.
+# Host factors: anything exposing vertex membership and an adjacency test,
+# a Graph included.
 
 
 class PathFactor:
@@ -125,18 +126,11 @@ class PathFactor:
             raise ValueError("path length >= 1")
         self.h = h
 
-    @property
-    def n(self):
-        return self.h
-
     def has_vertex(self, v):
         return isinstance(v, int) and 1 <= v <= self.h
 
     def adjacent(self, u, v):
         return abs(u - v) == 1
-
-    def vertices(self):
-        return range(1, self.h + 1)
 
     def __repr__(self):
         return f"PathFactor({self.h})"
@@ -148,42 +142,14 @@ class CliqueFactor:
             raise ValueError("clique size >= 1")
         self.k = k
 
-    @property
-    def n(self):
-        return self.k
-
     def has_vertex(self, v):
         return isinstance(v, int) and 1 <= v <= self.k
 
     def adjacent(self, u, v):
         return u != v
 
-    def vertices(self):
-        return range(1, self.k + 1)
-
     def __repr__(self):
         return f"CliqueFactor({self.k})"
-
-
-class ExplicitFactor:
-    def __init__(self, graph: Graph):
-        self.graph = graph
-
-    @property
-    def n(self):
-        return self.graph.n
-
-    def has_vertex(self, v):
-        return self.graph.has_vertex(v)
-
-    def adjacent(self, u, v):
-        return self.graph.has_edge(u, v)
-
-    def vertices(self):
-        return self.graph.vertices()
-
-    def __repr__(self):
-        return f"ExplicitFactor({self.graph!r})"
 
 
 class WitnessError(ValueError):

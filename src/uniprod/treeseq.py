@@ -77,15 +77,6 @@ class TreeSequence:
     def h(self) -> int:
         return len(self.rows)
 
-    def transition_code(self, y: int, z: int) -> str:
-        """Code carrying sig_{T_{y+1}}(z) given sig_{T_y}(z); rows are 1-based."""
-        if not 1 <= y < self.h:
-            raise IndexError(f"no transition out of row {y}")
-        t0, t1 = self.trees[y - 1], self.trees[y]
-        if z not in t0 or z not in t1:
-            raise KeyError(f"key {z} not shared by trees {y} and {y + 1}")
-        return self.codec.encode(t0.signature(z), t1.signature(z))
-
     def check(self) -> None:
         """Assert the construction contract; raises AssertionError on breach."""
         assert len(self.trees) == self.h

@@ -155,6 +155,10 @@ def is_edge_exhaustive(p: UgParams, u, v) -> bool:
 # materialization and counting
 
 
+# Largest vertex-count bound up to which the host is enumerated.
+HOST_CAP = 200_000
+
+
 def vertex_count_bound(p: UgParams) -> int:
     return (1 << (p.budget + 1)) * (p.budget + 1) ** 2
 
@@ -163,7 +167,7 @@ def edge_count_bound(p: UgParams) -> int:
     return (1 << (p.d + 2 * p.lam + 5)) * (p.budget + 1) ** 6
 
 
-def row_graph(p: UgParams, cap: int = 200_000) -> dict:
+def row_graph(p: UgParams, cap: int = HOST_CAP) -> dict:
     """The row graph R: each (x, y) pair mapped to the set of its R-neighbours.
 
     Adjacency never reads z: on equal (x, y) the one-way condition is
@@ -229,7 +233,7 @@ def row_graph(p: UgParams, cap: int = 200_000) -> dict:
     return rows
 
 
-def materialize(p: UgParams, cap: int = 200_000) -> Graph:
+def materialize(p: UgParams, cap: int = HOST_CAP) -> Graph:
     """Build the graph explicitly; vertices are the (x, y, z) triples.
 
     The host is R x K_{d+1} (see row_graph), so R's edges are enumerated
@@ -249,7 +253,7 @@ def materialize(p: UgParams, cap: int = 200_000) -> Graph:
     return Graph.from_adjacency(adj, name=f"ug(n={p.n}, lam={p.lam})")
 
 
-def host_degree_sequence(p: UgParams, cap: int = 200_000) -> list[int]:
+def host_degree_sequence(p: UgParams, cap: int = HOST_CAP) -> list[int]:
     """The host's degree sequence, sorted descending, read off R alone.
 
     In R x K_{d+1} each of the d+1 triples of r has degree
@@ -260,18 +264,13 @@ def host_degree_sequence(p: UgParams, cap: int = 200_000) -> list[int]:
     return [k * (deg + 1) - 1 for deg in degrees for _ in range(k)]
 
 
-def degree_domination_check(g: Graph, n: int) -> bool:
+def dominates_stars(seq: list[int], n: int) -> bool:
     """Necessary condition on hosts of all n-vertex bounded-degree forests.
 
-    The degree sequence, sorted descending, must pointwise dominate
+    The degree sequence seq, sorted descending, must pointwise dominate
     (n-1, n//2 - 1, n//3 - 1, ...), since t disjoint stars with n//t - 1
     leaves each must fit simultaneously.
     """
-    return dominates_stars(g.degree_sequence(), n)
-
-
-def dominates_stars(seq: list[int], n: int) -> bool:
-    """The test of degree_domination_check on a descending degree sequence."""
     return len(seq) >= n and all(seq[i] >= n // (i + 1) - 1 for i in range(n))
 
 

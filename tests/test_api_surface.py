@@ -1,0 +1,60 @@
+"""Every public top-level function and class of the package has a caller in it.
+
+A definition counts as used when its name is loaded in its own module, or
+in another module that imports it from there; ``__init__.py`` re-exports
+are not uses.  Test oracles, whose whole purpose is to cross-check the
+pipeline from the tests, are listed with the reason they stay.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "uniprod"
+
+ORACLES = (
+    "bitcore.enumerate_bsts",  # every BST shape over a key set, for exhaustive successor-set checks
+    "bitcore.in_successor_set",  # membership form of successor_set, compared against the set it avoids building
+    "unigraph.is_edge_exhaustive",  # brute-force search over stand-ins and codes that is_edge must agree with
+)
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+
+
+def _public_defs(tree):
+    kinds = (ast.FunctionDef, ast.ClassDef)
+    return [node.name for node in tree.body if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def _loads(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _imports(tree):
+    """(source module, name) for every ``from .module import name``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            out.update((node.module, alias.name) for alias in node.names)
+    return out
+
+
+def unused_definitions():
+    mods = _modules()
+    loads = {m: _loads(tree) for m, tree in mods.items()}
+    imports = {m: _imports(tree) for m, tree in mods.items()}
+    unused = []
+    for mod, tree in mods.items():
+        for name in _public_defs(tree):
+            if name in loads[mod]:
+                continue
+            if any((mod, name) in imports[other] and name in loads[other] for other in mods if other != mod):
+                continue
+            unused.append(f"{mod}.{name}")
+    return sorted(unused)
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    # an oracle the package starts calling, or deletes, leaves this list too
+    assert unused_definitions() == sorted(ORACLES)

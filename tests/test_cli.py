@@ -228,14 +228,14 @@ def test_labels_do_not_follow_string_hashing(tmp_path):
 FORMATS = {
     "inst.jsonl": "c17a3ec25f6c43a09165d8bc15b18be828d2f99e5c91f2477214bb0a6f968a46",
     "wit.jsonl": "b62243fec0740a0bcebe7e98d8191f149911767b344149a0ca2ab113a1470255",
-    "lab.jsonl": "79578649bc77219725a5a2f92856e6e5e15a4901e670634cf0191924944e270c",
+    "lab.jsonl": "a3166804ba6d78409ede5739ad098152a73d58d3ea2d399323ac191ee59c0268",
     "uni.jsonl": "f5a958906f7a07400add07e96e0a5b3a1f677488f6597a9b47922e8d4b282704",
     "ug.jsonl": "9e12e91aca2c7f0873e3034bb820d70bc695babeaa7ee13dd4a84eef6d64ae7f",
     "comp.jsonl": "26bec8b02085f61060321189c5918d5b0e740ad049ecb03b1dd930d24715bfb4",
     "comp.saturator.jsonl": "c92a7cb1f49bd340fb148c5e83323cebb1e9e0f1629265866da0cecf53ecfe61",
     "bad.intervals.jsonl": "7cec124e4b0107e0fab9524c2cf93d73e71802e8656d408bff5fa7ce6ab61bfe",
     "wit120.jsonl": "9d50a1a55d8e6743e169ff563a61d90cdad64310f987f7534f98619150829982",
-    "lab120.jsonl": "951d831c132c4e720ff754a402d4fb55f64c3487b7b1d95eee71ffda16491a8e",
+    "lab120.jsonl": "4755cb90326e90f41790822ce8fe0b16e434e88bf4aa46df2db56b038b8e6271",
     "ug8.jsonl": "b659fda05946ae9137a1b2c4b6a679dc69f4c9a9f896887fd35c380bde620063",
 }
 

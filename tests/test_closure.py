@@ -39,8 +39,10 @@ def test_closure_graph_structure():
     assert cg.children(8) == (4, 12)
     assert cg.children(1) == ()
     for v in cg.vertices():
-        path = cg.root_path(v)
-        assert path[0] == cg.root and path[-1] == v
+        # walk down from the root by children(); every node passed is an ancestor
+        path = [cg.root]
+        while path[-1] != v:
+            path.append(next(c for c in cg.children(path[-1]) if cg.is_ancestor(c, v)))
         assert [cg.depth(u) for u in path] == list(range(len(path)))
         for u in path:
             assert cg.is_ancestor(u, v)
@@ -48,12 +50,13 @@ def test_closure_graph_structure():
 
 def test_closure_adjacency_is_ancestry():
     cg = ClosureGraph(2)
-    g = cg.graph()
+
+    def below(v):  # v and its descendants, found through children() alone
+        return {v}.union(*(below(c) for c in cg.children(v)))
+
     for u in cg.vertices():
         for v in cg.vertices():
-            if u != v:
-                want = cg.is_ancestor(u, v) or cg.is_ancestor(v, u)
-                assert g.has_edge(u, v) == want
+            assert cg.adjacent(u, v) == (u != v and (v in below(u) or u in below(v)))
     with pytest.raises(ValueError):
         ClosureGraph(-1)
 

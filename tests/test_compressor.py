@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from graphs import path_graph
 
 from uniprod.compressor import (
     Saturator,
@@ -11,7 +12,7 @@ from uniprod.compressor import (
     maximum_matching,
     verify_saturation,
 )
-from uniprod.product import Graph, WitnessError, path_graph
+from uniprod.product import Graph, WitnessError
 
 
 def brute_matching_size(lefts, neighbors) -> int:

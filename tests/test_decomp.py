@@ -108,11 +108,9 @@ def test_ttree_structure():
             cq = tt.cliques[v]
             assert v in cq and len(cq) == t + 1
             assert len({tt.colour[w] for w in cq}) == t + 1
-            assert tt.i_parent(v, tt.colour[v]) == v
             par = tt.parents(v)
+            assert par[tt.colour[v]] == v
             assert set(par) == set(range(1, t + 2))
-        with pytest.raises(KeyError):
-            tt.i_parent(tt.order[0], t + 2)
 
 
 def test_ttree_family_decomposition():

@@ -50,18 +50,17 @@ def test_bad_example_parameter_guards():
 
 
 def test_hub_label_growth_separates_schemes():
-    legacy = bad_family_counts(48, "legacy", check_one=True)
-    fixed = bad_family_counts(48, "fixed", check_one=True)
+    counts = bad_family_counts(48)
+    legacy, fixed = counts["legacy"], counts["fixed"]
     assert legacy["labels_v"] == 48 // 12  # one hub label per family member
     assert fixed["labels_v"] < legacy["labels_v"]
     assert fixed["cross_edges"] < legacy["cross_edges"]
 
 
 def test_slope_measurement():
-    res = bad_family_slope("legacy", ns=(48, 96))
-    assert res["slope"] > 1.5
-    res = bad_family_slope("fixed", ns=(48, 96))
-    assert res["slope"] < 1.5
+    res = bad_family_slope(ns=(48, 96))
+    assert res["legacy"]["slope"] > 1.5
+    assert res["fixed"]["slope"] < 1.5
 
 
 def test_report_accumulates_and_serializes(tmp_path):
@@ -84,7 +83,7 @@ def test_report_accumulates_and_serializes(tmp_path):
 def test_run_suite_universality_and_sizes():
     rep = run_suite("universality", {"n": 64, "count": 2, "seed": 3})
     assert rep.ok and rep.config["count"] == 2
-    rep = run_suite("sizes", {"n": 4, "lam": 2, "cap": 300_000})
+    rep = run_suite("sizes", {"n": 4, "lam": 2})
     assert rep.ok
     assert any("vertices" in r for r in rep.rows)
 
@@ -97,7 +96,7 @@ def test_run_suite_labels_and_compression():
 
 
 def test_run_suite_growth():
-    rep = run_suite("growth", {"ns": [48, 96], "check": False})
+    rep = run_suite("growth", {"ns": [48, 96]})
     assert rep.ok
     assert len(rep.rows) == 4  # two schemes at two sizes
 

@@ -20,7 +20,6 @@ from uniprod.induced import (
     growth_report,
     label_instance,
     make_label,
-    make_label_legacy,
     pack_label,
     unpack_label,
     verify_labelling,
@@ -97,9 +96,9 @@ def test_bag_stats_accounting():
 def test_labels_pack_and_unpack_exactly():
     for ctx in contexts(range(30, 36)):
         fixup(ctx)
-        for scheme, make in (("fixed", make_label), ("legacy", make_label_legacy)):
+        for scheme in ("fixed", "legacy"):
             for (hv, y) in sorted(ctx.inv, key=repr):
-                label = make(ctx, hv, y)
+                label = make_label(ctx, hv, y, scheme)
                 bits = pack_label(label, ctx.params)
                 back = unpack_label(bits, ctx.params)
                 assert back == label, (scheme, hv, y)
@@ -277,7 +276,7 @@ def test_assemble_reuses_labels_exactly():
         corpus.append(label_instance(fixup(build_context(inst, params=params)), "fixed"))
     reread = [
         LabelledInstance(
-            li.params, li.scheme, li.lam,
+            li.params, li.scheme,
             {g: unpack_label(bits, li.params) for g, bits in li.packed.items()},
             li.packed, li.graph,
         )

@@ -94,6 +94,25 @@ def test_verify_names_witness_path_and_line(tmp_path, capsys):
     assert f"{bad}:2:" in capsys.readouterr().err
 
 
+def test_instance_header_t_must_be_the_decomposition_width(tmp_path, capsys):
+    # a width-2 instance whose header claims t = 5: every command that reads it refuses
+    inst, bad, witness = tmp_path / "inst.jsonl", tmp_path / "bad.jsonl", tmp_path / "w.jsonl"
+    assert main(["gen", "qt", "--t", "2", "--n", "12", "--h", "3", "--seed", "4", "--out", str(inst)]) == 0
+    assert main(["embed", "--instance", str(inst), "--out", str(witness)]) == 0
+    lines = inst.read_text().splitlines()
+    bad.write_text("\n".join([json.dumps({**json.loads(lines[0]), "t": 5})] + lines[1:]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{bad}:1:") + ".*width 2"):
+        QtInstance.read_jsonl(bad)
+    for argv in (
+        ["embed", "--instance", str(bad), "--out", str(tmp_path / "w2.jsonl")],
+        ["verify", "--instance", str(bad), "--witness", str(witness)],
+        ["label", "--instance", str(bad), "--out", str(tmp_path / "l.jsonl")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv[0]
+        assert f"{bad}:1:" in capsys.readouterr().err, argv[0]
+
+
 def test_interval_reader_rejects_zero_denominator(tmp_path):
     path = tmp_path / "rep.jsonl"
     path.write_text('{"kind": "intervals", "n": 1}\n{"v": 0, "a": [1, 0], "b": [2, 1]}\n')

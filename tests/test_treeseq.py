@@ -93,17 +93,9 @@ def test_transition_codes_decode_to_next_signature():
             shared = set(t0.keys()) & set(t1.keys())
             assert set(rows[y]) <= shared
             for z in shared:
-                nu = ts.transition_code(y, z)
+                nu = ts.codec.encode(t0.signature(z), t1.signature(z))
                 assert len(nu) <= ts.max_code_len
                 assert ts.codec.decode(t0.signature(z), nu) == t1.signature(z)
-
-
-def test_transition_code_errors():
-    ts = build_tree_sequence([[1, 2], [2, 3]])
-    with pytest.raises(IndexError):
-        ts.transition_code(2, 2)
-    with pytest.raises(KeyError):
-        ts.transition_code(1, 99)
 
 
 def test_build_rejects_empty_rows():
