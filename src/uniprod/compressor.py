@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .io import read_records, write_pairs
-from .product import Graph, validate_subgraph_embedding
+from .product import Graph, ProductWitness
 
 
 @dataclass
@@ -221,9 +221,10 @@ def embed_compressed(F: Graph, emb: dict, s: Saturator, gU: Graph, hn: Graph | N
 
     A maximum matching between the embedding's image and U assigns each
     image vertex a private U-partner; composing gives an embedding into
-    compress(gU, s) by the definition of its edges.
+    compress(gU, s) by the definition of its edges.  Both maps are checked
+    as one-factor witnesses over their graphs.
     """
-    validate_subgraph_embedding(F, emb, gU)
+    ProductWitness(F, (gU,), {a: (x,) for a, x in emb.items()}).validate()
     image = sorted(set(emb.values()))
     matching = maximum_matching(image, lambda v: sorted(s.adj[v]))
     if len(matching) < len(image):
@@ -233,5 +234,5 @@ def embed_compressed(F: Graph, emb: dict, s: Saturator, gU: Graph, hn: Graph | N
     out = {a: matching[emb[a]] for a in F.vertices()}
     if hn is None:
         hn = compress(gU, s)
-    validate_subgraph_embedding(F, out, hn)
+    ProductWitness(F, (hn,), {a: (x,) for a, x in out.items()}).validate()
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .closure import IntervalRep
-from .io import endpoints, key, read_records, write_records
+from .io import edge_records, endpoints, key, read_records, write_records
 from .product import Graph, PathFactor, ProductWitness
 
 
@@ -100,21 +100,6 @@ class PathDecomposition:
     @property
     def width(self) -> int:
         return max((len(b) for b in self.bags), default=0) - 1
-
-    def validate(self, g: Graph) -> None:
-        covered = set()
-        for b in self.bags:
-            covered |= b
-        missing = set(g.vertices()) - covered
-        if missing:
-            raise ValueError(f"vertices not covered: {sorted(map(repr, missing))[:5]}")
-        for u, v in g.edges():
-            if not any(u in b and v in b for b in self.bags):
-                raise ValueError(f"edge {u!r}-{v!r} in no bag")
-        for v in covered:
-            idx = [i for i, b in enumerate(self.bags) if v in b]
-            if idx[-1] - idx[0] + 1 != len(idx):
-                raise ValueError(f"bags containing {v!r} are not contiguous")
 
 
 def normalize_decomposition(td: TreeDecomposition) -> TreeDecomposition:
@@ -494,12 +479,10 @@ class QtInstance:
             for g in sorted(coords, key=repr):
                 v, y = coords[g]
                 yield {"gv": g, "c": [v, y]}
-            for a, b in self.graph.edges():
-                yield {"ge": [a, b]}
-            for v in self.host.vertices():
+            yield from edge_records("ge", self.graph.edges())
+            for v in sorted(self.host.vertices(), key=repr):
                 yield {"hv": v}
-            for u, v in self.host.edges():
-                yield {"he": [u, v]}
+            yield from edge_records("he", self.host.edges())
             for x, bag in self.decomposition.bags.items():
                 yield {"dnode": x, "bag": sorted(bag, key=repr)}
             for a, b in self.decomposition.edges:

@@ -30,10 +30,10 @@ from dataclasses import InitVar, dataclass, field
 from itertools import chain, combinations
 from math import comb
 
-from .bitcore import BitReader, BitWriter, Bst, build_biased_bst
+from .bitcore import BitReader, BitWriter, Bst, build_biased_bst, strip_successor
 from .closure import IntervalRep, min_depth_in_range, perturb_left_endpoints
 from .decomp import QtInstance, TTree, host_layout
-from .io import endpoints, key, read_records, write_records
+from .io import edge_records, endpoints, key, read_records, write_records
 from .product import Graph
 from .treeseq import LcpCodec, build_tree_sequence
 
@@ -46,7 +46,7 @@ class LabelParams:
     t: int
     maxheight: int | None = None  # covers every tree depth a label may store
     codec: LcpCodec = field(init=False, repr=False, compare=False)
-    # one spare code above maxheight is reserved as the absent-slot marker
+    # wide enough for maxheight + 1; unpack rejects the codes above maxheight
     depth_bits: int = field(init=False, repr=False, compare=False)
     phi_bits: int = field(init=False, repr=False, compare=False)
 
@@ -138,15 +138,18 @@ def build_context(
     """Derive rows, clique unions, rank trees and row machinery for labelling.
 
     The host layout is host_layout(instance) unless rep and tt prescribe
-    one together.  Every t-tree edge must be covered by the interval
-    representation, and each clique's node set is checked to sit on a
-    single root path of its row tree.  The context is returned after
-    fixup, so both label schemes can read it.
+    one together; a prescribed tt must pass TTree.validate, so every
+    family clique carries every colour.  Every t-tree edge must be covered
+    by the interval representation, and each clique's node set is checked
+    to sit on a single root path of its row tree.  The context is returned
+    after fixup, so both label schemes can read it.
     """
     if (rep is None) != (tt is None):
         raise ValueError("rep and tt prescribe a host layout together")
     if tt is None:
         tt, rep = host_layout(instance)
+    else:
+        tt.validate()
     if params is None:
         params = LabelParams(n=instance.graph.n, t=tt.t)
     if params.t != tt.t:
@@ -244,7 +247,7 @@ def _successor_hint(alpha1: dict, y: int, h: int) -> tuple:
     s1, s2 = alpha1[y], alpha1[y + 1]
     if s2.startswith(s1 + "1") and set(s2[len(s1) + 1:]) <= {"0"}:
         return ("append", len(s2) - len(s1) - 1)
-    if s1.startswith(s2 + "0") and set(s1[len(s2) + 1:]) <= {"1"}:
+    if s2 == strip_successor(s1):
         return ("strip", len(s1) - len(s2) - 1)
     raise AssertionError(f"rows {y} and {y + 1} break the in-order successor shape")
 
@@ -394,16 +397,16 @@ class Label:
                 own.append(None)
                 slots.append({})
                 continue
-            d = self.depths.get((self.phi, b))
-            if d is None or d > len(base):
-                raise ValueError(f"own colour slot of row y{b:+d} missing or deeper than its {len(base)}-bit signature")
+            d = self.depths[(self.phi, b)]
+            if d > len(base):
+                raise ValueError(f"own colour slot of row y{b:+d} is deeper than its {len(base)}-bit signature")
             own.append((base[:d], self.psi[(self.phi, b)]))
             # signature of the deepest clique-parent node in row y+b
-            path = base if self.scheme == "legacy" else base[:d] + self.r.get(b, "")
+            path = base if self.scheme == "legacy" else base[:d] + self.r[b]
             first = {}
             for i in range(1, self.t + 2):
-                di = self.depths.get((i, b))
-                if di is not None and di <= len(path):
+                di = self.depths[(i, b)]
+                if di <= len(path):
                     first.setdefault((path[:di], self.psi[(i, b)]), i)
             slots.append(first)
         self.own_key = tuple(own)
@@ -417,10 +420,10 @@ def _next_alpha(alpha1: str, hint: tuple) -> str | None:
         return None
     if kind == "append":
         return alpha1 + "1" + "0" * delta
-    cut = len(alpha1) - delta - 1
-    if cut < 0 or alpha1[cut] != "0" or set(alpha1[cut + 1:]) - {"1"}:
+    up = strip_successor(alpha1)
+    if up is None or len(alpha1) - len(up) - 1 != delta:
         raise ValueError("successor hint contradicts the row signature")
-    return alpha1[:cut]
+    return up
 
 
 SCHEMES = ("legacy", "fixed")
@@ -450,10 +453,7 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
         if not 1 <= yb <= ctx.h:
             continue
         tree = ctx.trees[yb]
-        for i in range(1, t + 2):
-            p = parents.get(i)
-            if p is None:
-                continue
+        for i, p in parents.items():
             depths[(i, b)] = tree.depth(assign[yb][p])
             psi[(i, b)] = slot[yb][p]
             abits[(i, b)] = 1 if frozenset(((v, y), (p, yb))) in ctx.edge_set else 0
@@ -500,18 +500,16 @@ def pack_label(label: Label, params: LabelParams) -> str:
     if label.has_next:
         w.prefixed(label.mu)
     w.fixed(label.phi - 1, params.phi_bits)
-    absent = (1 << params.depth_bits) - 1
     slots = _slots(label.t, label.has_prev, label.has_next)
     for i, b in slots:
-        w.fixed(label.depths.get((i, b), absent), params.depth_bits)
+        w.fixed(label.depths[(i, b)], params.depth_bits)
     for i, b in slots:
-        if (i, b) in label.psi:
-            w.gamma(label.psi[(i, b)])
+        w.gamma(label.psi[(i, b)])
     for i, b in slots:
-        w.bits(str(label.abits.get((i, b), 0)))
+        w.bits(str(label.abits[(i, b)]))
     if label.scheme != "legacy":
         for b in _rows(label.has_prev, label.has_next):
-            rv = label.r.get(b, "")
+            rv = label.r[b]
             w.bits("0" if rv == "" else "1" + rv)
     return w.getvalue()
 
@@ -530,9 +528,10 @@ def unpack_label(bits: str, params: LabelParams) -> Label:
     """Inverse of pack_label; malformed input raises, never misreads.
 
     Besides the layout itself, the decoded fields must agree with each
-    other: mu parses against the codec, the successor hint fits alpha1 and
-    the row count n allows, and the own colour has a slot in rows y and
-    y+1 no deeper than that row's signature.
+    other: mu parses against the codec, the successor hint is "end"
+    exactly when there is no next row and fits alpha1 and the row count n,
+    every slot depth is within maxheight, and the own colour's slots in
+    rows y and y+1 are no deeper than that row's signature.
     """
     try:
         return _unpack(bits, params)
@@ -547,6 +546,8 @@ def _unpack(bits: str, params: LabelParams) -> Label:
     has_next = r.bits(1) == "1"
     alpha1 = r.prefixed()
     kind = _HINT_KINDS[r.fixed(2)]
+    if has_next != (kind != "end"):
+        raise ValueError(f"successor hint {kind!r} contradicts has_next = {has_next}")
     delta = r.gamma() - 1 if kind != "end" else 0
     # a row tree over at most n rows has signatures shorter than n bits
     if kind == "append" and len(alpha1) + 1 + delta >= params.n:
@@ -557,21 +558,11 @@ def _unpack(bits: str, params: LabelParams) -> Label:
     if phi > params.t + 1:
         raise ValueError(f"colour {phi} out of range")
     slots = _slots(params.t, has_prev, has_next)
-    absent = (1 << params.depth_bits) - 1
-    depths = {}
-    for i, b in slots:
-        d = r.fixed(params.depth_bits)
-        if d != absent:
-            if d > params.maxheight:
-                raise ValueError(f"depth {d} beyond layout cap")
-            depths[(i, b)] = d
-    psi = {}
-    for i, b in slots:
-        if (i, b) in depths:
-            psi[(i, b)] = r.gamma()
-    abits = {}
-    for i, b in slots:
-        abits[(i, b)] = int(r.bits(1))
+    depths = {slot: r.fixed(params.depth_bits) for slot in slots}
+    if max(depths.values()) > params.maxheight:
+        raise ValueError(f"depth {max(depths.values())} beyond layout cap")
+    psi = {slot: r.gamma() for slot in slots}
+    abits = {slot: int(r.bits(1)) for slot in slots}
     rsuf = {}
     if scheme != "legacy":
         for b in _rows(has_prev, has_next):
@@ -645,8 +636,7 @@ class LabelledInstance:
             "count": len(self.packed),
         }
         labels = ({"v": g, "bits": self.packed[g]} for g in sorted(self.packed, key=repr))
-        edges = ({"ge": [a, b]} for a, b in self.graph.edges())
-        write_records(path, "labels", head, chain(labels, edges))
+        write_records(path, "labels", head, chain(labels, edge_records("ge", self.graph.edges())))
 
     @classmethod
     def read_jsonl(cls, path) -> "LabelledInstance":
@@ -683,8 +673,7 @@ def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance
         lab = make_label(ctx, v, y, scheme)
         labels[g] = lab
         packed[g] = pack_label(lab, ctx.params)
-        back = unpack_label(packed[g], ctx.params)
-        if pack_label(back, ctx.params) != packed[g]:
+        if unpack_label(packed[g], ctx.params) != lab:
             raise AssertionError(f"label of {g!r} does not survive a pack round-trip")
     seen = {}
     for g, bits in packed.items():

@@ -33,6 +33,15 @@ def write_pairs(path, kind: str, head: dict, name: str, pairs) -> None:
         fh.writelines(f"{start}{a}, {b}]}}\n" for a, b in pairs)
 
 
+def edge_records(name: str, edges):
+    """One record ``{name: [a, b]}`` per edge, in the repr order of the pairs.
+
+    Each pair keeps the orientation it is given; only the order of the
+    records is sorted, so a file does not follow set iteration order.
+    """
+    return ({name: [a, b]} for a, b in sorted(edges, key=repr))
+
+
 def read_records(path, kind: str, parse):
     """Check a ``kind`` header, then return ``parse(head, records)``.
 

@@ -184,16 +184,3 @@ class ProductWitness:
                     raise WitnessError(f"edge {u!r}{v!r}: {x!r},{y!r} not equal or adjacent in {f!r}")
             # all-equal is impossible here: coords are injective
 
-
-def validate_subgraph_embedding(g: Graph, mapping: dict, host: Graph) -> None:
-    """Check mapping is injective and carries every edge of g to a host edge."""
-    if set(mapping) != set(g.vertices()):
-        raise WitnessError("mapping does not cover the vertex set")
-    if len(set(mapping.values())) != g.n:
-        raise WitnessError("mapping not injective")
-    for v, x in mapping.items():
-        if not host.has_vertex(x):
-            raise WitnessError(f"image {x!r} of {v!r} not in host")
-    for u, v in g.edges():
-        if not host.has_edge(mapping[u], mapping[v]):
-            raise WitnessError(f"edge {u!r}{v!r} not preserved")

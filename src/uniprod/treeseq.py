@@ -77,24 +77,6 @@ class TreeSequence:
     def h(self) -> int:
         return len(self.rows)
 
-    def check(self) -> None:
-        """Assert the construction contract; raises AssertionError on breach."""
-        assert len(self.trees) == self.h
-        for y in range(self.h):
-            want = self.rows[y] | (self.rows[y + 1] if y + 1 < self.h else frozenset())
-            got = set(self.trees[y].keys())
-            assert want <= got, f"tree {y + 1} misses keys {want - got}"
-        total_rows = sum(len(r) for r in self.rows)
-        total_trees = sum(len(t) for t in self.trees)
-        assert total_trees <= 4 * total_rows, (total_trees, total_rows)
-        for y, t in enumerate(self.trees):
-            assert t.height <= math.log2(len(t)) + self.lambda_height, (
-                y + 1,
-                t.height,
-                len(t),
-                self.lambda_height,
-            )
-
 
 def build_tree_sequence(rows, codec: LcpCodec | None = None) -> TreeSequence:
     """Half-weight trees over S_y | S_{y+1} for each row y.

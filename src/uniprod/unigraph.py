@@ -27,7 +27,7 @@ from .bitcore import (
 )
 from .closure import ClosureGraph, embed_interval_graph, min_depth_in_range
 from .decomp import QtInstance, host_layout
-from .product import Graph, PathFactor, ProductWitness
+from .product import CliqueFactor, Graph, PathFactor, ProductWitness
 from .treeseq import LcpCodec, build_tree_sequence, lambda_default
 
 
@@ -65,6 +65,19 @@ class UgParams:
         derived = {"lam": lam, "d": d, "horizon": d + 2, "budget": d + lam + 2, "codec": LcpCodec(d + lam + 2)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    # the host factor interface, so a witness can land in G_n
+
+    def has_vertex(self, v) -> bool:
+        """False exactly where check_vertex raises."""
+        try:
+            check_vertex(self, v)
+        except (TypeError, ValueError):
+            return False
+        return True
+
+    def adjacent(self, u, v) -> bool:
+        return is_edge(self, u, v)
 
 
 def check_vertex(p: UgParams, v) -> None:
@@ -375,21 +388,5 @@ def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
 
 
 def validate_qt_embedding(p: UgParams, inst: QtInstance, emb: QtEmbedding) -> None:
-    """Edge-by-edge audit of a pipeline result."""
-    m = emb.mapping
-    if set(m) != set(inst.graph.vertices()):
-        raise ValueError("mapping does not cover the instance")
-    if len(set(m.values())) != len(m):
-        raise ValueError("mapping is not injective")
-    for v, (triple, col) in m.items():
-        check_vertex(p, triple)
-        if not 1 <= col <= emb.omega:
-            raise ValueError(f"colour {col} outside 1..{emb.omega}")
-    for a, b in inst.graph.edges():
-        ta, ca = m[a]
-        tb, cb = m[b]
-        if ta == tb:
-            if ca == cb:
-                raise ValueError(f"edge {a!r}-{b!r} collapsed without a colour split")
-        elif not is_edge(p, ta, tb):
-            raise ValueError(f"edge {a!r}-{b!r} image is a non-edge")
+    """Edge-by-edge audit of a pipeline result, as a witness over G_n x K_omega."""
+    ProductWitness(inst.graph, (p, CliqueFactor(emb.omega)), emb.mapping).validate()

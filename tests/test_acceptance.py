@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from graphs import path_graph
+from graphs import check_tree_sequence, path_graph
 
 from uniprod.bitcore import (
     build_biased_bst,
@@ -112,7 +112,7 @@ def test_c03_tree_sequence_contract():
     for trial in range(300):
         rows = [rng.sample(range(200), rng.randint(1, 14)) for _ in range(rng.randint(1, 9))]
         ts = build_tree_sequence(rows)
-        ts.check()
+        check_tree_sequence(ts)
         built += 1
         for y in range(1, ts.h):
             t0, t1 = ts.trees[y - 1], ts.trees[y]
@@ -363,7 +363,6 @@ def test_c11_fixup_contract_everywhere():
     # most one level deeper, and a second pass is the identity
     instances = 0
     for ctx in _label_corpus(40, 40, seed=111):
-        fixup(ctx)
         for y in range(1, ctx.h + 1):
             tree = ctx.trees[y]
             present = set(ctx.s_plus[y])
@@ -387,7 +386,6 @@ def test_c12_adjacency_tester_exact():
     start = time.monotonic()
     instances = pairs = 0
     for ctx in _label_corpus(100, 256, seed=112):
-        fixup(ctx)
         li = label_instance(ctx, "fixed")
         pairs += verify_labelling(li)
         if instances % 7 == 0:
@@ -410,7 +408,7 @@ def test_c13_assembled_graph_induces_corpus():
     corpus = []
     for seed in range(8):
         inst = generate_qt_instance(2, 24, rng.randint(1, 8), rng_seed=600 + seed)
-        ctx = fixup(build_context(inst, params=params))
+        ctx = build_context(inst, params=params)
         corpus.append(label_instance(ctx, "fixed"))
     un = assemble_universal(corpus)
     members = 0
@@ -447,7 +445,7 @@ def test_c15_bag_bound_trend():
     for n in (64, 128, 256, 512):
         for t in (1, 2):
             inst = generate_qt_instance(t, n, max(2, n // 16), rng_seed=n + t)
-            ctx = fixup(build_context(inst))
+            ctx = build_context(inst)
             stats = bag_stats(ctx)
             trend.append((n, t, stats["max_bag_fixed"], round(stats["reference"], 1)))
     fitted = max(row[2] / (row[1] * math.log2(row[0]) ** (row[1] + 2)) for row in trend)

@@ -206,9 +206,9 @@ def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
 
 def test_labels_do_not_follow_string_hashing(tmp_path):
     # double-star vertex ids are strings, so set iteration order changes
-    # with PYTHONHASHSEED; the labels must not
+    # with PYTHONHASHSEED; the instance and label files must not
     src = os.path.dirname(os.path.dirname(uniprod.__file__))
-    records = []
+    files = []
     for seed in ("0", "1"):
         inst, labels = tmp_path / f"bad{seed}.jsonl", tmp_path / f"labels{seed}.jsonl"
         script = (
@@ -218,24 +218,25 @@ def test_labels_do_not_follow_string_hashing(tmp_path):
         )
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, timeout=120)
-        records.append([line for line in labels.read_text().splitlines() if '"bits"' in line])
-    assert records[0] and records[0] == records[1]
+        files.append((inst.read_text(), labels.read_text()))
+    assert '"bits"' in files[0][1] and files[0] == files[1]
 
 
 # SHA-256 of every file the commands in test_file_formats_are_stable write.
 # A mismatch means a file format changed, and files already on disk may no
 # longer read.
 FORMATS = {
-    "inst.jsonl": "c17a3ec25f6c43a09165d8bc15b18be828d2f99e5c91f2477214bb0a6f968a46",
+    "inst.jsonl": "2a59eefbae686fd48f5fa6ba024e57acf350ba84ec606be2dfca4c901b8a8095",
     "wit.jsonl": "b62243fec0740a0bcebe7e98d8191f149911767b344149a0ca2ab113a1470255",
-    "lab.jsonl": "a3166804ba6d78409ede5739ad098152a73d58d3ea2d399323ac191ee59c0268",
+    "lab.jsonl": "6b70214385996ed40394af747febcc86ab5d5caf07bb75f97c5115f4012ccb59",
     "uni.jsonl": "f5a958906f7a07400add07e96e0a5b3a1f677488f6597a9b47922e8d4b282704",
     "ug.jsonl": "9e12e91aca2c7f0873e3034bb820d70bc695babeaa7ee13dd4a84eef6d64ae7f",
     "comp.jsonl": "26bec8b02085f61060321189c5918d5b0e740ad049ecb03b1dd930d24715bfb4",
     "comp.saturator.jsonl": "c92a7cb1f49bd340fb148c5e83323cebb1e9e0f1629265866da0cecf53ecfe61",
+    "bad.jsonl": "0d6ee593b38b3524af90de036a64f22a0c4e682232975089874b027bb8d0ba57",
     "bad.intervals.jsonl": "7cec124e4b0107e0fab9524c2cf93d73e71802e8656d408bff5fa7ce6ab61bfe",
     "wit120.jsonl": "9d50a1a55d8e6743e169ff563a61d90cdad64310f987f7534f98619150829982",
-    "lab120.jsonl": "4755cb90326e90f41790822ce8fe0b16e434e88bf4aa46df2db56b038b8e6271",
+    "lab120.jsonl": "e76ee66cebcd9219df68a15ae2e1825fc581f00930c80429b4e32f047fd82975",
     "ug8.jsonl": "b659fda05946ae9137a1b2c4b6a679dc69f4c9a9f896887fd35c380bde620063",
 }
 
@@ -254,8 +255,6 @@ def test_file_formats_are_stable(tmp_path, monkeypatch):
     # n=2 gives d=1, so only two depths; n=8 gives four
     run("build-ug", "--n", "8", "--lambda", "2", "--mode", "explicit", "--out", p("ug8.jsonl"))
     run("compress", "--graph", p("uni.jsonl"), "--k", "2", "--seed", "1", "--out", p("comp.jsonl"))
-    # bad.jsonl itself is not compared: the double-star instance's record
-    # order follows string hashing, so it changes with PYTHONHASHSEED.
     run("gen", "bad", "--n", "24", "--out", p("bad.jsonl"))
     # n=14 lays out 5 host intervals and barely recurses; n=120 lays out 60
     # on 31 distinct left endpoints, so ties are broken all through the recursion.

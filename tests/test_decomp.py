@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from graphs import path_shaped
 
 from uniprod.decomp import (
     PathDecomposition,
@@ -60,10 +61,10 @@ def test_normalize_keeps_validity_and_width():
 
 def test_path_decomposition_contiguity():
     pd = PathDecomposition([{0, 1}, {1, 2}, {2, 3}])
-    pd.validate(Graph(range(4), [(0, 1), (1, 2), (2, 3)]))
+    path_shaped(pd).validate(Graph(range(4), [(0, 1), (1, 2), (2, 3)]))
     broken = PathDecomposition([{0, 1}, {2}, {0, 2}])
     with pytest.raises(ValueError):
-        broken.validate(Graph(range(3), [(0, 1), (0, 2)]))
+        path_shaped(broken).validate(Graph(range(3), [(0, 1), (0, 2)]))
 
 
 def test_tree_to_path_width_bound():
@@ -75,7 +76,7 @@ def test_tree_to_path_width_bound():
         td = tt.family_decomposition()
         td.validate(tt.graph)
         pd = tree_to_path_decomposition(td)
-        pd.validate(tt.graph)
+        path_shaped(pd).validate(tt.graph)
         cap = (td.width + 1) * (max(1, n - 1).bit_length() + 1) - 1
         assert pd.width <= cap
 

@@ -8,7 +8,7 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from uniprod.decomp import generate_qt_instance
+from uniprod.decomp import TTree, generate_qt_instance, host_layout
 from uniprod.induced import (
     LabelParams,
     LabelledInstance,
@@ -24,6 +24,7 @@ from uniprod.induced import (
     unpack_label,
     verify_labelling,
 )
+from uniprod.product import Graph
 from uniprod.treeseq import LcpCodec
 
 
@@ -68,7 +69,6 @@ def test_clique_nodes_share_root_paths():
 
 def test_fixup_contract():
     for ctx in contexts(range(14, 26)):
-        fixup(ctx)
         for y in range(1, ctx.h + 1):
             tree = ctx.trees[y]
             present = set(ctx.s_plus[y])
@@ -95,7 +95,6 @@ def test_bag_stats_accounting():
 
 def test_labels_pack_and_unpack_exactly():
     for ctx in contexts(range(30, 36)):
-        fixup(ctx)
         for scheme in ("fixed", "legacy"):
             for (hv, y) in sorted(ctx.inv, key=repr):
                 label = make_label(ctx, hv, y, scheme)
@@ -111,7 +110,6 @@ def test_unpack_rejects_garbage():
     with pytest.raises(ValueError):
         unpack_label("1", params)
     ctx = next(contexts([7], tmax=1, nmax=12))
-    fixup(ctx)
     li = label_instance(ctx, "fixed")
     bits = sorted(li.packed.values())[0]
     with pytest.raises(ValueError):
@@ -125,9 +123,40 @@ def test_unpack_rejects_garbage():
         build_context(ctx.instance, params=LabelParams(n=ctx.instance.graph.n - 1, t=ctx.params.t))
 
 
+def test_unpack_rejects_a_successor_hint_that_contradicts_has_next():
+    # has_next == (hint kind != "end"); a forged label that breaks the rule
+    # would be a second label for one vertex, with the same tester answers
+    inst = generate_qt_instance(1, 12, 3, rng_seed=7)
+    li = label_instance(build_context(inst), "fixed")
+    codec = li.params.codec
+    inner = next(lab for lab in li.labels.values() if lab.has_next)
+    last = next(lab for lab in li.labels.values() if not lab.has_next)
+    forged = [
+        dataclasses.replace(inner, hint=("end", 0), codec=codec),  # mu and row-(y+1) slots, "end" hint
+        dataclasses.replace(last, hint=("append", 0), codec=codec),  # no next row, "append" hint
+    ]
+    for label in forged:
+        with pytest.raises(ValueError, match="has_next"):
+            unpack_label(pack_label(label, li.params), li.params)
+
+
+def test_prescribed_ttree_is_validated():
+    # a family clique that misses a colour would leave a parent slot empty;
+    # build_context refuses such a t-tree before any label is made
+    inst = generate_qt_instance(2, 12, 1, rng_seed=3)
+    tt, rep = host_layout(inst)
+    coords = inst.witness.coords
+    used = {frozenset((coords[a][0], coords[b][0])) for a, b in inst.graph.edges()}
+    v, w = next((v, w) for v in reversed(tt.order) for w in sorted(tt.attach[v]) if frozenset((v, w)) not in used)
+    graph = Graph(tt.graph.vertices(), (e for e in tt.graph.edges() if set(e) != {v, w}))
+    broken = TTree(tt.t, tt.order, graph, {**tt.attach, v: tt.attach[v] - {w}}, tt.owner)
+    assert len(broken.parents(v)) == tt.t
+    with pytest.raises(ValueError, match="attach set"):
+        build_context(inst, rep=rep, tt=broken)
+
+
 def test_tester_is_exact_on_random_instances():
     for ctx in contexts(range(40, 52), tmax=2, nmax=24):
-        fixup(ctx)
         for scheme in ("fixed", "legacy"):
             li = label_instance(ctx, scheme)
             pairs = verify_labelling(li)
@@ -136,7 +165,6 @@ def test_tester_is_exact_on_random_instances():
 
 def test_tester_requires_matching_parameters():
     ctx1 = next(contexts([1], tmax=1, nmax=10))
-    fixup(ctx1)
     li1 = label_instance(ctx1, "fixed")
     li2 = label_instance(ctx1, "legacy")
     a = unpack_label(sorted(li1.packed.values())[0], li1.params)
@@ -147,14 +175,12 @@ def test_tester_requires_matching_parameters():
 
 def test_labels_are_distinct_within_instance():
     ctx = next(contexts([3], tmax=2, nmax=20))
-    fixup(ctx)
     li = label_instance(ctx, "fixed")
     assert len(set(li.packed.values())) == len(li.packed)
 
 
 def test_labelled_instance_jsonl_roundtrip(tmp_path):
     ctx = next(contexts([8], tmax=2, nmax=18))
-    fixup(ctx)
     li = label_instance(ctx, "fixed")
     path = tmp_path / "labels.jsonl"
     li.write_jsonl(path)
@@ -167,7 +193,6 @@ def test_labelled_instance_jsonl_roundtrip(tmp_path):
 
 def test_label_reader_rejects_unlabelled_edge_and_bad_count(tmp_path):
     ctx = next(contexts([8], tmax=2, nmax=18))
-    fixup(ctx)
     path = tmp_path / "labels.jsonl"
     label_instance(ctx, "fixed").write_jsonl(path)
     lines = path.read_text().splitlines()
@@ -204,7 +229,7 @@ def test_assemble_universal_and_growth():
         inst = generate_qt_instance(2, n, h, rng_seed=seed)
         if params is None:
             params = LabelParams(n=n, t=2)
-        ctx = fixup(build_context(inst, params=params))
+        ctx = build_context(inst, params=params)
         corpus.append(label_instance(ctx, "fixed"))
     un = assemble_universal(corpus)
     report = growth_report(un, params)
@@ -221,7 +246,7 @@ def test_assembled_graph_contains_each_member_induced():
     corpus = []
     for seed in range(4):
         inst = generate_qt_instance(1, 16, rng.randint(1, 4), rng_seed=seed + 60)
-        ctx = fixup(build_context(inst, params=params))
+        ctx = build_context(inst, params=params)
         corpus.append(label_instance(ctx, "fixed"))
     un = assemble_universal(corpus)
     for li in corpus:
@@ -237,7 +262,7 @@ def test_tester_reads_no_codes_on_built_labels(monkeypatch):
     params = LabelParams(n=20, t=2)
     for seed in range(3):
         inst = generate_qt_instance(2, 20, 3 + seed, rng_seed=seed + 5)
-        corpus.append(label_instance(fixup(build_context(inst, params=params)), "fixed"))
+        corpus.append(label_instance(build_context(inst, params=params), "fixed"))
     calls = []
     decode = LcpCodec.decode
 
@@ -258,7 +283,6 @@ def test_tester_reads_no_codes_on_built_labels(monkeypatch):
 
 def test_built_and_unpacked_labels_agree_with_the_graph():
     for ctx in contexts(range(60, 70), tmax=3, nmax=22):
-        fixup(ctx)
         for scheme in ("fixed", "legacy"):
             li = label_instance(ctx, scheme)
             back = {g: unpack_label(bits, li.params) for g, bits in li.packed.items()}
@@ -273,7 +297,7 @@ def test_assemble_reuses_labels_exactly():
     corpus = []
     for seed in range(4):
         inst = generate_qt_instance(2, 18, seed + 1, rng_seed=seed + 30)
-        corpus.append(label_instance(fixup(build_context(inst, params=params)), "fixed"))
+        corpus.append(label_instance(build_context(inst, params=params), "fixed"))
     reread = [
         LabelledInstance(
             li.params, li.scheme,
@@ -288,7 +312,7 @@ def test_assemble_reuses_labels_exactly():
 
 @functools.cache
 def mutant_instances():
-    ctx = fixup(build_context(generate_qt_instance(2, 64, 4, rng_seed=5)))
+    ctx = build_context(generate_qt_instance(2, 64, 4, rng_seed=5))
     out = []
     for scheme in ("fixed", "legacy"):
         li = label_instance(ctx, scheme)

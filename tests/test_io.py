@@ -10,7 +10,7 @@ from uniprod.cli import main
 from uniprod.closure import IntervalRep
 from uniprod.compressor import Saturator, build_saturator
 from uniprod.decomp import QtInstance, generate_qt_instance
-from uniprod.induced import LabelledInstance, LabelParams, build_context, fixup, label_instance
+from uniprod.induced import LabelledInstance, LabelParams, build_context, label_instance
 from uniprod.io import write_pairs, write_records
 from uniprod.product import Graph
 
@@ -59,7 +59,7 @@ def write_saturator(path):
 
 def write_labels(path):
     inst = generate_qt_instance(1, 8, 2, rng_seed=3)
-    label_instance(fixup(build_context(inst, params=LabelParams(n=8, t=1)))).write_jsonl(path)
+    label_instance(build_context(inst, params=LabelParams(n=8, t=1))).write_jsonl(path)
     return LabelledInstance.read_jsonl, "bits", {"ge": [0, 99]}
 
 

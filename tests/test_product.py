@@ -11,7 +11,6 @@ from uniprod.product import (
     PathFactor,
     ProductWitness,
     WitnessError,
-    validate_subgraph_embedding,
 )
 
 
@@ -85,14 +84,22 @@ def test_witness_validates_membership():
         outside.validate()
 
 
-def test_validate_subgraph_embedding():
+def test_graph_factor_witness_is_a_subgraph_embedding():
+    # a one-factor witness over a graph checks a subgraph embedding:
+    # injective, into the host's vertices, every edge onto a host edge
     g = path_graph(3)
     host = Graph(range(1, 5), itertools.combinations(range(1, 5), 2))
-    validate_subgraph_embedding(g, {1: 2, 2: 3, 3: 4}, host)
+
+    def check(mapping, into):
+        ProductWitness(g, (into,), {v: (x,) for v, x in mapping.items()}).validate()
+
+    check({1: 2, 2: 3, 3: 4}, host)
     with pytest.raises(WitnessError):
-        validate_subgraph_embedding(g, {1: 2, 2: 2, 3: 4}, host)
+        check({1: 2, 2: 2, 3: 4}, host)
     with pytest.raises(WitnessError):
-        validate_subgraph_embedding(g, {1: 2, 2: 3}, host)
+        check({1: 2, 2: 3}, host)
+    with pytest.raises(WitnessError):
+        check({1: 2, 2: 3, 3: 5}, host)
     sparse = path_graph(4)
     with pytest.raises(WitnessError):
-        validate_subgraph_embedding(g, {1: 1, 2: 2, 3: 4}, sparse)
+        check({1: 1, 2: 2, 3: 4}, sparse)

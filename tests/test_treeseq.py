@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from graphs import check_tree_sequence
 from hypothesis import given, strategies as st
 
 from uniprod.treeseq import LcpCodec, build_tree_sequence, lambda_default
@@ -58,7 +59,7 @@ def test_tree_sequence_trees_cover_consecutive_rows():
     for trial in range(50):
         rows = random_rows(rng, rng.randint(1, 8))
         ts = build_tree_sequence(rows)
-        ts.check()
+        check_tree_sequence(ts)
         for y in range(ts.h):
             keys = set(ts.trees[y].keys())
             assert set(rows[y]) <= keys

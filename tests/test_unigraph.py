@@ -61,6 +61,23 @@ def test_check_vertex():
         check_vertex(p, ("2", "", 0))
 
 
+def test_params_are_a_host_factor():
+    # has_vertex is False exactly where check_vertex raises; adjacent is is_edge
+    p = UgParams(4, lam=1)
+    inside = [("01", "0", 2), ("", "", 0), ("0", "", p.d)]
+    outside = [("01", "0", p.d + 1), ("0" * p.budget, "1", 0), ("2", "", 0), ("0", "", "1"), ("0", ""), 7]
+    for v in inside:
+        check_vertex(p, v)
+        assert p.has_vertex(v)
+    for v in outside:
+        with pytest.raises((TypeError, ValueError)):
+            check_vertex(p, v)
+        assert not p.has_vertex(v)
+    vs = list(all_vertices(p, 2))
+    for u, v in itertools.product(vs, repeat=2):
+        assert p.adjacent(u, v) == is_edge(p, u, v)
+
+
 def test_closed_form_matches_exhaustive_adjacency():
     # the oracle tries every candidate prefix cut and code; the closed
     # form must agree on every pair in a small parameter grid
@@ -222,3 +239,15 @@ def test_validate_qt_embedding_catches_corruption():
     broken[a] = broken[b]
     with pytest.raises(ValueError):
         validate_qt_embedding(p, inst, QtEmbedding(broken, emb.omega, p))
+    # a colour outside 1..omega, a triple outside G_n, an edge onto a non-edge
+    triple = emb.mapping[a][0]
+    u, w = next(iter(inst.graph.edges()))
+    for bad in ({a: (triple, emb.omega + 1)}, {a: (("2", "", 0), 1)}):
+        with pytest.raises(ValueError):
+            validate_qt_embedding(p, inst, QtEmbedding({**emb.mapping, **bad}, emb.omega, p))
+    far = next(
+        t for t in ((x, "1" * (p.budget - len(x)), 0) for x in ("", "0", "1", "00"))
+        if t != emb.mapping[w][0] and not is_edge(p, t, emb.mapping[w][0])
+    )
+    with pytest.raises(ValueError, match="not equal or adjacent"):
+        validate_qt_embedding(p, inst, QtEmbedding({**emb.mapping, u: (far, 1)}, emb.omega, p))
