@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 
 from .closure import IntervalRep
@@ -557,15 +558,14 @@ def generate_qt_instance(t: int, n: int, h: int, rng_seed: int = 0) -> QtInstanc
     pool = [p for p in grid if p not in chosen]
     chosen.update(rng.sample(pool, n - len(chosen)))
     coords = {i: p for i, p in enumerate(sorted(chosen))}
+    index = {p: i for i, p in coords.items()}
     g = Graph(range(n), name=f"qt(t={t}, n={n}, h={h})")
+    # candidates j > i share or neighbour i's row and host vertex; each is
+    # offered one coin, in increasing (i, j) order
     for i in range(n):
         u, y = coords[i]
-        for j in range(i + 1, n):
-            w, z = coords[j]
-            if abs(y - z) > 1:
-                continue
-            if u != w and not host.has_edge(u, w):
-                continue
+        near = (index.get((w, z)) for w in chain((u,), host.neighbors(u)) for z in (y - 1, y, y + 1))
+        for j in sorted(j for j in near if j is not None and j > i):
             if rng.random() < 0.5:
                 g.add_edge(i, j)
     witness = ProductWitness(g, (host, PathFactor(h)), coords)

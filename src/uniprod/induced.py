@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 
 from .bitcore import BitReader, BitWriter, Bst, build_biased_bst, strip_successor
@@ -647,9 +647,15 @@ class LabelledInstance:
                 raise ValueError("codec mismatch")
             params = LabelParams(n=head["n"], t=head["t"], maxheight=head["maxheight"])
             labels, packed, graph = {}, {}, Graph(name="labelled instance")
+            owner = {}  # bits -> the vertex they label
             for rec in records:
                 if "v" in rec:
                     v = key(rec["v"])
+                    if v in packed:
+                        raise ValueError(f"vertex {v!r} is labelled twice")
+                    if rec["bits"] in owner:
+                        raise ValueError(f"vertices {owner[rec['bits']]!r} and {v!r} share one label")
+                    owner[rec["bits"]] = v
                     packed[v] = rec["bits"]
                     labels[v] = unpack_label(rec["bits"], params)
                     if labels[v].scheme != head["scheme"]:
@@ -664,6 +670,15 @@ class LabelledInstance:
         return read_records(path, "labels", parse)
 
 
+def _check_distinct(li: LabelledInstance) -> None:
+    """Two vertices of one instance never share a label."""
+    seen = {}
+    for g, bits in li.packed.items():
+        if bits in seen:
+            raise AssertionError(f"vertices {seen[bits]!r} and {g!r} share a label")
+        seen[bits] = g
+
+
 def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance:
     """Label every vertex and run the per-instance assertion suite."""
     coords = ctx.instance.witness.coords
@@ -675,36 +690,64 @@ def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance
         packed[g] = pack_label(lab, ctx.params)
         if unpack_label(packed[g], ctx.params) != lab:
             raise AssertionError(f"label of {g!r} does not survive a pack round-trip")
-    seen = {}
-    for g, bits in packed.items():
-        if bits in seen:
-            raise AssertionError(f"vertices {seen[bits]!r} and {g!r} share a label")
-        seen[bits] = g
-    return LabelledInstance(ctx.params, scheme, labels, packed, ctx.instance.graph)
+    li = LabelledInstance(ctx.params, scheme, labels, packed, ctx.instance.graph)
+    _check_distinct(li)
+    return li
+
+
+def _rows_by_alpha(labels: dict) -> dict:
+    """Map each row signature alpha1 to that row's (id, label) items, in repr order of the ids.
+
+    The tester answers False for two rows that are neither equal nor
+    consecutive, so the pairs in reach are, for each item, the later items
+    of its own bucket and the bucket of its label's next_alpha.  That meets
+    every in-reach pair exactly once: next_alpha is never alpha1 (append
+    lengthens a signature, strip shortens it), and strip and append cannot
+    undo each other, so no two rows each name the other as next.
+    """
+    buckets = defaultdict(list)
+    for g in sorted(labels, key=repr):
+        buckets[labels[g].alpha1].append((g, labels[g]))
+    return dict(buckets)
 
 
 def verify_labelling(li: LabelledInstance) -> int:
-    """Check every vertex pair against the tester; returns pairs checked."""
-    keys = sorted(li.labels, key=repr)
-    labels = [li.labels[g] for g in keys]
-    checked = 0
-    for k, (g1, l1) in enumerate(zip(keys, labels)):
-        nbrs = li.graph.neighbors(g1)
-        for g2, l2 in zip(keys[k + 1:], labels[k + 1:]):
-            got = adjacency_test(l1, l2)
-            if got != (g2 in nbrs):
-                raise AssertionError(f"pair {g1!r},{g2!r}: tester says {got}, instance says {not got}")
-            checked += 1
-    return checked
+    """Check every vertex pair against the tester; returns C(n, 2), the pairs checked.
+
+    Each pair in reach (see _rows_by_alpha) is put to the tester and
+    compared with the instance.  The tester's row rule answers False for
+    every other pair, so those agree with the instance exactly when no
+    instance edge lies out of reach, that is when the tester's True count
+    equals the edge count.  If it does not, the offending edge is named.
+    """
+    buckets = _rows_by_alpha(li.labels)
+    found = 0
+    for bucket in buckets.values():
+        for k, (g1, l1) in enumerate(bucket):
+            nbrs = li.graph.neighbors(g1)
+            for g2, l2 in chain(bucket[k + 1:], buckets.get(l1.next_alpha, ())):
+                got = adjacency_test(l1, l2)
+                if got != (g2 in nbrs):
+                    raise AssertionError(f"pair {g1!r},{g2!r}: tester says {got}, instance says {not got}")
+                found += got
+    if found != li.graph.m:
+        for g1, g2 in li.graph.edges():
+            l1, l2 = li.labels[g1], li.labels[g2]
+            if not adjacency_test(l1, l2):
+                raise AssertionError(
+                    f"edge {g1!r}-{g2!r} joins rows {l1.alpha1!r} and {l2.alpha1!r}, which the tester never pairs"
+                )
+    return comb(len(li.labels), 2)
 
 
 def assemble_universal(corpus: list) -> Graph:
     """Union the corpus labels into one graph wired by the tester.
 
-    Vertices are the distinct packed labels; candidate pairs are pruned
-    to equal or successor row signatures, which the tester requires
-    anyway.  Every corpus member is then re-checked to be an induced
-    subgraph through its own labels.
+    Vertices are the distinct packed labels; only the pairs in reach (see
+    _rows_by_alpha) are put to the tester, which answers False for every
+    other pair anyway.  Every corpus member, whose labels must be
+    distinct, is then re-checked to be an induced subgraph through its own
+    labels, one neighbour set per vertex.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -712,28 +755,24 @@ def assemble_universal(corpus: list) -> Graph:
     for li in corpus[1:]:
         if li.params != first.params or li.scheme != first.scheme:
             raise ValueError("corpus labelled with different parameters")
-    decoded = {bits: li.labels[g] for li in corpus for g, bits in li.packed.items()}
-    packs = sorted(decoded)
-    un = Graph(packs, name=f"universal(n={first.params.n}, t={first.params.t})")
-    by_alpha = defaultdict(list)
-    for bits in packs:
-        by_alpha[decoded[bits].alpha1].append(bits)
-    for bucket in by_alpha.values():
-        for b1, b2 in combinations(bucket, 2):
-            if adjacency_test(decoded[b1], decoded[b2]):
-                un.add_edge(b1, b2)
-    for b1 in packs:
-        for b2 in by_alpha.get(decoded[b1].next_alpha, ()):
-            if adjacency_test(decoded[b1], decoded[b2]):
-                un.add_edge(b1, b2)
     for li in corpus:
-        keys = sorted(li.packed, key=repr)
-        bits = [li.packed[g] for g in keys]
-        for k, g1 in enumerate(keys):
-            un_nbrs, nbrs = un.neighbors(bits[k]), li.graph.neighbors(g1)
-            for g2, b2 in zip(keys[k + 1:], bits[k + 1:]):
-                if (b2 in un_nbrs) != (g2 in nbrs):
-                    raise AssertionError(f"instance pair {g1!r},{g2!r} is not induced faithfully")
+        _check_distinct(li)
+    decoded = {bits: li.labels[g] for li in corpus for g, bits in li.packed.items()}
+    un = Graph(sorted(decoded), name=f"universal(n={first.params.n}, t={first.params.t})")
+    buckets = _rows_by_alpha(decoded)
+    for bucket in buckets.values():
+        for k, (b1, l1) in enumerate(bucket):
+            for b2, l2 in chain(bucket[k + 1:], buckets.get(l1.next_alpha, ())):
+                if adjacency_test(l1, l2):
+                    un.add_edge(b1, b2)
+    for li in corpus:
+        member = set(li.packed.values())
+        for g, bits in li.packed.items():
+            want = {li.packed[w] for w in li.graph.neighbors(g)}
+            wrong = (un.neighbors(bits) & member) ^ want
+            if wrong:
+                other = min((w for w in li.packed if li.packed[w] in wrong), key=repr)
+                raise AssertionError(f"instance pair {g!r},{other!r} is not induced faithfully")
     return un
 
 

@@ -77,7 +77,13 @@ class UgParams:
         return True
 
     def adjacent(self, u, v) -> bool:
-        return is_edge(self, u, v)
+        """is_edge without its vertex checks.
+
+        ProductWitness.validate reaches this only after has_vertex has
+        passed on every coordinate, so each host vertex is checked once,
+        not once per incident edge.
+        """
+        return u != v and (directed_edge(self, u, v) or directed_edge(self, v, u))
 
 
 def check_vertex(p: UgParams, v) -> None:

@@ -1,8 +1,10 @@
 """Small graphs and contract checks the tests share."""
 
+import itertools
 import math
 
 from uniprod.decomp import PathDecomposition, TreeDecomposition
+from uniprod.induced import LabelledInstance, adjacency_test
 from uniprod.product import Graph
 from uniprod.treeseq import TreeSequence
 
@@ -28,3 +30,13 @@ def check_tree_sequence(ts: TreeSequence) -> None:
     assert total_trees <= 4 * total_rows, (total_trees, total_rows)
     for y, t in enumerate(ts.trees):
         assert t.height <= math.log2(len(t)) + ts.lambda_height, (y + 1, t.height, len(t), ts.lambda_height)
+
+
+def all_pairs_disagreements(li: LabelledInstance) -> list:
+    """Brute-force audit: every vertex pair on which the tester and the instance disagree."""
+    keys = sorted(li.labels, key=repr)
+    return [
+        (g1, g2)
+        for g1, g2 in itertools.combinations(keys, 2)
+        if adjacency_test(li.labels[g1], li.labels[g2]) != li.graph.has_edge(g1, g2)
+    ]

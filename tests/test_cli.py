@@ -187,6 +187,25 @@ def test_label_header_scheme_must_match_the_labels(tmp_path, capsys):
     assert f"{labels}:2:" in capsys.readouterr().err
 
 
+def test_a_label_shared_by_two_vertices_exits_1(tmp_path, capsys):
+    # leaves a1 and a10 of the double star are twins, so the tester cannot
+    # tell a shared label apart; the reader must refuse it
+    inst, labels = tmp_path / "bad.jsonl", tmp_path / "labels.jsonl"
+    run("gen", "bad", "--n", "48", "--i", "2", "--j", "2", "--out", str(inst))
+    run("label", "--instance", str(inst), "--out", str(labels))
+    recs = [json.loads(line) for line in labels.read_text().splitlines()]
+    bits = next(rec["bits"] for rec in recs if rec.get("v") == "a1")
+    k = next(k for k, rec in enumerate(recs) if rec.get("v") == "a10")
+    recs[k] = {**recs[k], "bits": bits}
+    labels.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    capsys.readouterr()
+    run("test-adjacency", "--labels", str(labels), check=1)
+    err = capsys.readouterr().err
+    assert f"{labels}:{k + 1}:" in err and "'a1'" in err and "'a10'" in err
+    run("assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl"), check=1)
+    assert f"{labels}:{k + 1}:" in capsys.readouterr().err
+
+
 def test_malformed_report_exits_1(tmp_path):
     rep = tmp_path / "rep.json"
     for text in ("{}", "[1]", '{"suite": "sizes", "checks": [1]}'):

@@ -6,8 +6,10 @@ import random
 import re
 
 import pytest
+from graphs import all_pairs_disagreements
 from hypothesis import example, given, settings, strategies as st
 
+from uniprod import induced
 from uniprod.decomp import TTree, generate_qt_instance, host_layout
 from uniprod.induced import (
     LabelParams,
@@ -163,6 +165,120 @@ def test_tester_is_exact_on_random_instances():
             assert pairs == li.graph.n * (li.graph.n - 1) // 2
 
 
+def with_graph(li, graph):
+    return LabelledInstance(li.params, li.scheme, li.labels, li.packed, graph)
+
+
+def audit_mutants(ctx, li):
+    """The instance itself, then mutants the audit must judge as the brute-force oracle does."""
+    yield li
+    vertices = sorted(li.graph.vertices(), key=repr)
+    edges = sorted(li.graph.edges(), key=repr)
+    for e in edges[:3]:  # a removed edge
+        yield with_graph(li, Graph(vertices, (f for f in edges if f != e)))
+    coords = ctx.instance.witness.coords
+    far = [(a, b) for a, b in itertools.combinations(vertices, 2) if abs(coords[a][1] - coords[b][1]) > 1]
+    for a, b in far[:2]:  # an added edge between two rows that do not meet
+        yield with_graph(li, Graph(vertices, edges + [(a, b)]))
+    near = [(a, b) for a, b in itertools.combinations(vertices, 2)
+            if abs(coords[a][1] - coords[b][1]) <= 1 and not li.graph.has_edge(a, b)]
+    for a, b in near[:2]:  # an added edge in reach
+        yield with_graph(li, Graph(vertices, edges + [(a, b)]))
+    for g in vertices[:3]:  # a flipped adjacency bit
+        lab = li.labels[g]
+        for slot, bit in sorted(lab.abits.items()):
+            flipped = dataclasses.replace(lab, abits={**lab.abits, slot: 1 - bit}, codec=li.params.codec)
+            yield LabelledInstance(li.params, li.scheme, {**li.labels, g: flipped}, li.packed, li.graph)
+
+
+def test_audit_raises_exactly_when_the_all_pairs_oracle_does():
+    verdicts = []
+    for ctx in contexts(range(40, 52), tmax=2, nmax=24):
+        for scheme in ("fixed", "legacy"):
+            for k, li in enumerate(audit_mutants(ctx, label_instance(ctx, scheme))):
+                wrong = all_pairs_disagreements(li)
+                try:
+                    verify_labelling(li)
+                except AssertionError:
+                    raised = True
+                else:
+                    raised = False
+                assert raised == bool(wrong), (ctx.instance.seed, scheme, k, wrong)
+                verdicts.append(raised)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+
+def test_audit_names_an_edge_out_of_reach():
+    ctx = build_context(generate_qt_instance(2, 20, 5, rng_seed=4))
+    li = label_instance(ctx, "fixed")
+    coords = ctx.instance.witness.coords
+    a, b = next((a, b) for a, b in itertools.combinations(sorted(coords), 2) if coords[b][1] - coords[a][1] > 1)
+    mutant = with_graph(li, Graph(li.graph.vertices(), list(li.graph.edges()) + [(a, b)]))
+    want = f"edge {a!r}-{b!r} joins rows {li.labels[a].alpha1!r} and {li.labels[b].alpha1!r}"
+    with pytest.raises(AssertionError, match=re.escape(want)):
+        verify_labelling(mutant)
+
+
+def test_audit_and_assembly_test_each_in_reach_pair_once(monkeypatch):
+    calls = []
+
+    def recording(l1, l2):
+        calls.append((l1, l2))
+        return adjacency_test(l1, l2)
+
+    monkeypatch.setattr(induced, "adjacency_test", recording)
+    params = LabelParams(n=24, t=2)
+    corpus = []
+    for seed in range(6):
+        ctx = build_context(generate_qt_instance(2, 24, 1 + 2 * seed, rng_seed=seed + 70), params=params)
+        li = label_instance(ctx, "fixed")
+        corpus.append(li)
+        coords = ctx.instance.witness.coords
+        calls.clear()
+        assert verify_labelling(li) == 24 * 23 // 2
+        who = {id(lab): g for g, lab in li.labels.items()}
+        met = [frozenset((who[id(l1)], who[id(l2)])) for l1, l2 in calls]
+        in_reach = {frozenset((a, b)) for a, b in itertools.combinations(coords, 2)
+                    if abs(coords[a][1] - coords[b][1]) <= 1}
+        assert len(met) == len(set(met)) and set(met) == in_reach, seed
+
+    # across instances, rows are in reach by their signatures alone
+    decoded = {bits: li.labels[g] for li in corpus for g, bits in li.packed.items()}
+    in_reach = {
+        frozenset((a, b)) for a, b in itertools.combinations(decoded, 2)
+        if decoded[a].alpha1 == decoded[b].alpha1
+        or decoded[a].next_alpha == decoded[b].alpha1 or decoded[b].next_alpha == decoded[a].alpha1
+    }
+    assert len(in_reach) < len(decoded) * (len(decoded) - 1) // 2
+    calls.clear()
+    assemble_universal(corpus)
+    who = {id(lab): bits for bits, lab in decoded.items()}
+    met = [frozenset((who[id(l1)], who[id(l2)])) for l1, l2 in calls]
+    assert len(met) == len(set(met)) and set(met) == in_reach
+
+
+def test_assemble_rejects_a_member_whose_graph_gains_or_loses_an_edge():
+    params = LabelParams(n=20, t=2)
+    corpus = [label_instance(build_context(generate_qt_instance(2, 20, 4, rng_seed=s), params=params), "fixed")
+              for s in (21, 22)]
+    assemble_universal(corpus)
+    li = corpus[1]
+    vertices = sorted(li.graph.vertices(), key=repr)
+    edges = sorted(li.graph.edges(), key=repr)
+    absent = next(p for p in itertools.combinations(vertices, 2) if not li.graph.has_edge(*p))
+    for graph in (Graph(vertices, edges[1:]), Graph(vertices, edges + [absent])):
+        with pytest.raises(AssertionError, match="not induced faithfully"):
+            assemble_universal([corpus[0], with_graph(li, graph)])
+
+
+def test_assemble_rejects_a_member_with_a_repeated_label():
+    li = label_instance(next(contexts([3], tmax=2, nmax=20)), "fixed")
+    g1, g2 = sorted(li.packed, key=repr)[:2]
+    twin = LabelledInstance(li.params, li.scheme, li.labels, {**li.packed, g2: li.packed[g1]}, li.graph)
+    with pytest.raises(AssertionError, match=re.escape(f"vertices {g1!r} and {g2!r} share a label")):
+        assemble_universal([twin])
+
+
 def test_tester_requires_matching_parameters():
     ctx1 = next(contexts([1], tmax=1, nmax=10))
     li1 = label_instance(ctx1, "fixed")
@@ -209,6 +325,23 @@ def test_label_reader_rejects_unlabelled_edge_and_bad_count(tmp_path):
         bad_count.write_text("\n".join([json.dumps({**head, "count": count})] + lines[1:]) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{bad_count}:1:")):
             LabelledInstance.read_jsonl(bad_count)
+
+
+def test_label_reader_rejects_a_repeated_vertex_or_label(tmp_path):
+    path = tmp_path / "labels.jsonl"
+    label_instance(next(contexts([8], tmax=2, nmax=18)), "fixed").write_jsonl(path)
+    lines = path.read_text().splitlines()
+    first, second = json.loads(lines[1]), json.loads(lines[2])
+    cases = {
+        "twice.jsonl": (json.dumps(first), f"vertex {first['v']!r} is labelled twice"),
+        "shared.jsonl": (json.dumps({**second, "bits": first["bits"]}),
+                         f"vertices {first['v']!r} and {second['v']!r} share one label"),
+    }
+    for name, (line, message) in cases.items():
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines[:2] + [line] + lines[3:]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bad}:3: {message}")):
+            LabelledInstance.read_jsonl(bad)
 
 
 def test_label_reader_rejects_other_versions(tmp_path):

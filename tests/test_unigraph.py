@@ -62,7 +62,7 @@ def test_check_vertex():
 
 
 def test_params_are_a_host_factor():
-    # has_vertex is False exactly where check_vertex raises; adjacent is is_edge
+    # has_vertex is False exactly where check_vertex raises; on vertices, adjacent is is_edge
     p = UgParams(4, lam=1)
     inside = [("01", "0", 2), ("", "", 0), ("0", "", p.d)]
     outside = [("01", "0", p.d + 1), ("0" * p.budget, "1", 0), ("2", "", 0), ("0", "", "1"), ("0", ""), 7]
