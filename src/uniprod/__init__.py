@@ -33,7 +33,7 @@ from .induced import (
     verify_labelling,
 )
 from .product import CliqueFactor, Graph, PathFactor, ProductWitness
-from .treeseq import LcpCodec, TreeSequence, build_tree_sequence
+from .treeseq import LcpCodec, build_tree_sequence
 from .unigraph import UgParams, embed_qt, is_edge, materialize, validate_qt_embedding
 
 __version__ = "0.1.0"
@@ -73,7 +73,6 @@ __all__ = [
     "CliqueFactor",
     "ProductWitness",
     "LcpCodec",
-    "TreeSequence",
     "build_tree_sequence",
     "UgParams",
     "is_edge",

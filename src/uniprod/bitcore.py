@@ -39,13 +39,12 @@ def lcp_len(x: str, y: str) -> int:
 class Bst:
     """Immutable binary search tree over distinct integer keys."""
 
-    __slots__ = ("root", "_left", "_right", "_depth", "_sig", "_keys")
+    __slots__ = ("root", "_left", "_right", "_depth", "_sig")
 
     def __init__(self, root, left, right):
         self.root = root
         self._left = left
         self._right = right
-        self._keys = sorted(left)
         self._depth = {}
         self._sig = {}
         if root is not None:
@@ -60,13 +59,13 @@ class Bst:
                     stack.append((right[k], d + 1, sig + "1"))
 
     def __len__(self):
-        return len(self._keys)
+        return len(self._left)
 
     def __contains__(self, key):
         return key in self._depth
 
     def keys(self):
-        return self._keys
+        return sorted(self._left)
 
     def left(self, key):
         return self._left[key]
@@ -265,6 +264,9 @@ class BitReader:
 
     def prefixed(self) -> str:
         return self.bits(self.gamma() - 1)
+
+    def remaining(self) -> int:
+        return len(self._data) - self._pos
 
     def at_end(self) -> bool:
         return self._pos == len(self._data)

@@ -8,8 +8,9 @@ deterministic given its flags; artifacts default into a cache directory
 overridable via UNIPROD_CACHE.
 
 Exit codes: 0 success; 1 verification failed or an input was rejected
-(AssertionError, ValueError, RuntimeError, OSError); 2 bad usage; 3 internal
-error: any other exception is a bug, and its traceback goes to stderr.
+(AssertionError, ValueError, OSError); 2 bad usage; 3 internal error: any
+other exception is a bug, RuntimeError included (embed raises it only for
+its cannot-happen cases), and its traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .induced import (
     label_instance,
     verify_labelling,
 )
-from .io import key, read_records, write_records
+from .io import integer, key, read_records, write_records
 from .product import Graph
 from .unigraph import (
     HOST_CAP,
@@ -96,16 +97,14 @@ def _cmd_verify(args) -> int:
     def parse(head, records):
         mapping = {}
         for rec in records:
-            v, x, y, z, col = key(rec["v"]), rec["x"], rec["y"], rec["z"], rec["i"]
+            v, x, y = key(rec["v"]), rec["x"], rec["y"]
             if not inst.graph.has_vertex(v):
                 raise ValueError(f"vertex {v!r} is not in {args.instance}")
-            if not (isinstance(x, str) and isinstance(y, str) and type(z) is int and type(col) is int):
-                raise ValueError(f"vertex {v!r}: x and y must be strings, z and i integers")
-            mapping[v] = ((x, y, z), col)
-        if type(head["omega"]) is not int:
-            raise ValueError("omega must be an integer")
-        p = UgParams(head["n"], lam=head["lam"])
-        return QtEmbedding(mapping=mapping, omega=head["omega"], params=p)
+            if not (isinstance(x, str) and isinstance(y, str)):
+                raise ValueError(f"vertex {v!r}: x and y must be strings")
+            mapping[v] = ((x, y, integer(rec["z"], "z")), integer(rec["i"], "i"))
+        n, lam, omega = (integer(head[name], name) for name in ("n", "lam", "omega"))
+        return QtEmbedding(mapping=mapping, omega=omega, params=UgParams(n, lam=lam))
 
     emb = read_records(args.witness, "qt-witness", parse)
     validate_qt_embedding(emb.params, inst, emb)
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (AssertionError, ValueError, RuntimeError, OSError) as exc:
+    except (AssertionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Hashable
 
 from .bitcore import Bst
-from .io import key, read_records, write_records
+from .io import integer, key, read_records, write_records
 from .product import CliqueFactor, Graph, ProductWitness
 
 
@@ -174,7 +174,7 @@ class IntervalRep:
             ivs = {}
             for rec in records:
                 (an, ad), (bn, bd) = rec["a"], rec["b"]
-                ivs[key(rec["v"])] = (Fraction(an, ad), Fraction(bn, bd))
+                ivs[key(rec["v"])] = (Fraction(integer(an), integer(ad)), Fraction(integer(bn), integer(bd)))
             return cls(ivs)
 
         return read_records(path, "intervals", parse)

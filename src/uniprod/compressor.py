@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .io import read_records, write_pairs
+from .io import integer, read_records, write_pairs
 from .product import Graph, ProductWitness
 
 
@@ -57,16 +57,16 @@ class Saturator:
     @classmethod
     def read_jsonl(cls, path) -> "Saturator":
         def parse(head, records):
-            n_v, k = head["n_v"], head["k"]
+            n0, k, seed, d_sat, n_v = (integer(head[name], name) for name in ("n0", "k", "seed", "d_sat", "n_v"))
             adj = {v: set() for v in range(n_v)}
             u_side = range(n_v // k)
             for rec in records:
-                v, u = rec["e"]
+                v, u = map(integer, rec["e"])
                 if v not in adj or u not in u_side:
                     raise ValueError(f"edge {v!r}-{u!r} leaves V = 0..{n_v - 1} or U = 0..{len(u_side) - 1}")
                 adj[v].add(u)
             adj = {v: frozenset(us) for v, us in adj.items()}
-            return cls(head["n0"], k, head["eps"], head["seed"], head["d_sat"], n_v, adj)
+            return cls(n0, k, head["eps"], seed, d_sat, n_v, adj)
 
         s = read_records(path, "saturator", parse)
         s.validate()

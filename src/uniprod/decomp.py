@@ -16,7 +16,7 @@ from itertools import chain
 from math import comb
 
 from .closure import IntervalRep
-from .io import edge_records, endpoints, key, read_records, write_records
+from .io import edge_records, endpoints, integer, key, read_records, write_records
 from .product import Graph, PathFactor, ProductWitness
 
 
@@ -386,14 +386,14 @@ def build_ttree(t: int, n: int, rng_seed: int = 0) -> TTree:
 
 def _mcs_order(vertices: list, adj: dict) -> list:
     """Maximum cardinality search; ties broken by repr for determinism."""
-    weight = {v: 0 for v in vertices}
-    out, left = [], set(vertices)
-    while left:
-        v = max(sorted(left, key=repr), key=lambda x: weight[x])
+    weight = {v: 0 for v in sorted(vertices, key=repr)}  # unvisited, in repr order
+    out = []
+    while weight:
+        v = max(weight, key=weight.__getitem__)
         out.append(v)
-        left.remove(v)
+        del weight[v]
         for w in adj[v]:
-            if w in left:
+            if w in weight:
                 weight[w] += 1
     return out
 
@@ -499,7 +499,8 @@ class QtInstance:
             for rec in records:
                 if "gv" in rec:
                     v = key(rec["gv"])
-                    coords[v] = (key(rec["c"][0]), rec["c"][1])
+                    c, y = rec["c"]
+                    coords[v] = (key(c), integer(y, "row"))
                     graph.add_vertex(v)
                 elif "ge" in rec:
                     graph.add_edge(*endpoints(rec["ge"], coords))
@@ -511,9 +512,10 @@ class QtInstance:
                     bags[key(rec["dnode"])] = frozenset(key(v) for v in rec["bag"])
                 else:
                     d_edges.append(endpoints(rec["de"], bags))
-            witness = ProductWitness(graph, (host, PathFactor(head["h"])), coords)
+            t, h, seed = (integer(head[name], name) for name in ("t", "h", "seed"))
+            witness = ProductWitness(graph, (host, PathFactor(h)), coords)
             decomposition = TreeDecomposition(bags, d_edges)
-            return cls(graph, witness, host, decomposition, t=head["t"], h=head["h"], seed=head["seed"])
+            return cls(graph, witness, host, decomposition, t=t, h=h, seed=seed)
 
         inst = read_records(path, "qt-instance", parse)
         inst.witness.validate()

@@ -33,7 +33,7 @@ from math import comb
 from .bitcore import BitReader, BitWriter, Bst, build_biased_bst, strip_successor
 from .closure import IntervalRep, min_depth_in_range, perturb_left_endpoints
 from .decomp import QtInstance, TTree, host_layout
-from .io import edge_records, endpoints, key, read_records, write_records
+from .io import edge_records, endpoints, integer, key, read_records, write_records
 from .product import Graph
 from .treeseq import LcpCodec, build_tree_sequence
 
@@ -86,14 +86,15 @@ class LabelContext:
 
     Rows, clique unions and their per-row search trees are built once by
     build_context, which ends by running fixup to fill the primed maps
-    (xp, bags_p, psi_p).
+    (xp, bags_p, psi_p).  The root-path checks keep the signature of each
+    carrier's deepest clique-parent node per row (tops, tops_p), which is
+    what the labels ship.
     """
 
     instance: QtInstance
     params: LabelParams
     tt: TTree
     rank: dict
-    span: dict  # vertex -> (lo, hi) rank window of its interval
     rows: dict  # y -> sorted row members
     s_plus: dict  # y -> sorted clique-union superset
     trees: dict  # y -> Bst over ranks
@@ -104,9 +105,11 @@ class LabelContext:
     hint: dict
     inv: dict  # (host vertex, row) -> instance vertex
     edge_set: set
+    tops: dict = field(init=False)  # y -> {carrier: signature of its deepest clique-parent node}
     xp: dict = field(init=False)
     bags_p: dict = field(init=False)
     psi_p: dict = field(init=False)
+    tops_p: dict = field(init=False)
 
     @property
     def h(self) -> int:
@@ -117,9 +120,7 @@ class LabelContext:
 
     def path_string(self, y: int, v, primed: bool) -> str:
         """Signature of the deepest clique-parent node of v in row y."""
-        assign = self.xp if primed else self.x
-        top = _chain_top(self.trees[y], [assign[y][w] for w in self.tt.cliques[v]])
-        return self.trees[y].signature(top)
+        return (self.tops_p if primed else self.tops)[y][v]
 
     def r_string(self, y: int, v) -> str:
         full = self.path_string(y, v, primed=True)
@@ -164,8 +165,7 @@ def build_context(
         if not rep.meets(u, v):
             raise ValueError(f"interval supergraph misses edge {u!r}-{v!r}")
 
-    span = rep.intervals
-    rank = {v: lo for v, (lo, _) in span.items()}
+    rank = {v: lo for v, (lo, _) in rep.intervals.items()}
 
     h = instance.h
     coords = instance.witness.coords
@@ -181,15 +181,14 @@ def build_context(
     s_plus = {y: sorted(s[y - 1] | s[y] | s[y + 1], key=rank.__getitem__) for y in range(1, h + 1)}
 
     key_rows = [sorted(rank[v] for v in s_plus[y]) for y in range(1, h + 1)]
-    ts = build_tree_sequence(key_rows, codec=params.codec)
-    trees = {y: ts.trees[y - 1] for y in range(1, h + 1)}
+    trees = dict(enumerate(build_tree_sequence(key_rows), start=1))
     worst = max(t.height for t in trees.values())
     if worst > params.maxheight:
         raise ValueError(f"tree height {worst} exceeds the layout cap {params.maxheight}")
 
     x = {}
     for y in range(1, h + 1):
-        x[y] = {v: min_depth_in_range(trees[y], *span[v]) for v in s_plus[y]}
+        x[y] = {v: min_depth_in_range(trees[y], *rep.intervals[v]) for v in s_plus[y]}
 
     bags, psi = {}, {}
     for y in range(1, h + 1):
@@ -214,7 +213,6 @@ def build_context(
         params=params,
         tt=tt,
         rank=rank,
-        span=span,
         rows={y: sorted(rows[y], key=rank.__getitem__) for y in rows},
         s_plus=s_plus,
         trees=trees,
@@ -226,7 +224,7 @@ def build_context(
         inv=inv,
         edge_set=edge_set,
     )
-    _check_root_paths(ctx, primed=False)
+    ctx.tops = _check_root_paths(ctx, primed=False)
     return fixup(ctx)
 
 
@@ -252,13 +250,22 @@ def _successor_hint(alpha1: dict, y: int, h: int) -> tuple:
     raise AssertionError(f"rows {y} and {y + 1} break the in-order successor shape")
 
 
-def _check_root_paths(ctx: LabelContext, primed: bool) -> None:
-    # every clique with a labelled member must land on one root path per row
+def _check_root_paths(ctx: LabelContext, primed: bool) -> dict:
+    """Check that every clique with a labelled member lands on one root path per row.
+
+    Returns y -> {v: signature of the chain top} for the carriers of row
+    y, the vertices of rows y-1, y and y+1.
+    """
     assign = ctx.xp if primed else ctx.x
+    tops = {}
     for y in range(1, ctx.h + 1):
+        tree = ctx.trees[y]
         carriers = set().union(*(ctx.rows.get(y + b, []) for b in (-1, 0, 1) if 1 <= y + b <= ctx.h))
-        for v in sorted(carriers, key=ctx.rank.__getitem__):
-            _chain_top(ctx.trees[y], [assign[y][w] for w in ctx.tt.cliques[v]])
+        tops[y] = {
+            v: tree.signature(_chain_top(tree, [assign[y][w] for w in ctx.tt.cliques[v]]))
+            for v in sorted(carriers, key=ctx.rank.__getitem__)
+        }
+    return tops
 
 
 def run_fixup_pass(tree: Bst, assign: dict, cliques: dict, members, sort_key) -> dict:
@@ -309,7 +316,7 @@ def fixup(ctx: LabelContext) -> LabelContext:
         bags_p[y] = _group_bags(xp[y], ctx.rank)
         psi_p[y] = _first_fit(bags_p[y])
     ctx.xp, ctx.bags_p, ctx.psi_p = xp, bags_p, psi_p
-    _check_root_paths(ctx, primed=True)
+    ctx.tops_p = _check_root_paths(ctx, primed=True)
     for y in range(1, ctx.h + 1):
         present = set(ctx.s_plus[y])
         for v in ctx.s_plus[y]:
@@ -528,10 +535,11 @@ def unpack_label(bits: str, params: LabelParams) -> Label:
     """Inverse of pack_label; malformed input raises, never misreads.
 
     Besides the layout itself, the decoded fields must agree with each
-    other: mu parses against the codec, the successor hint is "end"
-    exactly when there is no next row and fits alpha1 and the row count n,
-    every slot depth is within maxheight, and the own colour's slots in
-    rows y and y+1 are no deeper than that row's signature.
+    other: the bits left after phi can hold every parent slot, mu parses
+    against the codec, the successor hint is "end" exactly when there is
+    no next row and fits alpha1 and the row count n, every slot depth is
+    within maxheight, and the own colour's slots in rows y and y+1 are no
+    deeper than that row's signature.
     """
     try:
         return _unpack(bits, params)
@@ -557,6 +565,11 @@ def _unpack(bits: str, params: LabelParams) -> Label:
     phi = r.fixed(params.phi_bits) + 1
     if phi > params.t + 1:
         raise ValueError(f"colour {phi} out of range")
+    # a slot takes its depth field, at least one gamma bit and its adjacency bit;
+    # checked before the (t + 1) slots per row are built, as t comes from a header
+    rows = _rows(has_prev, has_next)
+    if len(rows) * (params.t + 1) * (params.depth_bits + 2) > r.remaining():
+        raise ValueError(f"{r.remaining()} bits left cannot hold {len(rows)} rows of {params.t + 1} parent slots")
     slots = _slots(params.t, has_prev, has_next)
     depths = {slot: r.fixed(params.depth_bits) for slot in slots}
     if max(depths.values()) > params.maxheight:
@@ -641,11 +654,14 @@ class LabelledInstance:
     @classmethod
     def read_jsonl(cls, path) -> "LabelledInstance":
         def parse(head, records):
-            if head["version"] != LABEL_FILE_VERSION:
-                raise ValueError(f"label file version {head['version']!r}, expected {LABEL_FILE_VERSION}")
-            if head["codec_id"] != LcpCodec.codec_id:
+            version, codec_id, n, t, maxheight, count = (
+                integer(head[name], name) for name in ("version", "codec_id", "n", "t", "maxheight", "count")
+            )
+            if version != LABEL_FILE_VERSION:
+                raise ValueError(f"label file version {version!r}, expected {LABEL_FILE_VERSION}")
+            if codec_id != LcpCodec.codec_id:
                 raise ValueError("codec mismatch")
-            params = LabelParams(n=head["n"], t=head["t"], maxheight=head["maxheight"])
+            params = LabelParams(n=n, t=t, maxheight=maxheight)
             labels, packed, graph = {}, {}, Graph(name="labelled instance")
             owner = {}  # bits -> the vertex they label
             for rec in records:
@@ -663,8 +679,8 @@ class LabelledInstance:
                     graph.add_vertex(v)
                 else:
                     graph.add_edge(*endpoints(rec["ge"], packed))
-            if len(packed) != head["count"]:
-                raise ValueError(f"header count {head['count']} but {len(packed)} labelled vertices")
+            if len(packed) != count:
+                raise ValueError(f"header count {count} but {len(packed)} labelled vertices")
             return cls(params, head["scheme"], labels, packed, graph)
 
         return read_records(path, "labels", parse)
@@ -695,41 +711,42 @@ def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance
     return li
 
 
-def _rows_by_alpha(labels: dict) -> dict:
-    """Map each row signature alpha1 to that row's (id, label) items, in repr order of the ids.
+def _in_reach(labels: dict):
+    """Yield (id, label, partners) per labelled id; partners are the (id, label) items in its reach.
 
+    Items are bucketed by row signature alpha1, in repr order of the ids.
     The tester answers False for two rows that are neither equal nor
-    consecutive, so the pairs in reach are, for each item, the later items
-    of its own bucket and the bucket of its label's next_alpha.  That meets
-    every in-reach pair exactly once: next_alpha is never alpha1 (append
+    consecutive, so an item's partners are the later items of its own
+    bucket, then the bucket of its label's next_alpha.  That meets every
+    in-reach pair exactly once: next_alpha is never alpha1 (append
     lengthens a signature, strip shortens it), and strip and append cannot
     undo each other, so no two rows each name the other as next.
     """
     buckets = defaultdict(list)
     for g in sorted(labels, key=repr):
         buckets[labels[g].alpha1].append((g, labels[g]))
-    return dict(buckets)
+    for bucket in buckets.values():
+        for k, (g, label) in enumerate(bucket):
+            yield g, label, bucket[k + 1:] + buckets.get(label.next_alpha, [])
 
 
 def verify_labelling(li: LabelledInstance) -> int:
     """Check every vertex pair against the tester; returns C(n, 2), the pairs checked.
 
-    Each pair in reach (see _rows_by_alpha) is put to the tester and
+    Each pair in reach (see _in_reach) is put to the tester and
     compared with the instance.  The tester's row rule answers False for
     every other pair, so those agree with the instance exactly when no
     instance edge lies out of reach, that is when the tester's True count
     equals the edge count.  If it does not, the offending edge is named.
     """
-    buckets = _rows_by_alpha(li.labels)
     found = 0
-    for bucket in buckets.values():
-        for k, (g1, l1) in enumerate(bucket):
-            nbrs = li.graph.neighbors(g1)
-            for g2, l2 in chain(bucket[k + 1:], buckets.get(l1.next_alpha, ())):
-                got = adjacency_test(l1, l2)
-                if got != (g2 in nbrs):
-                    raise AssertionError(f"pair {g1!r},{g2!r}: tester says {got}, instance says {not got}")
-                found += got
+    for g1, l1, partners in _in_reach(li.labels):
+        nbrs = li.graph.neighbors(g1)
+        for g2, l2 in partners:
+            got = adjacency_test(l1, l2)
+            if got != (g2 in nbrs):
+                raise AssertionError(f"pair {g1!r},{g2!r}: tester says {got}, instance says {not got}")
+            found += got
     if found != li.graph.m:
         for g1, g2 in li.graph.edges():
             l1, l2 = li.labels[g1], li.labels[g2]
@@ -744,7 +761,7 @@ def assemble_universal(corpus: list) -> Graph:
     """Union the corpus labels into one graph wired by the tester.
 
     Vertices are the distinct packed labels; only the pairs in reach (see
-    _rows_by_alpha) are put to the tester, which answers False for every
+    _in_reach) are put to the tester, which answers False for every
     other pair anyway.  Every corpus member, whose labels must be
     distinct, is then re-checked to be an induced subgraph through its own
     labels, one neighbour set per vertex.
@@ -759,12 +776,10 @@ def assemble_universal(corpus: list) -> Graph:
         _check_distinct(li)
     decoded = {bits: li.labels[g] for li in corpus for g, bits in li.packed.items()}
     un = Graph(sorted(decoded), name=f"universal(n={first.params.n}, t={first.params.t})")
-    buckets = _rows_by_alpha(decoded)
-    for bucket in buckets.values():
-        for k, (b1, l1) in enumerate(bucket):
-            for b2, l2 in chain(bucket[k + 1:], buckets.get(l1.next_alpha, ())):
-                if adjacency_test(l1, l2):
-                    un.add_edge(b1, b2)
+    for b1, l1, partners in _in_reach(decoded):
+        for b2, l2 in partners:
+            if adjacency_test(l1, l2):
+                un.add_edge(b1, b2)
     for li in corpus:
         member = set(li.packed.values())
         for g, bits in li.packed.items():

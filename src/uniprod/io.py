@@ -3,6 +3,8 @@
 Line 1 is a JSON header object whose ``kind`` names the format (``graph``,
 ``qt-instance``, ``labels``, ...); every later line is one JSON record.
 Readers are total: a malformed file raises ``ValueError("<path>:<line>: ...")``.
+Every reader takes its integer fields through ``integer`` and its vertex
+ids through ``key``, so a value of the wrong type fails on its own line.
 """
 
 from __future__ import annotations
@@ -73,9 +75,21 @@ def read_records(path, kind: str, parse):
             raise ValueError(f"{path}:{line}: {exc}") from None
 
 
+def integer(value, name: str = "field"):
+    """An integer field read from JSON; a bool, a float or anything else raises."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return value
+
+
 def key(v):
-    """A vertex id read back from JSON: tuples were written as lists."""
-    return tuple(v) if isinstance(v, list) else v
+    """A vertex id read back from JSON: a str or an int, or a flat list of them (a tuple when written)."""
+    kind = type(v)
+    if kind is str or kind is int:
+        return v
+    if kind is list and all(type(x) is str or type(x) is int for x in v):
+        return tuple(v)
+    raise ValueError(f"vertex id {v!r} is not a str, an int or a flat list of them")
 
 
 def endpoints(pair, declared):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .io import endpoints, read_records, write_pairs
+from .io import endpoints, integer, read_records, write_pairs
 
 
 class Graph:
@@ -108,7 +108,7 @@ class Graph:
     @classmethod
     def read_jsonl(cls, path) -> "Graph":
         def parse(head, records):
-            g = cls(range(head["n"]), name=head.get("name", ""))
+            g = cls(range(integer(head["n"], "n")), name=head.get("name", ""))
             for rec in records:
                 g.add_edge(*endpoints(rec["edge"], g._adj))
             return g

@@ -59,48 +59,10 @@ class LcpCodec:
         ell = int(nu[: self.width], 2)
         return before[:ell] + nu[self.width :]
 
-    def code_len(self, before: str, after: str) -> int:
-        """Length of encode(before, after) without building it."""
-        ell = min(lcp_len(before, after), (1 << self.width) - 1)
-        return self.width + len(after) - ell
 
-
-@dataclass
-class TreeSequence:
-    rows: list[frozenset[int]]
-    trees: list[Bst]
-    codec: LcpCodec
-    lambda_height: int
-    max_code_len: int = field(default=0)
-
-    @property
-    def h(self) -> int:
-        return len(self.rows)
-
-
-def build_tree_sequence(rows, codec: LcpCodec | None = None) -> TreeSequence:
-    """Half-weight trees over S_y | S_{y+1} for each row y.
-
-    Height slack is measured, not assumed: lambda_height is the smallest
-    nonnegative integer making height <= log2|V(T_y)| + lambda_height hold
-    for every tree.
-    """
+def build_tree_sequence(rows) -> list[Bst]:
+    """Half-weight trees T_1..T_h, T_y over S_y | S_{y+1} and T_h over S_h."""
     rs = [frozenset(r) for r in rows]
     if not rs or any(not r for r in rs):
         raise ValueError("rows must be nonempty")
-    trees = []
-    for y in range(len(rs)):
-        keys = rs[y] | (rs[y + 1] if y + 1 < len(rs) else frozenset())
-        trees.append(build_biased_bst(keys))
-    lam = max(0, max(t.height - (len(t).bit_length() - 1) for t in trees))
-    if codec is None:
-        codec = LcpCodec(max(1, max(t.height for t in trees)))
-    ts = TreeSequence(rs, trees, codec, lam)
-    worst = 0
-    for y in range(1, ts.h):
-        t0, t1 = trees[y - 1], trees[y]
-        for z in t0.keys():
-            if z in t1:
-                worst = max(worst, codec.code_len(t0.signature(z), t1.signature(z)))
-    ts.max_code_len = worst
-    return ts
+    return [build_biased_bst(r | nxt) for r, nxt in zip(rs, rs[1:] + [frozenset()])]

@@ -77,7 +77,7 @@ class UgParams:
         return True
 
     def adjacent(self, u, v) -> bool:
-        """is_edge without its vertex checks.
+        """Adjacency of two valid vertices; is_edge checks them first.
 
         ProductWitness.validate reaches this only after has_vertex has
         passed on every coordinate, so each host vertex is checked once,
@@ -132,9 +132,7 @@ def directed_edge(p: UgParams, u, v) -> bool:
 def is_edge(p: UgParams, u, v) -> bool:
     check_vertex(p, u)
     check_vertex(p, v)
-    if u == v:
-        return False
-    return directed_edge(p, u, v) or directed_edge(p, v, u)
+    return p.adjacent(u, v)
 
 
 def is_edge_exhaustive(p: UgParams, u, v) -> bool:
@@ -319,11 +317,10 @@ def embed(p: UgParams, w: ProductWitness) -> dict:
     remap = {y: i for i, y in enumerate(rows_used, start=1)}
     h = len(rows_used)
     coords = {v: (c, remap[y]) for v, (c, y) in w.coords.items()}
-    occupied = [set() for _ in range(h + 1)]
+    occupied = [set() for _ in range(h)]
     for c, i in coords.values():
-        occupied[i].add(c)
-    ts = build_tree_sequence([sorted(occupied[i]) for i in range(1, h + 1)], codec=p.codec)
-    trees = ts.trees
+        occupied[i - 1].add(c)
+    trees = build_tree_sequence(occupied)
     row_tree = build_biased_bst(range(1, h + 1), {i: len(trees[i - 1]) for i in range(1, h + 1)})
     zeta = {}
     for v, (c, i) in coords.items():

@@ -111,14 +111,14 @@ def test_c03_tree_sequence_contract():
     built = codes = 0
     for trial in range(300):
         rows = [rng.sample(range(200), rng.randint(1, 14)) for _ in range(rng.randint(1, 9))]
-        ts = build_tree_sequence(rows)
-        check_tree_sequence(ts)
+        trees = build_tree_sequence(rows)
+        check_tree_sequence(rows, trees)
         built += 1
-        for y in range(1, ts.h):
-            t0, t1 = ts.trees[y - 1], ts.trees[y]
+        seq_codec = LcpCodec(max(1, max(t.height for t in trees)))
+        for t0, t1 in zip(trees, trees[1:]):
             for z in set(t0.keys()) & set(t1.keys()):
-                nu = ts.codec.encode(t0.signature(z), t1.signature(z))
-                assert ts.codec.decode(t0.signature(z), nu) == t1.signature(z)
+                nu = seq_codec.encode(t0.signature(z), t1.signature(z))
+                assert seq_codec.decode(t0.signature(z), nu) == t1.signature(z)
                 codes += 1
     strings = [""]
     for length in range(1, 6):

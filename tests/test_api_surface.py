@@ -1,12 +1,16 @@
-"""Every public top-level function and class of the package has a caller in it.
+"""Every public definition of the package has a reader in it.
 
-A definition counts as used when its name is loaded in its own module, or
-in another module that imports it from there; ``__init__.py`` re-exports
-are not uses.  Test oracles, whose whole purpose is to cross-check the
-pipeline from the tests, are listed with the reason they stay.
+A top-level function or class counts as used when its name is loaded in
+its own module, or in another module that imports it from there;
+``__init__.py`` re-exports are not uses.  A public method, property or
+dataclass field counts as used when its name is loaded as an attribute
+somewhere in the package outside its own definition.  Test oracles, whose
+whole purpose is to cross-check the pipeline from the tests, and members
+pinned by the benchmark are listed with the reason they stay.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "uniprod"
@@ -15,6 +19,13 @@ ORACLES = (
     "bitcore.enumerate_bsts",  # every BST shape over a key set, for exhaustive successor-set checks
     "bitcore.in_successor_set",  # membership form of successor_set, compared against the set it avoids building
     "unigraph.is_edge_exhaustive",  # brute-force search over stand-ins and codes that is_edge must agree with
+)
+
+# perfbench/tracer.py METHODS wraps these by reading cls.__dict__, so they
+# stay until the benchmark's method list changes.
+PINNED = (
+    "product.Graph.degree_sequence",
+    "product.Graph.induced_subgraph",
 )
 
 
@@ -58,3 +69,38 @@ def unused_definitions():
 def test_every_public_definition_has_a_caller_in_the_package():
     # an oracle the package starts calling, or deletes, leaves this list too
     assert unused_definitions() == sorted(ORACLES)
+
+
+def _attribute_loads(node) -> Counter:
+    return Counter(
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def _public_members(cls):
+    """(name, defining node) for each public method, property and annotated field of a class."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            if not node.target.id.startswith("_"):
+                yield node.target.id, node
+
+
+def unused_members():
+    mods = _modules()
+    loads = sum((_attribute_loads(tree) for tree in mods.values()), Counter())
+    unused = []
+    for mod, tree in mods.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for name, node in _public_members(cls):
+                if loads[name] == _attribute_loads(node)[name]:
+                    unused.append(f"{mod}.{cls.name}.{name}")
+    return sorted(unused)
+
+
+def test_every_public_member_has_a_reader_in_the_package():
+    # a pinned member the package starts reading, or deletes, leaves this list too
+    assert unused_members() == sorted(PINNED)

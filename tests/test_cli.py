@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import uniprod
-from uniprod import cli
+from uniprod import cli, unigraph
 from uniprod.cli import main
 
 
@@ -221,6 +221,31 @@ def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
     run("count", "--n", "4", check=3)
     err = capsys.readouterr().err
     assert "Traceback" in err and "TypeError: a bug" in err
+
+
+def test_a_bug_inside_a_suite_exits_3_with_traceback(tmp_path, monkeypatch, capsys):
+    # a suite records a failed check, never a bug: a TypeError inside embed_qt propagates
+    def broken(p, w):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(unigraph, "embed", broken)
+    run("run-suite", "universality", "--count", "1", "--out", str(tmp_path / "rep.json"), check=3)
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: a bug" in err
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_a_cannot_happen_runtime_error_exits_3(tmp_path, monkeypatch, capsys):
+    inst = tmp_path / "inst.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "8", "--h", "2", "--out", str(inst))
+
+    def collided(p, w):
+        raise RuntimeError("embedding collided")
+
+    monkeypatch.setattr(unigraph, "embed", collided)
+    capsys.readouterr()
+    run("embed", "--instance", str(inst), "--out", str(tmp_path / "wit.jsonl"), check=3)
+    assert "RuntimeError: embedding collided" in capsys.readouterr().err
 
 
 def test_labels_do_not_follow_string_hashing(tmp_path):

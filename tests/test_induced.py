@@ -10,6 +10,7 @@ from graphs import all_pairs_disagreements
 from hypothesis import example, given, settings, strategies as st
 
 from uniprod import induced
+from uniprod.closure import perturb_left_endpoints
 from uniprod.decomp import TTree, generate_qt_instance, host_layout
 from uniprod.induced import (
     LabelParams,
@@ -44,12 +45,14 @@ def test_context_places_vertices_on_root_paths():
     # every member of a row's clique union gets a tree node that is an
     # ancestor of its own interval's key, and bag colours are proper
     for ctx in contexts(range(8)):
+        # the rank form of the host layout build_context starts from
+        span = perturb_left_endpoints(host_layout(ctx.instance)[1]).intervals
         for y in range(1, ctx.h + 1):
             tree = ctx.trees[y]
             for v in ctx.s_plus[y]:
                 node = ctx.x[y][v]
                 assert tree.is_ancestor(node, ctx.rank[v])
-                lo, hi = ctx.span[v]
+                lo, hi = span[v]
                 assert lo <= node <= hi
             for node, members in ctx.bags[y].items():
                 slots = [ctx.psi[y][v] for v in members]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from uniprod import induced
 from uniprod.cli import main
 from uniprod.closure import IntervalRep
 from uniprod.compressor import Saturator, build_saturator
@@ -92,6 +93,56 @@ def test_verify_names_witness_path_and_line(tmp_path, capsys):
     bad.write_text("\n".join([lines[0], json.dumps({**rec, "z": str(rec["z"])})] + lines[2:]) + "\n")
     assert main(["verify", "--instance", str(inst), "--witness", str(bad)]) == 1
     assert f"{bad}:2:" in capsys.readouterr().err
+
+
+def mutate(path, line, change):
+    """Rewrite the JSON object on 1-based line `line` of path through change(obj)."""
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[line - 1])
+    change(obj)
+    lines[line - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def set_field(name, value):
+    return lambda obj: obj.__setitem__(name, value)
+
+
+def set_coordinate(value):
+    return lambda obj: obj["c"].__setitem__(0, value)
+
+
+# (file, line, change, command reading it, line the error must name)
+MUTANTS = {
+    "label-t-float": ("lab", 1, set_field("t", 1.5), "test-adjacency", 1),
+    "label-t-bool": ("lab", 1, set_field("t", True), "test-adjacency", 1),
+    "label-maxheight-float": ("lab", 1, set_field("maxheight", 1.5), "test-adjacency", 1),
+    "label-t-huge": ("lab", 1, set_field("t", 10**9), "test-adjacency", 2),
+    "witness-n-float": ("wit", 1, set_field("n", 1.5), "verify", 1),
+    "instance-coordinate-object": ("inst", 2, set_coordinate({}), "embed", 2),
+    "instance-coordinate-nested-list": ("inst", 2, set_coordinate([[1, 2]]), "embed", 2),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_reader_mutants_exit_1_naming_the_line(tmp_path, capsys, monkeypatch, mutant):
+    which, line, change, command, named = MUTANTS[mutant]
+    files = {name: tmp_path / f"{name}.jsonl" for name in ("inst", "wit", "lab")}
+    assert main(["gen", "qt", "--t", "1", "--n", "8", "--h", "2", "--seed", "3", "--out", str(files["inst"])]) == 0
+    assert main(["embed", "--instance", str(files["inst"]), "--out", str(files["wit"])]) == 0
+    assert main(["label", "--instance", str(files["inst"]), "--out", str(files["lab"])]) == 0
+    mutate(files[which], line, change)
+    # the parent slots of a label must never be built for a header t the bits cannot hold
+    slots = induced._slots
+    monkeypatch.setattr(induced, "_slots", lambda t, *rows: slots(t, *rows) if t < 64 else pytest.fail(f"t = {t}"))
+    argv = {
+        "test-adjacency": ["test-adjacency", "--labels", str(files["lab"])],
+        "verify": ["verify", "--instance", str(files["inst"]), "--witness", str(files["wit"])],
+        "embed": ["embed", "--instance", str(files["inst"]), "--out", str(tmp_path / "w2.jsonl")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"{files[which]}:{named}:" in capsys.readouterr().err
 
 
 def test_instance_header_t_must_be_the_decomposition_width(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from graphs import check_tree_sequence
+from graphs import check_tree_sequence, max_code_len
 from hypothesis import given, strategies as st
 
 from uniprod.treeseq import LcpCodec, build_tree_sequence, lambda_default
@@ -33,7 +33,6 @@ def test_codec_roundtrip(before, after):
     codec = LcpCodec(20)
     nu = codec.encode(before, after)
     assert codec.decode(before, nu) == after
-    assert len(nu) == codec.code_len(before, after)
 
 
 def test_codec_decode_is_total_on_wellformed_codes():
@@ -58,12 +57,12 @@ def test_tree_sequence_trees_cover_consecutive_rows():
     rng = random.Random(5)
     for trial in range(50):
         rows = random_rows(rng, rng.randint(1, 8))
-        ts = build_tree_sequence(rows)
-        check_tree_sequence(ts)
-        for y in range(ts.h):
-            keys = set(ts.trees[y].keys())
+        trees = build_tree_sequence(rows)
+        check_tree_sequence(rows, trees)
+        for y, tree in enumerate(trees):
+            keys = set(tree.keys())
             assert set(rows[y]) <= keys
-            if y + 1 < ts.h:
+            if y + 1 < len(trees):
                 assert set(rows[y + 1]) <= keys
 
 
@@ -71,32 +70,34 @@ def test_tree_sequence_total_size_bound():
     rng = random.Random(6)
     for trial in range(50):
         rows = random_rows(rng, rng.randint(1, 8))
-        ts = build_tree_sequence(rows)
-        assert sum(len(t) for t in ts.trees) <= 4 * sum(len(r) for r in rows)
+        trees = build_tree_sequence(rows)
+        assert sum(len(t) for t in trees) <= 4 * sum(len(r) for r in rows)
 
 
 def test_tree_sequence_height_slack():
     rng = random.Random(7)
     for trial in range(50):
         rows = random_rows(rng, rng.randint(1, 8))
-        ts = build_tree_sequence(rows)
-        for t in ts.trees:
-            assert t.height <= math.log2(len(t)) + ts.lambda_height
+        for t in build_tree_sequence(rows):
+            # unit weights: the biased depth bound log2(W / w) is log2 |V(T)|
+            assert t.height <= math.log2(len(t))
 
 
 def test_transition_codes_decode_to_next_signature():
     rng = random.Random(8)
     for trial in range(50):
         rows = random_rows(rng, rng.randint(2, 8))
-        ts = build_tree_sequence(rows)
-        for y in range(1, ts.h):
-            t0, t1 = ts.trees[y - 1], ts.trees[y]
+        trees = build_tree_sequence(rows)
+        codec = LcpCodec(max(1, max(t.height for t in trees)))
+        for y in range(1, len(trees)):
+            t0, t1 = trees[y - 1], trees[y]
             shared = set(t0.keys()) & set(t1.keys())
             assert set(rows[y]) <= shared
             for z in shared:
-                nu = ts.codec.encode(t0.signature(z), t1.signature(z))
-                assert len(nu) <= ts.max_code_len
-                assert ts.codec.decode(t0.signature(z), nu) == t1.signature(z)
+                nu = codec.encode(t0.signature(z), t1.signature(z))
+                assert len(nu) <= codec.width + len(t1.signature(z))
+                assert codec.decode(t0.signature(z), nu) == t1.signature(z)
+        assert max_code_len(trees, codec) <= codec.width + max(t.height for t in trees)
 
 
 def test_build_rejects_empty_rows():
