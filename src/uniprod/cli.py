@@ -170,8 +170,8 @@ def _cmd_label(args) -> int:
     li = label_instance(ctx, scheme=args.scheme)
     out = _out_path(args, os.path.basename(args.instance) + f".{args.scheme}.labels.jsonl")
     li.write_jsonl(out)
-    bits = max(len(b) for b in li.packed.values())
-    print(f"{len(li.packed)} {args.scheme} labels, longest {bits} bits -> {out}")
+    bits = max(len(label.bits) for label in li.labels.values())
+    print(f"{len(li.labels)} {args.scheme} labels, longest {bits} bits -> {out}")
     return 0
 
 
@@ -183,7 +183,7 @@ def _cmd_test_adjacency(args) -> int:
         return 0
     if args.v is None:
         raise ValueError("--u needs --v")
-    keys = {repr(v): v for v in li.packed}
+    keys = {repr(v): v for v in li.labels}
     try:
         u, v = keys[args.u], keys[args.v]
     except KeyError as missing:
@@ -198,7 +198,7 @@ def _cmd_assemble(args) -> int:
     un = assemble_universal(corpus)
     out = _out_path(args, "universal.jsonl")
     un.write_jsonl(out)
-    total = sum(len(li.packed) for li in corpus)
+    total = sum(len(li.labels) for li in corpus)
     print(f"{un.name}: {un.n} vertices, {un.m} edges from {len(corpus)} instances "
           f"({total} labelled vertices) -> {out}")
     return 0

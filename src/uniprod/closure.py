@@ -218,20 +218,16 @@ def interval_separator(rep: IntervalRep, omega: int):
     return x1, x2, z
 
 
-def embed_interval_graph(rep: IntervalRep, omega: int | None = None) -> ProductWitness:
+def embed_interval_graph(rep: IntervalRep) -> ProductWitness:
     """Embed the intersection graph into closure(ceil(log2 n)) x K_omega, n = rep.n.
 
-    Separator recursion: the separator clique goes to a tree node with
-    distinct colours, the two sides go to the two child subtrees.  A
-    subtree of height h absorbs up to 2^(h+1)-1 vertices, so the height
-    ceil(log2 n) is always enough.
+    omega is the clique number, at least 1.  Separator recursion: the
+    separator clique goes to a tree node with distinct colours, the two
+    sides go to the two child subtrees.  A subtree of height h absorbs up
+    to 2^(h+1)-1 vertices, so the height ceil(log2 n) is always enough.
     """
     rep = perturb_left_endpoints(rep)
-    w = rep.clique_number()
-    if omega is None:
-        omega = max(1, w)
-    elif omega < w:
-        raise ValueError(f"clique number {w} exceeds omega {omega}")
+    omega = max(1, rep.clique_number())
     d = (rep.n - 1).bit_length() if rep.n else 0
     host = ClosureGraph(d)
     coords = {}

@@ -32,7 +32,6 @@ from .induced import (
     build_context,
     growth_report,
     label_instance,
-    unpack_label,
     verify_labelling,
 )
 from .product import Graph, PathFactor, ProductWitness
@@ -141,20 +140,21 @@ def bad_family_counts(n: int) -> dict:
             li = label_instance(ctx, scheme)
             if i == 1:
                 verify_labelling(li)
-            lv.append(li.packed[ex.spine["v"]])
-            lu.append(li.packed[ex.spine["u"]])
+            lv.append(li.labels[ex.spine["v"]])
+            lu.append(li.labels[ex.spine["u"]])
     points = {}
     for scheme, (lv, lu) in hubs.items():
-        sv, su = sorted(set(lv)), sorted(set(lu))
-        dec = {s: unpack_label(s, params) for s in set(sv) | set(su)}
-        cross = sum(1 for a in sv for b in su if a != b and adjacency_test(dec[a], dec[b]))
+        sv, su = ({label.bits: label for label in hub} for hub in (lv, lu))
+        cross = sum(1 for a in sv for b in su if a != b and adjacency_test(sv[a], su[b]))
         points[scheme] = {"n": n, "family": m, "scheme": scheme, "labels_v": len(sv), "labels_u": len(su),
                           "cross_edges": cross}
     return points
 
 
 def bad_family_slope(ns=(120, 240, 480)) -> dict:
-    """Per scheme, the log-log growth rate of the cross-edge count over the family sizes."""
+    """Per scheme, the log-log growth rate of the cross-edge count from the first family size to the last."""
+    if len(ns) < 2 or any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"need at least two family sizes in increasing order, got {list(ns)}")
     counts = [bad_family_counts(n) for n in ns]
     out = {}
     for scheme in SCHEMES:
@@ -237,6 +237,9 @@ def _suite_universality(cfg: dict, report: Report) -> None:
     seed = int(cfg.get("seed", 0))
     if count < 1:
         raise ValueError("count must be positive")
+    if min(n, 32) < t + 2:  # instance sizes are drawn from t + 2 .. min(n, 32)
+        raise ValueError(f"n = {n} is below t + 2 = {t + 2}, the smallest instance" if n < t + 2
+                         else f"t + 2 = {t + 2} is above 32, the largest instance")
     rng = random.Random(seed)
     p = UgParams(n)
     report.add("parameters", True, n=n, d=p.d, lam=p.lam, budget=p.budget)

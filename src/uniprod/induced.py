@@ -8,18 +8,22 @@ parents.  A standalone tester maps two labels to an adjacency verdict, so
 the set of all labels plus the tester is a graph containing every labelled
 instance as an induced subgraph.
 
-Two schemes are implemented.  The legacy scheme ships the full clique path
-signature, whose depth can leak unbounded detail about clique parents into
-a label.  The default scheme first runs a parent-depth fixup pass that drags
-every parent's tree node to within one level of its child's, then ships only
-the vertex's own signature plus one overflow bit per row; bag colours stay
-injective per bag, so the tester keeps exact.
+A Placement says where the clique parents of a row sit in its row tree:
+their nodes, bags, first-fit bag colours and clique chain tops.  Each
+context holds two.  The raw placement puts every vertex at the shallowest
+node of its interval; the fixed one is raw after a fixup pass that drags
+every parent's node to within one level of its child's.  The two schemes
+differ only in which one they read.  The legacy scheme reads raw and
+ships the full clique path signature, whose depth can leak unbounded
+detail about clique parents into a label.  The default scheme reads fixed
+and ships only the vertex's own signature plus one overflow bit per row;
+bag colours stay injective per bag, so the tester keeps exact.
 
-A Label derives what the tester reads once, when it is built or unpacked:
-the next row's signature is decoded from its transition code then, and
-each parent slot is keyed by (node signature, bag colour).  Testing a pair
-is then one dict lookup per direction, so the full-pair audit and the
-assembly decode nothing.
+A Label is its bits, the packed string it carries.  It derives what the
+tester reads once, when it is built or unpacked: the next row's signature
+is decoded from its transition code then, and each parent slot is keyed
+by (node signature, bag colour).  Testing a pair is then one dict lookup
+per direction, so the full-pair audit and the assembly decode nothing.
 """
 
 from __future__ import annotations
@@ -81,14 +85,30 @@ def _chain_top(tree: Bst, nodes):
 
 
 @dataclass
+class Placement:
+    """Where one label scheme puts the carriers of each row in its row tree.
+
+    node maps each member of the row's clique union to a tree key; bags
+    group the members by node in rank order, and psi is each member's
+    first-fit colour (1-based slot) in its bag.  tops holds, for every
+    carrier of the row (a vertex of rows y-1, y or y+1), the signature of
+    its deepest clique-parent node, which the root-path check finds.
+    """
+
+    node: dict  # y -> {vertex: tree key}
+    bags: dict  # y -> {tree key: members sorted by rank}
+    psi: dict  # y -> {vertex: 1-based slot in its bag}
+    tops: dict  # y -> {carrier: signature of its deepest clique-parent node}
+
+
+@dataclass
 class LabelContext:
     """Everything derived from one instance that labelling needs.
 
     Rows, clique unions and their per-row search trees are built once by
-    build_context, which ends by running fixup to fill the primed maps
-    (xp, bags_p, psi_p).  The root-path checks keep the signature of each
-    carrier's deepest clique-parent node per row (tops, tops_p), which is
-    what the labels ship.
+    build_context.  Two placements share them: raw puts every vertex at
+    the shallowest node of its interval, and fixed is raw after fixup.
+    The legacy scheme reads raw, the default scheme reads fixed.
     """
 
     instance: QtInstance
@@ -98,18 +118,12 @@ class LabelContext:
     rows: dict  # y -> sorted row members
     s_plus: dict  # y -> sorted clique-union superset
     trees: dict  # y -> Bst over ranks
-    x: dict  # y -> {vertex: tree key}
-    bags: dict  # y -> {tree key: members sorted by rank}
-    psi: dict  # y -> {vertex: 1-based slot in its bag}
     alpha1: dict
     hint: dict
     inv: dict  # (host vertex, row) -> instance vertex
     edge_set: set
-    tops: dict = field(init=False)  # y -> {carrier: signature of its deepest clique-parent node}
-    xp: dict = field(init=False)
-    bags_p: dict = field(init=False)
-    psi_p: dict = field(init=False)
-    tops_p: dict = field(init=False)
+    raw: Placement = field(init=False)
+    fixed: Placement = field(init=False)
 
     @property
     def h(self) -> int:
@@ -117,17 +131,6 @@ class LabelContext:
 
     def sig(self, y: int, key) -> str:
         return self.trees[y].signature(key)
-
-    def path_string(self, y: int, v, primed: bool) -> str:
-        """Signature of the deepest clique-parent node of v in row y."""
-        return (self.tops_p if primed else self.tops)[y][v]
-
-    def r_string(self, y: int, v) -> str:
-        full = self.path_string(y, v, primed=True)
-        own = self.sig(y, self.xp[y][v])
-        if not full.startswith(own) or len(full) - len(own) > 1:
-            raise AssertionError(f"clique path of {v!r} in row {y} overruns its node by more than one level")
-        return full[len(own):]
 
 
 def build_context(
@@ -182,20 +185,12 @@ def build_context(
 
     key_rows = [sorted(rank[v] for v in s_plus[y]) for y in range(1, h + 1)]
     trees = dict(enumerate(build_tree_sequence(key_rows), start=1))
-    worst = max(t.height for t in trees.values())
+    row_tree = build_biased_bst(range(1, h + 1), {y: max(1, len(s_plus[y])) for y in range(1, h + 1)})
+    # the row tree's signatures are what a label's successor hint can lengthen
+    worst = max(t.height for t in chain(trees.values(), [row_tree]))
     if worst > params.maxheight:
         raise ValueError(f"tree height {worst} exceeds the layout cap {params.maxheight}")
 
-    x = {}
-    for y in range(1, h + 1):
-        x[y] = {v: min_depth_in_range(trees[y], *rep.intervals[v]) for v in s_plus[y]}
-
-    bags, psi = {}, {}
-    for y in range(1, h + 1):
-        bags[y] = _group_bags(x[y], rank)
-        psi[y] = _first_fit(bags[y])
-
-    row_tree = build_biased_bst(range(1, h + 1), {y: max(1, len(s_plus[y])) for y in range(1, h + 1)})
     alpha1 = {y: row_tree.signature(y) for y in range(1, h + 1)}
     hint = {y: _successor_hint(alpha1, y, h) for y in range(1, h + 1)}
 
@@ -216,27 +211,15 @@ def build_context(
         rows={y: sorted(rows[y], key=rank.__getitem__) for y in rows},
         s_plus=s_plus,
         trees=trees,
-        x=x,
-        bags=bags,
-        psi=psi,
         alpha1=alpha1,
         hint=hint,
         inv=inv,
         edge_set=edge_set,
     )
-    ctx.tops = _check_root_paths(ctx, primed=False)
+    # raw: each vertex at the shallowest node of its interval
+    raw = {y: {v: min_depth_in_range(trees[y], *rep.intervals[v]) for v in s_plus[y]} for y in range(1, h + 1)}
+    ctx.raw = _place(ctx, raw)
     return fixup(ctx)
-
-
-def _group_bags(assign: dict, rank: dict) -> dict:
-    bags = defaultdict(list)
-    for v in sorted(assign, key=rank.__getitem__):
-        bags[assign[v]].append(v)
-    return dict(bags)
-
-
-def _first_fit(bags: dict) -> dict:
-    return {v: i + 1 for members in bags.values() for i, v in enumerate(members)}
 
 
 def _successor_hint(alpha1: dict, y: int, h: int) -> tuple:
@@ -250,22 +233,27 @@ def _successor_hint(alpha1: dict, y: int, h: int) -> tuple:
     raise AssertionError(f"rows {y} and {y + 1} break the in-order successor shape")
 
 
-def _check_root_paths(ctx: LabelContext, primed: bool) -> dict:
-    """Check that every clique with a labelled member lands on one root path per row.
+def _place(ctx: LabelContext, node: dict) -> Placement:
+    """The placement of a node map: bags, first-fit colours and chain tops.
 
-    Returns y -> {v: signature of the chain top} for the carriers of row
-    y, the vertices of rows y-1, y and y+1.
+    Checks that every clique with a labelled member lands on one root
+    path per row; the chain top of a carrier's clique is the deepest of
+    its nodes.
     """
-    assign = ctx.xp if primed else ctx.x
-    tops = {}
+    bags, psi, tops = {}, {}, {}
     for y in range(1, ctx.h + 1):
         tree = ctx.trees[y]
+        grouped = defaultdict(list)
+        for v in sorted(node[y], key=ctx.rank.__getitem__):
+            grouped[node[y][v]].append(v)
+        bags[y] = dict(grouped)
+        psi[y] = {v: i + 1 for members in bags[y].values() for i, v in enumerate(members)}
         carriers = set().union(*(ctx.rows.get(y + b, []) for b in (-1, 0, 1) if 1 <= y + b <= ctx.h))
         tops[y] = {
-            v: tree.signature(_chain_top(tree, [assign[y][w] for w in ctx.tt.cliques[v]]))
+            v: tree.signature(_chain_top(tree, [node[y][w] for w in ctx.tt.cliques[v]]))
             for v in sorted(carriers, key=ctx.rank.__getitem__)
         }
-    return tops
+    return Placement(node, bags, psi, tops)
 
 
 def run_fixup_pass(tree: Bst, assign: dict, cliques: dict, members, sort_key) -> dict:
@@ -302,27 +290,22 @@ def run_fixup_pass(tree: Bst, assign: dict, cliques: dict, members, sort_key) ->
 def fixup(ctx: LabelContext) -> LabelContext:
     """Bound every clique parent's node depth by its child's plus one.
 
-    Fills the primed maps on the context from ctx.x: new node assignments
-    (always ancestors of the originals), their bags, and fresh per-bag
-    colours.  build_context runs it; running it again recomputes them.
+    Sets ctx.fixed to the placement of the fixup pass over ctx.raw, whose
+    nodes are ancestors of the raw ones.  build_context runs it; running
+    it again recomputes it.
     """
-    xp, bags_p, psi_p = {}, {}, {}
     cliques = {v: frozenset(ctx.tt.cliques[v]) for v in ctx.tt.order}
+    node = {}
     for y in range(1, ctx.h + 1):
-        xp[y] = run_fixup_pass(ctx.trees[y], ctx.x[y], cliques, ctx.s_plus[y], ctx.rank.__getitem__)
+        tree, raw, present = ctx.trees[y], ctx.raw.node[y], set(ctx.s_plus[y])
+        node[y] = moved = run_fixup_pass(tree, raw, cliques, ctx.s_plus[y], ctx.rank.__getitem__)
         for v in ctx.s_plus[y]:
-            if not ctx.trees[y].is_ancestor(xp[y][v], ctx.x[y][v]):
+            if not tree.is_ancestor(moved[v], raw[v]):
                 raise AssertionError(f"fixup moved {v!r} off its root path in row {y}")
-        bags_p[y] = _group_bags(xp[y], ctx.rank)
-        psi_p[y] = _first_fit(bags_p[y])
-    ctx.xp, ctx.bags_p, ctx.psi_p = xp, bags_p, psi_p
-    ctx.tops_p = _check_root_paths(ctx, primed=True)
-    for y in range(1, ctx.h + 1):
-        present = set(ctx.s_plus[y])
-        for v in ctx.s_plus[y]:
             for w in ctx.tt.cliques[v]:
-                if w in present and ctx.trees[y].depth(xp[y][w]) > ctx.trees[y].depth(xp[y][v]) + 1:
+                if w in present and tree.depth(moved[w]) > tree.depth(moved[v]) + 1:
                     raise AssertionError(f"parent {w!r} of {v!r} still too deep in row {y}")
+    ctx.fixed = _place(ctx, node)
     return ctx
 
 
@@ -335,8 +318,8 @@ def bag_stats(ctx: LabelContext) -> dict:
     by pre-fixup bags of the node's ancestors weighted by those counts.
     """
     t = ctx.params.t
-    max_bag = max(len(m) for y in ctx.bags for m in ctx.bags[y].values())
-    max_bag_p = max(len(m) for y in ctx.bags_p for m in ctx.bags_p[y].values())
+    max_bag = max(len(m) for bags in ctx.raw.bags.values() for m in bags.values())
+    max_bag_p = max(len(m) for bags in ctx.fixed.bags.values() for m in bags.values())
     nref = max(ctx.params.n, 4)
     report = {
         "rows": ctx.h,
@@ -352,11 +335,11 @@ def bag_stats(ctx: LabelContext) -> dict:
                     raise AssertionError(f"{found} vertices reachable from {v!r} within {dist} hops")
         for y in range(1, ctx.h + 1):
             tree = ctx.trees[y]
-            for node, members in ctx.bags_p[y].items():
+            for node, members in ctx.fixed.bags[y].items():
                 cover = 0
                 for d in range(tree.depth(node) + 1):
                     anc = _ancestor_at_depth(tree, node, tree.depth(node) - d)
-                    cover += len(ctx.bags[y].get(anc, [])) * comb(d + t, t)
+                    cover += len(ctx.raw.bags[y].get(anc, [])) * comb(d + t, t)
                 if len(members) > cover:
                     raise AssertionError(f"bag at row {y} node {node} beats its ancestor covering")
         report["accounting_ok"] = True
@@ -365,7 +348,7 @@ def bag_stats(ctx: LabelContext) -> dict:
 
 @dataclass(slots=True)
 class Label:
-    """Decoded label; the packed bitstring is its identity.
+    """Decoded label; bits, its packed string, is its identity.
 
     Construction also derives, once, everything the tester reads: the
     next row's signature (decoded from mu), the next row's alpha1, and for
@@ -388,8 +371,8 @@ class Label:
     abits: dict
     r: dict
     has_prev: bool
-    has_next: bool
     codec: InitVar[LcpCodec]
+    bits: str | None = field(default=None, init=False, compare=False)  # set by make_label and unpack_label
     next_sig: str | None = field(init=False, repr=False, compare=False)
     next_alpha: str | None = field(init=False, repr=False, compare=False)
     own_key: tuple = field(init=False, repr=False, compare=False)  # b -> (signature, colour) or None
@@ -419,6 +402,10 @@ class Label:
         self.own_key = tuple(own)
         self.parent_slot = tuple(slots)
 
+    @property
+    def has_next(self) -> bool:
+        return self.hint[0] != "end"
+
 
 def _next_alpha(alpha1: str, hint: tuple) -> str | None:
     """Row signature of row y+1, rebuilt from alpha1 and the successor hint."""
@@ -437,23 +424,29 @@ SCHEMES = ("legacy", "fixed")
 
 
 def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
-    """Label of v in row y; the legacy scheme ships the full clique path signature, no fixup."""
+    """Label of v in row y, packed into its bits.
+
+    The legacy scheme reads the raw placement and ships the full clique
+    path signature; the default scheme reads the fixed placement and ships
+    the vertex's own raw node signature plus one overflow bit per row.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown label scheme {scheme!r}")
     if (v, y) not in ctx.inv:
         raise ValueError(f"({v!r}, {y}) is not a vertex of the instance")
-    primed = scheme == "fixed"
+    legacy = scheme == "legacy"
+    place = ctx.raw if legacy else ctx.fixed
     t, J = ctx.params.t, ctx.params.codec
-    if primed:
-        base = ctx.sig(y, ctx.x[y][v])
-        following = ctx.sig(y + 1, ctx.x[y + 1][v]) if y < ctx.h else None
-    else:
-        base = ctx.path_string(y, v, primed=False)
-        following = ctx.path_string(y + 1, v, primed=False) if y < ctx.h else None
+
+    def shipped(yb: int) -> str:
+        """The signature the label ships for row yb."""
+        return ctx.raw.tops[yb][v] if legacy else ctx.sig(yb, ctx.raw.node[yb][v])
+
+    base = shipped(y)
+    following = shipped(y + 1) if y < ctx.h else None
     mu = None if following is None else J.encode(base, following)
 
     parents = ctx.tt.parents(v)
-    assign, slot = (ctx.xp, ctx.psi_p) if primed else (ctx.x, ctx.psi)
     depths, psi, abits, rsuf = {}, {}, {}, {}
     for b in (-1, 0, 1):
         yb = y + b
@@ -461,11 +454,14 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
             continue
         tree = ctx.trees[yb]
         for i, p in parents.items():
-            depths[(i, b)] = tree.depth(assign[yb][p])
-            psi[(i, b)] = slot[yb][p]
+            depths[(i, b)] = tree.depth(place.node[yb][p])
+            psi[(i, b)] = place.psi[yb][p]
             abits[(i, b)] = 1 if frozenset(((v, y), (p, yb))) in ctx.edge_set else 0
-        if primed:
-            rsuf[b] = ctx.r_string(yb, v)
+        if not legacy:
+            full, own = ctx.fixed.tops[yb][v], ctx.sig(yb, ctx.fixed.node[yb][v])
+            if not full.startswith(own) or len(full) - len(own) > 1:
+                raise AssertionError(f"clique path of {v!r} in row {yb} overruns its node by more than one level")
+            rsuf[b] = full[len(own):]
 
     label = Label(
         scheme=scheme,
@@ -480,11 +476,11 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
         abits=abits,
         r=rsuf,
         has_prev=y > 1,
-        has_next=y < ctx.h,
         codec=J,
     )
     if label.next_sig != following:
         raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
+    label.bits = pack_label(label, ctx.params)
     return label
 
 
@@ -536,10 +532,12 @@ def unpack_label(bits: str, params: LabelParams) -> Label:
 
     Besides the layout itself, the decoded fields must agree with each
     other: the bits left after phi can hold every parent slot, mu parses
-    against the codec, the successor hint is "end" exactly when there is
-    no next row and fits alpha1 and the row count n, every slot depth is
-    within maxheight, and the own colour's slots in rows y and y+1 are no
-    deeper than that row's signature.
+    against the codec, alpha1 and sig are no longer than maxheight, the
+    successor hint is "end" exactly when there is no next row and fits
+    alpha1, the row count n and maxheight, every slot depth is within
+    maxheight, and the own colour's slots in rows y and y+1 are no deeper
+    than that row's signature.  The label keeps
+    bits as its bits.
     """
     try:
         return _unpack(bits, params)
@@ -557,10 +555,12 @@ def _unpack(bits: str, params: LabelParams) -> Label:
     if has_next != (kind != "end"):
         raise ValueError(f"successor hint {kind!r} contradicts has_next = {has_next}")
     delta = r.gamma() - 1 if kind != "end" else 0
-    # a row tree over at most n rows has signatures shorter than n bits
-    if kind == "append" and len(alpha1) + 1 + delta >= params.n:
-        raise ValueError(f"successor hint {delta} overruns {params.n} rows")
+    # the row tree has at most n nodes and, as build_context checks, height at most maxheight
+    if kind == "append" and len(alpha1) + 1 + delta > min(params.n - 1, params.maxheight):
+        raise ValueError(f"successor hint {delta} overruns a row tree of height {params.maxheight} over {params.n} rows")
     sig = r.prefixed()
+    if max(len(alpha1), len(sig)) > params.maxheight:
+        raise ValueError(f"a {max(len(alpha1), len(sig))}-bit signature is deeper than maxheight {params.maxheight}")
     mu = r.prefixed() if has_next else None
     phi = r.fixed(params.phi_bits) + 1
     if phi > params.t + 1:
@@ -582,10 +582,10 @@ def _unpack(bits: str, params: LabelParams) -> Label:
             rsuf[b] = "" if r.bits(1) == "0" else r.bits(1)
     if not r.at_end():
         raise ValueError("trailing bits")
-    return Label(
-        scheme, params.t, alpha1, (kind, delta), sig, mu, phi,
-        depths, psi, abits, rsuf, has_prev, has_next, params.codec,
-    )
+    label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev,
+                  params.codec)
+    label.bits = bits
+    return label
 
 
 def adjacency_test(l1: Label, l2: Label) -> bool:
@@ -630,12 +630,11 @@ LABEL_FILE_VERSION = 1
 
 @dataclass
 class LabelledInstance:
-    """One instance's labels, packed strings, and graph for ground truth."""
+    """One instance's labels, and its graph for ground truth."""
 
     params: LabelParams
     scheme: str
     labels: dict
-    packed: dict
     graph: Graph
 
     def write_jsonl(self, path) -> None:
@@ -646,9 +645,9 @@ class LabelledInstance:
             "maxheight": self.params.maxheight,
             "codec_id": LcpCodec.codec_id,
             "scheme": self.scheme,
-            "count": len(self.packed),
+            "count": len(self.labels),
         }
-        labels = ({"v": g, "bits": self.packed[g]} for g in sorted(self.packed, key=repr))
+        labels = ({"v": g, "bits": self.labels[g].bits} for g in sorted(self.labels, key=repr))
         write_records(path, "labels", head, chain(labels, edge_records("ge", self.graph.edges())))
 
     @classmethod
@@ -662,26 +661,25 @@ class LabelledInstance:
             if codec_id != LcpCodec.codec_id:
                 raise ValueError("codec mismatch")
             params = LabelParams(n=n, t=t, maxheight=maxheight)
-            labels, packed, graph = {}, {}, Graph(name="labelled instance")
+            labels, graph = {}, Graph(name="labelled instance")
             owner = {}  # bits -> the vertex they label
             for rec in records:
                 if "v" in rec:
                     v = key(rec["v"])
-                    if v in packed:
+                    if v in labels:
                         raise ValueError(f"vertex {v!r} is labelled twice")
                     if rec["bits"] in owner:
                         raise ValueError(f"vertices {owner[rec['bits']]!r} and {v!r} share one label")
                     owner[rec["bits"]] = v
-                    packed[v] = rec["bits"]
                     labels[v] = unpack_label(rec["bits"], params)
                     if labels[v].scheme != head["scheme"]:
                         raise ValueError(f"label of {v!r} is {labels[v].scheme} but the header says {head['scheme']!r}")
                     graph.add_vertex(v)
                 else:
-                    graph.add_edge(*endpoints(rec["ge"], packed))
-            if len(packed) != count:
-                raise ValueError(f"header count {count} but {len(packed)} labelled vertices")
-            return cls(params, head["scheme"], labels, packed, graph)
+                    graph.add_edge(*endpoints(rec["ge"], labels))
+            if len(labels) != count:
+                raise ValueError(f"header count {count} but {len(labels)} labelled vertices")
+            return cls(params, head["scheme"], labels, graph)
 
         return read_records(path, "labels", parse)
 
@@ -689,24 +687,22 @@ class LabelledInstance:
 def _check_distinct(li: LabelledInstance) -> None:
     """Two vertices of one instance never share a label."""
     seen = {}
-    for g, bits in li.packed.items():
-        if bits in seen:
-            raise AssertionError(f"vertices {seen[bits]!r} and {g!r} share a label")
-        seen[bits] = g
+    for g, label in li.labels.items():
+        if label.bits in seen:
+            raise AssertionError(f"vertices {seen[label.bits]!r} and {g!r} share a label")
+        seen[label.bits] = g
 
 
 def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance:
     """Label every vertex and run the per-instance assertion suite."""
     coords = ctx.instance.witness.coords
-    labels, packed = {}, {}
+    labels = {}
     for g in sorted(coords, key=repr):
         v, y = coords[g]
-        lab = make_label(ctx, v, y, scheme)
-        labels[g] = lab
-        packed[g] = pack_label(lab, ctx.params)
-        if unpack_label(packed[g], ctx.params) != lab:
+        labels[g] = make_label(ctx, v, y, scheme)
+        if unpack_label(labels[g].bits, ctx.params) != labels[g]:
             raise AssertionError(f"label of {g!r} does not survive a pack round-trip")
-    li = LabelledInstance(ctx.params, scheme, labels, packed, ctx.instance.graph)
+    li = LabelledInstance(ctx.params, scheme, labels, ctx.instance.graph)
     _check_distinct(li)
     return li
 
@@ -760,7 +756,7 @@ def verify_labelling(li: LabelledInstance) -> int:
 def assemble_universal(corpus: list) -> Graph:
     """Union the corpus labels into one graph wired by the tester.
 
-    Vertices are the distinct packed labels; only the pairs in reach (see
+    Vertices are the distinct label bits; only the pairs in reach (see
     _in_reach) are put to the tester, which answers False for every
     other pair anyway.  Every corpus member, whose labels must be
     distinct, is then re-checked to be an induced subgraph through its own
@@ -774,19 +770,20 @@ def assemble_universal(corpus: list) -> Graph:
             raise ValueError("corpus labelled with different parameters")
     for li in corpus:
         _check_distinct(li)
-    decoded = {bits: li.labels[g] for li in corpus for g, bits in li.packed.items()}
+    decoded = {label.bits: label for li in corpus for label in li.labels.values()}
     un = Graph(sorted(decoded), name=f"universal(n={first.params.n}, t={first.params.t})")
     for b1, l1, partners in _in_reach(decoded):
         for b2, l2 in partners:
             if adjacency_test(l1, l2):
                 un.add_edge(b1, b2)
     for li in corpus:
-        member = set(li.packed.values())
-        for g, bits in li.packed.items():
-            want = {li.packed[w] for w in li.graph.neighbors(g)}
-            wrong = (un.neighbors(bits) & member) ^ want
+        bits = {g: label.bits for g, label in li.labels.items()}
+        member = set(bits.values())
+        for g, own in bits.items():
+            want = {bits[w] for w in li.graph.neighbors(g)}
+            wrong = (un.neighbors(own) & member) ^ want
             if wrong:
-                other = min((w for w in li.packed if li.packed[w] in wrong), key=repr)
+                other = min((w for w in bits if bits[w] in wrong), key=repr)
                 raise AssertionError(f"instance pair {g!r},{other!r} is not induced faithfully")
     return un
 

@@ -152,8 +152,9 @@ def test_c04_interval_universality():
         seen.add(key)
         rep = IntervalRep(ivs)
         omega = max(1, rep.clique_number())
-        w = embed_interval_graph(rep, omega=omega)
+        w = embed_interval_graph(rep)
         cg, kf = w.factors
+        assert kf.k == omega
         assert cg.d == max(0, (rep.n - 1).bit_length())
         assert len(set(w.coords.values())) == rep.n
         g = rep.intersection_graph()
@@ -367,14 +368,14 @@ def test_c11_fixup_contract_everywhere():
             tree = ctx.trees[y]
             present = set(ctx.s_plus[y])
             for v in ctx.s_plus[y]:
-                assert tree.is_ancestor(ctx.xp[y][v], ctx.x[y][v])
+                assert tree.is_ancestor(ctx.fixed.node[y][v], ctx.raw.node[y][v])
                 for w in ctx.tt.cliques[v]:
                     if w in present:
-                        assert tree.depth(ctx.xp[y][w]) <= tree.depth(ctx.xp[y][v]) + 1
-        before = {y: dict(ctx.xp[y]) for y in ctx.xp}
-        ctx.x = ctx.xp
+                        assert tree.depth(ctx.fixed.node[y][w]) <= tree.depth(ctx.fixed.node[y][v]) + 1
+        before = ctx.fixed
+        ctx.raw = before
         fixup(ctx)
-        assert {y: dict(ctx.xp[y]) for y in ctx.xp} == before
+        assert ctx.fixed == before
         instances += 1
     report(f"criterion 11 PASS: {instances} instances, ancestor/depth/idempotence all hold")
 
@@ -413,10 +414,10 @@ def test_c13_assembled_graph_induces_corpus():
     un = assemble_universal(corpus)
     members = 0
     for li in corpus:
-        verts = sorted(li.packed, key=repr)
-        assert len(set(li.packed.values())) == li.graph.n
+        verts = sorted(li.labels, key=repr)
+        assert len({label.bits for label in li.labels.values()}) == li.graph.n
         for a, b in itertools.combinations(verts, 2):
-            assert un.has_edge(li.packed[a], li.packed[b]) == li.graph.has_edge(a, b)
+            assert un.has_edge(li.labels[a].bits, li.labels[b].bits) == li.graph.has_edge(a, b)
         members += 1
     report(f"criterion 13 PASS: {members} corpus members induced in a {un.n}-vertex assembled graph")
 

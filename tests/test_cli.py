@@ -206,6 +206,40 @@ def test_a_label_shared_by_two_vertices_exits_1(tmp_path, capsys):
     assert f"{labels}:{k + 1}:" in capsys.readouterr().err
 
 
+# run-suite parameter sets that no suite can run, each with a fragment of
+# the error line that refuses it: a size below the smallest instance, a t
+# above the largest, an empty or non-increasing family size list, a
+# non-positive count
+DEGENERATE = {
+    "universality --n 1": "n = 1 is below t + 2 = 4",
+    "universality --n 3": "n = 3 is below t + 2 = 4",
+    "universality --n 4 --t 3": "n = 4 is below t + 2 = 5",
+    "universality --t 0": "need t >= 1",
+    "universality --t 31": "t + 2 = 33 is above 32",
+    "universality --count 0": "count must be positive",
+    "sizes --n 0": "n >= 1 required",
+    "sizes --lambda -1": "lam >= 0 required",
+    "labels --count 0": "count must be positive",
+    "labels --t 0": "t >= 1",
+    "growth --ns 48 48": "two family sizes in increasing order",
+    "growth --ns 48": "two family sizes in increasing order",
+    "growth --ns 96 48 96": "two family sizes in increasing order",
+    "growth --ns 13 48": "multiple of 12",
+    "growth --ns 0 48": "n >= 1",
+    "compression --count 0": "count must be positive",
+    "compression --n0 0": "n0 >= 1",
+    "compression --eps 0": "eps > 0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DEGENERATE))
+def test_degenerate_suite_parameters_exit_1(tmp_path, capsys, argv):
+    # a bad input is refused with an error line; it never looks like a bug
+    run("run-suite", *argv.split(), "--out", str(tmp_path / "rep.json"), check=1)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and DEGENERATE[argv] in err, err
+
+
 def test_malformed_report_exits_1(tmp_path):
     rep = tmp_path / "rep.json"
     for text in ("{}", "[1]", '{"suite": "sizes", "checks": [1]}'):

@@ -170,12 +170,6 @@ def test_embed_interval_graph_is_induced():
                     # non-adjacent intervals may share a tree path
 
 
-def test_embed_interval_graph_guards():
-    rep = IntervalRep({0: (0, 5), 1: (1, 5), 2: (2, 5)})
-    with pytest.raises(ValueError):
-        embed_interval_graph(rep, omega=2)
-
-
 def test_interval_jsonl_roundtrip(tmp_path):
     rep = IntervalRep({"a": (Fraction(1, 3), 2), ("b", 1): (0, Fraction(9, 7))})
     path = tmp_path / "rep.jsonl"

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from graphs import all_pairs_disagreements
@@ -50,12 +51,12 @@ def test_context_places_vertices_on_root_paths():
         for y in range(1, ctx.h + 1):
             tree = ctx.trees[y]
             for v in ctx.s_plus[y]:
-                node = ctx.x[y][v]
+                node = ctx.raw.node[y][v]
                 assert tree.is_ancestor(node, ctx.rank[v])
                 lo, hi = span[v]
                 assert lo <= node <= hi
-            for node, members in ctx.bags[y].items():
-                slots = [ctx.psi[y][v] for v in members]
+            for node, members in ctx.raw.bags[y].items():
+                slots = [ctx.raw.psi[y][v] for v in members]
                 assert sorted(slots) == list(range(1, len(members) + 1))
 
 
@@ -66,7 +67,7 @@ def test_clique_nodes_share_root_paths():
             tree = ctx.trees[y]
             present = set(ctx.s_plus[y])
             for v in ctx.s_plus[y]:
-                nodes = [ctx.x[y][w] for w in ctx.tt.cliques[v] if w in present]
+                nodes = [ctx.raw.node[y][w] for w in ctx.tt.cliques[v] if w in present]
                 nodes.sort(key=tree.depth)
                 for a, b in zip(nodes, nodes[1:]):
                     assert tree.is_ancestor(a, b)
@@ -79,16 +80,16 @@ def test_fixup_contract():
             present = set(ctx.s_plus[y])
             for v in ctx.s_plus[y]:
                 # moved nodes stay on the root path, above the original
-                assert tree.is_ancestor(ctx.xp[y][v], ctx.x[y][v])
+                assert tree.is_ancestor(ctx.fixed.node[y][v], ctx.raw.node[y][v])
                 for w in ctx.tt.cliques[v]:
                     if w in present:
-                        gap = tree.depth(ctx.xp[y][w]) - tree.depth(ctx.xp[y][v])
+                        gap = tree.depth(ctx.fixed.node[y][w]) - tree.depth(ctx.fixed.node[y][v])
                         assert gap <= 1
-        first = {y: dict(ctx.xp[y]) for y in ctx.xp}
+        first = ctx.fixed
         # idempotence: running the pass on its own output moves nothing
-        ctx.x = ctx.xp
+        ctx.raw = first
         fixup(ctx)
-        assert {y: dict(ctx.xp[y]) for y in ctx.xp} == first
+        assert ctx.fixed == first
 
 
 def test_bag_stats_accounting():
@@ -116,33 +117,58 @@ def test_unpack_rejects_garbage():
         unpack_label("1", params)
     ctx = next(contexts([7], tmax=1, nmax=12))
     li = label_instance(ctx, "fixed")
-    bits = sorted(li.packed.values())[0]
+    bits = min(label.bits for label in li.labels.values())
     with pytest.raises(ValueError):
         unpack_label(bits + "0", li.params)  # trailing bits must be rejected
     # a successor row signature of n bits or more cannot come from n rows
-    first = li.labels[sorted(li.labels, key=repr)[0]]
-    label = dataclasses.replace(first, hint=("append", li.params.n), codec=li.params.codec)
-    with pytest.raises(ValueError):
-        unpack_label(pack_label(label, li.params), li.params)
+    rows3 = label_instance(build_context(generate_qt_instance(1, 12, 3, rng_seed=7)), "fixed")
+    inner = next(lab for lab in rows3.labels.values() if lab.has_next)
+    label = dataclasses.replace(inner, hint=("append", rows3.params.n), codec=rows3.params.codec)
+    with pytest.raises(ValueError, match="overruns a row tree"):
+        unpack_label(pack_label(label, rows3.params), rows3.params)
+    # no tree of height maxheight has a longer signature
+    last = next(lab for lab in rows3.labels.values() if not lab.has_next)
+    deep = "0" * (rows3.params.maxheight + 1)
+    for label in (dataclasses.replace(last, alpha1=deep, codec=rows3.params.codec),
+                  dataclasses.replace(last, sig=deep, codec=rows3.params.codec)):
+        with pytest.raises(ValueError, match="deeper than maxheight"):
+            unpack_label(pack_label(label, rows3.params), rows3.params)
     with pytest.raises(ValueError):
         build_context(ctx.instance, params=LabelParams(n=ctx.instance.graph.n - 1, t=ctx.params.t))
 
 
 def test_unpack_rejects_a_successor_hint_that_contradicts_has_next():
     # has_next == (hint kind != "end"); a forged label that breaks the rule
-    # would be a second label for one vertex, with the same tester answers
+    # would be a second label for one vertex, with the same tester answers.
+    # The has_next bit is the third of the format; flipping it forges one.
     inst = generate_qt_instance(1, 12, 3, rng_seed=7)
     li = label_instance(build_context(inst), "fixed")
-    codec = li.params.codec
     inner = next(lab for lab in li.labels.values() if lab.has_next)
     last = next(lab for lab in li.labels.values() if not lab.has_next)
-    forged = [
-        dataclasses.replace(inner, hint=("end", 0), codec=codec),  # mu and row-(y+1) slots, "end" hint
-        dataclasses.replace(last, hint=("append", 0), codec=codec),  # no next row, "append" hint
-    ]
-    for label in forged:
+    for label in (inner, last):  # a strip or append hint without a next row; an "end" hint with one
+        assert label.bits[2] == "01"[label.has_next]
+        forged = label.bits[:2] + "10"[int(label.bits[2])] + label.bits[3:]
         with pytest.raises(ValueError, match="has_next"):
-            unpack_label(pack_label(label, li.params), li.params)
+            unpack_label(forged, li.params)
+
+
+def test_unpack_refuses_a_successor_hint_past_maxheight():
+    # an append hint of 400,000 zeros costs 39 bits of gamma code, and would
+    # decode to a 400,001-bit next row signature; maxheight bounds the row
+    # tree, so unpack refuses it before it builds the signature
+    params = LabelParams(n=10**6, t=1, maxheight=14)
+    li = label_instance(build_context(generate_qt_instance(1, 12, 3, rng_seed=7), params=params), "fixed")
+    inner = next(lab for lab in li.labels.values() if lab.has_next)
+    bits = pack_label(dataclasses.replace(inner, hint=("append", 400_000), codec=params.codec), params)
+    assert len(bits) < 200
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="overruns a row tree"):
+            unpack_label(bits, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000, peak
 
 
 def test_prescribed_ttree_is_validated():
@@ -169,7 +195,7 @@ def test_tester_is_exact_on_random_instances():
 
 
 def with_graph(li, graph):
-    return LabelledInstance(li.params, li.scheme, li.labels, li.packed, graph)
+    return LabelledInstance(li.params, li.scheme, li.labels, graph)
 
 
 def audit_mutants(ctx, li):
@@ -191,7 +217,7 @@ def audit_mutants(ctx, li):
         lab = li.labels[g]
         for slot, bit in sorted(lab.abits.items()):
             flipped = dataclasses.replace(lab, abits={**lab.abits, slot: 1 - bit}, codec=li.params.codec)
-            yield LabelledInstance(li.params, li.scheme, {**li.labels, g: flipped}, li.packed, li.graph)
+            yield LabelledInstance(li.params, li.scheme, {**li.labels, g: flipped}, li.graph)
 
 
 def test_audit_raises_exactly_when_the_all_pairs_oracle_does():
@@ -246,7 +272,7 @@ def test_audit_and_assembly_test_each_in_reach_pair_once(monkeypatch):
         assert len(met) == len(set(met)) and set(met) == in_reach, seed
 
     # across instances, rows are in reach by their signatures alone
-    decoded = {bits: li.labels[g] for li in corpus for g, bits in li.packed.items()}
+    decoded = {label.bits: label for li in corpus for label in li.labels.values()}
     in_reach = {
         frozenset((a, b)) for a, b in itertools.combinations(decoded, 2)
         if decoded[a].alpha1 == decoded[b].alpha1
@@ -276,8 +302,8 @@ def test_assemble_rejects_a_member_whose_graph_gains_or_loses_an_edge():
 
 def test_assemble_rejects_a_member_with_a_repeated_label():
     li = label_instance(next(contexts([3], tmax=2, nmax=20)), "fixed")
-    g1, g2 = sorted(li.packed, key=repr)[:2]
-    twin = LabelledInstance(li.params, li.scheme, li.labels, {**li.packed, g2: li.packed[g1]}, li.graph)
+    g1, g2 = sorted(li.labels, key=repr)[:2]
+    twin = LabelledInstance(li.params, li.scheme, {**li.labels, g2: li.labels[g1]}, li.graph)
     with pytest.raises(AssertionError, match=re.escape(f"vertices {g1!r} and {g2!r} share a label")):
         assemble_universal([twin])
 
@@ -286,8 +312,8 @@ def test_tester_requires_matching_parameters():
     ctx1 = next(contexts([1], tmax=1, nmax=10))
     li1 = label_instance(ctx1, "fixed")
     li2 = label_instance(ctx1, "legacy")
-    a = unpack_label(sorted(li1.packed.values())[0], li1.params)
-    b = unpack_label(sorted(li2.packed.values())[0], li2.params)
+    a = unpack_label(min(label.bits for label in li1.labels.values()), li1.params)
+    b = unpack_label(min(label.bits for label in li2.labels.values()), li2.params)
     with pytest.raises(ValueError):
         adjacency_test(a, b)  # schemes differ
 
@@ -295,7 +321,7 @@ def test_tester_requires_matching_parameters():
 def test_labels_are_distinct_within_instance():
     ctx = next(contexts([3], tmax=2, nmax=20))
     li = label_instance(ctx, "fixed")
-    assert len(set(li.packed.values())) == len(li.packed)
+    assert len({label.bits for label in li.labels.values()}) == len(li.labels)
 
 
 def test_labelled_instance_jsonl_roundtrip(tmp_path):
@@ -305,7 +331,7 @@ def test_labelled_instance_jsonl_roundtrip(tmp_path):
     li.write_jsonl(path)
     back = LabelledInstance.read_jsonl(path)
     assert back.scheme == li.scheme and back.params == li.params
-    assert set(back.packed.values()) == set(li.packed.values())
+    assert {label.bits for label in back.labels.values()} == {label.bits for label in li.labels.values()}
     assert back.graph.n == li.graph.n and back.graph.m == li.graph.m
     assert verify_labelling(back) == verify_labelling(li)
 
@@ -371,7 +397,7 @@ def test_assemble_universal_and_growth():
     report = growth_report(un, params)
     assert report["vertices_within"] and report["edges_within"]
     # membership is by label, so vertex count never exceeds the label total
-    assert un.n <= sum(len(li.packed) for li in corpus)
+    assert un.n <= sum(len(li.labels) for li in corpus)
     with pytest.raises(ValueError):
         assemble_universal([])
 
@@ -386,9 +412,9 @@ def test_assembled_graph_contains_each_member_induced():
         corpus.append(label_instance(ctx, "fixed"))
     un = assemble_universal(corpus)
     for li in corpus:
-        verts = sorted(li.packed, key=repr)
+        verts = sorted(li.labels, key=repr)
         for a, b in itertools.combinations(verts, 2):
-            assert un.has_edge(li.packed[a], li.packed[b]) == li.graph.has_edge(a, b)
+            assert un.has_edge(li.labels[a].bits, li.labels[b].bits) == li.graph.has_edge(a, b)
 
 
 def test_tester_reads_no_codes_on_built_labels(monkeypatch):
@@ -413,7 +439,7 @@ def test_tester_reads_no_codes_on_built_labels(monkeypatch):
     assert calls == []
     li = corpus[0]
     g = next(g for g, lab in li.labels.items() if lab.has_next)
-    unpack_label(li.packed[g], params)
+    unpack_label(li.labels[g].bits, params)
     assert len(calls) == 1  # a label read from bits decodes its own code once
 
 
@@ -421,8 +447,8 @@ def test_built_and_unpacked_labels_agree_with_the_graph():
     for ctx in contexts(range(60, 70), tmax=3, nmax=22):
         for scheme in ("fixed", "legacy"):
             li = label_instance(ctx, scheme)
-            back = {g: unpack_label(bits, li.params) for g, bits in li.packed.items()}
-            for g1, g2 in itertools.permutations(sorted(li.packed, key=repr), 2):
+            back = {g: unpack_label(label.bits, li.params) for g, label in li.labels.items()}
+            for g1, g2 in itertools.permutations(sorted(li.labels, key=repr), 2):
                 want = li.graph.has_edge(g1, g2)
                 for l1, l2 in ((li.labels[g1], back[g2]), (back[g1], li.labels[g2]), (back[g1], back[g2])):
                     assert adjacency_test(l1, l2) == want, (scheme, g1, g2)
@@ -437,8 +463,8 @@ def test_assemble_reuses_labels_exactly():
     reread = [
         LabelledInstance(
             li.params, li.scheme,
-            {g: unpack_label(bits, li.params) for g, bits in li.packed.items()},
-            li.packed, li.graph,
+            {g: unpack_label(label.bits, li.params) for g, label in li.labels.items()},
+            li.graph,
         )
         for li in corpus
     ]
@@ -452,8 +478,8 @@ def mutant_instances():
     out = []
     for scheme in ("fixed", "legacy"):
         li = label_instance(ctx, scheme)
-        keys = sorted(li.packed, key=repr)
-        out.append((li.params, [li.packed[g] for g in keys], [li.labels[g] for g in keys]))
+        keys = sorted(li.labels, key=repr)
+        out.append((li.params, [li.labels[g].bits for g in keys], [li.labels[g] for g in keys]))
     return out
 
 
