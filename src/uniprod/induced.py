@@ -24,6 +24,13 @@ tester reads once, when it is built or unpacked: the next row's signature
 is decoded from its transition code then, and each parent slot is keyed
 by (node signature, bag colour).  Testing a pair is then one dict lookup
 per direction, so the full-pair audit and the assembly decode nothing.
+
+The tester can say True only where one label's own key meets a parent
+slot key of the other in the same row.  The audit and the assembly
+therefore join own keys with parent-slot keys and put only the pairs
+that meet to the tester, at most two per parent slot of an instance;
+every other pair is False without a lookup.  The audit still settles
+all C(n, 2) pairs: its True count must equal the instance's edge count.
 """
 
 from __future__ import annotations
@@ -532,12 +539,12 @@ def unpack_label(bits: str, params: LabelParams) -> Label:
 
     Besides the layout itself, the decoded fields must agree with each
     other: the bits left after phi can hold every parent slot, mu parses
-    against the codec, alpha1 and sig are no longer than maxheight, the
-    successor hint is "end" exactly when there is no next row and fits
-    alpha1, the row count n and maxheight, every slot depth is within
-    maxheight, and the own colour's slots in rows y and y+1 are no deeper
-    than that row's signature.  The label keeps
-    bits as its bits.
+    against the codec, alpha1, sig and the next row's signature that mu
+    decodes to are no longer than maxheight, the successor hint is "end"
+    exactly when there is no next row and fits alpha1, the row count n
+    and maxheight, every slot depth is within maxheight, and the own
+    colour's slots in rows y and y+1 are no deeper than that row's
+    signature.  The label keeps bits as its bits.
     """
     try:
         return _unpack(bits, params)
@@ -584,6 +591,10 @@ def _unpack(bits: str, params: LabelParams) -> Label:
         raise ValueError("trailing bits")
     label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev,
                   params.codec)
+    # build_context refuses a row tree taller than maxheight
+    if label.next_sig is not None and len(label.next_sig) > params.maxheight:
+        raise ValueError(f"mu decodes to a {len(label.next_sig)}-bit signature, deeper than maxheight "
+                         f"{params.maxheight}")
     label.bits = bits
     return label
 
@@ -707,36 +718,59 @@ def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance
     return li
 
 
-def _in_reach(labels: dict):
-    """Yield (id, label, partners) per labelled id; partners are the (id, label) items in its reach.
+def _key_meetings(labels: dict):
+    """Yield (id, label, partners) per id that meets a later one; partners are (id, label) items.
 
-    Items are bucketed by row signature alpha1, in repr order of the ids.
-    The tester answers False for two rows that are neither equal nor
-    consecutive, so an item's partners are the later items of its own
-    bucket, then the bucket of its label's next_alpha.  That meets every
-    in-reach pair exactly once: next_alpha is never alpha1 (append
-    lengthens a signature, strip shortens it), and strip and append cannot
-    undo each other, so no two rows each name the other as next.
+    Every duo of the tester compares keys of one row, so adjacency_test
+    answers True only for a pair where one label's own (node signature,
+    colour) key in some row is a parent-slot key of the other label in
+    that same row.  This join finds exactly those pairs: it indexes every
+    own key by its row, (alpha1, own_key[0]) and (next_alpha,
+    own_key[1]), then looks up each parent-slot key of parent_slot[0] in
+    row alpha1 and of parent_slot[1] in row next_alpha.  Each unordered
+    pair comes once, the earlier id in repr order first, ordered by that
+    id and then by the partner's.  Callers ask the tester in that order:
+    two labels of different instances can meet in both directions with
+    different bits, and then the answer follows the argument order.
+
+    Within one instance a (row, key) has at most two owners, (v, y) and
+    (v, y + 1), since bag colours are injective per bag; so the pairs
+    yielded number at most 2 x the parent slots of the instance's labels.
     """
-    buckets = defaultdict(list)
-    for g in sorted(labels, key=repr):
-        buckets[labels[g].alpha1].append((g, labels[g]))
-    for bucket in buckets.values():
-        for k, (g, label) in enumerate(bucket):
-            yield g, label, bucket[k + 1:] + buckets.get(label.next_alpha, [])
+    ids = sorted(labels, key=repr)
+    owners = defaultdict(list)  # (row signature, own key) -> positions in ids
+    for k, g in enumerate(ids):
+        label = labels[g]
+        owners[label.alpha1, label.own_key[0]].append(k)
+        if label.own_key[1] is not None:
+            owners[label.next_alpha, label.own_key[1]].append(k)
+    later = defaultdict(set)  # position -> later positions it meets
+    for k, g in enumerate(ids):
+        label = labels[g]
+        for row, slots in ((label.alpha1, label.parent_slot[0]), (label.next_alpha, label.parent_slot[1])):
+            for slot_key in slots:
+                for j in owners.get((row, slot_key), ()):
+                    if j != k:
+                        later[min(j, k)].add(max(j, k))
+    for k in sorted(later):
+        g = ids[k]
+        yield g, labels[g], [(ids[j], labels[ids[j]]) for j in sorted(later[k])]
 
 
 def verify_labelling(li: LabelledInstance) -> int:
     """Check every vertex pair against the tester; returns C(n, 2), the pairs checked.
 
-    Each pair in reach (see _in_reach) is put to the tester and
-    compared with the instance.  The tester's row rule answers False for
-    every other pair, so those agree with the instance exactly when no
-    instance edge lies out of reach, that is when the tester's True count
-    equals the edge count.  If it does not, the offending edge is named.
+    Each pair whose keys meet (see _key_meetings) is put to the tester
+    and compared with the instance.  The tester answers False for every
+    other pair, so those agree with the instance exactly when no
+    instance edge lies among them, that is when the tester's True count
+    equals the edge count.  If it does not, the offending edge is named,
+    with its cause: its rows are out of reach, or no own key of either
+    label meets a parent slot of the other.  Within one instance at most
+    2 x (parent slots) pairs reach the tester.
     """
     found = 0
-    for g1, l1, partners in _in_reach(li.labels):
+    for g1, l1, partners in _key_meetings(li.labels):
         nbrs = li.graph.neighbors(g1)
         for g2, l2 in partners:
             got = adjacency_test(l1, l2)
@@ -747,20 +781,24 @@ def verify_labelling(li: LabelledInstance) -> int:
         for g1, g2 in li.graph.edges():
             l1, l2 = li.labels[g1], li.labels[g2]
             if not adjacency_test(l1, l2):
-                raise AssertionError(
-                    f"edge {g1!r}-{g2!r} joins rows {l1.alpha1!r} and {l2.alpha1!r}, which the tester never pairs"
-                )
+                rows = f"edge {g1!r}-{g2!r} joins rows {l1.alpha1!r} and {l2.alpha1!r}"
+                if l1.alpha1 == l2.alpha1 or l1.next_alpha == l2.alpha1 or l2.next_alpha == l1.alpha1:
+                    raise AssertionError(f"{rows}, but no own key of either label meets a parent slot of the other")
+                raise AssertionError(f"{rows}, which the tester never pairs")
     return comb(len(li.labels), 2)
 
 
 def assemble_universal(corpus: list) -> Graph:
     """Union the corpus labels into one graph wired by the tester.
 
-    Vertices are the distinct label bits; only the pairs in reach (see
-    _in_reach) are put to the tester, which answers False for every
-    other pair anyway.  Every corpus member, whose labels must be
+    Vertices are the distinct label bits; only the pairs whose keys meet
+    (see _key_meetings) are put to the tester, which answers False for
+    every other pair anyway.  Every corpus member, whose labels must be
     distinct, is then re-checked to be an induced subgraph through its own
-    labels, one neighbour set per vertex.
+    labels, one neighbour set per vertex.  A (row, key) has at most two
+    owners per member, so the pairs put to the tester number at most
+    2 x (members) x (parent slots of the corpus), and 2 x (parent slots)
+    for one member.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -772,7 +810,7 @@ def assemble_universal(corpus: list) -> Graph:
         _check_distinct(li)
     decoded = {label.bits: label for li in corpus for label in li.labels.values()}
     un = Graph(sorted(decoded), name=f"universal(n={first.params.n}, t={first.params.t})")
-    for b1, l1, partners in _in_reach(decoded):
+    for b1, l1, partners in _key_meetings(decoded):
         for b2, l2 in partners:
             if adjacency_test(l1, l2):
                 un.add_edge(b1, b2)

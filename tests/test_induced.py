@@ -152,6 +152,18 @@ def test_unpack_rejects_a_successor_hint_that_contradicts_has_next():
             unpack_label(forged, li.params)
 
 
+def test_unpack_refuses_a_next_row_signature_past_maxheight():
+    # mu is a kept-prefix length and a free suffix, so padding the suffix
+    # decodes to a next row signature longer than any row tree can hold
+    li = label_instance(build_context(generate_qt_instance(2, 30, 3, rng_seed=3)), "fixed")
+    params = li.params
+    inner = next(lab for lab in li.labels.values() if lab.has_next)
+    padded = dataclasses.replace(inner, mu=inner.mu + "0" * 300, codec=params.codec)
+    assert len(padded.next_sig) >= 300 > params.maxheight
+    with pytest.raises(ValueError, match="deeper than maxheight"):
+        unpack_label(pack_label(padded, params), params)
+
+
 def test_unpack_refuses_a_successor_hint_past_maxheight():
     # an append hint of 400,000 zeros costs 39 bits of gamma code, and would
     # decode to a 400,001-bit next row signature; maxheight bounds the row
@@ -248,42 +260,87 @@ def test_audit_names_an_edge_out_of_reach():
         verify_labelling(mutant)
 
 
-def test_audit_and_assembly_test_each_in_reach_pair_once(monkeypatch):
+def test_audit_names_an_in_reach_edge_whose_keys_never_meet():
+    ctx = build_context(generate_qt_instance(2, 20, 5, rng_seed=4))
+    li = label_instance(ctx, "fixed")
+    coords = ctx.instance.witness.coords
+    vertices = sorted(coords)
+    # same row, and neither host vertex is a clique parent of the other
+    a, b = next((a, b) for a, b in itertools.combinations(vertices, 2)
+                if coords[a][1] == coords[b][1] and not ctx.tt.graph.has_edge(coords[a][0], coords[b][0]))
+    assert not li.graph.has_edge(a, b)
+    mutant = with_graph(li, Graph(vertices, list(li.graph.edges()) + [(a, b)]))
+    row = li.labels[a].alpha1
+    want = f"edge {a!r}-{b!r} joins rows {row!r} and {row!r}, but no own key of either label meets a parent slot"
+    with pytest.raises(AssertionError, match=re.escape(want)):
+        verify_labelling(mutant)
+
+
+def recorded_pairs(monkeypatch):
+    """Record each pair of labels put to the tester, as the set of their two object ids."""
     calls = []
 
     def recording(l1, l2):
-        calls.append((l1, l2))
+        calls.append(frozenset((id(l1), id(l2))))
         return adjacency_test(l1, l2)
 
     monkeypatch.setattr(induced, "adjacency_test", recording)
-    params = LabelParams(n=24, t=2)
-    corpus = []
-    for seed in range(6):
-        ctx = build_context(generate_qt_instance(2, 24, 1 + 2 * seed, rng_seed=seed + 70), params=params)
-        li = label_instance(ctx, "fixed")
-        corpus.append(li)
-        coords = ctx.instance.witness.coords
-        calls.clear()
-        assert verify_labelling(li) == 24 * 23 // 2
-        who = {id(lab): g for g, lab in li.labels.items()}
-        met = [frozenset((who[id(l1)], who[id(l2)])) for l1, l2 in calls]
-        in_reach = {frozenset((a, b)) for a, b in itertools.combinations(coords, 2)
-                    if abs(coords[a][1] - coords[b][1]) <= 1}
-        assert len(met) == len(set(met)) and set(met) == in_reach, seed
+    return calls
 
-    # across instances, rows are in reach by their signatures alone
-    decoded = {label.bits: label for li in corpus for label in li.labels.values()}
-    in_reach = {
-        frozenset((a, b)) for a, b in itertools.combinations(decoded, 2)
-        if decoded[a].alpha1 == decoded[b].alpha1
-        or decoded[a].next_alpha == decoded[b].alpha1 or decoded[b].next_alpha == decoded[a].alpha1
-    }
-    assert len(in_reach) < len(decoded) * (len(decoded) - 1) // 2
-    calls.clear()
-    assemble_universal(corpus)
-    who = {id(lab): bits for bits, lab in decoded.items()}
-    met = [frozenset((who[id(l1)], who[id(l2)])) for l1, l2 in calls]
-    assert len(met) == len(set(met)) and set(met) == in_reach
+
+def brute_force_true_pairs(labels: dict) -> set:
+    """Brute force: every pair of ids on which the tester says True, asked in repr order.
+
+    Labels of different instances can meet in both directions with
+    different bits, and then the tester's answer follows the argument
+    order; the audit and the assembly ask in repr order too.
+    """
+    keys = sorted(labels, key=repr)
+    return {frozenset((a, b)) for a, b in itertools.combinations(keys, 2) if adjacency_test(labels[a], labels[b])}
+
+
+def test_audit_and_assembly_test_only_key_meeting_pairs(monkeypatch):
+    calls = recorded_pairs(monkeypatch)
+    params = LabelParams(n=24, t=2)
+    contexts6 = [build_context(generate_qt_instance(2, 24, 1 + 2 * seed, rng_seed=seed + 70), params=params)
+                 for seed in range(6)]
+    for scheme in ("fixed", "legacy"):
+        corpus = []
+        for ctx in contexts6:
+            li = label_instance(ctx, scheme)
+            corpus.append(li)
+            calls.clear()
+            assert verify_labelling(li) == 24 * 23 // 2
+            who = {id(lab): g for g, lab in li.labels.items()}
+            met = [frozenset(who[i] for i in pair) for pair in calls]
+            true = brute_force_true_pairs(li.labels)
+            assert true == {frozenset(e) for e in li.graph.edges()}
+            assert len(met) == len(set(met)) and true <= set(met), (scheme, ctx.instance.seed)
+
+        decoded = {label.bits: label for li in corpus for label in li.labels.values()}
+        calls.clear()
+        un = assemble_universal(corpus)
+        who = {id(lab): bits for bits, lab in decoded.items()}
+        met = [frozenset(who[i] for i in pair) for pair in calls]
+        true = brute_force_true_pairs(decoded)
+        assert len(met) == len(set(met)) and true <= set(met), scheme
+        assert {frozenset(e) for e in un.edges()} == true, scheme
+        assert len(met) < len(decoded) * (len(decoded) - 1) // 2 // 4, scheme
+
+
+def test_audit_and_assembly_calls_stay_linear_in_parent_slots(monkeypatch):
+    # a quadratic audit or assembly puts about n^2 / 4 pairs of a two-row
+    # instance to the tester; the key join puts at most two per parent slot
+    calls = recorded_pairs(monkeypatch)
+    li = label_instance(build_context(generate_qt_instance(2, 512, 2, rng_seed=11)), "fixed")
+    labels = list(li.labels.values())
+    slots = sum(len(lab.parent_slot[0]) + len(lab.parent_slot[1]) for lab in labels)
+    in_reach = sum(1 for l1, l2 in itertools.combinations(labels, 2)
+                   if l1.alpha1 == l2.alpha1 or l1.next_alpha == l2.alpha1 or l2.next_alpha == l1.alpha1)
+    for run in (verify_labelling, lambda li: assemble_universal([li])):
+        calls.clear()
+        run(li)
+        assert len(calls) <= 2 * slots and len(calls) < in_reach / 10, (len(calls), slots, in_reach)
 
 
 def test_assemble_rejects_a_member_whose_graph_gains_or_loses_an_edge():
