@@ -51,8 +51,8 @@ class Saturator:
 
     def write_jsonl(self, path) -> None:
         head = {"n0": self.n0, "k": self.k, "eps": self.eps, "seed": self.seed, "d_sat": self.d_sat, "n_v": self.n_v}
-        pairs = ((v, u) for v in range(self.n_v) for u in sorted(self.adj[v]))
-        write_pairs(path, "saturator", head, "e", pairs)
+        groups = ((v, sorted(self.adj[v])) for v in range(self.n_v))
+        write_pairs(path, "saturator", head, "e", groups)
 
     @classmethod
     def read_jsonl(cls, path) -> "Saturator":

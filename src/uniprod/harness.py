@@ -32,6 +32,7 @@ from .induced import (
     build_context,
     growth_report,
     label_instance,
+    make_label,
     verify_labelling,
 )
 from .product import Graph, PathFactor, ProductWitness
@@ -124,11 +125,18 @@ def gen_bad_example(n: int, i: int, j: int) -> BadExample:
 def bad_family_counts(n: int) -> dict:
     """Hub-label statistics of both schemes over the diagonal family i = j = 1..n/12.
 
-    Each member is built once and both schemes label its one context;
-    member 1 is audited on every vertex pair.  Per scheme, counts the
-    distinct labels the two hubs take across the family and the tester
-    edges between the two label sets; the legacy scheme gives a full
-    bipartite pattern there, the fixup scheme a near-linear one.
+    Each member is built once and both schemes label its one context.
+    Per scheme, counts the distinct labels the two hubs v and u take
+    across the family and the tester edges between the two label sets;
+    the legacy scheme gives a full bipartite pattern there, the fixup
+    scheme a near-linear one.  Checks, per scheme:
+
+    - every member: build_context's checks, and make_label's assertions
+      plus its pack round trip on each hub label;
+    - member 1: the full labelling (label_instance) and its audit on
+      every vertex pair (verify_labelling).
+
+    The non-hub labels of members 2..n/12 are not built.
     """
     params = LabelParams(n=n, t=1)
     m = n // 12
@@ -136,12 +144,17 @@ def bad_family_counts(n: int) -> dict:
     for i in range(1, m + 1):
         ex = gen_bad_example(n, i, i)
         ctx = build_context(ex.instance, params=params, rep=ex.rep, tt=ex.ttree)
+        hv, hu = ex.spine["v"], ex.spine["u"]
+        coords = ex.instance.witness.coords
         for scheme, (lv, lu) in hubs.items():
-            li = label_instance(ctx, scheme)
             if i == 1:
+                li = label_instance(ctx, scheme)
                 verify_labelling(li)
-            lv.append(li.labels[ex.spine["v"]])
-            lu.append(li.labels[ex.spine["u"]])
+                lv.append(li.labels[hv])
+                lu.append(li.labels[hu])
+            else:
+                lv.append(make_label(ctx, *coords[hv], scheme))
+                lu.append(make_label(ctx, *coords[hu], scheme))
     points = {}
     for scheme, (lv, lu) in hubs.items():
         sv, su = ({label.bits: label for label in hub} for hub in (lv, lu))

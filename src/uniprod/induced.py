@@ -436,6 +436,8 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
     The legacy scheme reads the raw placement and ships the full clique
     path signature; the default scheme reads the fixed placement and ships
     the vertex's own raw node signature plus one overflow bit per row.
+    The label is checked where it is made: its transition code must
+    decode to the next row's signature, and its bits must unpack to it.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown label scheme {scheme!r}")
@@ -488,6 +490,8 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
     if label.next_sig != following:
         raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
     label.bits = pack_label(label, ctx.params)
+    if unpack_label(label.bits, ctx.params) != label:
+        raise AssertionError(f"label of {v!r}@{y} does not survive a pack round-trip")
     return label
 
 
@@ -604,24 +608,21 @@ def adjacency_test(l1: Label, l2: Label) -> bool:
 
     Row signatures classify the pair: same row, consecutive rows (either
     order), or too far apart.  Within reach, each side is checked as a
-    clique parent of the other by looking up its own node signature and
-    bag colour among the other's parent slots; a hit reads the matching
-    adjacency bit, no hit means no host edge.
+    clique parent of the other (a duo) by looking up its own node
+    signature and bag colour among the other's parent slots; a hit reads
+    the matching adjacency bit.  The answer is True exactly when some duo
+    hits with adjacency bit 1, so it does not depend on the argument
+    order.  Within one instance the two duos never disagree; labels of
+    different instances can hit in both duos with different bits.
     """
     if l1.scheme != l2.scheme or l1.t != l2.t:
         raise ValueError("labels come from different schemes")
     if l1.alpha1 == l2.alpha1:
-        duos = ((l1, 0, l2, 0), (l2, 0, l1, 0))
-    elif l1.next_alpha == l2.alpha1:
-        duos = ((l1, 1, l2, 0), (l2, 0, l1, 1))
-    elif l2.next_alpha == l1.alpha1:
-        duos = ((l2, 1, l1, 0), (l1, 0, l2, 1))
-    else:
-        return False
-    for la, ba, lb, bb in duos:
-        bit = _parent_bit(la, ba, lb, bb)
-        if bit is not None:
-            return bool(bit)
+        return bool(_parent_bit(l1, 0, l2, 0) or _parent_bit(l2, 0, l1, 0))
+    if l1.next_alpha == l2.alpha1:
+        return bool(_parent_bit(l1, 1, l2, 0) or _parent_bit(l2, 0, l1, 1))
+    if l2.next_alpha == l1.alpha1:
+        return bool(_parent_bit(l2, 1, l1, 0) or _parent_bit(l1, 0, l2, 1))
     return False
 
 
@@ -711,8 +712,6 @@ def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance
     for g in sorted(coords, key=repr):
         v, y = coords[g]
         labels[g] = make_label(ctx, v, y, scheme)
-        if unpack_label(labels[g].bits, ctx.params) != labels[g]:
-            raise AssertionError(f"label of {g!r} does not survive a pack round-trip")
     li = LabelledInstance(ctx.params, scheme, labels, ctx.instance.graph)
     _check_distinct(li)
     return li
@@ -729,9 +728,8 @@ def _key_meetings(labels: dict):
     own_key[1]), then looks up each parent-slot key of parent_slot[0] in
     row alpha1 and of parent_slot[1] in row next_alpha.  Each unordered
     pair comes once, the earlier id in repr order first, ordered by that
-    id and then by the partner's.  Callers ask the tester in that order:
-    two labels of different instances can meet in both directions with
-    different bits, and then the answer follows the argument order.
+    id and then by the partner's; the tester's answer does not depend on
+    the order its two labels are given in.
 
     Within one instance a (row, key) has at most two owners, (v, y) and
     (v, y + 1), since bag colours are injective per bag; so the pairs

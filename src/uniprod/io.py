@@ -23,16 +23,20 @@ def write_records(path, kind: str, head: dict, records) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def write_pairs(path, kind: str, head: dict, name: str, pairs) -> None:
-    """Write the header, then one record ``{name: [a, b]}`` per int pair (a, b).
+def write_pairs(path, kind: str, head: dict, name: str, groups) -> None:
+    """Write the header, then one record ``{name: [a, b]}`` per int b of each group (a, bs).
 
-    The bytes are those of ``write_records`` on the same records; each line
-    is formatted directly, as ``json.dumps`` per record dominates large files.
+    The bytes are those of ``write_records`` on the same records; each
+    group's lines are formatted directly, with one ``str.join``, as
+    ``json.dumps`` per record dominates large files.
     """
     with open(path, "w") as fh:
         fh.write(json.dumps({"kind": kind, **head}) + "\n")
         start = "{" + json.dumps(name) + ": ["
-        fh.writelines(f"{start}{a}, {b}]}}\n" for a, b in pairs)
+        for a, bs in groups:
+            if bs:
+                line = f"{start}{a}, "
+                fh.write(line + f"]}}\n{line}".join(map(str, bs)) + "]}\n")
 
 
 def edge_records(name: str, edges):

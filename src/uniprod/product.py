@@ -7,6 +7,7 @@ pair that is equal-or-adjacent in every coordinate and differs somewhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
@@ -98,12 +99,12 @@ class Graph:
         order = sorted(self._adj, key=repr)
         index = {v: i for i, v in enumerate(order)}
 
-        def pairs():
+        def groups():
             for i, v in enumerate(order):
-                for j in sorted(j for j in map(index.__getitem__, self._adj[v]) if j > i):
-                    yield i, j
+                ids = sorted(map(index.__getitem__, self._adj[v]))
+                yield i, ids[bisect_right(ids, i):]
 
-        write_pairs(path, "graph", {"n": self.n, "name": self.name}, "edge", pairs())
+        write_pairs(path, "graph", {"n": self.n, "name": self.name}, "edge", groups())
 
     @classmethod
     def read_jsonl(cls, path) -> "Graph":

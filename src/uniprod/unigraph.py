@@ -47,6 +47,8 @@ class UgParams:
     horizon: int = field(init=False, repr=False, compare=False)  # cap on row-signature lengths in the successor condition
     budget: int = field(init=False, repr=False, compare=False)  # cap on |x| + |y| for a vertex
     codec: LcpCodec = field(init=False, repr=False, compare=False)
+    # row signature y1 -> frozenset(successor_set(y1, horizon)), filled by _type2_need
+    successors: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -62,7 +64,8 @@ class UgParams:
                 lam = need
         if lam < 0:
             raise ValueError("lam >= 0 required")
-        derived = {"lam": lam, "d": d, "horizon": d + 2, "budget": d + lam + 2, "codec": LcpCodec(d + lam + 2)}
+        derived = {"lam": lam, "d": d, "horizon": d + 2, "budget": d + lam + 2, "codec": LcpCodec(d + lam + 2),
+                   "successors": {}}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -109,10 +112,18 @@ def _best_prefix_keep(p: UgParams, x1: str, len_y1: int, x2: str) -> int:
 
 
 def _type2_need(p: UgParams, u, v) -> int | None:
-    """Bits the cheapest type-2 certificate for u -> v takes, if any."""
+    """Bits the cheapest type-2 certificate for u -> v takes, if any.
+
+    The successor set of each row signature is built once per UgParams.
+    """
     x1, y1, _ = u
     x2, y2, _ = v
-    if len(y1) > p.horizon or y2 not in successor_set(y1, p.horizon):
+    if len(y1) > p.horizon:
+        return None
+    successors = p.successors.get(y1)
+    if successors is None:
+        successors = p.successors[y1] = frozenset(successor_set(y1, p.horizon))
+    if y2 not in successors:
         return None
     if p.budget - len(y1) < 0:
         return None

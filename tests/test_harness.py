@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from uniprod import harness
 from uniprod.harness import (
     Report,
     bad_family_counts,
@@ -9,6 +10,7 @@ from uniprod.harness import (
     gen_bad_example,
     run_suite,
 )
+from uniprod.induced import SCHEMES, LabelParams, adjacency_test, build_context, label_instance
 
 
 def test_bad_example_recipe_counts():
@@ -55,6 +57,48 @@ def test_hub_label_growth_separates_schemes():
     assert legacy["labels_v"] == 48 // 12  # one hub label per family member
     assert fixed["labels_v"] < legacy["labels_v"]
     assert fixed["cross_edges"] < legacy["cross_edges"]
+
+
+def reference_family(n):
+    """Hub counts and hub label bits of bad_family_counts(n), labelling every vertex of every member."""
+    params = LabelParams(n=n, t=1)
+    hubs = {scheme: {"v": {}, "u": {}} for scheme in SCHEMES}
+    bits = {}
+    for i in range(1, n // 12 + 1):
+        ex = gen_bad_example(n, i, i)
+        ctx = build_context(ex.instance, params=params, rep=ex.rep, tt=ex.ttree)
+        for scheme, by_role in hubs.items():
+            li = label_instance(ctx, scheme)
+            for role, labels in by_role.items():
+                label = li.labels[ex.spine[role]]
+                labels[label.bits] = label
+                bits[ex.graph.name, ex.spine[role], scheme] = label.bits
+    counts = {}
+    for scheme, by_role in hubs.items():
+        lv, lu = by_role["v"].values(), by_role["u"].values()
+        cross = sum(1 for a in lv for b in lu if a.bits != b.bits and adjacency_test(a, b))
+        counts[scheme] = {"n": n, "family": n // 12, "scheme": scheme, "labels_v": len(lv), "labels_u": len(lu),
+                          "cross_edges": cross}
+    return counts, bits
+
+
+def test_hub_only_family_counts_match_full_labelling(monkeypatch):
+    made = {}
+    real = harness.make_label
+
+    def recording(ctx, v, y, scheme):
+        label = real(ctx, v, y, scheme)
+        made[ctx.instance.graph.name, v, scheme] = label.bits
+        return label
+
+    monkeypatch.setattr(harness, "make_label", recording)
+    for n in (48, 96):
+        made.clear()
+        counts, bits = reference_family(n)
+        assert bad_family_counts(n) == counts
+        # members 2..m label their two hubs only, under each scheme
+        assert len(made) == 2 * len(SCHEMES) * (n // 12 - 1)
+        assert all(bits[k] == b for k, b in made.items())
 
 
 def test_slope_measurement():

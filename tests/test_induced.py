@@ -109,6 +109,24 @@ def test_labels_pack_and_unpack_exactly():
                 assert back == label, (scheme, hv, y)
 
 
+def test_make_label_checks_the_pack_round_trip(monkeypatch):
+    ctx = next(contexts([31], tmax=2, nmax=20))
+    hv, y = min(ctx.inv, key=repr)
+    make_label(ctx, hv, y, "fixed")
+    real = induced.unpack_label
+
+    def changed(bits, params):
+        label = real(bits, params)
+        slot = min(label.abits)
+        label.abits = {**label.abits, slot: 1 - label.abits[slot]}
+        return label
+
+    monkeypatch.setattr(induced, "unpack_label", changed)
+    for scheme in ("fixed", "legacy"):
+        with pytest.raises(AssertionError, match="does not survive a pack round-trip"):
+            make_label(ctx, hv, y, scheme)
+
+
 def test_unpack_rejects_garbage():
     params = LabelParams(n=16, t=1)
     with pytest.raises(ValueError):
@@ -289,24 +307,23 @@ def recorded_pairs(monkeypatch):
 
 
 def brute_force_true_pairs(labels: dict) -> set:
-    """Brute force: every pair of ids on which the tester says True, asked in repr order.
+    """Brute force: every pair of ids on which the tester says True."""
+    return {frozenset((a, b)) for a, b in itertools.combinations(labels, 2) if adjacency_test(labels[a], labels[b])}
 
-    Labels of different instances can meet in both directions with
-    different bits, and then the tester's answer follows the argument
-    order; the audit and the assembly ask in repr order too.
-    """
-    keys = sorted(labels, key=repr)
-    return {frozenset((a, b)) for a, b in itertools.combinations(keys, 2) if adjacency_test(labels[a], labels[b])}
+
+@functools.cache
+def six_contexts():
+    """Six n=24 t=2 instances on 1, 3, ..., 11 rows under one LabelParams."""
+    params = LabelParams(n=24, t=2)
+    return [build_context(generate_qt_instance(2, 24, 1 + 2 * seed, rng_seed=seed + 70), params=params)
+            for seed in range(6)]
 
 
 def test_audit_and_assembly_test_only_key_meeting_pairs(monkeypatch):
     calls = recorded_pairs(monkeypatch)
-    params = LabelParams(n=24, t=2)
-    contexts6 = [build_context(generate_qt_instance(2, 24, 1 + 2 * seed, rng_seed=seed + 70), params=params)
-                 for seed in range(6)]
     for scheme in ("fixed", "legacy"):
         corpus = []
-        for ctx in contexts6:
+        for ctx in six_contexts():
             li = label_instance(ctx, scheme)
             corpus.append(li)
             calls.clear()
@@ -326,6 +343,16 @@ def test_audit_and_assembly_test_only_key_meeting_pairs(monkeypatch):
         assert len(met) == len(set(met)) and true <= set(met), scheme
         assert {frozenset(e) for e in un.edges()} == true, scheme
         assert len(met) < len(decoded) * (len(decoded) - 1) // 2 // 4, scheme
+
+
+def test_tester_answers_the_same_in_both_argument_orders():
+    # labels of different instances can hit in both duos with different
+    # bits; the tester says True when either duo hits with bit 1
+    for scheme in ("fixed", "legacy"):
+        labels = [lab for ctx in six_contexts() for lab in label_instance(ctx, scheme).labels.values()]
+        assert len(labels) == 6 * 24
+        differ = sum(1 for a, b in itertools.combinations(labels, 2) if adjacency_test(a, b) != adjacency_test(b, a))
+        assert differ == 0, scheme
 
 
 def test_audit_and_assembly_calls_stay_linear_in_parent_slots(monkeypatch):

@@ -1,5 +1,6 @@
 """Every reader names the file and line of a malformed record."""
 
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -179,7 +180,9 @@ ODD_NAME = 'say "hi" \\ ü λ 図'
 @pytest.mark.parametrize("name", ["edge", "e"])
 def test_pair_writer_matches_write_records(tmp_path, name, pairs):
     head = {"n": 3, "name": ODD_NAME}
-    write_pairs(tmp_path / "fast.jsonl", "graph", head, name, iter(pairs))
+    # the writer takes (a, bs) groups; an empty group writes nothing
+    groups = [(a, [b for _, b in group]) for a, group in itertools.groupby(pairs, key=lambda p: p[0])]
+    write_pairs(tmp_path / "fast.jsonl", "graph", head, name, iter(groups + [(7, [])]))
     write_records(tmp_path / "slow.jsonl", "graph", head, ({name: [a, b]} for a, b in pairs))
     assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "slow.jsonl").read_bytes()
 
