@@ -39,30 +39,28 @@ def lcp_len(x: str, y: str) -> int:
 class Bst:
     """Immutable binary search tree over distinct integer keys."""
 
-    __slots__ = ("root", "_left", "_right", "_depth", "_sig")
+    __slots__ = ("root", "_left", "_right", "_sig")
 
     def __init__(self, root, left, right):
         self.root = root
         self._left = left
         self._right = right
-        self._depth = {}
         self._sig = {}
         if root is not None:
-            stack = [(root, 0, "")]
+            stack = [(root, "")]
             while stack:
-                k, d, sig = stack.pop()
-                self._depth[k] = d
+                k, sig = stack.pop()
                 self._sig[k] = sig
                 if left[k] is not None:
-                    stack.append((left[k], d + 1, sig + "0"))
+                    stack.append((left[k], sig + "0"))
                 if right[k] is not None:
-                    stack.append((right[k], d + 1, sig + "1"))
+                    stack.append((right[k], sig + "1"))
 
     def __len__(self):
         return len(self._left)
 
     def __contains__(self, key):
-        return key in self._depth
+        return key in self._sig
 
     def keys(self):
         return sorted(self._left)
@@ -74,11 +72,11 @@ class Bst:
         return self._right[key]
 
     def depth(self, key) -> int:
-        return self._depth[key]
+        return len(self._sig[key])
 
     @property
     def height(self) -> int:
-        return max(self._depth.values()) if self._depth else 0
+        return max(map(len, self._sig.values()), default=0)
 
     def signature(self, key) -> str:
         return self._sig[key]
@@ -97,8 +95,8 @@ class Bst:
         return f"Bst({len(self)} keys, root={self.root}, height={self.height})"
 
 
-def build_biased_bst(keys: Iterable[int], weights=None) -> Bst:
-    """Build a BST by the half-weight rule.
+def build_biased_bst(keys: Iterable[int], weights: Mapping[int, int] | None = None) -> Bst:
+    """Build a BST by the half-weight rule; weights maps each key to its weight, 1 if None.
 
     The root of each subtree is the smallest key whose cumulative weight
     (in key order) reaches half the subtree's total; both children then
@@ -112,10 +110,8 @@ def build_biased_bst(keys: Iterable[int], weights=None) -> Bst:
         raise ValueError("duplicate keys")
     if weights is None:
         ws = [1] * len(ks)
-    elif isinstance(weights, Mapping):
-        ws = [weights[k] for k in ks]
     else:
-        ws = [weights[i] for i in range(len(ks))]
+        ws = [weights[k] for k in ks]
     if any(w <= 0 for w in ws):
         raise ValueError("weights must be positive")
 

@@ -119,7 +119,7 @@ def _cmd_build_ug(args) -> int:
         print(f"n={p.n} d={p.d} lam={p.lam} budget={p.budget}")
         print(f"vertex bound {vb}, edge bound {eb}; adjacency via is_edge")
         return 0
-    g = materialize(p, cap=args.cap)
+    g = materialize(p)
     out = _out_path(args, f"ug_n{p.n}_lam{p.lam}.jsonl")
     g.write_jsonl(out)
     print(f"{g.name}: {g.n} vertices (bound {vb}), {g.m} edges (bound {eb}) -> {out}")
@@ -130,8 +130,8 @@ def _cmd_count(args) -> int:
     p = UgParams(args.n, lam=args.lam)
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
     row = {"n": p.n, "d": p.d, "lam": p.lam, "vertex_bound": vb, "edge_bound": eb}
-    if vb <= args.cap:
-        seq = host_degree_sequence(p, cap=args.cap)
+    if vb <= HOST_CAP:
+        seq = host_degree_sequence(p)
         row.update({"vertices": len(seq), "edges": sum(seq) // 2})
     print(json.dumps(row))
     return 0
@@ -273,14 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     bu.add_argument("--n", type=int, required=True)
     bu.add_argument("--lambda", dest="lam", type=int)
     bu.add_argument("--mode", choices=("explicit", "implicit"), default="implicit")
-    bu.add_argument("--cap", type=int, default=HOST_CAP)
     bu.add_argument("--out")
     bu.set_defaults(func=_cmd_build_ug)
 
     co = sub.add_parser("count", help="size bounds, plus exact counts when materializable")
     co.add_argument("--n", type=int, required=True)
     co.add_argument("--lambda", dest="lam", type=int)
-    co.add_argument("--cap", type=int, default=HOST_CAP)
     co.set_defaults(func=_cmd_count)
 
     cp = sub.add_parser("compress", help="contract a graph through a verified saturator")

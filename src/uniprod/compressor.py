@@ -216,12 +216,12 @@ def compress(gU: Graph, s: Saturator) -> Graph:
     return hn
 
 
-def embed_compressed(F: Graph, emb: dict, s: Saturator, gU: Graph, hn: Graph | None = None) -> dict:
-    """Carry an embedding F -> gU over to the compressed graph.
+def embed_compressed(F: Graph, emb: dict, s: Saturator, gU: Graph, hn: Graph) -> dict:
+    """Carry an embedding F -> gU over to hn, the compressed graph compress(gU, s).
 
     A maximum matching between the embedding's image and U assigns each
     image vertex a private U-partner; composing gives an embedding into
-    compress(gU, s) by the definition of its edges.  Both maps are checked
+    hn by the definition of its edges.  Both maps are checked
     as one-factor witnesses over their graphs.
     """
     ProductWitness(F, (gU,), {a: (x,) for a, x in emb.items()}).validate()
@@ -232,7 +232,5 @@ def embed_compressed(F: Graph, emb: dict, s: Saturator, gU: Graph, hn: Graph | N
             f"saturation violated: matched {len(matching)} of {len(image)} image vertices"
         )
     out = {a: matching[emb[a]] for a in F.vertices()}
-    if hn is None:
-        hn = compress(gU, s)
     ProductWitness(F, (hn,), {a: (x,) for a, x in out.items()}).validate()
     return out

@@ -105,7 +105,6 @@ def gen_bad_example(n: int, i: int, j: int) -> BadExample:
             if nb != parent:
                 stack.append((nb, v))
     tt = TTree(t=1, order=order, graph=graph, attach=attach, owner=owner)
-    tt.validate()
 
     coords = {v: (v, 1) for v in verts}
     witness = ProductWitness(graph, (graph, PathFactor(1)), coords)

@@ -26,11 +26,12 @@ by (node signature, bag colour).  Testing a pair is then one dict lookup
 per direction, so the full-pair audit and the assembly decode nothing.
 
 The tester can say True only where one label's own key meets a parent
-slot key of the other in the same row.  The audit and the assembly
-therefore join own keys with parent-slot keys and put only the pairs
-that meet to the tester, at most two per parent slot of an instance;
-every other pair is False without a lookup.  The audit still settles
-all C(n, 2) pairs: its True count must equal the instance's edge count.
+slot key of the other in the same row.  The tester graph on a set of
+labels therefore joins own keys with parent-slot keys and puts only the
+pairs that meet to the tester, at most two per parent slot of an
+instance; every other pair is False without a lookup.  The audit and
+the assembly both build it and check, vertex by vertex, that it induces
+each instance's graph, which settles all C(n, 2) pairs.
 """
 
 from __future__ import annotations
@@ -717,23 +718,15 @@ def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance
     return li
 
 
-def _key_meetings(labels: dict):
-    """Yield (id, label, partners) per id that meets a later one; partners are (id, label) items.
+def _key_join(labels: dict) -> tuple:
+    """The ids in repr order, and each position's set of later positions whose keys meet.
 
     Every duo of the tester compares keys of one row, so adjacency_test
-    answers True only for a pair where one label's own (node signature,
-    colour) key in some row is a parent-slot key of the other label in
-    that same row.  This join finds exactly those pairs: it indexes every
-    own key by its row, (alpha1, own_key[0]) and (next_alpha,
-    own_key[1]), then looks up each parent-slot key of parent_slot[0] in
-    row alpha1 and of parent_slot[1] in row next_alpha.  Each unordered
-    pair comes once, the earlier id in repr order first, ordered by that
-    id and then by the partner's; the tester's answer does not depend on
-    the order its two labels are given in.
-
-    Within one instance a (row, key) has at most two owners, (v, y) and
-    (v, y + 1), since bag colours are injective per bag; so the pairs
-    yielded number at most 2 x the parent slots of the instance's labels.
+    answers True only where one label's own (node signature, colour) key
+    in some row is a parent-slot key of the other in that same row; the
+    join finds exactly those pairs.  Within one instance a (row, key) has
+    at most two owners, (v, y) and (v, y + 1), since bag colours are
+    injective per bag; so it finds at most 2 x (parent slots) pairs.
     """
     ids = sorted(labels, key=repr)
     owners = defaultdict(list)  # (row signature, own key) -> positions in ids
@@ -750,53 +743,68 @@ def _key_meetings(labels: dict):
                 for j in owners.get((row, slot_key), ()):
                     if j != k:
                         later[min(j, k)].add(max(j, k))
-    for k in sorted(later):
-        g = ids[k]
-        yield g, labels[g], [(ids[j], labels[ids[j]]) for j in sorted(later[k])]
+    return ids, later
+
+
+def _tester_graph(labels: dict) -> dict:
+    """Each id's set of tester neighbours among the labels.
+
+    Each pair the key join finds is put to the tester once; every other
+    pair is False without a lookup.
+    """
+    ids, later = _key_join(labels)
+    nbrs = {g: set() for g in ids}
+    for k, partners in later.items():
+        g1 = ids[k]
+        for j in partners:
+            g2 = ids[j]
+            if adjacency_test(labels[g1], labels[g2]):
+                nbrs[g1].add(g2)
+                nbrs[g2].add(g1)
+    return nbrs
+
+
+def _check_induced(li: LabelledInstance, tester_nbrs: dict) -> None:
+    """Check that each vertex's tester neighbours (an id -> ids map) are its neighbours in li.graph.
+
+    Vertices are scanned in graph order.  The first pair that differs is
+    named with its cause: the tester says True on a non-edge, or False on
+    an edge whose keys meet, whose keys never meet, or whose rows are out
+    of reach.
+    """
+    for g1 in li.graph.vertices():
+        got, want = tester_nbrs[g1], li.graph.neighbors(g1)
+        if got == want:
+            continue
+        g2 = min(got ^ want, key=repr)
+        if g2 in got:
+            raise AssertionError(f"pair {g1!r},{g2!r}: tester says True, instance says False")
+        l1, l2 = li.labels[g1], li.labels[g2]
+        if _key_join({g1: l1, g2: l2})[1]:
+            raise AssertionError(f"pair {g1!r},{g2!r}: tester says False, instance says True")
+        rows = f"edge {g1!r}-{g2!r} joins rows {l1.alpha1!r} and {l2.alpha1!r}"
+        if l1.alpha1 == l2.alpha1 or l1.next_alpha == l2.alpha1 or l2.next_alpha == l1.alpha1:
+            raise AssertionError(f"{rows}, but no own key of either label meets a parent slot of the other")
+        raise AssertionError(f"{rows}, which the tester never pairs")
 
 
 def verify_labelling(li: LabelledInstance) -> int:
     """Check every vertex pair against the tester; returns C(n, 2), the pairs checked.
 
-    Each pair whose keys meet (see _key_meetings) is put to the tester
-    and compared with the instance.  The tester answers False for every
-    other pair, so those agree with the instance exactly when no
-    instance edge lies among them, that is when the tester's True count
-    equals the edge count.  If it does not, the offending edge is named,
-    with its cause: its rows are out of reach, or no own key of either
-    label meets a parent slot of the other.  Within one instance at most
-    2 x (parent slots) pairs reach the tester.
+    The tester graph on the labels must be the instance graph; the pairs
+    it leaves out are False without a lookup, so all pairs are settled.
     """
-    found = 0
-    for g1, l1, partners in _key_meetings(li.labels):
-        nbrs = li.graph.neighbors(g1)
-        for g2, l2 in partners:
-            got = adjacency_test(l1, l2)
-            if got != (g2 in nbrs):
-                raise AssertionError(f"pair {g1!r},{g2!r}: tester says {got}, instance says {not got}")
-            found += got
-    if found != li.graph.m:
-        for g1, g2 in li.graph.edges():
-            l1, l2 = li.labels[g1], li.labels[g2]
-            if not adjacency_test(l1, l2):
-                rows = f"edge {g1!r}-{g2!r} joins rows {l1.alpha1!r} and {l2.alpha1!r}"
-                if l1.alpha1 == l2.alpha1 or l1.next_alpha == l2.alpha1 or l2.next_alpha == l1.alpha1:
-                    raise AssertionError(f"{rows}, but no own key of either label meets a parent slot of the other")
-                raise AssertionError(f"{rows}, which the tester never pairs")
+    _check_induced(li, _tester_graph(li.labels))
     return comb(len(li.labels), 2)
 
 
 def assemble_universal(corpus: list) -> Graph:
-    """Union the corpus labels into one graph wired by the tester.
+    """The tester graph on the corpus labels, whose vertices are the distinct label bits.
 
-    Vertices are the distinct label bits; only the pairs whose keys meet
-    (see _key_meetings) are put to the tester, which answers False for
-    every other pair anyway.  Every corpus member, whose labels must be
-    distinct, is then re-checked to be an induced subgraph through its own
-    labels, one neighbour set per vertex.  A (row, key) has at most two
-    owners per member, so the pairs put to the tester number at most
-    2 x (members) x (parent slots of the corpus), and 2 x (parent slots)
-    for one member.
+    Every corpus member, whose labels must be distinct, is checked to be
+    an induced subgraph through its own labels.  A (row, key) has at most
+    two owners per member, so the pairs put to the tester number at most
+    2 x (members) x (parent slots of the corpus).
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -807,20 +815,14 @@ def assemble_universal(corpus: list) -> Graph:
     for li in corpus:
         _check_distinct(li)
     decoded = {label.bits: label for li in corpus for label in li.labels.values()}
-    un = Graph(sorted(decoded), name=f"universal(n={first.params.n}, t={first.params.t})")
-    for b1, l1, partners in _key_meetings(decoded):
-        for b2, l2 in partners:
-            if adjacency_test(l1, l2):
-                un.add_edge(b1, b2)
-    for li in corpus:
-        bits = {g: label.bits for g, label in li.labels.items()}
-        member = set(bits.values())
-        for g, own in bits.items():
-            want = {bits[w] for w in li.graph.neighbors(g)}
-            wrong = (un.neighbors(own) & member) ^ want
-            if wrong:
-                other = min((w for w in bits if bits[w] in wrong), key=repr)
-                raise AssertionError(f"instance pair {g!r},{other!r} is not induced faithfully")
+    un = Graph.from_adjacency(_tester_graph(decoded), name=f"universal(n={first.params.n}, t={first.params.t})")
+    for k, li in enumerate(corpus):
+        owner = {label.bits: g for g, label in li.labels.items()}
+        member = {g: {owner[b] for b in un.neighbors(label.bits) if b in owner} for g, label in li.labels.items()}
+        try:
+            _check_induced(li, member)
+        except AssertionError as exc:
+            raise AssertionError(f"corpus member {k} is not induced faithfully: {exc}") from None
     return un
 
 

@@ -195,7 +195,7 @@ def edge_count_bound(p: UgParams) -> int:
     return (1 << (p.d + 2 * p.lam + 5)) * (p.budget + 1) ** 6
 
 
-def row_graph(p: UgParams, cap: int = HOST_CAP) -> dict:
+def row_graph(p: UgParams) -> dict:
     """The row graph R: each (x, y) pair mapped to the set of its R-neighbours.
 
     Adjacency never reads z: on equal (x, y) the one-way condition is
@@ -203,13 +203,13 @@ def row_graph(p: UgParams, cap: int = HOST_CAP) -> dict:
     exactly when their (x, y) parts are equal or adjacent in R, and the
     host is the strong product R x K_{d+1}.
 
-    Refuses when the vertex-count bound passes cap; at that point the
-    implicit interface (is_edge) is the only sensible access path.
+    Refuses when the vertex-count bound passes HOST_CAP; at that point
+    the implicit interface (is_edge) is the only sensible access path.
     """
     bound = vertex_count_bound(p)
-    if bound > cap:
+    if bound > HOST_CAP:
         raise ValueError(
-            f"vertex bound {bound} exceeds cap {cap}; query is_edge implicitly instead"
+            f"vertex bound {bound} exceeds cap {HOST_CAP}; query is_edge implicitly instead"
         )
     b, lam = p.budget, p.lam
     by_len = [["".join(t) for t in iter_product("01", repeat=L)] for L in range(b + 1)]
@@ -261,7 +261,7 @@ def row_graph(p: UgParams, cap: int = HOST_CAP) -> dict:
     return rows
 
 
-def materialize(p: UgParams, cap: int = HOST_CAP) -> Graph:
+def materialize(p: UgParams) -> Graph:
     """Build the graph explicitly; vertices are the (x, y, z) triples.
 
     The host is R x K_{d+1} (see row_graph), so R's edges are enumerated
@@ -269,7 +269,7 @@ def materialize(p: UgParams, cap: int = HOST_CAP) -> Graph:
     of r's R-neighbours.  Only a graph file needs this; the sizes come
     from R alone (host_degree_sequence).
     """
-    rows = row_graph(p, cap)
+    rows = row_graph(p)
     triples = {r: [(*r, z) for z in range(p.d + 1)] for r in rows}
     adj = {}
     for r, nbrs in rows.items():
@@ -281,14 +281,14 @@ def materialize(p: UgParams, cap: int = HOST_CAP) -> Graph:
     return Graph.from_adjacency(adj, name=f"ug(n={p.n}, lam={p.lam})")
 
 
-def host_degree_sequence(p: UgParams, cap: int = HOST_CAP) -> list[int]:
+def host_degree_sequence(p: UgParams) -> list[int]:
     """The host's degree sequence, sorted descending, read off R alone.
 
     In R x K_{d+1} each of the d+1 triples of r has degree
     (d+1)(deg_R(r) + 1) - 1; so |V| is the length and |E| half the sum.
     """
     k = p.d + 1
-    degrees = sorted((len(nbrs) for nbrs in row_graph(p, cap).values()), reverse=True)
+    degrees = sorted((len(nbrs) for nbrs in row_graph(p).values()), reverse=True)
     return [k * (deg + 1) - 1 for deg in degrees for _ in range(k)]
 
 

@@ -202,7 +202,7 @@ def test_c06_universal_graph_size_bounds():
             p = UgParams(n, lam=lam)
             key = (p.d, lam)
             if key not in by_shape:
-                g = materialize(p, cap=200_000)
+                g = materialize(p)
                 by_shape[key] = (g.n, g.m)
             nv, ne = by_shape[key]
             vb = (1 << (p.d + lam + 3)) * (p.d + lam + 3) ** 2

@@ -164,7 +164,7 @@ def test_embed_compressed_rejects_bad_premise():
     g = Graph(range(1, 4), itertools.combinations(range(1, 4), 2))
     gz = Graph(range(s.n_v), [(0, 1), (1, 2)])
     with pytest.raises(WitnessError):
-        embed_compressed(g, {1: 0, 2: 1, 3: 2}, s, gz)
+        embed_compressed(g, {1: 0, 2: 1, 3: 2}, s, gz, compress(gz, s))
 
 
 def test_saturator_jsonl_roundtrip(tmp_path):

@@ -45,6 +45,12 @@ def test_bad_example_is_a_tree_with_matching_intervals():
     ex.instance.witness.validate()
 
 
+def test_bad_example_ttrees_are_valid():
+    # build_context validates a prescribed t-tree; the construction itself is checked here
+    for i in range(1, 48 // 12 + 1):
+        gen_bad_example(48, i, i).ttree.validate()
+
+
 def test_bad_example_parameter_guards():
     for bad in [(47, 1, 1), (12, 1, 1), (48, 0, 1), (48, 1, 5), (48, 5, 1)]:
         with pytest.raises(ValueError):

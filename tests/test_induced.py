@@ -294,6 +294,17 @@ def test_audit_names_an_in_reach_edge_whose_keys_never_meet():
         verify_labelling(mutant)
 
 
+def test_audit_names_a_dropped_edge():
+    ctx = build_context(generate_qt_instance(2, 20, 5, rng_seed=4))
+    li = label_instance(ctx, "fixed")
+    vertices = sorted(li.graph.vertices(), key=repr)
+    edges = sorted(li.graph.edges(), key=repr)
+    a, b = sorted(edges[0], key=vertices.index)
+    mutant = with_graph(li, Graph(vertices, edges[1:]))
+    with pytest.raises(AssertionError, match=re.escape(f"pair {a!r},{b!r}: tester says True, instance says False")):
+        verify_labelling(mutant)
+
+
 def recorded_pairs(monkeypatch):
     """Record each pair of labels put to the tester, as the set of their two object ids."""
     calls = []
@@ -379,8 +390,13 @@ def test_assemble_rejects_a_member_whose_graph_gains_or_loses_an_edge():
     vertices = sorted(li.graph.vertices(), key=repr)
     edges = sorted(li.graph.edges(), key=repr)
     absent = next(p for p in itertools.combinations(vertices, 2) if not li.graph.has_edge(*p))
-    for graph in (Graph(vertices, edges[1:]), Graph(vertices, edges + [absent])):
-        with pytest.raises(AssertionError, match="not induced faithfully"):
+    a, b = sorted(edges[0], key=vertices.index)
+    cases = [
+        (Graph(vertices, edges[1:]), f"pair {a!r},{b!r}: tester says True, instance says False"),
+        (Graph(vertices, edges + [absent]), f"pair {absent[0]!r},{absent[1]!r}: tester says False, instance says True"),
+    ]
+    for graph, cause in cases:
+        with pytest.raises(AssertionError, match=re.escape(f"corpus member 1 is not induced faithfully: {cause}")):
             assemble_universal([corpus[0], with_graph(li, graph)])
 
 

@@ -144,7 +144,7 @@ def test_materialized_counts_stay_under_bounds():
         for (u, v) in itertools.islice(g.edges(), 500):
             assert is_edge(p, u, v)
     with pytest.raises(ValueError):
-        materialize(UgParams(1 << 16), cap=1000)
+        materialize(UgParams(1 << 16))
 
 
 def test_materialize_builds_exactly_the_is_edge_graph():
@@ -167,7 +167,7 @@ def test_row_graph_gives_the_host_sizes():
         assert seq == g.degree_sequence(), (n, lam)
         assert (len(seq), sum(seq) // 2) == (g.n, g.m), (n, lam)
     with pytest.raises(ValueError):
-        row_graph(UgParams(1 << 16), cap=1000)
+        row_graph(UgParams(1 << 16))
 
 
 def test_degree_domination():
