@@ -204,65 +204,3 @@ def in_successor_set(sigma: str, tau: str, h: int) -> bool:
     k = len(sigma)
     return len(tau) > k and tau[:k] == sigma and tau[k] == "1" and not tau[k + 1 :].strip("0")
 
-
-class BitWriter:
-    """Append-only bit buffer with the field encodings the label format uses."""
-
-    def __init__(self):
-        self._parts: list[str] = []
-
-    def bits(self, s: str):
-        self._parts.append(check_bits(s))
-
-    def fixed(self, value: int, width: int):
-        if value < 0 or value >= (1 << width):
-            raise ValueError(f"{value} does not fit in {width} bits")
-        self._parts.append(format(value, f"0{width}b") if width else "")
-
-    def gamma(self, value: int):
-        """Elias gamma; value >= 1."""
-        if value < 1:
-            raise ValueError("gamma codes positive integers")
-        b = format(value, "b")
-        self._parts.append("0" * (len(b) - 1) + b)
-
-    def prefixed(self, s: str):
-        """Length-prefixed bitstring (possibly empty)."""
-        self.gamma(len(s) + 1)
-        self.bits(s)
-
-    def getvalue(self) -> str:
-        return "".join(self._parts)
-
-
-class BitReader:
-    def __init__(self, data: str):
-        self._data = check_bits(data)
-        self._pos = 0
-
-    def bits(self, n: int) -> str:
-        if self._pos + n > len(self._data):
-            raise ValueError("bit underrun")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
-
-    def fixed(self, width: int) -> int:
-        return int(self.bits(width), 2) if width else 0
-
-    def gamma(self) -> int:
-        end = self._data.find("1", self._pos)
-        if end < 0:
-            raise ValueError("bit underrun")
-        zeros = end - self._pos
-        self._pos = end
-        return self.fixed(zeros + 1)
-
-    def prefixed(self) -> str:
-        return self.bits(self.gamma() - 1)
-
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    def at_end(self) -> bool:
-        return self._pos == len(self._data)

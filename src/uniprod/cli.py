@@ -177,12 +177,12 @@ def _cmd_label(args) -> int:
 
 def _cmd_test_adjacency(args) -> int:
     li = LabelledInstance.read_jsonl(args.labels)
+    if (args.u is None) != (args.v is None):
+        raise ValueError("--u needs --v" if args.v is None else "--v needs --u")
     if args.u is None:
         pairs = verify_labelling(li)
         print(f"tester agrees with the graph on all {pairs} vertex pairs")
         return 0
-    if args.v is None:
-        raise ValueError("--u needs --v")
     keys = {repr(v): v for v in li.labels}
     try:
         u, v = keys[args.u], keys[args.v]

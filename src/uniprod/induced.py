@@ -39,10 +39,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 from itertools import chain
 from math import comb
 
-from .bitcore import BitReader, BitWriter, Bst, build_biased_bst, strip_successor
+from .bitcore import Bst, build_biased_bst, check_bits, strip_successor
 from .closure import IntervalRep, min_depth_in_range, perturb_left_endpoints
 from .decomp import QtInstance, TTree, host_layout
 from .io import edge_records, endpoints, integer, key, read_records, write_records
@@ -496,47 +497,64 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
     return label
 
 
-_HINT_CODES = {"end": 0, "strip": 1, "append": 2}
-_HINT_KINDS = {c: k for k, c in _HINT_CODES.items()}
+_HINT_CODES = {"end": "00", "strip": "01", "append": "10"}
+_HINT_KINDS = {int(c, 2): k for k, c in _HINT_CODES.items()}  # int keys: code 11 reads as "undecodable label: 3"
+_BIT_VALUE = {"0": 0, "1": 1}
+
+
+@lru_cache(maxsize=32)
+def _layout(t: int, has_prev: bool, has_next: bool) -> tuple:
+    """Row offsets b in (-1, 0, 1) whose row y+b exists, and the parent slots (i, b) in field order."""
+    rows = tuple(b for b in (-1, 0, 1) if (b != -1 or has_prev) and (b != 1 or has_next))
+    return rows, tuple((i, b) for b in rows for i in range(1, t + 2))
+
+
+@lru_cache(maxsize=4096)
+def _gamma(value: int) -> str:
+    """Elias gamma code of a positive integer."""
+    if value < 1:
+        raise ValueError("gamma codes positive integers")
+    return "0" * (value.bit_length() - 1) + format(value, "b")
+
+
+@lru_cache(maxsize=4096)
+def _fixed(value: int, width: int) -> str:
+    """value in exactly width bits."""
+    if not 0 <= value < 1 << width:
+        raise ValueError(f"{value} does not fit in {width} bits")
+    return format(value, f"0{width}b")
 
 
 def pack_label(label: Label, params: LabelParams) -> str:
-    """Serialize in field order with fixed-width depths; bit-exact."""
-    w = BitWriter()
-    w.bits("1" if label.scheme == "legacy" else "0")
-    w.bits("1" if label.has_prev else "0")
-    w.bits("1" if label.has_next else "0")
-    w.prefixed(label.alpha1)
+    """Serialize a label; bit-exact, and the one statement of the label format.
+
+    Fields, in order (gamma is the Elias gamma code; a prefixed string is
+    gamma(length + 1) and the string): three flags (legacy scheme,
+    has_prev, has_next); alpha1, prefixed; the successor hint in 2 bits
+    (00 end, 01 strip, 10 append), then gamma(delta + 1) unless it is
+    "end"; sig, prefixed; mu, prefixed, if there is a next row; phi - 1 in
+    phi_bits; over the parent slots (i, b), row by row for the rows
+    b = -1, 0, 1 that exist and colour i = 1..t+1 within a row, each
+    depth in depth_bits, then each psi as gamma, then each adjacency bit;
+    and in the default scheme only, per existing row, "0" for an empty
+    overflow suffix r[b], else "1" and its one bit.
+    """
+    rows, slots = _layout(label.t, label.has_prev, label.has_next)
     kind, delta = label.hint
-    w.fixed(_HINT_CODES[kind], 2)
+    parts = ["1" if label.scheme == "legacy" else "0", "1" if label.has_prev else "0",
+             "1" if label.has_next else "0", _gamma(len(label.alpha1) + 1), label.alpha1, _HINT_CODES[kind]]
     if kind != "end":
-        w.gamma(delta + 1)
-    w.prefixed(label.sig)
+        parts.append(_gamma(delta + 1))
+    parts += (_gamma(len(label.sig) + 1), label.sig)
     if label.has_next:
-        w.prefixed(label.mu)
-    w.fixed(label.phi - 1, params.phi_bits)
-    slots = _slots(label.t, label.has_prev, label.has_next)
-    for i, b in slots:
-        w.fixed(label.depths[(i, b)], params.depth_bits)
-    for i, b in slots:
-        w.gamma(label.psi[(i, b)])
-    for i, b in slots:
-        w.bits(str(label.abits[(i, b)]))
+        parts += (_gamma(len(label.mu) + 1), label.mu)
+    parts.append(_fixed(label.phi - 1, params.phi_bits))
+    parts += [_fixed(label.depths[s], params.depth_bits) for s in slots]
+    parts += [_gamma(label.psi[s]) for s in slots]
+    parts += [str(label.abits[s]) for s in slots]
     if label.scheme != "legacy":
-        for b in _rows(label.has_prev, label.has_next):
-            rv = label.r[b]
-            w.bits("0" if rv == "" else "1" + rv)
-    return w.getvalue()
-
-
-def _rows(has_prev: bool, has_next: bool):
-    """Row offsets b in (-1, 0, 1) whose row y+b exists."""
-    return [b for b in (-1, 0, 1) if (b != -1 or has_prev) and (b != 1 or has_next)]
-
-
-def _slots(t: int, has_prev: bool, has_next: bool):
-    """Parent slots (colour i, row offset b) in field order."""
-    return [(i, b) for b in _rows(has_prev, has_next) for i in range(1, t + 2)]
+        parts += ["0" if label.r[b] == "" else "1" + label.r[b] for b in rows]
+    return check_bits("".join(parts))
 
 
 def unpack_label(bits: str, params: LabelParams) -> Label:
@@ -557,42 +575,84 @@ def unpack_label(bits: str, params: LabelParams) -> Label:
         raise ValueError(f"undecodable label: {exc}") from None
 
 
+def _gamma_at(bits: str, pos: int) -> tuple:
+    """The gamma-coded value at pos, and the offset just past it."""
+    one = bits.find("1", pos)
+    stop = 2 * one - pos + 1
+    if one < 0 or stop > len(bits):
+        raise ValueError("bit underrun")
+    return int(bits[one:stop], 2), stop
+
+
+def _prefixed_at(bits: str, pos: int) -> tuple:
+    """The length-prefixed string at pos, and the offset just past it."""
+    size, pos = _gamma_at(bits, pos)
+    stop = pos + size - 1
+    if stop > len(bits):
+        raise ValueError("bit underrun")
+    return bits[pos:stop], stop
+
+
 def _unpack(bits: str, params: LabelParams) -> Label:
-    r = BitReader(bits)
-    scheme = "legacy" if r.bits(1) == "1" else "fixed"
-    has_prev = r.bits(1) == "1"
-    has_next = r.bits(1) == "1"
-    alpha1 = r.prefixed()
-    kind = _HINT_KINDS[r.fixed(2)]
+    """Read the fields of pack_label in one pass over bits, slicing fixed-width fields at their offsets."""
+    end = len(check_bits(bits))
+    if end < 3:
+        raise ValueError("bit underrun")
+    scheme = "legacy" if bits[0] == "1" else "fixed"
+    has_prev = bits[1] == "1"
+    has_next = bits[2] == "1"
+    alpha1, pos = _prefixed_at(bits, 3)
+    if pos + 2 > end:
+        raise ValueError("bit underrun")
+    kind = _HINT_KINDS[int(bits[pos:pos + 2], 2)]
+    pos += 2
     if has_next != (kind != "end"):
         raise ValueError(f"successor hint {kind!r} contradicts has_next = {has_next}")
-    delta = r.gamma() - 1 if kind != "end" else 0
+    delta, pos = _gamma_at(bits, pos) if kind != "end" else (1, pos)
+    delta -= 1
     # the row tree has at most n nodes and, as build_context checks, height at most maxheight
     if kind == "append" and len(alpha1) + 1 + delta > min(params.n - 1, params.maxheight):
         raise ValueError(f"successor hint {delta} overruns a row tree of height {params.maxheight} over {params.n} rows")
-    sig = r.prefixed()
+    sig, pos = _prefixed_at(bits, pos)
     if max(len(alpha1), len(sig)) > params.maxheight:
         raise ValueError(f"a {max(len(alpha1), len(sig))}-bit signature is deeper than maxheight {params.maxheight}")
-    mu = r.prefixed() if has_next else None
-    phi = r.fixed(params.phi_bits) + 1
+    mu, pos = _prefixed_at(bits, pos) if has_next else (None, pos)
+    w = params.phi_bits
+    if pos + w > end:
+        raise ValueError("bit underrun")
+    phi = int(bits[pos:pos + w], 2) + 1
+    pos += w
     if phi > params.t + 1:
         raise ValueError(f"colour {phi} out of range")
     # a slot takes its depth field, at least one gamma bit and its adjacency bit;
     # checked before the (t + 1) slots per row are built, as t comes from a header
-    rows = _rows(has_prev, has_next)
-    if len(rows) * (params.t + 1) * (params.depth_bits + 2) > r.remaining():
-        raise ValueError(f"{r.remaining()} bits left cannot hold {len(rows)} rows of {params.t + 1} parent slots")
-    slots = _slots(params.t, has_prev, has_next)
-    depths = {slot: r.fixed(params.depth_bits) for slot in slots}
+    nrows = 1 + has_prev + has_next
+    if nrows * (params.t + 1) * (params.depth_bits + 2) > end - pos:
+        raise ValueError(f"{end - pos} bits left cannot hold {nrows} rows of {params.t + 1} parent slots")
+    rows, slots = _layout(params.t, has_prev, has_next)
+    w = params.depth_bits
+    stop = pos + w * len(slots)
+    block, mask = int(bits[pos:stop], 2), (1 << w) - 1
+    depths = dict(zip(slots, [block >> shift & mask for shift in range(stop - pos - w, -1, -w)]))
+    pos = stop
     if max(depths.values()) > params.maxheight:
         raise ValueError(f"depth {max(depths.values())} beyond layout cap")
-    psi = {slot: r.gamma() for slot in slots}
-    abits = {slot: int(r.bits(1)) for slot in slots}
+    psi = {}
+    for slot in slots:
+        psi[slot], pos = _gamma_at(bits, pos)
+    stop = pos + len(slots)
+    if stop > end:
+        raise ValueError("bit underrun")
+    abits = dict(zip(slots, map(_BIT_VALUE.__getitem__, bits[pos:stop])))
+    pos = stop
     rsuf = {}
     if scheme != "legacy":
-        for b in _rows(has_prev, has_next):
-            rsuf[b] = "" if r.bits(1) == "0" else r.bits(1)
-    if not r.at_end():
+        for b in rows:
+            if pos >= end or (bits[pos] == "1" and pos + 1 >= end):
+                raise ValueError("bit underrun")
+            rsuf[b] = "" if bits[pos] == "0" else bits[pos + 1]
+            pos += 1 + len(rsuf[b])
+    if pos != end:
         raise ValueError("trailing bits")
     label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev,
                   params.codec)

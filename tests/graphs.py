@@ -3,8 +3,9 @@
 import itertools
 import math
 
+from uniprod.bitcore import check_bits
 from uniprod.decomp import PathDecomposition, TreeDecomposition
-from uniprod.induced import LabelledInstance, adjacency_test
+from uniprod.induced import Label, LabelParams, LabelledInstance, adjacency_test
 from uniprod.product import Graph
 from uniprod.treeseq import LcpCodec
 
@@ -55,3 +56,161 @@ def all_pairs_disagreements(li: LabelledInstance) -> list:
         for g1, g2 in itertools.combinations(keys, 2)
         if adjacency_test(li.labels[g1], li.labels[g2]) != li.graph.has_edge(g1, g2)
     ]
+
+
+class BitWriter:
+    """Append-only bit buffer with the field encodings the label format uses."""
+
+    def __init__(self):
+        self._parts: list[str] = []
+
+    def bits(self, s: str):
+        self._parts.append(check_bits(s))
+
+    def fixed(self, value: int, width: int):
+        if value < 0 or value >= (1 << width):
+            raise ValueError(f"{value} does not fit in {width} bits")
+        self._parts.append(format(value, f"0{width}b") if width else "")
+
+    def gamma(self, value: int):
+        """Elias gamma; value >= 1."""
+        if value < 1:
+            raise ValueError("gamma codes positive integers")
+        b = format(value, "b")
+        self._parts.append("0" * (len(b) - 1) + b)
+
+    def prefixed(self, s: str):
+        """Length-prefixed bitstring (possibly empty)."""
+        self.gamma(len(s) + 1)
+        self.bits(s)
+
+    def getvalue(self) -> str:
+        return "".join(self._parts)
+
+
+class BitReader:
+    def __init__(self, data: str):
+        self._data = check_bits(data)
+        self._pos = 0
+
+    def bits(self, n: int) -> str:
+        if self._pos + n > len(self._data):
+            raise ValueError("bit underrun")
+        out = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return out
+
+    def fixed(self, width: int) -> int:
+        return int(self.bits(width), 2) if width else 0
+
+    def gamma(self) -> int:
+        end = self._data.find("1", self._pos)
+        if end < 0:
+            raise ValueError("bit underrun")
+        zeros = end - self._pos
+        self._pos = end
+        return self.fixed(zeros + 1)
+
+    def prefixed(self) -> str:
+        return self.bits(self.gamma() - 1)
+
+    def remaining(self) -> int:
+        return len(self._data) - self._pos
+
+    def at_end(self) -> bool:
+        return self._pos == len(self._data)
+
+
+_HINT_CODES = {"end": 0, "strip": 1, "append": 2}
+_HINT_KINDS = {c: k for k, c in _HINT_CODES.items()}
+
+
+def _rows(has_prev: bool, has_next: bool):
+    return [b for b in (-1, 0, 1) if (b != -1 or has_prev) and (b != 1 or has_next)]
+
+
+def _slots(t: int, has_prev: bool, has_next: bool):
+    return [(i, b) for b in _rows(has_prev, has_next) for i in range(1, t + 2)]
+
+
+def reference_pack(label: Label, params: LabelParams) -> str:
+    """The label codec's writer as a field-by-field bit buffer, the oracle pack_label must match."""
+    w = BitWriter()
+    w.bits("1" if label.scheme == "legacy" else "0")
+    w.bits("1" if label.has_prev else "0")
+    w.bits("1" if label.has_next else "0")
+    w.prefixed(label.alpha1)
+    kind, delta = label.hint
+    w.fixed(_HINT_CODES[kind], 2)
+    if kind != "end":
+        w.gamma(delta + 1)
+    w.prefixed(label.sig)
+    if label.has_next:
+        w.prefixed(label.mu)
+    w.fixed(label.phi - 1, params.phi_bits)
+    slots = _slots(label.t, label.has_prev, label.has_next)
+    for i, b in slots:
+        w.fixed(label.depths[(i, b)], params.depth_bits)
+    for i, b in slots:
+        w.gamma(label.psi[(i, b)])
+    for i, b in slots:
+        w.bits(str(label.abits[(i, b)]))
+    if label.scheme != "legacy":
+        for b in _rows(label.has_prev, label.has_next):
+            rv = label.r[b]
+            w.bits("0" if rv == "" else "1" + rv)
+    return w.getvalue()
+
+
+def reference_unpack(bits: str, params: LabelParams) -> Label:
+    """The label codec's reader as a field-by-field bit cursor, the oracle unpack_label must match.
+
+    Raises ValueError with the same text as unpack_label.
+    """
+    try:
+        return _reference_unpack(bits, params)
+    except (ValueError, KeyError, IndexError) as exc:
+        raise ValueError(f"undecodable label: {exc}") from None
+
+
+def _reference_unpack(bits: str, params: LabelParams) -> Label:
+    r = BitReader(bits)
+    scheme = "legacy" if r.bits(1) == "1" else "fixed"
+    has_prev = r.bits(1) == "1"
+    has_next = r.bits(1) == "1"
+    alpha1 = r.prefixed()
+    kind = _HINT_KINDS[r.fixed(2)]
+    if has_next != (kind != "end"):
+        raise ValueError(f"successor hint {kind!r} contradicts has_next = {has_next}")
+    delta = r.gamma() - 1 if kind != "end" else 0
+    if kind == "append" and len(alpha1) + 1 + delta > min(params.n - 1, params.maxheight):
+        raise ValueError(f"successor hint {delta} overruns a row tree of height {params.maxheight} over {params.n} rows")
+    sig = r.prefixed()
+    if max(len(alpha1), len(sig)) > params.maxheight:
+        raise ValueError(f"a {max(len(alpha1), len(sig))}-bit signature is deeper than maxheight {params.maxheight}")
+    mu = r.prefixed() if has_next else None
+    phi = r.fixed(params.phi_bits) + 1
+    if phi > params.t + 1:
+        raise ValueError(f"colour {phi} out of range")
+    rows = _rows(has_prev, has_next)
+    if len(rows) * (params.t + 1) * (params.depth_bits + 2) > r.remaining():
+        raise ValueError(f"{r.remaining()} bits left cannot hold {len(rows)} rows of {params.t + 1} parent slots")
+    slots = _slots(params.t, has_prev, has_next)
+    depths = {slot: r.fixed(params.depth_bits) for slot in slots}
+    if max(depths.values()) > params.maxheight:
+        raise ValueError(f"depth {max(depths.values())} beyond layout cap")
+    psi = {slot: r.gamma() for slot in slots}
+    abits = {slot: int(r.bits(1)) for slot in slots}
+    rsuf = {}
+    if scheme != "legacy":
+        for b in _rows(has_prev, has_next):
+            rsuf[b] = "" if r.bits(1) == "0" else r.bits(1)
+    if not r.at_end():
+        raise ValueError("trailing bits")
+    label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev,
+                  params.codec)
+    if label.next_sig is not None and len(label.next_sig) > params.maxheight:
+        raise ValueError(f"mu decodes to a {len(label.next_sig)}-bit signature, deeper than maxheight "
+                         f"{params.maxheight}")
+    label.bits = bits
+    return label

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uniprod.bitcore import (
-    BitReader,
-    BitWriter,
     Bst,
     build_biased_bst,
     check_bits,
@@ -154,45 +152,3 @@ def test_in_successor_set_rejects_non_members():
     assert not in_successor_set("01", "00", 6)
     assert not in_successor_set("01", "0111", 3)  # too deep for the height
     assert not in_successor_set("0", "011", 6)  # j-run must be zeros
-
-
-@given(st.lists(st.integers(0, 2**20), max_size=8), st.integers(0, 63))
-def test_bitstream_roundtrip(values, seed):
-    rng = random.Random(seed)
-    w = BitWriter()
-    plan = []
-    for v in values:
-        kind = rng.choice(("fixed", "gamma", "prefixed"))
-        if kind == "fixed":
-            width = max(1, v.bit_length()) + rng.randint(0, 3)
-            w.fixed(v, width)
-            plan.append(("fixed", v, width))
-        elif kind == "gamma":
-            w.gamma(v + 1)
-            plan.append(("gamma", v + 1, None))
-        else:
-            s = format(v, "b") if v else ""
-            w.prefixed(s)
-            plan.append(("prefixed", s, None))
-    r = BitReader(w.getvalue())
-    for kind, v, width in plan:
-        if kind == "fixed":
-            assert r.fixed(width) == v
-        elif kind == "gamma":
-            assert r.gamma() == v
-        else:
-            assert r.prefixed() == v
-    assert r.at_end()
-
-
-def test_bitreader_underrun():
-    r = BitReader("101")
-    r.bits(3)
-    with pytest.raises(ValueError):
-        r.bits(1)
-    with pytest.raises(ValueError):
-        BitReader("0").fixed(2)
-    with pytest.raises(ValueError, match="bit underrun"):
-        BitReader("000").gamma()
-    with pytest.raises(ValueError, match="bit underrun"):
-        BitReader("001").gamma()

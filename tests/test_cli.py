@@ -112,6 +112,10 @@ def test_adjacency_pair_query(tmp_path, capsys):
     out = capsys.readouterr().out.strip()
     assert out in ("adjacent", "not adjacent")
     run("test-adjacency", "--labels", str(labels), "--u", ids[0], check=1)
+    assert "--u needs --v" in capsys.readouterr().err
+    run("test-adjacency", "--labels", str(labels), "--v", ids[1], check=1)
+    captured = capsys.readouterr()
+    assert "--v needs --u" in captured.err and captured.out == ""
     run("test-adjacency", "--labels", str(labels), "--u", "'nope'", "--v", ids[1], check=1)
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -7,13 +8,15 @@ import re
 import tracemalloc
 
 import pytest
-from graphs import all_pairs_disagreements
+from graphs import all_pairs_disagreements, reference_pack, reference_unpack
 from hypothesis import example, given, settings, strategies as st
 
 from uniprod import induced
 from uniprod.closure import perturb_left_endpoints
 from uniprod.decomp import TTree, generate_qt_instance, host_layout
 from uniprod.induced import (
+    SCHEMES,
+    Label,
     LabelParams,
     LabelledInstance,
     adjacency_test,
@@ -125,6 +128,95 @@ def test_make_label_checks_the_pack_round_trip(monkeypatch):
     for scheme in ("fixed", "legacy"):
         with pytest.raises(AssertionError, match="does not survive a pack round-trip"):
             make_label(ctx, hv, y, scheme)
+
+
+def decoded(reader, bits, params):
+    """What a label reader makes of bits: the label and its bits, or the ValueError text."""
+    try:
+        label = reader(bits, params)
+    except ValueError as exc:
+        return str(exc)
+    return label, label.bits
+
+
+def test_codec_matches_the_reference_codec():
+    # the oracles in tests/graphs.py read and write one field at a time
+    # through a bit cursor; the codec must agree with them bit for bit,
+    # and on malformed input raise exactly when they do, with their text
+    sample = []
+    for ctx in contexts(range(30, 36)):
+        for scheme in SCHEMES:
+            li = label_instance(ctx, scheme)
+            for k, g in enumerate(sorted(li.labels, key=repr)):
+                label = li.labels[g]
+                bits = pack_label(label, li.params)
+                assert bits == reference_pack(label, li.params) == label.bits
+                assert decoded(unpack_label, bits, li.params) == decoded(reference_unpack, bits, li.params)
+                if k % 3 == 0:
+                    sample.append((li.params, bits))
+    assert len(sample) >= 60
+    tails = ["".join(p) for n in (1, 2, 3) for p in itertools.product("01", repeat=n)]
+    mutants = 0
+    for params, bits in sample:
+        flips = [bits[:i] + "10"[int(bits[i])] + bits[i + 1:] for i in range(len(bits))]
+        cuts = [bits[:i] for i in range(len(bits))]
+        for mutant in flips + cuts + [bits + tail for tail in tails]:
+            assert decoded(unpack_label, mutant, params) == decoded(reference_unpack, mutant, params), mutant
+            mutants += 1
+    assert mutants > 5000
+
+
+def psi_block(label: Label) -> tuple:
+    """Offsets of the first psi field and of the bit after the last, from the field order of pack_label."""
+    slots = len(label.psi)
+    end = len(label.bits) - slots - sum(1 + len(r) for r in label.r.values())
+    return end - sum(2 * p.bit_length() - 1 for p in label.psi.values()), end
+
+
+def test_unpack_reports_a_bit_underrun():
+    li = label_instance(build_context(generate_qt_instance(2, 24, 4, rng_seed=5)), "fixed")
+    params = li.params
+    label = min((lab for lab in li.labels.values() if lab.alpha1), key=lambda lab: lab.bits)
+    zeros = (len(label.alpha1) + 1).bit_length() - 1  # alpha1 is prefixed by gamma(len + 1)
+    assert zeros >= 1 and label.bits[3:3 + zeros] == "0" * zeros
+    # cut inside the gamma prefix of alpha1: before its leading 1, and inside its value
+    for cut in (3 + zeros, 3 + zeros + 1):
+        with pytest.raises(ValueError, match="bit underrun"):
+            unpack_label(label.bits[:cut], params)
+    # cut inside a psi gamma field: the last slot's psi, 2^20, takes 41 bits
+    last = max(label.psi, key=lambda slot: slot[::-1])  # slots run row by row, colours within a row
+    big = dataclasses.replace(label, psi={**label.psi, last: 1 << 20}, codec=params.codec)
+    big.bits = pack_label(big, params)
+    start, end = psi_block(big)
+    assert big.bits[end - 41:end] == "0" * 20 + "1" + "0" * 20 and start < end - 41
+    for cut in (end - 30, end - 5):
+        with pytest.raises(ValueError, match="bit underrun"):
+            unpack_label(big.bits[:cut], params)
+    # a tail of zeros from the first psi field on: no gamma field can end
+    start, _ = psi_block(label)
+    zeroed = label.bits[:start] + "0" * (len(label.bits) - start)
+    with pytest.raises(ValueError, match="bit underrun"):
+        unpack_label(zeroed, params)
+
+
+def test_labelling_and_reading_call_the_codec_once_per_label(monkeypatch, tmp_path):
+    # the benchmark counts calls of pack_label and unpack_label by name;
+    # labelling packs each label once and unpacks it once for its round
+    # trip, and reading a label file unpacks each record once
+    calls = collections.Counter()
+    for name in ("pack_label", "unpack_label"):
+        def counted(*args, _real=getattr(induced, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(induced, name, counted)
+    li = label_instance(next(contexts([31])), "fixed")
+    assert calls == {"pack_label": len(li.labels), "unpack_label": len(li.labels)}
+    path = tmp_path / "labels.jsonl"
+    li.write_jsonl(path)
+    calls.clear()
+    assert len(LabelledInstance.read_jsonl(path).labels) == len(li.labels)
+    assert calls == {"unpack_label": len(li.labels)}
 
 
 def test_unpack_rejects_garbage():

@@ -134,8 +134,8 @@ def test_reader_mutants_exit_1_naming_the_line(tmp_path, capsys, monkeypatch, mu
     assert main(["label", "--instance", str(files["inst"]), "--out", str(files["lab"])]) == 0
     mutate(files[which], line, change)
     # the parent slots of a label must never be built for a header t the bits cannot hold
-    slots = induced._slots
-    monkeypatch.setattr(induced, "_slots", lambda t, *rows: slots(t, *rows) if t < 64 else pytest.fail(f"t = {t}"))
+    layout = induced._layout
+    monkeypatch.setattr(induced, "_layout", lambda t, *rows: layout(t, *rows) if t < 64 else pytest.fail(f"t = {t}"))
     argv = {
         "test-adjacency": ["test-adjacency", "--labels", str(files["lab"])],
         "verify": ["verify", "--instance", str(files["inst"]), "--witness", str(files["wit"])],
