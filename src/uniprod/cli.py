@@ -16,6 +16,7 @@ its cannot-happen cases), and its traceback goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -225,8 +226,11 @@ def _cmd_run_suite(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.path) as fh:
-        data = json.load(fh)
+    try:
+        with open(args.path) as fh:
+            data = json.load(fh)
+    except RecursionError as exc:
+        raise ValueError(f"{args.path} is not a suite report: {exc!r}") from None
     try:
         rep = Report(data["suite"], data.get("config", {}), checks=data.get("checks", []),
                      rows=data.get("rows", []), runtime=data.get("runtime_s", 0.0))
@@ -236,7 +240,9 @@ def _cmd_report(args) -> int:
     return 0 if rep.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; each ``parse_args`` returns a new Namespace."""
     ap = argparse.ArgumentParser(prog="uniprod",
                                  description="universal graphs for tree-times-path products")
     sub = ap.add_subparsers(dest="command", required=True)

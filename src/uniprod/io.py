@@ -3,6 +3,9 @@
 Line 1 is a JSON header object whose ``kind`` names the format (``graph``,
 ``qt-instance``, ``labels``, ...); every later line is one JSON record.
 Readers are total: a malformed file raises ``ValueError("<path>:<line>: ...")``.
+Each line is decoded once in C and gives the object or the error that
+``json.loads`` gives; a line nested too deeply to decode is a ``ValueError``
+that names it too.
 Every reader takes its integer fields through ``integer`` and its vertex
 ids through ``key``, so a value of the wrong type fails on its own line.
 """
@@ -10,6 +13,24 @@ ids through ``key``, so a value of the wrong type fails on its own line.
 from __future__ import annotations
 
 import json
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode(text: str):
+    """``json.loads(text)``, in one C call when a single value fills the line.
+
+    Any other line (surrounding spaces, a BOM, extra data, a syntax error)
+    goes to ``json.loads`` itself, so its object or its error is unchanged.
+    """
+    try:
+        try:
+            value, end = _raw_decode(text)
+        except ValueError:
+            return json.loads(text)
+        return value if end == len(text) or text[end:] == "\n" else json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
 
 
 def write_records(path, kind: str, head: dict, records) -> None:
@@ -55,6 +76,8 @@ def read_records(path, kind: str, parse):
     KeyError, IndexError, TypeError, ValueError or ZeroDivisionError raised
     while line k is decoded or parsed becomes ``ValueError("<path>:<k>: ...")``;
     one raised after the last record (a check against the header) names line 1.
+    A line nested too deeply to decode is such a ValueError; a RecursionError
+    raised by ``parse`` itself is a bug and propagates.
     """
     line = 1
     with open(path) as fh:
@@ -62,14 +85,14 @@ def read_records(path, kind: str, parse):
         def records():
             nonlocal line
             for line, text in enumerate(fh, 2):
-                yield json.loads(text)
+                yield _decode(text)
             line = 1
 
         try:
             text = fh.readline()
             if not text:
                 raise ValueError("empty file")
-            head = json.loads(text)
+            head = _decode(text)
             if not isinstance(head, dict) or head.get("kind") != kind:
                 raise ValueError(f"header is not a {kind} header")
             return parse(head, records())

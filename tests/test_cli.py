@@ -153,6 +153,29 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
 
 
+def test_main_can_be_called_again_and_again(tmp_path, capsys):
+    # one parser serves every call; no option of one call leaks into the next
+    assert cli.build_parser() is cli.build_parser()
+    inst, wit, labels = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl", tmp_path / "labels.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "12", "--h", "2", "--seed", "3", "--out", str(inst))
+    default = unigraph.UgParams(12).lam
+    run("embed", "--instance", str(inst), "--lambda", str(default + 1), "--out", str(wit))
+    assert json.loads(wit.read_text().splitlines()[0])["lam"] == default + 1
+    run("embed", "--instance", str(inst), "--out", str(wit))
+    assert json.loads(wit.read_text().splitlines()[0])["lam"] == default
+    run("label", "--instance", str(inst), "--out", str(labels))
+    ids = [repr(json.loads(line)["v"]) for line in labels.read_text().splitlines()[1:3]]
+    capsys.readouterr()
+    run("test-adjacency", "--labels", str(labels), "--u", ids[0], "--v", ids[1])
+    assert capsys.readouterr().out.strip() in ("adjacent", "not adjacent")
+    run("test-adjacency", "--labels", str(labels))
+    assert capsys.readouterr().out.strip() == "tester agrees with the graph on all 66 vertex pairs"
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", "--lambda", "1"])
+    assert exc.value.code == 2
+    run("verify", "--instance", str(inst), "--witness", str(wit))
+
+
 def test_missing_file_exits_1(tmp_path):
     run("label", "--instance", str(tmp_path / "absent.jsonl"), check=1)
 

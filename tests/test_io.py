@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from uniprod import induced
+from uniprod import cli, induced
 from uniprod.cli import main
 from uniprod.closure import IntervalRep
 from uniprod.compressor import Saturator, build_saturator
 from uniprod.decomp import QtInstance, generate_qt_instance
 from uniprod.induced import LabelledInstance, LabelParams, build_context, label_instance
-from uniprod.io import write_pairs, write_records
+from uniprod.io import read_records, write_pairs, write_records
 from uniprod.product import Graph
 
 
@@ -208,3 +208,95 @@ def test_graph_and_saturator_files_match_write_records(tmp_path):
     write_records(tmp_path / "s0.jsonl", "saturator", head, recs)
     assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "s0.jsonl").read_bytes()
     assert Saturator.read_jsonl(tmp_path / "s.jsonl").adj == s.adj
+
+
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def test_a_line_nested_too_deeply_exits_1_naming_it(tmp_path, capsys):
+    files = {name: tmp_path / f"{name}.jsonl" for name in ("inst", "wit", "lab", "graph")}
+    assert main(["gen", "qt", "--t", "1", "--n", "8", "--h", "2", "--seed", "3", "--out", str(files["inst"])]) == 0
+    assert main(["embed", "--instance", str(files["inst"]), "--out", str(files["wit"])]) == 0
+    assert main(["label", "--instance", str(files["inst"]), "--out", str(files["lab"])]) == 0
+    write_graph(files["graph"])
+    for name, good in files.items():
+        text = good.read_text()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text + NESTED + "\n")
+        arg = {key: str(bad if key == name else path) for key, path in files.items()}
+        argv = {
+            "inst": ["embed", "--instance", arg["inst"], "--out", str(tmp_path / "w2.jsonl")],
+            "wit": ["verify", "--instance", arg["inst"], "--witness", arg["wit"]],
+            "lab": ["test-adjacency", "--labels", arg["lab"]],
+            "graph": ["compress", "--graph", arg["graph"], "--k", "2", "--out", str(tmp_path / "c.jsonl")],
+        }[name]
+        capsys.readouterr()
+        assert main(argv) == 1, name
+        err = capsys.readouterr().err
+        assert f"{bad}:{text.count(chr(10)) + 1}:" in err and "Traceback" not in err, name
+    report = tmp_path / "rep.json"
+    report.write_text(NESTED)
+    assert main(["report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert f"{report} is not a suite report" in err and "Traceback" not in err
+
+
+def test_a_recursion_error_inside_parse_is_a_bug(tmp_path, monkeypatch, capsys):
+    inst, wit = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl"
+    assert main(["gen", "qt", "--t", "1", "--n", "8", "--h", "2", "--seed", "3", "--out", str(inst)]) == 0
+    assert main(["embed", "--instance", str(inst), "--out", str(wit)]) == 0
+
+    def deep(v):
+        raise RecursionError("a bug")
+
+    monkeypatch.setattr(cli, "key", deep)  # verify's witness parse reads each vertex id through it
+    capsys.readouterr()
+    assert main(["verify", "--instance", str(inst), "--witness", str(wit)]) == 3
+    assert "RecursionError: a bug" in capsys.readouterr().err
+
+
+# Lines that one C decode does not take whole: each must read as json.loads
+# reads it, or fail with the error json.loads raises, on its own line.
+OFF_FAST_PATH = {
+    "leading spaces": '  {"a": [1, 2]}\n',
+    "whitespace only": "   \n",
+    "trailing spaces": '{"a": 1}   \n',
+    "trailing tab": '[1, "b"]\t\n',
+    "no final newline": '{"a": 1}',
+    "byte order mark": '\ufeff{"a": 1}\n',
+    "NaN": '{"x": NaN, "y": -Infinity}\n',
+    "bare NaN": "NaN\n",
+    "two values": "[1] [2]\n",
+    "two objects": '{"a": 1}{"b": 2}\n',
+    "empty line": "\n",
+    "bad escape": '"\\q"\n',
+    "unterminated": '{"a": "b\n',
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_FAST_PATH))
+def test_lines_off_the_fast_path_read_as_json_loads(tmp_path, case):
+    path = tmp_path / "recs.jsonl"
+    text = OFF_FAST_PATH[case]
+    after = "" if case == "no final newline" else '{"after": true}\n'
+    path.write_text('{"kind": "t"}\n[0, "fast"]\n' + text + after, encoding="utf-8")
+    with open(path) as fh:  # the reader's own encoding and newline handling
+        lines = fh.readlines()[1:]
+    try:
+        want = [json.loads(line) for line in lines]
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            read_records(path, "t", lambda head, records: list(records))
+        assert str(got.value) == f"{path}:3: {exc}"
+    else:
+        got = read_records(path, "t", lambda head, records: list(records))
+        assert repr(got) == repr(want)  # repr, as NaN is not equal to itself
+
+
+def test_a_header_off_the_fast_path_reads_as_json_loads(tmp_path):
+    path = tmp_path / "recs.jsonl"
+    path.write_text(' {"kind": "t", "n": 1}\t\n[1]\n')
+    assert read_records(path, "t", lambda head, records: (head, list(records))) == ({"kind": "t", "n": 1}, [[1]])
+    path.write_text('{"kind": "t"} {"n": 1}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: Extra data")):
+        read_records(path, "t", lambda head, records: list(records))
