@@ -109,7 +109,12 @@ class Graph:
     @classmethod
     def read_jsonl(cls, path) -> "Graph":
         def parse(head, records):
-            g = cls(range(integer(head["n"], "n")), name=head.get("name", ""))
+            n, name = integer(head["n"], "n"), head.get("name", "")
+            if n < 0:
+                raise ValueError(f"n must be >= 0, not {n}")
+            if type(name) is not str:
+                raise ValueError(f"name must be a string, not {name!r}")
+            g = cls(range(n), name=name)
             for rec in records:
                 g.add_edge(*endpoints(rec["edge"], g._adj))
             return g

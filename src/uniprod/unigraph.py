@@ -6,8 +6,8 @@ only to keep embeddings injective.  Adjacency is pure bit arithmetic, so
 the graph exists implicitly at any size.  Adjacency never reads z, so the
 host is the strong product R x K_{d+1} of a row graph R on (x, y) pairs
 with a clique on the depths: small hosts are counted from R alone
-(host_degree_sequence, for count and the sizes suite) and materialized
-as triples only to be written out (build-ug).  embed realizes an arbitrary
+(host_degree_sequence, for count and the sizes suite) and written out
+from R (materialize, for build-ug).  embed realizes an arbitrary
 subgraph of closure(d) x P_h in here, and embed_qt runs the whole
 small-treewidth pipeline, landing in an implicit clique product.
 """
@@ -27,6 +27,7 @@ from .bitcore import (
 )
 from .closure import ClosureGraph, embed_interval_graph, min_depth_in_range
 from .decomp import QtInstance, host_layout
+from .io import write_pairs
 from .product import CliqueFactor, Graph, PathFactor, ProductWitness
 from .treeseq import LcpCodec, build_tree_sequence, lambda_default
 
@@ -261,24 +262,61 @@ def row_graph(p: UgParams) -> dict:
     return rows
 
 
-def materialize(p: UgParams) -> Graph:
-    """Build the graph explicitly; vertices are the (x, y, z) triples.
+@dataclass(frozen=True)
+class Host:
+    """The explicit host R x K_k, kept as its row graph R and k = d + 1.
 
-    The host is R x K_{d+1} (see row_graph), so R's edges are enumerated
-    once, without z, and each triple (r, z) meets every triple of r and
-    of r's R-neighbours.  Only a graph file needs this; the sizes come
-    from R alone (host_degree_sequence).
+    Triple (r, z) meets every triple of r and of r's R-neighbours, so the
+    sizes follow from R in closed form and the graph file is written from
+    R, one closed neighbourhood per R-vertex, without building the triples.
     """
-    rows = row_graph(p)
-    triples = {r: [(*r, z) for z in range(p.d + 1)] for r in rows}
-    adj = {}
-    for r, nbrs in rows.items():
-        block = set(triples[r])
-        for s in nbrs:
-            block.update(triples[s])
-        for t in triples[r]:
-            adj[t] = block - {t}
-    return Graph.from_adjacency(adj, name=f"ug(n={p.n}, lam={p.lam})")
+
+    rows: dict
+    k: int
+    name: str
+
+    @property
+    def n(self) -> int:
+        return self.k * len(self.rows)
+
+    @property
+    def m(self) -> int:
+        k = self.k
+        return len(self.rows) * k * (k - 1) // 2 + k * k * (sum(map(len, self.rows.values())) // 2)
+
+    def write_jsonl(self, path) -> None:
+        """The bytes of the triple graph's Graph.write_jsonl.
+
+        A repr comparison of two triples with different (x, y) is decided
+        before z, so the k triples of r, which share one closed
+        neighbourhood, are consecutive in repr order: r gets the ids
+        b_r .. b_r + k - 1, its closed neighbourhood is sorted once, and
+        each of its triples writes the tail of that list after its own id.
+        """
+        k, rows = self.k, self.rows
+        order = sorted(rows, key=lambda r: repr((*r, 0)))
+        base = {r: k * i for i, r in enumerate(order)}
+
+        def groups():
+            zs = range(k)
+            for r in order:
+                b = base[r]
+                firsts = sorted([b, *map(base.__getitem__, rows[r])])
+                ids = [f + z for f in firsts for z in zs]
+                at = k * firsts.index(b)
+                for z in zs:
+                    yield b + z, ids[at + z + 1:]
+
+        write_pairs(path, "graph", {"n": self.n, "name": self.name}, "edge", groups())
+
+
+def materialize(p: UgParams) -> Host:
+    """The host R x K_{d+1} (see row_graph), ready to be written out.
+
+    Only build-ug needs it, for its sizes and its graph file; count and
+    the sizes suite read the degree sequence off R (host_degree_sequence).
+    """
+    return Host(row_graph(p), p.d + 1, f"ug(n={p.n}, lam={p.lam})")
 
 
 def host_degree_sequence(p: UgParams) -> list[int]:

@@ -8,10 +8,43 @@ from uniprod.decomp import PathDecomposition, TreeDecomposition
 from uniprod.induced import Label, LabelParams, LabelledInstance, adjacency_test
 from uniprod.product import Graph
 from uniprod.treeseq import LcpCodec
+from uniprod.unigraph import UgParams, is_edge, row_graph
 
 
 def path_graph(h: int) -> Graph:
     return Graph(range(1, h + 1), ((i, i + 1) for i in range(1, h)), name=f"P_{h}")
+
+
+def reference_host(p: UgParams) -> Graph:
+    """The host R x K_{d+1} built as a graph on its (x, y, z) triples.
+
+    Each triple (r, z) is given the set of every other triple of r and of
+    r's R-neighbours; materialize(p).write_jsonl must write this graph's file.
+    """
+    rows = row_graph(p)
+    triples = {r: [(*r, z) for z in range(p.d + 1)] for r in rows}
+    adj = {}
+    for r, nbrs in rows.items():
+        block = set(triples[r])
+        for s in nbrs:
+            block.update(triples[s])
+        for t in triples[r]:
+            adj[t] = block - {t}
+    return Graph.from_adjacency(adj, name=f"ug(n={p.n}, lam={p.lam})")
+
+
+def read_host(path, p: UgParams) -> Graph:
+    """A host graph file read back onto the triples, whose ids follow repr order."""
+    g = Graph.read_jsonl(path)
+    order = sorted(((*r, z) for r in row_graph(p) for z in range(p.d + 1)), key=repr)
+    assert g.n == len(order)
+    return Graph(order, ((order[a], order[b]) for a, b in g.edges()), name=g.name)
+
+
+def assert_is_edge_graph(p: UgParams, g: Graph) -> None:
+    """Every pair of g's vertices is an edge of g exactly when is_edge says so."""
+    for u, v in itertools.combinations(g.vertices(), 2):
+        assert g.has_edge(u, v) == is_edge(p, u, v), (p.n, p.lam, u, v)
 
 
 def path_shaped(pd: PathDecomposition) -> TreeDecomposition:

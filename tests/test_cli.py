@@ -1,10 +1,12 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from graphs import assert_is_edge_graph, read_host
 
 import uniprod
 from uniprod import cli, unigraph
@@ -71,6 +73,25 @@ def test_count_gives_the_exact_host_sizes(capsys):
         run("count", "--n", str(n), "--lambda", str(lam))
         row = json.loads(capsys.readouterr().out)
         assert (row["vertices"], row["edges"]) == want, (n, lam)
+
+
+def test_build_ug_prints_the_exact_host_sizes(tmp_path, capsys):
+    for (n, lam), want in HOST_SIZES.items():
+        if lam > 2:
+            continue
+        capsys.readouterr()
+        run("build-ug", "--n", str(n), "--lambda", str(lam), "--mode", "explicit", "--out", str(tmp_path / "ug.jsonl"))
+        line = capsys.readouterr().out
+        got = re.match(r"ug\(n=\d+, lam=\d+\): (\d+) vertices \(bound \d+\), (\d+) edges \(bound \d+\) -> ", line)
+        assert got and tuple(map(int, got.groups())) == want, (n, lam, line)
+
+
+@pytest.mark.parametrize("n, lam", [(2, 1), (4, 0), (2, 2), (1, 3), (4, 1)])
+def test_build_ug_file_is_the_is_edge_graph(tmp_path, n, lam):
+    out = tmp_path / "ug.jsonl"
+    run("build-ug", "--n", str(n), "--lambda", str(lam), "--mode", "explicit", "--out", str(out))
+    p = unigraph.UgParams(n, lam=lam)
+    assert_is_edge_graph(p, read_host(out, p))
 
 
 def test_sizes_suite_reports_the_exact_host_sizes(tmp_path):

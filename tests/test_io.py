@@ -165,6 +165,20 @@ def test_instance_header_t_must_be_the_decomposition_width(tmp_path, capsys):
         assert f"{bad}:1:" in capsys.readouterr().err, argv[0]
 
 
+@pytest.mark.parametrize("field, value", [("n", -3), ("name", 7)])
+def test_graph_header_mutants_exit_1_naming_line_1(tmp_path, capsys, field, value):
+    # a negative n once read as an empty graph, and a number as the name
+    path = tmp_path / "g.jsonl"
+    Graph(range(4), [(0, 1), (1, 2)], name="x").write_jsonl(path)
+    mutate(path, 1, set_field(field, value))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: {field} must be")):
+        Graph.read_jsonl(path)
+    for argv in (["--n0", "4"], []):
+        capsys.readouterr()
+        assert main(["compress", "--graph", str(path), "--k", "2", *argv, "--out", str(tmp_path / "c.jsonl")]) == 1
+        assert f"{path}:1: {field} must be" in capsys.readouterr().err
+
+
 def test_interval_reader_rejects_zero_denominator(tmp_path):
     path = tmp_path / "rep.jsonl"
     path.write_text('{"kind": "intervals", "n": 1}\n{"v": 0, "a": [1, 0], "b": [2, 1]}\n')

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from graphs import path_graph
+from graphs import assert_is_edge_graph, path_graph, read_host, reference_host
 from hypothesis import given, settings, strategies as st
 
 from uniprod.bitcore import successor_set
@@ -135,44 +135,58 @@ def test_same_row_adjacency_is_prefix_order():
         assert is_edge(p, u, v) == want
 
 
-def test_materialized_counts_stay_under_bounds():
+def test_materialized_counts_stay_under_bounds(tmp_path):
     for n, lam in [(2, 1), (4, 1), (4, 2), (8, 1)]:
         p = UgParams(n, lam=lam)
-        g = materialize(p)
-        assert g.n <= vertex_count_bound(p)
-        assert g.m <= edge_count_bound(p)
-        for (u, v) in itertools.islice(g.edges(), 500):
+        host = materialize(p)
+        assert host.n <= vertex_count_bound(p)
+        assert host.m <= edge_count_bound(p)
+        host.write_jsonl(tmp_path / "ug.jsonl")
+        for (u, v) in itertools.islice(read_host(tmp_path / "ug.jsonl", p).edges(), 500):
             assert is_edge(p, u, v)
     with pytest.raises(ValueError):
         materialize(UgParams(1 << 16))
 
 
-def test_materialize_builds_exactly_the_is_edge_graph():
+def test_materialize_builds_exactly_the_is_edge_graph(tmp_path):
     for n, lam in [(2, 1), (4, 0), (2, 2), (1, 3), (4, 1)]:
         p = UgParams(n, lam=lam)
-        g = materialize(p)
-        for u, v in itertools.combinations(g.vertices(), 2):
-            assert g.has_edge(u, v) == is_edge(p, u, v), (n, lam, u, v)
+        materialize(p).write_jsonl(tmp_path / "ug.jsonl")
+        assert_is_edge_graph(p, read_host(tmp_path / "ug.jsonl", p))
+
+
+# one n for each d that criterion 06 enumerates (n = 1..16)
+SHAPES = [(n, lam) for n in (1, 2, 3, 5, 9) for lam in range(4)]
+
+
+@pytest.mark.parametrize("n, lam", SHAPES)
+def test_host_file_is_the_reference_file(tmp_path, n, lam):
+    p = UgParams(n, lam=lam)
+    host, ref = materialize(p), reference_host(p)
+    assert (host.n, host.m) == (ref.n, ref.m)
+    host.write_jsonl(tmp_path / "host.jsonl")
+    ref.write_jsonl(tmp_path / "ref.jsonl")
+    assert (tmp_path / "host.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
 
 
 def test_row_graph_gives_the_host_sizes():
     grid = [(n, lam) for n in range(1, 9) for lam in range(4)] + [(16, 1)]
     for n, lam in grid:
         p = UgParams(n, lam=lam)
-        g = materialize(p)
+        ref = reference_host(p)
         rows = row_graph(p)
         assert all(r not in nbrs and all(r in rows[s] for s in nbrs) for r, nbrs in rows.items())
-        assert (p.d + 1) * len(rows) == g.n, (n, lam)
+        assert (p.d + 1) * len(rows) == ref.n, (n, lam)
         seq = host_degree_sequence(p)
-        assert seq == g.degree_sequence(), (n, lam)
-        assert (len(seq), sum(seq) // 2) == (g.n, g.m), (n, lam)
+        assert seq == ref.degree_sequence(), (n, lam)
+        assert (len(seq), sum(seq) // 2) == (ref.n, ref.m), (n, lam)
     with pytest.raises(ValueError):
         row_graph(UgParams(1 << 16))
 
 
 def test_degree_domination():
     p = UgParams(4, lam=1)
-    assert dominates_stars(materialize(p).degree_sequence(), 4)
+    assert dominates_stars(host_degree_sequence(p), 4)
     assert not dominates_stars(path_graph(4).degree_sequence(), 4)
 
 
