@@ -38,12 +38,11 @@ from .induced import (
 from .io import integer, key, read_records, write_records
 from .product import Graph
 from .unigraph import (
-    HOST_CAP,
     QtEmbedding,
     UgParams,
     edge_count_bound,
     embed_qt,
-    host_degree_sequence,
+    host_degrees,
     materialize,
     validate_qt_embedding,
     vertex_count_bound,
@@ -131,9 +130,9 @@ def _cmd_count(args) -> int:
     p = UgParams(args.n, lam=args.lam)
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
     row = {"n": p.n, "d": p.d, "lam": p.lam, "vertex_bound": vb, "edge_bound": eb}
-    if vb <= HOST_CAP:
-        seq = host_degree_sequence(p)
-        row.update({"vertices": len(seq), "edges": sum(seq) // 2})
+    degrees = host_degrees(p)
+    if degrees is not None:
+        row.update({"vertices": sum(m for _, m in degrees), "edges": sum(g * m for g, m in degrees) // 2})
     print(json.dumps(row))
     return 0
 

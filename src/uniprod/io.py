@@ -45,11 +45,13 @@ def write_records(path, kind: str, head: dict, records) -> None:
 
 
 def write_pairs(path, kind: str, head: dict, name: str, groups) -> None:
-    """Write the header, then one record ``{name: [a, b]}`` per int b of each group (a, bs).
+    """Write the header, then one record ``{name: [a, b]}`` per b of each group (a, bs).
 
-    The bytes are those of ``write_records`` on the same records; each
-    group's lines are formatted directly, with one ``str.join``, as
-    ``json.dumps`` per record dominates large files.
+    Ids are ints, or their decimal strings, so that a writer naming each
+    id many times can format it once; either way the bytes are those of
+    ``write_records`` on the int records.  Each group's lines are
+    formatted directly, with one ``str.join``, as ``json.dumps`` per
+    record dominates large files.
     """
     with open(path, "w") as fh:
         fh.write(json.dumps({"kind": kind, **head}) + "\n")

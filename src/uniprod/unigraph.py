@@ -5,9 +5,10 @@ per-row tree and in a tree over the rows, plus a depth coordinate used
 only to keep embeddings injective.  Adjacency is pure bit arithmetic, so
 the graph exists implicitly at any size.  Adjacency never reads z, so the
 host is the strong product R x K_{d+1} of a row graph R on (x, y) pairs
-with a clique on the depths: small hosts are counted from R alone
-(host_degree_sequence, for count and the sizes suite) and written out
-from R (materialize, for build-ug).  embed realizes an arbitrary
+with a clique on the depths.  R's degree multiset is counted by length
+classes without building R (host_counts, for count and the sizes suite,
+at any n); small hosts are written out from R itself (materialize, for
+build-ug).  embed realizes an arbitrary
 subgraph of closure(d) x P_h in here, and embed_qt runs the whole
 small-treewidth pipeline, landing in an implicit clique product.
 """
@@ -206,6 +207,8 @@ def row_graph(p: UgParams) -> dict:
 
     Refuses when the vertex-count bound passes HOST_CAP; at that point
     the implicit interface (is_edge) is the only sensible access path.
+    Only build-ug builds R; host_counts gives its degree multiset at any
+    n, and the tests hold the two to each other.
     """
     bound = vertex_count_bound(p)
     if bound > HOST_CAP:
@@ -296,16 +299,17 @@ class Host:
         k, rows = self.k, self.rows
         order = sorted(rows, key=lambda r: repr((*r, 0)))
         base = {r: k * i for i, r in enumerate(order)}
+        names = list(map(str, range(self.n)))  # each id is formatted once
 
         def groups():
             zs = range(k)
             for r in order:
                 b = base[r]
                 firsts = sorted([b, *map(base.__getitem__, rows[r])])
-                ids = [f + z for f in firsts for z in zs]
+                ids = [names[f + z] for f in firsts for z in zs]
                 at = k * firsts.index(b)
                 for z in zs:
-                    yield b + z, ids[at + z + 1:]
+                    yield names[b + z], ids[at + z + 1:]
 
         write_pairs(path, "graph", {"n": self.n, "name": self.name}, "edge", groups())
 
@@ -314,30 +318,115 @@ def materialize(p: UgParams) -> Host:
     """The host R x K_{d+1} (see row_graph), ready to be written out.
 
     Only build-ug needs it, for its sizes and its graph file; count and
-    the sizes suite read the degree sequence off R (host_degree_sequence).
+    the sizes suite take the sizes from host_counts instead.
     """
     return Host(row_graph(p), p.d + 1, f"ug(n={p.n}, lam={p.lam})")
 
 
-def host_degree_sequence(p: UgParams) -> list[int]:
-    """The host's degree sequence, sorted descending, read off R alone.
+def host_counts(p: UgParams) -> list[tuple[int, int]]:
+    """R's degree multiset as (degree, multiplicity) pairs, degree descending.
+
+    Counted by length classes, with exact integers, in O(b^3) steps for
+    the budget b, whatever the host's size.  The three kinds of edge of
+    row_graph are disjoint (type 2 joins different rows, and no two rows
+    are each other's successor), so the degree of (x, y) is the sum of:
+    - type 1: the |x| proper prefixes of x and its 2^(b-|y|-|x|+1) - 2
+      extensions in the row;
+    - type 2 out: over y2 in successor_set(y) and each |x2|, the x2 that
+      x has a code for, by row_graph's need cases;
+    - type 2 in: over the predecessors y1 of y, the x1 in row y1 that have
+      a code for x.  They are y + "0" + "1"^r for |y1| = |y|+1 .. horizon,
+      and, when y has a 1 and |y| <= horizon, y less its last "1" and the
+      "0"s after it.
+    So a degree depends only on |x|, |y| and y's trailing run, and each
+    such class holds a power of two strings.
+    """
+    b, lam, w = p.budget, p.lam, p.codec.width
+    top = min(p.horizon, b)  # the longest row signature that has successors
+    capw = (1 << w) - 1
+    type2 = w <= lam  # need = w + |x2| - lam, which must not pass |x2|
+    # Tables indexed [|x|][length], each with a last column of 0 that index -1 reads:
+    # runs[lx][m]: the x2 with |x2| <= m that one x of length lx has a code for;
+    # sums[lx][m]: runs[lx][0..m] summed;
+    # into[lx][l1]: the x1 of a row of length l1 that have a code for one x of length lx;
+    # above[lx][ly]: into[lx][ly+1..top] summed, over the predecessors y + "0" + "1"^r.
+    runs, sums, into, above = ([[0] * (b + 2) for _ in range(b + 1)] for _ in range(4))
+    for lx in range(b + 1 if type2 else 0):
+        run = acc = 0
+        for l2 in range(b + 1):
+            need = w + l2 - lam
+            run += 1 << (l2 if need <= 0 else l2 - lx if lx < need else l2 - need)
+            acc += run
+            runs[lx][l2], sums[lx][l2] = run, acc
+        need = w + lx - lam
+        for l1 in range(b + 1):
+            budget1 = b - l1
+            if need <= 0:
+                into[lx][l1] = (2 << budget1) - 1
+            elif need <= min(budget1, capw):
+                into[lx][l1] = need + (2 << (budget1 - need)) - 1
+        for ly in range(top - 1, -1, -1):
+            above[lx][ly] = above[lx][ly + 1] + into[lx][ly + 1]
+    degrees = {}
+    for ly in range(b + 1):
+        cap = min(b, lam - w + min(b - ly, capw)) if type2 else -1  # longest x2 a row-ly source reaches
+        # (strings, runs column of the strip successor, length of the other predecessor) per trailing run
+        # of y; the empty y has neither
+        classes = [] if ly else [(1, -1, -1)]
+        pred = ly <= p.horizon
+        for r in range(1, ly + 1):
+            count = 1 << (ly - r - 1) if r < ly else 1
+            # y ends in "0" + "1"^r, or is "1"^ly
+            strip = min(r + 1 + b - ly, cap) if r < ly and ly <= top else -1
+            classes.append((count, strip, ly - 1 if pred else -1))
+            # y ends in "1" + "0"^r, or is "0"^ly
+            strip = min(1 + b - ly, cap) if ly <= top else -1
+            classes.append((count, strip, ly - r - 1 if pred and r < ly else -1))
+        # the extension successors y + "1" + "0"^j have lengths ly+1 .. top, so |x2| <= b-top .. b-ly-1
+        lo, hi = b - top, b - ly - 1
+        mid = min(hi, cap)
+        flat = max(0, hi - max(lo, cap + 1) + 1)  # caps past the reach, each worth runs[lx][cap]
+        for lx in range(b - ly + 1):
+            ext = (sums[lx][mid] - sums[lx][lo - 1] if mid >= lo else 0) + flat * runs[lx][cap]
+            base = lx + (2 << (b - ly - lx)) - 2 + above[lx][ly] + ext
+            out, inn = runs[lx], into[lx]
+            for count, strip, e in classes:
+                deg = base + out[strip] + inn[e]
+                degrees[deg] = degrees.get(deg, 0) + (count << lx)
+    return sorted(degrees.items(), reverse=True)
+
+
+def host_degrees(p: UgParams) -> list[tuple[int, int]] | None:
+    """The host's degree multiset as (degree, multiplicity) pairs, degree descending.
 
     In R x K_{d+1} each of the d+1 triples of r has degree
-    (d+1)(deg_R(r) + 1) - 1; so |V| is the length and |E| half the sum.
+    (d+1)(deg_R(r) + 1) - 1; so |V| is the sum of the multiplicities and
+    |E| half the sum of their products with the degrees.  None where
+    host_counts' class table, about (b+1)^3 cells, would pass HOST_CAP.
     """
+    if (p.budget + 1) ** 3 > HOST_CAP:
+        return None
     k = p.d + 1
-    degrees = sorted((len(nbrs) for nbrs in row_graph(p).values()), reverse=True)
-    return [k * (deg + 1) - 1 for deg in degrees for _ in range(k)]
+    return [(k * (deg + 1) - 1, k * mult) for deg, mult in host_counts(p)]
 
 
-def dominates_stars(seq: list[int], n: int) -> bool:
+def dominates_stars(degrees: list[tuple[int, int]], n: int) -> bool:
     """Necessary condition on hosts of all n-vertex bounded-degree forests.
 
-    The degree sequence seq, sorted descending, must pointwise dominate
-    (n-1, n//2 - 1, n//3 - 1, ...), since t disjoint stars with n//t - 1
-    leaves each must fit simultaneously.
+    The degree sequence, given as (degree, multiplicity) pairs with the
+    degrees descending, must pointwise dominate (n-1, n//2 - 1, n//3 - 1,
+    ...), since t disjoint stars with n//t - 1 leaves each must fit
+    simultaneously.  The first place of a run of equal degrees is its
+    tightest, so the pairs are never expanded.
     """
-    return len(seq) >= n and all(seq[i] >= n // (i + 1) - 1 for i in range(n))
+    i = 0
+    for deg, mult in degrees:
+        if i >= n:
+            break
+        if deg < n // (i + 1) - 1:
+            return False
+        i += mult
+    return i >= n
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 from uniprod.bitcore import check_bits
 from uniprod.decomp import PathDecomposition, TreeDecomposition
@@ -31,6 +32,22 @@ def reference_host(p: UgParams) -> Graph:
         for t in triples[r]:
             adj[t] = block - {t}
     return Graph.from_adjacency(adj, name=f"ug(n={p.n}, lam={p.lam})")
+
+
+def host_degree_sequence(p: UgParams) -> list[int]:
+    """The host's degree sequence, sorted descending, read off row_graph.
+
+    In R x K_{d+1} each of the d+1 triples of r has degree
+    (d+1)(deg_R(r) + 1) - 1; so |V| is the length and |E| half the sum.
+    """
+    k = p.d + 1
+    degrees = sorted((len(nbrs) for nbrs in row_graph(p).values()), reverse=True)
+    return [k * (deg + 1) - 1 for deg in degrees for _ in range(k)]
+
+
+def degree_runs(seq) -> list[tuple[int, int]]:
+    """A degree sequence as (degree, multiplicity) pairs, degree descending."""
+    return sorted(Counter(seq).items(), reverse=True)
 
 
 def read_host(path, p: UgParams) -> Graph:

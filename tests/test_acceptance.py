@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from graphs import check_tree_sequence, path_graph
+from graphs import check_tree_sequence, degree_runs, host_degree_sequence, path_graph
 
 from uniprod.bitcore import (
     build_biased_bst,
@@ -42,7 +42,7 @@ from uniprod.unigraph import (
     edge_count_bound,
     embed,
     embed_qt,
-    host_degree_sequence,
+    host_degrees,
     is_edge,
     materialize,
     validate_qt_embedding,
@@ -296,8 +296,10 @@ def test_c08_qt_pipeline():
 def test_c09_degree_domination():
     # the real graph passes the star-packing certificate; a path fails it
     for n, lam in ((4, 1), (8, 2)):
-        assert dominates_stars(host_degree_sequence(UgParams(n, lam=lam)), n)
-    assert not dominates_stars(path_graph(4).degree_sequence(), 4)
+        p = UgParams(n, lam=lam)
+        assert host_degrees(p) == degree_runs(host_degree_sequence(p))
+        assert dominates_stars(host_degrees(p), n)
+    assert not dominates_stars(degree_runs(path_graph(4).degree_sequence()), 4)
     report("criterion 09 PASS: materialized hosts certified, path control rejected")
 
 

@@ -102,6 +102,30 @@ def test_sizes_suite_reports_the_exact_host_sizes(tmp_path):
         assert (row["vertices"], row["edges"]) == HOST_SIZES[n, lam], (n, lam)
 
 
+def test_count_and_sizes_give_exact_sizes_past_the_row_graph_cap(tmp_path, capsys):
+    run("count", "--n", "1024")
+    row = json.loads(capsys.readouterr().out)
+    assert row["vertex_bound"] > unigraph.HOST_CAP
+    assert 0 < row["vertices"] <= row["vertex_bound"] and 0 < row["edges"] <= row["edge_bound"]
+    rep = tmp_path / "sizes.json"
+    run("run-suite", "sizes", "--n", "1024", "--out", str(rep))
+    report = json.loads(rep.read_text())
+    assert report["ok"] and {c["check"] for c in report["checks"]} >= {"materialized within bounds", "degree domination"}
+    [srow] = report["rows"]
+    assert (srow["vertices"], srow["edges"]) == (row["vertices"], row["edges"])
+
+
+def test_count_prints_bounds_only_past_the_class_table_cap(tmp_path, capsys):
+    run("count", "--n", "2", "--lambda", "1000")
+    row = json.loads(capsys.readouterr().out)
+    assert set(row) == {"n", "d", "lam", "vertex_bound", "edge_bound"}
+    rep = tmp_path / "sizes.json"
+    run("run-suite", "sizes", "--n", "2", "--lambda", "1000", "--out", str(rep))
+    report = json.loads(rep.read_text())
+    assert report["ok"] and "materialization skipped" in {c["check"] for c in report["checks"]}
+    assert "vertices" not in report["rows"][0]
+
+
 def test_label_test_adjacency_assemble(tmp_path, monkeypatch):
     monkeypatch.setenv("UNIPROD_CACHE", str(tmp_path / "cache"))
     inst1 = tmp_path / "i1.jsonl"

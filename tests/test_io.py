@@ -201,6 +201,13 @@ def test_pair_writer_matches_write_records(tmp_path, name, pairs):
     assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "slow.jsonl").read_bytes()
 
 
+def test_pair_writer_takes_decimal_string_ids(tmp_path):
+    groups = [(0, [0, 1]), (3, [2**31]), (2**31 + 5, [2**63 + 1])]
+    write_pairs(tmp_path / "int.jsonl", "graph", {"n": 3}, "edge", groups)
+    write_pairs(tmp_path / "str.jsonl", "graph", {"n": 3}, "edge", [(str(a), list(map(str, bs))) for a, bs in groups])
+    assert (tmp_path / "int.jsonl").read_bytes() == (tmp_path / "str.jsonl").read_bytes()
+
+
 def test_graph_and_saturator_files_match_write_records(tmp_path):
     g = Graph(range(12), [(0, 11), (10, 2), (3, 4), (11, 3), (5, 0)], name=ODD_NAME)
     g.add_vertex(12)  # isolated, so the file has a vertex without records

@@ -1,8 +1,9 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
-from graphs import assert_is_edge_graph, path_graph, read_host, reference_host
+from graphs import assert_is_edge_graph, degree_runs, host_degree_sequence, path_graph, read_host, reference_host
 from hypothesis import given, settings, strategies as st
 
 from uniprod.bitcore import successor_set
@@ -17,7 +18,8 @@ from uniprod.unigraph import (
     edge_count_bound,
     embed,
     embed_qt,
-    host_degree_sequence,
+    host_counts,
+    host_degrees,
     is_edge,
     is_edge_exhaustive,
     materialize,
@@ -180,14 +182,54 @@ def test_row_graph_gives_the_host_sizes():
         seq = host_degree_sequence(p)
         assert seq == ref.degree_sequence(), (n, lam)
         assert (len(seq), sum(seq) // 2) == (ref.n, ref.m), (n, lam)
+        assert host_degrees(p) == degree_runs(seq), (n, lam)
     with pytest.raises(ValueError):
         row_graph(UgParams(1 << 16))
 
 
 def test_degree_domination():
     p = UgParams(4, lam=1)
-    assert dominates_stars(host_degree_sequence(p), 4)
-    assert not dominates_stars(path_graph(4).degree_sequence(), 4)
+    assert dominates_stars(host_degrees(p), 4)
+    assert dominates_stars(degree_runs(host_degree_sequence(p)), 4)
+    assert not dominates_stars(degree_runs(path_graph(4).degree_sequence()), 4)
+
+
+def test_dominates_stars_reads_runs_as_the_expanded_sequence():
+    def expanded(seq, n):
+        return len(seq) >= n and all(seq[i] >= n // (i + 1) - 1 for i in range(n))
+
+    rng = random.Random(19)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        seq = sorted((rng.randint(0, 12) for _ in range(rng.randint(0, 14))), reverse=True)
+        assert dominates_stars(degree_runs(seq), n) == expanded(seq, n), (seq, n)
+
+
+# every n <= 9 at lam <= 3, then wider rows at the smaller lam; type-2 edges need
+# codec width <= lam, which few of those reach, so the last shapes take a larger lam
+COUNT_GRID = [(n, lam) for n in range(1, 10) for lam in range(4)] + [(16, lam) for lam in range(4)] + [
+    (32, 0), (32, 1), (64, 0)] + [(1, 4), (1, 5), (1, 6), (1, 7), (2, 4), (2, 5), (2, 6), (4, 4), (4, 5), (8, 4)]
+
+
+@pytest.mark.parametrize("n, lam", COUNT_GRID)
+def test_host_counts_is_the_row_graph_degree_multiset(n, lam):
+    p = UgParams(n, lam=lam)
+    want = Counter(len(nbrs) for nbrs in row_graph(p).values())
+    assert host_counts(p) == sorted(want.items(), reverse=True)
+
+
+@pytest.mark.parametrize("n", [120, 1024, 1 << 16])
+def test_host_counts_at_default_lambda(n):
+    p = UgParams(n)
+    b, k = p.budget, p.d + 1
+    counts = host_counts(p)
+    assert [deg for deg, _ in counts] == sorted({deg for deg, _ in counts}, reverse=True)
+    assert sum(m for _, m in counts) == sum((1 << ly) * ((2 << (b - ly)) - 1) for ly in range(b + 1))
+    assert sum(deg * m for deg, m in counts) % 2 == 0
+    degrees = host_degrees(p)
+    nv, ne = sum(m for _, m in degrees), sum(g * m for g, m in degrees) // 2
+    assert nv == k * sum(m for _, m in counts)
+    assert nv <= vertex_count_bound(p) and ne <= edge_count_bound(p)
 
 
 def test_embed_closure_path_witness():
