@@ -9,7 +9,7 @@ prefix-of.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 def check_bits(s: str) -> str:
@@ -21,11 +21,6 @@ def check_bits(s: str) -> str:
 def is_prefix(x: str, y: str) -> bool:
     """True iff x is a (not necessarily proper) prefix of y."""
     return y.startswith(x)
-
-
-def compatible(x: str, y: str) -> bool:
-    """True iff one of x, y is a prefix of the other."""
-    return x.startswith(y) or y.startswith(x)
 
 
 def lcp_len(x: str, y: str) -> int:
@@ -139,30 +134,6 @@ def build_biased_bst(keys: Iterable[int], weights: Mapping[int, int] | None = No
     return Bst(root, left, right)
 
 
-def enumerate_bsts(keys: Sequence[int]) -> Iterator[Bst]:
-    """Yield every BST shape over the given keys (Catalan many)."""
-    ks = sorted(keys)
-
-    def shapes(lo, hi):
-        if lo >= hi:
-            yield None, {}, {}
-            return
-        for r in range(lo, hi):
-            for lroot, llft, lrgt in shapes(lo, r):
-                for rroot, rlft, rrgt in shapes(r + 1, hi):
-                    lft = dict(llft)
-                    rgt = dict(lrgt)
-                    lft.update(rlft)
-                    rgt.update(rrgt)
-                    lft[ks[r]] = lroot
-                    rgt[ks[r]] = rroot
-                    yield ks[r], lft, rgt
-
-    for root, lft, rgt in shapes(0, len(ks)):
-        if root is not None:
-            yield Bst(root, lft, rgt)
-
-
 def strip_successor(sigma: str) -> str | None:
     """Signature reached by dropping trailing 1s and one 0, or None.
 
@@ -193,14 +164,3 @@ def successor_set(sigma: str, h: int) -> set[str]:
     for j in range(h - len(sigma)):
         out.add(sigma + "1" + "0" * j)
     return out
-
-
-def in_successor_set(sigma: str, tau: str, h: int) -> bool:
-    """Membership test for successor_set without materialising it."""
-    if len(sigma) > h or len(tau) > h:
-        return False
-    if tau == strip_successor(sigma):
-        return True
-    k = len(sigma)
-    return len(tau) > k and tau[:k] == sigma and tau[k] == "1" and not tau[k + 1 :].strip("0")
-

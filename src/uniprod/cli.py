@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     bu.add_argument("--out")
     bu.set_defaults(func=_cmd_build_ug)
 
-    co = sub.add_parser("count", help="size bounds, plus exact counts when materializable")
+    co = sub.add_parser("count", help="size bounds, plus exact counts when the class table is within the cap")
     co.add_argument("--n", type=int, required=True)
     co.add_argument("--lambda", dest="lam", type=int)
     co.set_defaults(func=_cmd_count)

@@ -276,11 +276,11 @@ def _suite_sizes(cfg: dict, report: Report) -> None:
     degrees = host_degrees(p)
     if degrees is not None:
         nv, ne = sum(m for _, m in degrees), sum(g * m for g, m in degrees) // 2
-        report.add("materialized within bounds", nv <= vb and ne <= eb, vertices=nv, edges=ne)
+        report.add("counted within bounds", nv <= vb and ne <= eb, vertices=nv, edges=ne)
         report.add("degree domination", dominates_stars(degrees, n), n=n)
         row.update({"vertices": nv, "edges": ne})
     else:
-        report.add("materialization skipped", True, reason=f"budget {p.budget}: class table over cap {HOST_CAP}")
+        report.add("count skipped", True, reason=f"budget {p.budget}: class table over cap {HOST_CAP}")
     report.rows.append(row)
 
 

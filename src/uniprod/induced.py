@@ -19,11 +19,13 @@ detail about clique parents into a label.  The default scheme reads fixed
 and ships only the vertex's own signature plus one overflow bit per row;
 bag colours stay injective per bag, so the tester keeps exact.
 
-A Label is its bits, the packed string it carries.  It derives what the
-tester reads once, when it is built or unpacked: the next row's signature
-is decoded from its transition code then, and each parent slot is keyed
-by (node signature, bag colour).  Testing a pair is then one dict lookup
-per direction, so the full-pair audit and the assembly decode nothing.
+A Label is its bits, the packed string it carries, and unpack_label is
+the only producer of the labels the tester reads: make_label too returns
+the label that its bits decode to.  The decoder derives what the tester
+reads once: the next row's signature is decoded from its transition code,
+and each parent slot is keyed by (node signature, bag colour).  Testing a
+pair is then one dict lookup per direction, so the full-pair audit and
+the assembly decode nothing.
 
 The tester can say True only where one label's own key meets a parent
 slot key of the other in the same row.  The tester graph on a set of
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 from math import comb
@@ -359,13 +361,12 @@ def bag_stats(ctx: LabelContext) -> dict:
 class Label:
     """Decoded label; bits, its packed string, is its identity.
 
-    Construction also derives, once, everything the tester reads: the
-    next row's signature (decoded from mu), the next row's alpha1, and for
-    rows y and y+1 the vertex's own (node signature, bag colour) key and a
-    map from each parent slot's (node signature, bag colour) to the first
-    slot holding it.  These fields stay out of equality.  A label whose
-    fields contradict each other raises ValueError here, so the tester
-    never meets one.
+    unpack_label also sets, by _derive_tester_view, what the tester reads:
+    the next row's alpha1 and, for rows y and y+1, the vertex's own (node
+    signature, bag colour) key and a map from each parent slot's (node
+    signature, bag colour) to the first slot holding it; row y+1's
+    signature is decoded from mu.  These fields stay out of equality, and
+    a label built from fields alone, as make_label drafts one, has none.
     """
 
     scheme: str
@@ -380,36 +381,10 @@ class Label:
     abits: dict
     r: dict
     has_prev: bool
-    codec: InitVar[LcpCodec]
-    bits: str | None = field(default=None, init=False, compare=False)  # set by make_label and unpack_label
-    next_sig: str | None = field(init=False, repr=False, compare=False)
+    bits: str | None = field(default=None, init=False, compare=False)  # set by unpack_label
     next_alpha: str | None = field(init=False, repr=False, compare=False)
     own_key: tuple = field(init=False, repr=False, compare=False)  # b -> (signature, colour) or None
     parent_slot: tuple = field(init=False, repr=False, compare=False)  # b -> {(signature, colour): slot}
-
-    def __post_init__(self, codec: LcpCodec):
-        self.next_sig = codec.decode(self.sig, self.mu) if self.mu is not None else None
-        self.next_alpha = _next_alpha(self.alpha1, self.hint)
-        own, slots = [], []
-        for b, base in ((0, self.sig), (1, self.next_sig)):
-            if base is None:
-                own.append(None)
-                slots.append({})
-                continue
-            d = self.depths[(self.phi, b)]
-            if d > len(base):
-                raise ValueError(f"own colour slot of row y{b:+d} is deeper than its {len(base)}-bit signature")
-            own.append((base[:d], self.psi[(self.phi, b)]))
-            # signature of the deepest clique-parent node in row y+b
-            path = base if self.scheme == "legacy" else base[:d] + self.r[b]
-            first = {}
-            for i in range(1, self.t + 2):
-                di = self.depths[(i, b)]
-                if di <= len(path):
-                    first.setdefault((path[:di], self.psi[(i, b)]), i)
-            slots.append(first)
-        self.own_key = tuple(own)
-        self.parent_slot = tuple(slots)
 
     @property
     def has_next(self) -> bool:
@@ -429,17 +404,51 @@ def _next_alpha(alpha1: str, hint: tuple) -> str | None:
     return up
 
 
+def _derive_tester_view(label: Label, params: LabelParams) -> None:
+    """Set the fields the tester reads on a label whose other fields were just decoded.
+
+    Fields that contradict each other, as unpack_label lists, raise
+    ValueError here, so the tester never meets such a label.
+    """
+    next_sig = params.codec.decode(label.sig, label.mu) if label.mu is not None else None
+    # build_context refuses a row tree taller than maxheight
+    if next_sig is not None and len(next_sig) > params.maxheight:
+        raise ValueError(f"mu decodes to a {len(next_sig)}-bit signature, deeper than maxheight {params.maxheight}")
+    label.next_alpha = _next_alpha(label.alpha1, label.hint)
+    own, slots = [], []
+    for b, base in ((0, label.sig), (1, next_sig)):
+        if base is None:
+            own.append(None)
+            slots.append({})
+            continue
+        d = label.depths[(label.phi, b)]
+        if d > len(base):
+            raise ValueError(f"own colour slot of row y{b:+d} is deeper than its {len(base)}-bit signature")
+        own.append((base[:d], label.psi[(label.phi, b)]))
+        # signature of the deepest clique-parent node in row y+b
+        path = base if label.scheme == "legacy" else base[:d] + label.r[b]
+        first = {}
+        for i in range(1, label.t + 2):
+            di = label.depths[(i, b)]
+            if di <= len(path):
+                first.setdefault((path[:di], label.psi[(i, b)]), i)
+        slots.append(first)
+    label.own_key = tuple(own)
+    label.parent_slot = tuple(slots)
+
+
 SCHEMES = ("legacy", "fixed")
 
 
 def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
-    """Label of v in row y, packed into its bits.
+    """Label of v in row y, as unpack_label decodes it from its bits.
 
     The legacy scheme reads the raw placement and ships the full clique
     path signature; the default scheme reads the fixed placement and ships
     the vertex's own raw node signature plus one overflow bit per row.
     The label is checked where it is made: its transition code must
-    decode to the next row's signature, and its bits must unpack to it.
+    decode to the next row's signature, and the fields it is drafted
+    from must survive a pack round trip.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown label scheme {scheme!r}")
@@ -456,6 +465,8 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
     base = shipped(y)
     following = shipped(y + 1) if y < ctx.h else None
     mu = None if following is None else J.encode(base, following)
+    if mu is not None and J.decode(base, mu) != following:
+        raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
 
     parents = ctx.tt.parents(v)
     depths, psi, abits, rsuf = {}, {}, {}, {}
@@ -474,7 +485,7 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
                 raise AssertionError(f"clique path of {v!r} in row {yb} overruns its node by more than one level")
             rsuf[b] = full[len(own):]
 
-    label = Label(
+    draft = Label(
         scheme=scheme,
         t=t,
         alpha1=ctx.alpha1[y],
@@ -487,12 +498,9 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
         abits=abits,
         r=rsuf,
         has_prev=y > 1,
-        codec=J,
     )
-    if label.next_sig != following:
-        raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
-    label.bits = pack_label(label, ctx.params)
-    if unpack_label(label.bits, ctx.params) != label:
+    label = unpack_label(pack_label(draft, ctx.params), ctx.params)
+    if label != draft:
         raise AssertionError(f"label of {v!r}@{y} does not survive a pack round-trip")
     return label
 
@@ -654,12 +662,8 @@ def _unpack(bits: str, params: LabelParams) -> Label:
             pos += 1 + len(rsuf[b])
     if pos != end:
         raise ValueError("trailing bits")
-    label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev,
-                  params.codec)
-    # build_context refuses a row tree taller than maxheight
-    if label.next_sig is not None and len(label.next_sig) > params.maxheight:
-        raise ValueError(f"mu decodes to a {len(label.next_sig)}-bit signature, deeper than maxheight "
-                         f"{params.maxheight}")
+    label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev)
+    _derive_tester_view(label, params)
     label.bits = bits
     return label
 

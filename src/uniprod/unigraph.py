@@ -21,7 +21,6 @@ from itertools import product as iter_product
 from .bitcore import (
     build_biased_bst,
     check_bits,
-    compatible,
     is_prefix,
     lcp_len,
     successor_set,
@@ -146,39 +145,6 @@ def is_edge(p: UgParams, u, v) -> bool:
     check_vertex(p, u)
     check_vertex(p, v)
     return p.adjacent(u, v)
-
-
-def is_edge_exhaustive(p: UgParams, u, v) -> bool:
-    """Slow cross-check: search all stand-ins and codes directly.
-
-    Only usable when budgets are tiny; the closed form in is_edge must
-    agree with this on every pair.
-    """
-    check_vertex(p, u)
-    check_vertex(p, v)
-    if u == v:
-        return False
-
-    def one_way(a, b) -> bool:
-        x1, y1, _ = a
-        x2, y2, _ = b
-        if y1 == y2:
-            return is_prefix(x2, x1)
-        if len(y1) > p.horizon or y2 not in successor_set(y1, p.horizon):
-            return False
-        w = p.codec.width
-        for lx in range(p.budget - len(y1) + 1):
-            for bits in iter_product("01", repeat=lx):
-                stand_in = "".join(bits)
-                if not compatible(stand_in, x1):
-                    continue
-                for ln in range(w, p.lam + 1):
-                    for nb in iter_product("01", repeat=ln):
-                        if p.codec.decode(stand_in, "".join(nb)) == x2:
-                            return True
-        return False
-
-    return one_way(u, v) or one_way(v, u)
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,92 @@
-"""Small graphs and contract checks the tests share."""
+"""Small graphs, contract checks and brute-force oracles the tests share."""
 
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterator, Sequence
 
-from uniprod.bitcore import check_bits
+from uniprod.bitcore import Bst, check_bits, is_prefix, strip_successor, successor_set
 from uniprod.decomp import PathDecomposition, TreeDecomposition
-from uniprod.induced import Label, LabelParams, LabelledInstance, adjacency_test
+from uniprod.induced import Label, LabelParams, LabelledInstance, _derive_tester_view, adjacency_test
 from uniprod.product import Graph
 from uniprod.treeseq import LcpCodec
-from uniprod.unigraph import UgParams, is_edge, row_graph
+from uniprod.unigraph import UgParams, check_vertex, is_edge, row_graph
 
 
 def path_graph(h: int) -> Graph:
     return Graph(range(1, h + 1), ((i, i + 1) for i in range(1, h)), name=f"P_{h}")
+
+
+def compatible(x: str, y: str) -> bool:
+    """True iff one of x, y is a prefix of the other."""
+    return x.startswith(y) or y.startswith(x)
+
+
+def enumerate_bsts(keys: Sequence[int]) -> Iterator[Bst]:
+    """Yield every BST shape over the given keys (Catalan many)."""
+    ks = sorted(keys)
+
+    def shapes(lo, hi):
+        if lo >= hi:
+            yield None, {}, {}
+            return
+        for r in range(lo, hi):
+            for lroot, llft, lrgt in shapes(lo, r):
+                for rroot, rlft, rrgt in shapes(r + 1, hi):
+                    lft = dict(llft)
+                    rgt = dict(lrgt)
+                    lft.update(rlft)
+                    rgt.update(rrgt)
+                    lft[ks[r]] = lroot
+                    rgt[ks[r]] = rroot
+                    yield ks[r], lft, rgt
+
+    for root, lft, rgt in shapes(0, len(ks)):
+        if root is not None:
+            yield Bst(root, lft, rgt)
+
+
+def in_successor_set(sigma: str, tau: str, h: int) -> bool:
+    """Membership test for successor_set without materialising it."""
+    if len(sigma) > h or len(tau) > h:
+        return False
+    if tau == strip_successor(sigma):
+        return True
+    k = len(sigma)
+    return len(tau) > k and tau[:k] == sigma and tau[k] == "1" and not tau[k + 1 :].strip("0")
+
+
+def is_edge_exhaustive(p: UgParams, u, v) -> bool:
+    """Slow cross-check: search all stand-ins and codes directly.
+
+    Only usable when budgets are tiny; the closed form in is_edge must
+    agree with this on every pair.
+    """
+    check_vertex(p, u)
+    check_vertex(p, v)
+    if u == v:
+        return False
+
+    def one_way(a, b) -> bool:
+        x1, y1, _ = a
+        x2, y2, _ = b
+        if y1 == y2:
+            return is_prefix(x2, x1)
+        if len(y1) > p.horizon or y2 not in successor_set(y1, p.horizon):
+            return False
+        w = p.codec.width
+        for lx in range(p.budget - len(y1) + 1):
+            for bits in itertools.product("01", repeat=lx):
+                stand_in = "".join(bits)
+                if not compatible(stand_in, x1):
+                    continue
+                for ln in range(w, p.lam + 1):
+                    for nb in itertools.product("01", repeat=ln):
+                        if p.codec.decode(stand_in, "".join(nb)) == x2:
+                            return True
+        return False
+
+    return one_way(u, v) or one_way(v, u)
 
 
 def reference_host(p: UgParams) -> Graph:
@@ -257,10 +330,7 @@ def _reference_unpack(bits: str, params: LabelParams) -> Label:
             rsuf[b] = "" if r.bits(1) == "0" else r.bits(1)
     if not r.at_end():
         raise ValueError("trailing bits")
-    label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev,
-                  params.codec)
-    if label.next_sig is not None and len(label.next_sig) > params.maxheight:
-        raise ValueError(f"mu decodes to a {len(label.next_sig)}-bit signature, deeper than maxheight "
-                         f"{params.maxheight}")
+    label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev)
+    _derive_tester_view(label, params)
     label.bits = bits
     return label

@@ -12,14 +12,9 @@ import random
 import time
 from fractions import Fraction
 
-from graphs import check_tree_sequence, degree_runs, host_degree_sequence, path_graph
+from graphs import check_tree_sequence, degree_runs, enumerate_bsts, host_degree_sequence, in_successor_set, path_graph
 
-from uniprod.bitcore import (
-    build_biased_bst,
-    enumerate_bsts,
-    in_successor_set,
-    successor_set,
-)
+from uniprod.bitcore import build_biased_bst, successor_set
 from uniprod.closure import ClosureGraph, IntervalRep, embed_interval_graph, interval_separator, perturb_left_endpoints
 from uniprod.compressor import build_saturator, compress, embed_compressed, verify_saturation
 from uniprod.decomp import build_ttree, generate_qt_instance

@@ -5,8 +5,8 @@ its own module, or in another module that imports it from there;
 ``__init__.py`` re-exports are not uses.  A public method, property or
 dataclass field counts as used when its name is loaded as an attribute
 somewhere in the package outside its own definition.  Test oracles, whose
-whole purpose is to cross-check the pipeline from the tests, and members
-pinned by the benchmark are listed with the reason they stay.
+whole purpose is to cross-check the pipeline, live in tests/graphs.py;
+members pinned by the benchmark are listed with the reason they stay.
 """
 
 import ast
@@ -14,12 +14,6 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "uniprod"
-
-ORACLES = (
-    "bitcore.enumerate_bsts",  # every BST shape over a key set, for exhaustive successor-set checks
-    "bitcore.in_successor_set",  # membership form of successor_set, compared against the set it avoids building
-    "unigraph.is_edge_exhaustive",  # brute-force search over stand-ins and codes that is_edge must agree with
-)
 
 # perfbench/tracer.py METHODS wraps these by reading cls.__dict__, so they
 # stay until the benchmark's method list changes.
@@ -67,8 +61,8 @@ def unused_definitions():
 
 
 def test_every_public_definition_has_a_caller_in_the_package():
-    # an oracle the package starts calling, or deletes, leaves this list too
-    assert unused_definitions() == sorted(ORACLES)
+    # a definition only the tests call belongs in tests/graphs.py
+    assert unused_definitions() == []
 
 
 def _attribute_loads(node) -> Counter:

@@ -1,15 +1,13 @@
 import random
 
 import pytest
+from graphs import compatible, enumerate_bsts, in_successor_set
 from hypothesis import given, strategies as st
 
 from uniprod.bitcore import (
     Bst,
     build_biased_bst,
     check_bits,
-    compatible,
-    enumerate_bsts,
-    in_successor_set,
     is_prefix,
     lcp_len,
     strip_successor,

@@ -11,6 +11,7 @@ from graphs import assert_is_edge_graph, read_host
 import uniprod
 from uniprod import cli, unigraph
 from uniprod.cli import main
+from uniprod.product import Graph
 
 
 def run(*argv, check=0):
@@ -54,6 +55,27 @@ def test_build_ug_and_count(tmp_path, capsys):
     assert row["edges"] <= row["edge_bound"]
     head = json.loads(out.read_text().splitlines()[0])
     assert head["n"] == row["vertices"]
+
+
+def test_build_ug_implicit_prints_parameters_and_bounds(capsys):
+    run("build-ug", "--n", "8")
+    assert capsys.readouterr().out.splitlines() == [
+        "n=8 d=3 lam=9 budget=14",
+        "vertex bound 7372800, edge bound 764411904000000; adjacency via is_edge",
+    ]
+
+
+def test_embed_refuses_a_lambda_below_the_transition_code(tmp_path, capsys):
+    # the smallest lambda this instance embeds at is 4
+    inst, wit = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl"
+    run("gen", "qt", "--t", "2", "--n", "64", "--h", "4", "--seed", "0", "--out", str(inst))
+    for lam in (0, 3):
+        capsys.readouterr()
+        run("embed", "--instance", str(inst), "--lambda", str(lam), "--out", str(wit), check=1)
+        err = capsys.readouterr().err
+        assert err == f"error: lambda too small: transition code needs 4 bits, lam = {lam}\n"
+    run("embed", "--instance", str(inst), "--lambda", "4", "--out", str(wit))
+    run("verify", "--instance", str(inst), "--witness", str(wit))
 
 
 # (n, lam): (|V|, |E|) of the materialized host, on the bounds grid.
@@ -110,7 +132,7 @@ def test_count_and_sizes_give_exact_sizes_past_the_row_graph_cap(tmp_path, capsy
     rep = tmp_path / "sizes.json"
     run("run-suite", "sizes", "--n", "1024", "--out", str(rep))
     report = json.loads(rep.read_text())
-    assert report["ok"] and {c["check"] for c in report["checks"]} >= {"materialized within bounds", "degree domination"}
+    assert report["ok"] and {c["check"] for c in report["checks"]} >= {"counted within bounds", "degree domination"}
     [srow] = report["rows"]
     assert (srow["vertices"], srow["edges"]) == (row["vertices"], row["edges"])
 
@@ -122,7 +144,7 @@ def test_count_prints_bounds_only_past_the_class_table_cap(tmp_path, capsys):
     rep = tmp_path / "sizes.json"
     run("run-suite", "sizes", "--n", "2", "--lambda", "1000", "--out", str(rep))
     report = json.loads(rep.read_text())
-    assert report["ok"] and "materialization skipped" in {c["check"] for c in report["checks"]}
+    assert report["ok"] and "count skipped" in {c["check"] for c in report["checks"]}
     assert "vertices" not in report["rows"][0]
 
 
@@ -175,6 +197,24 @@ def test_compress_command(tmp_path, monkeypatch):
     run("compress", "--graph", str(g), "--k", "2", "--eps", "1.0", "--seed", "5", "--out", str(out))
     head = json.loads(out.read_text().splitlines()[0])
     assert head["n"] == 6
+
+
+def test_compress_regenerates_a_saturator_that_fails(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("UNIPROD_CACHE", str(tmp_path / "cache"))
+    g = tmp_path / "g.jsonl"
+    Graph(range(8), [(0, 1), (1, 2), (2, 3), (4, 5), (6, 7)], name="demo").write_jsonl(g)
+    out = tmp_path / "c.jsonl"
+    run("compress", "--graph", str(g), "--k", "2", "--eps", "16", "--seed", "2", "--out", str(out))
+    captured = capsys.readouterr()
+    assert captured.err == "seed 2: saturation failed (exhaustive), witness [1, 4, 6, 7]\n"
+    assert "saturator verified after 1 regeneration(s)" in captured.out.splitlines()
+    assert out.exists()
+    # every seed of 0, 1 and 2 fails, and no file is written
+    out.unlink()
+    run("compress", "--graph", str(g), "--k", "2", "--eps", "24", "--retries", "2", "--out", str(out), check=1)
+    captured = capsys.readouterr()
+    assert [line.split(":")[0] for line in captured.err.splitlines()] == ["seed 0", "seed 1", "seed 2"]
+    assert captured.out == "" and not out.exists()
 
 
 def test_run_suite_and_report(tmp_path, monkeypatch, capsys):

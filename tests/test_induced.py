@@ -130,6 +130,25 @@ def test_make_label_checks_the_pack_round_trip(monkeypatch):
             make_label(ctx, hv, y, scheme)
 
 
+def test_make_label_checks_the_transition_code_before_packing(monkeypatch):
+    ctx = next(contexts([31], tmax=2, nmax=20))
+    hv, y = min((c for c in ctx.inv if c[1] < ctx.h), key=repr)
+    encode = LcpCodec.encode
+
+    def corrupted(self, before, after):
+        # flip the last bit of the new suffix, or give an empty suffix one bit
+        code = encode(self, before, after)
+        return code[:-1] + "10"[int(code[-1])] if len(code) > self.width else code + "1"
+
+    packed = []
+    monkeypatch.setattr(LcpCodec, "encode", corrupted)
+    monkeypatch.setattr(induced, "pack_label", lambda *args: packed.append(args))
+    for scheme in SCHEMES:
+        with pytest.raises(AssertionError, match=rf"transition code for {re.escape(repr(hv))}@{y} does not round-trip"):
+            make_label(ctx, hv, y, scheme)
+    assert packed == []
+
+
 def decoded(reader, bits, params):
     """What a label reader makes of bits: the label and its bits, or the ValueError text."""
     try:
@@ -185,7 +204,7 @@ def test_unpack_reports_a_bit_underrun():
             unpack_label(label.bits[:cut], params)
     # cut inside a psi gamma field: the last slot's psi, 2^20, takes 41 bits
     last = max(label.psi, key=lambda slot: slot[::-1])  # slots run row by row, colours within a row
-    big = dataclasses.replace(label, psi={**label.psi, last: 1 << 20}, codec=params.codec)
+    big = dataclasses.replace(label, psi={**label.psi, last: 1 << 20})
     big.bits = pack_label(big, params)
     start, end = psi_block(big)
     assert big.bits[end - 41:end] == "0" * 20 + "1" + "0" * 20 and start < end - 41
@@ -233,14 +252,13 @@ def test_unpack_rejects_garbage():
     # a successor row signature of n bits or more cannot come from n rows
     rows3 = label_instance(build_context(generate_qt_instance(1, 12, 3, rng_seed=7)), "fixed")
     inner = next(lab for lab in rows3.labels.values() if lab.has_next)
-    label = dataclasses.replace(inner, hint=("append", rows3.params.n), codec=rows3.params.codec)
+    label = dataclasses.replace(inner, hint=("append", rows3.params.n))
     with pytest.raises(ValueError, match="overruns a row tree"):
         unpack_label(pack_label(label, rows3.params), rows3.params)
     # no tree of height maxheight has a longer signature
     last = next(lab for lab in rows3.labels.values() if not lab.has_next)
     deep = "0" * (rows3.params.maxheight + 1)
-    for label in (dataclasses.replace(last, alpha1=deep, codec=rows3.params.codec),
-                  dataclasses.replace(last, sig=deep, codec=rows3.params.codec)):
+    for label in (dataclasses.replace(last, alpha1=deep), dataclasses.replace(last, sig=deep)):
         with pytest.raises(ValueError, match="deeper than maxheight"):
             unpack_label(pack_label(label, rows3.params), rows3.params)
     with pytest.raises(ValueError):
@@ -268,8 +286,8 @@ def test_unpack_refuses_a_next_row_signature_past_maxheight():
     li = label_instance(build_context(generate_qt_instance(2, 30, 3, rng_seed=3)), "fixed")
     params = li.params
     inner = next(lab for lab in li.labels.values() if lab.has_next)
-    padded = dataclasses.replace(inner, mu=inner.mu + "0" * 300, codec=params.codec)
-    assert len(padded.next_sig) >= 300 > params.maxheight
+    padded = dataclasses.replace(inner, mu=inner.mu + "0" * 300)
+    assert len(params.codec.decode(padded.sig, padded.mu)) >= 300 > params.maxheight
     with pytest.raises(ValueError, match="deeper than maxheight"):
         unpack_label(pack_label(padded, params), params)
 
@@ -281,7 +299,7 @@ def test_unpack_refuses_a_successor_hint_past_maxheight():
     params = LabelParams(n=10**6, t=1, maxheight=14)
     li = label_instance(build_context(generate_qt_instance(1, 12, 3, rng_seed=7), params=params), "fixed")
     inner = next(lab for lab in li.labels.values() if lab.has_next)
-    bits = pack_label(dataclasses.replace(inner, hint=("append", 400_000), codec=params.codec), params)
+    bits = pack_label(dataclasses.replace(inner, hint=("append", 400_000)), params)
     assert len(bits) < 200
     tracemalloc.start()
     try:
@@ -338,7 +356,8 @@ def audit_mutants(ctx, li):
     for g in vertices[:3]:  # a flipped adjacency bit
         lab = li.labels[g]
         for slot, bit in sorted(lab.abits.items()):
-            flipped = dataclasses.replace(lab, abits={**lab.abits, slot: 1 - bit}, codec=li.params.codec)
+            draft = dataclasses.replace(lab, abits={**lab.abits, slot: 1 - bit})
+            flipped = unpack_label(pack_label(draft, li.params), li.params)
             yield LabelledInstance(li.params, li.scheme, {**li.labels, g: flipped}, li.graph)
 
 

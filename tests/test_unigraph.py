@@ -3,7 +3,15 @@ import random
 from collections import Counter
 
 import pytest
-from graphs import assert_is_edge_graph, degree_runs, host_degree_sequence, path_graph, read_host, reference_host
+from graphs import (
+    assert_is_edge_graph,
+    degree_runs,
+    host_degree_sequence,
+    is_edge_exhaustive,
+    path_graph,
+    read_host,
+    reference_host,
+)
 from hypothesis import given, settings, strategies as st
 
 from uniprod.bitcore import successor_set
@@ -21,7 +29,6 @@ from uniprod.unigraph import (
     host_counts,
     host_degrees,
     is_edge,
-    is_edge_exhaustive,
     materialize,
     row_graph,
     validate_qt_embedding,
