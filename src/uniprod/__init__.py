@@ -13,7 +13,6 @@ from .bitcore import Bst, build_biased_bst, successor_set
 from .closure import ClosureGraph, IntervalRep, embed_interval_graph, interval_separator
 from .compressor import build_saturator, compress, embed_compressed, verify_saturation
 from .decomp import (
-    PathDecomposition,
     QtInstance,
     TTree,
     TreeDecomposition,
@@ -51,7 +50,6 @@ __all__ = [
     "compress",
     "embed_compressed",
     "TreeDecomposition",
-    "PathDecomposition",
     "TTree",
     "QtInstance",
     "build_ttree",

@@ -54,9 +54,6 @@ class Bst:
     def __len__(self):
         return len(self._left)
 
-    def __contains__(self, key):
-        return key in self._sig
-
     def keys(self):
         return sorted(self._left)
 
@@ -79,12 +76,6 @@ class Bst:
     def is_ancestor(self, a, b) -> bool:
         """True iff a is an ancestor of b (every node is its own ancestor)."""
         return self._sig[b].startswith(self._sig[a])
-
-    def __eq__(self, other):
-        return isinstance(other, Bst) and self._sig == other._sig
-
-    def __hash__(self):
-        return hash(frozenset(self._sig.items()))
 
     def __repr__(self):
         return f"Bst({len(self)} keys, root={self.root}, height={self.height})"

@@ -1,10 +1,10 @@
 """Tree decompositions, t-trees, and width conversions.
 
 The pipeline here turns a width-t tree decomposition into three related
-artifacts: a completed t-tree (a maximal graph of treewidth t with its
-construction order and family cliques), a path decomposition whose width
-grows only by a log factor, and an interval representation realizing
-that path decomposition geometrically.  Random t-trees and random
+artifacts: a completed t-tree (a maximal graph of treewidth t, given by
+its construction order and attach sets), a path decomposition (its bags
+in path order) whose width grows only by a log factor, and an interval
+representation realizing that path decomposition geometrically.  Random t-trees and random
 subgraphs of ttree x path products act as test instances downstream.
 """
 
@@ -87,20 +87,6 @@ class TreeDecomposition:
         for v, nodes in where.items():
             if inner[v] != len(nodes) - 1:
                 raise ValueError(f"bags containing {v!r} are disconnected")
-
-
-@dataclass
-class PathDecomposition:
-    """Bags in path order."""
-
-    bags: list
-
-    def __post_init__(self):
-        self.bags = [frozenset(b) for b in self.bags]
-
-    @property
-    def width(self) -> int:
-        return max((len(b) for b in self.bags), default=0) - 1
 
 
 def normalize_decomposition(td: TreeDecomposition) -> TreeDecomposition:
@@ -194,8 +180,8 @@ def _is_path(td: TreeDecomposition):
     return order
 
 
-def tree_to_path_decomposition(td: TreeDecomposition) -> PathDecomposition:
-    """Convert a tree decomposition into a path decomposition.
+def tree_to_path_decomposition(td: TreeDecomposition) -> list:
+    """Convert a tree decomposition into a path decomposition: its bags in path order.
 
     Path-shaped inputs pass through unchanged.  Otherwise the tree is
     normalized and split at a centroid whose bag is unioned into every
@@ -205,7 +191,7 @@ def tree_to_path_decomposition(td: TreeDecomposition) -> PathDecomposition:
     """
     path_order = _is_path(td)
     if path_order is not None:
-        return PathDecomposition([td.bags[x] for x in path_order])
+        return [td.bags[x] for x in path_order]
     norm = normalize_decomposition(td)
     n = max(1, len(norm.covered_vertices()))
     adj = norm.adjacency()
@@ -233,17 +219,18 @@ def tree_to_path_decomposition(td: TreeDecomposition) -> PathDecomposition:
             segs = [frozenset()]
         return [b | norm.bags[c] for b in segs]
 
-    pd = PathDecomposition(rec(set(norm.bags)))
+    bags = rec(set(norm.bags))
+    width = max(map(len, bags), default=0) - 1
     cap = (norm.width + 1) * (max(1, n - 1).bit_length() + 1) - 1
-    if pd.width > cap:
-        raise AssertionError(f"pathwidth {pd.width} exceeds bound {cap}")
-    return pd
+    if width > cap:
+        raise AssertionError(f"pathwidth {width} exceeds bound {cap}")
+    return bags
 
 
-def path_decomposition_to_intervals(pd: PathDecomposition) -> IntervalRep:
-    """Each vertex becomes the index range of the bags containing it."""
+def path_decomposition_to_intervals(bags: list) -> IntervalRep:
+    """Each vertex becomes the index range of the path-ordered bags containing it."""
     first, last = {}, {}
-    for i, b in enumerate(pd.bags):
+    for i, b in enumerate(bags):
         for v in b:
             first.setdefault(v, i)
             last[v] = i
@@ -256,30 +243,36 @@ def path_decomposition_to_intervals(pd: PathDecomposition) -> IntervalRep:
 
 @dataclass
 class TTree:
-    """A maximal graph of treewidth t with its construction order.
+    """A maximal graph of treewidth t, as its construction order and attach sets.
 
-    Vertices enter one at a time; each vertex beyond the initial clique
-    attaches to a t-clique of the graph built so far.  cliques[v] is the
-    family clique of v (its attach set plus v itself, or the initial
-    clique for the first t + 1 vertices), colour is a proper greedy
-    colouring with t + 1 colours, and owner[v] names an earlier vertex
-    whose family clique contains v's attach set.
+    Vertices enter one at a time in order.  attach[v] is the set of
+    earlier vertices that v joins: all of them for the first t + 1
+    vertices, else a t-clique of the graph built so far.  owner[v] names
+    an earlier vertex whose family clique contains v's attach set.  The
+    rest is derived: graph holds the attach edges, added in construction
+    order; cliques[v] is the family clique of v (its attach set plus v
+    itself, or the initial clique for the first t + 1 vertices); colour
+    is a proper greedy colouring with t + 1 colours.
     """
 
     t: int
     order: list
-    graph: Graph
     attach: dict
     owner: dict = field(default_factory=dict)
+    graph: Graph = field(init=False)
     cliques: dict = field(init=False)
     colour: dict = field(init=False)
 
     def __post_init__(self):
+        self.graph = Graph(self.order, name=f"ttree(t={self.t}, n={self.n})")
+        for v in self.order:
+            for w in self.attach[v]:
+                self.graph.add_edge(v, w)
         base = frozenset(self.order[: self.t + 1])
         self.cliques = {v: base if i <= self.t else self.attach[v] | {v} for i, v in enumerate(self.order)}
         self.colour = {}
         for v in self.order:
-            used = {self.colour[w] for w in self.attach[v]}
+            used = {self.colour.get(w) for w in self.attach[v]}  # a later w has no colour yet; validate refuses it
             self.colour[v] = min(c for c in range(1, self.t + 2) if c not in used)
 
     @property
@@ -308,15 +301,13 @@ class TTree:
         t, n = self.t, self.n
         if n < t + 1:
             raise ValueError("need at least t + 1 vertices")
-        if set(self.order) != set(self.graph.vertices()) or len(set(self.order)) != n:
-            raise ValueError("order does not enumerate the vertex set")
         pos = {v: i for i, v in enumerate(self.order)}
-        for v in self.order:
-            i = pos[v]
+        if len(pos) != n:
+            raise ValueError("order repeats a vertex")
+        for i, v in enumerate(self.order):
             att = self.attach[v]
-            earlier = {w for w in self.graph.neighbors(v) if pos[w] < i}
-            if earlier != set(att):
-                raise ValueError(f"attach set of {v!r} is not its earlier neighbours")
+            if any(pos.get(w, i) >= i for w in att):
+                raise ValueError(f"attach set of {v!r} names a vertex that is not earlier")
             if len(att) != min(i, t):
                 raise ValueError(f"attach set of {v!r} has wrong size")
             att_l = sorted(att, key=repr)
@@ -352,6 +343,29 @@ class TTree:
         return td
 
 
+def _grow_ttree(t: int, order: list, pick) -> TTree:
+    """The validated t-tree that grows along order.
+
+    The first t + 1 vertices form the initial clique, each attached to
+    every vertex before it and owned by the one just before.  For i > t,
+    pick(i, cliques) returns the attach set and owner of order[i], read
+    from cliques, the family cliques of the vertices before it.
+    """
+    attach, owner = {}, {}
+    cliques = dict.fromkeys(order[: t + 1], frozenset(order[: t + 1]))
+    for i, v in enumerate(order):
+        if i <= t:
+            attach[v] = frozenset(order[:i])
+            if i:
+                owner[v] = order[i - 1]
+        else:
+            attach[v], owner[v] = pick(i, cliques)
+            cliques[v] = attach[v] | {v}
+    tt = TTree(t, order, attach, owner)
+    tt.validate()
+    return tt
+
+
 def build_ttree(t: int, n: int, rng_seed: int = 0) -> TTree:
     """Random t-tree on vertices 0..n-1 in construction order.
 
@@ -361,27 +375,12 @@ def build_ttree(t: int, n: int, rng_seed: int = 0) -> TTree:
     if t < 1 or n < t + 1:
         raise ValueError("need t >= 1 and n >= t + 1")
     rng = random.Random(rng_seed)
-    order = list(range(n))
-    g = Graph(order, name=f"ttree(t={t}, n={n})")
-    attach, owner, fam = {}, {}, {}
-    base = frozenset(range(t + 1))
-    for i in range(n):
-        if i <= t:
-            attach[i] = frozenset(range(i))
-            fam[i] = base
-            if i:
-                owner[i] = i - 1
-        else:
-            u = rng.randrange(i)
-            drop = rng.choice(sorted(fam[u]))
-            attach[i] = fam[u] - {drop}
-            fam[i] = attach[i] | {i}
-            owner[i] = u
-        for w in attach[i]:
-            g.add_edge(i, w)
-    tt = TTree(t=t, order=order, graph=g, attach=attach, owner=owner)
-    tt.validate()
-    return tt
+
+    def pick(i: int, cliques: dict):
+        u = rng.randrange(i)
+        return cliques[u] - {rng.choice(sorted(cliques[u]))}, u
+
+    return _grow_ttree(t, list(range(n)), pick)
 
 
 def _mcs_order(vertices: list, adj: dict) -> list:
@@ -421,40 +420,22 @@ def ttree_from_decomposition(td: TreeDecomposition) -> TTree:
                 adj[w].add(u)
     order = _mcs_order(verts, adj)
     pos = {v: i for i, v in enumerate(order)}
-    g = Graph(order, name=f"ttree(t={t}) completion")
-    attach, owner, fam = {}, {}, {}
-    base = frozenset(order[: t + 1])
-    for i, v in enumerate(order):
-        if i <= t:
-            attach[v] = frozenset(order[:i])
-            fam[v] = base
-            if i:
-                owner[v] = order[i - 1]
-        else:
-            ni = {w for w in adj[v] if pos[w] < i}
-            if len(ni) > t:
-                raise ValueError("decomposition width below the cliques it induces")
-            hull = None
-            for u in order[i - 1 :: -1]:
-                if ni <= fam[u]:
-                    hull = u
-                    break
-            if hull is None:
-                raise AssertionError("earlier neighbours do not form a clique")
-            pad = sorted(fam[hull] - ni, key=repr)
-            att = set(ni)
-            for w in pad:
-                if len(att) == t:
-                    break
-                att.add(w)
-            attach[v] = frozenset(att)
-            fam[v] = attach[v] | {v}
-            owner[v] = hull
-        for w in attach[v]:
-            g.add_edge(v, w)
-    tt = TTree(t=t, order=order, graph=g, attach=attach, owner=owner)
-    tt.validate()
-    return tt
+
+    def pick(i: int, cliques: dict):
+        ni = {w for w in adj[order[i]] if pos[w] < i}
+        if len(ni) > t:
+            raise ValueError("decomposition width below the cliques it induces")
+        hull = next((u for u in order[i - 1 :: -1] if ni <= cliques[u]), None)
+        if hull is None:
+            raise AssertionError("earlier neighbours do not form a clique")
+        att = set(ni)
+        for w in sorted(cliques[hull] - ni, key=repr):
+            if len(att) == t:
+                break
+            att.add(w)
+        return frozenset(att), hull
+
+    return _grow_ttree(t, order, pick)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +517,7 @@ def host_layout(inst: QtInstance) -> tuple[TTree, IntervalRep]:
     for u, v in inst.host.edges():
         if not tt.graph.has_edge(u, v):
             raise ValueError(f"t-tree completion lost host edge {u!r}-{v!r}")
-    pd = tree_to_path_decomposition(tt.family_decomposition())
-    return tt, path_decomposition_to_intervals(pd)
+    return tt, path_decomposition_to_intervals(tree_to_path_decomposition(tt.family_decomposition()))
 
 
 def generate_qt_instance(t: int, n: int, h: int, rng_seed: int = 0) -> QtInstance:

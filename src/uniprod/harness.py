@@ -104,7 +104,7 @@ def gen_bad_example(n: int, i: int, j: int) -> BadExample:
         for nb in sorted(graph.neighbors(v), reverse=True):
             if nb != parent:
                 stack.append((nb, v))
-    tt = TTree(t=1, order=order, graph=graph, attach=attach, owner=owner)
+    tt = TTree(t=1, order=order, attach=attach, owner=owner)
 
     coords = {v: (v, 1) for v in verts}
     witness = ProductWitness(graph, (graph, PathFactor(1)), coords)

@@ -49,7 +49,7 @@ from .bitcore import Bst, build_biased_bst, check_bits, strip_successor
 from .closure import IntervalRep, min_depth_in_range, perturb_left_endpoints
 from .decomp import QtInstance, TTree, host_layout
 from .io import edge_records, endpoints, integer, key, read_records, write_records
-from .product import Graph
+from .product import Graph, PathFactor, ProductWitness, row_numbers
 from .treeseq import LcpCodec, build_tree_sequence
 
 
@@ -117,28 +117,28 @@ class LabelContext:
     """Everything derived from one instance that labelling needs.
 
     Rows, clique unions and their per-row search trees are built once by
-    build_context.  Two placements share them: raw puts every vertex at
-    the shallowest node of its interval, and fixed is raw after fixup.
-    The legacy scheme reads raw, the default scheme reads fixed.
+    build_context, over the instance's rows in use renumbered 1..h as
+    embed renumbers them; row maps each instance row to its number here.
+    Two placements share them: raw puts every vertex at the shallowest
+    node of its interval, and fixed is raw after fixup.  The legacy
+    scheme reads raw, the default scheme reads fixed.
     """
 
     instance: QtInstance
     params: LabelParams
     tt: TTree
+    h: int
+    row: dict  # instance row -> y
     rank: dict
     rows: dict  # y -> sorted row members
     s_plus: dict  # y -> sorted clique-union superset
     trees: dict  # y -> Bst over ranks
     alpha1: dict
     hint: dict
-    inv: dict  # (host vertex, row) -> instance vertex
-    edge_set: set
+    inv: dict  # (host vertex, instance row) -> instance vertex
+    edge_set: set  # instance edges as frozensets of (host vertex, y)
     raw: Placement = field(init=False)
     fixed: Placement = field(init=False)
-
-    @property
-    def h(self) -> int:
-        return self.instance.h
 
     def sig(self, y: int, key) -> str:
         return self.trees[y].signature(key)
@@ -155,8 +155,10 @@ def build_context(
     The host layout is host_layout(instance) unless rep and tt prescribe
     one together; a prescribed tt must pass TTree.validate, so every
     family clique carries every colour.  Every t-tree edge must be covered
-    by the interval representation, and each clique's node set is checked
-    to sit on a single root path of its row tree.  The context is returned
+    by the interval representation.  The rows in use are renumbered 1..h
+    as embed renumbers them, and the instance must then be a product
+    witness in (t-tree) x P_h.  Each clique's node set is checked to sit
+    on a single root path of its row tree.  The context is returned
     after fixup, so both label schemes can read it.
     """
     if (rep is None) != (tt is None):
@@ -181,14 +183,13 @@ def build_context(
 
     rank = {v: lo for v, (lo, _) in rep.intervals.items()}
 
-    h = instance.h
-    coords = instance.witness.coords
+    row = row_numbers(instance.witness.coords)
+    h = len(row)
+    coords = {g: (v, row[y]) for g, (v, y) in instance.witness.coords.items()}
+    ProductWitness(instance.graph, (tt.graph, PathFactor(h)), coords).validate()
     rows = {y: set() for y in range(1, h + 1)}
     for v, y in coords.values():
         rows[y].add(v)
-    for y in range(1, h + 1):
-        if not rows[y]:
-            raise ValueError(f"row {y} hosts no vertices")
     s = {0: set(), h + 1: set()}
     for y in range(1, h + 1):
         s[y] = set().union(*(tt.cliques[v] for v in rows[y]))
@@ -205,19 +206,15 @@ def build_context(
     alpha1 = {y: row_tree.signature(y) for y in range(1, h + 1)}
     hint = {y: _successor_hint(alpha1, y, h) for y in range(1, h + 1)}
 
-    inv = {}
-    for g, c in coords.items():
-        inv[c] = g
+    inv = {c: g for g, c in instance.witness.coords.items()}
     edge_set = {frozenset((coords[a], coords[b])) for a, b in instance.graph.edges()}
-    for pair in edge_set:
-        (v1, y1), (v2, y2) = sorted(pair, key=repr)
-        if abs(y1 - y2) > 1 or (v1 != v2 and not tt.graph.has_edge(v1, v2)):
-            raise ValueError(f"instance edge {v1!r}@{y1}-{v2!r}@{y2} not realizable in the completed product")
 
     ctx = LabelContext(
         instance=instance,
         params=params,
         tt=tt,
+        h=h,
+        row=row,
         rank=rank,
         rows={y: sorted(rows[y], key=rank.__getitem__) for y in rows},
         s_plus=s_plus,
@@ -454,6 +451,7 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
         raise ValueError(f"unknown label scheme {scheme!r}")
     if (v, y) not in ctx.inv:
         raise ValueError(f"({v!r}, {y}) is not a vertex of the instance")
+    y = ctx.row[y]
     legacy = scheme == "legacy"
     place = ctx.raw if legacy else ctx.fixed
     t, J = ctx.params.t, ctx.params.codec

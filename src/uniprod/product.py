@@ -158,6 +158,15 @@ class CliqueFactor:
         return f"CliqueFactor({self.k})"
 
 
+def row_numbers(coords: dict) -> dict:
+    """Each row that a (host vertex, row) coordinate uses, numbered 1.. in order.
+
+    Vertices two rows apart share no edge, so closing the gaps between the
+    rows in use keeps every edge between equal or adjacent rows.
+    """
+    return {y: i for i, y in enumerate(sorted({y for _, y in coords.values()}), start=1)}
+
+
 class WitnessError(ValueError):
     pass
 

@@ -28,7 +28,7 @@ from .bitcore import (
 from .closure import ClosureGraph, embed_interval_graph, min_depth_in_range
 from .decomp import QtInstance, host_layout
 from .io import write_pairs
-from .product import CliqueFactor, Graph, PathFactor, ProductWitness
+from .product import CliqueFactor, Graph, PathFactor, ProductWitness, row_numbers
 from .treeseq import LcpCodec, build_tree_sequence, lambda_default
 
 
@@ -126,8 +126,6 @@ def _type2_need(p: UgParams, u, v) -> int | None:
         successors = p.successors[y1] = frozenset(successor_set(y1, p.horizon))
     if y2 not in successors:
         return None
-    if p.budget - len(y1) < 0:
-        return None
     return p.codec.width + len(x2) - _best_prefix_keep(p, x1, len(y1), x2)
 
 
@@ -200,7 +198,7 @@ def row_graph(p: UgParams) -> dict:
     # type 2: successor rows, enumerated by reachable targets
     w = p.codec.width
     capw = (1 << w) - 1
-    for ly1 in range(min(p.horizon, b) + 1):
+    for ly1 in range(p.horizon + 1):
         for y1 in by_len[ly1]:
             budget1 = b - ly1
             for y2 in successor_set(y1, p.horizon):
@@ -308,7 +306,7 @@ def host_counts(p: UgParams) -> list[tuple[int, int]]:
     such class holds a power of two strings.
     """
     b, lam, w = p.budget, p.lam, p.codec.width
-    top = min(p.horizon, b)  # the longest row signature that has successors
+    top = p.horizon  # the longest row signature that has successors
     capw = (1 << w) - 1
     type2 = w <= lam  # need = w + |x2| - lam, which must not pass |x2|
     # Tables indexed [|x|][length], each with a last column of 0 that index -1 reads:
@@ -417,10 +415,9 @@ def embed(p: UgParams, w: ProductWitness) -> dict:
         raise ValueError(f"closure height {cg.d} exceeds params d = {p.d}")
     if not w.coords:
         raise ValueError("empty instance")
-    rows_used = sorted({c[1] for c in w.coords.values()})
-    remap = {y: i for i, y in enumerate(rows_used, start=1)}
-    h = len(rows_used)
-    coords = {v: (c, remap[y]) for v, (c, y) in w.coords.items()}
+    row = row_numbers(w.coords)
+    h = len(row)
+    coords = {v: (c, row[y]) for v, (c, y) in w.coords.items()}
     occupied = [set() for _ in range(h)]
     for c, i in coords.values():
         occupied[i - 1].add(c)

@@ -6,9 +6,9 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 
 from uniprod.bitcore import Bst, check_bits, is_prefix, strip_successor, successor_set
-from uniprod.decomp import PathDecomposition, TreeDecomposition
+from uniprod.decomp import QtInstance, TreeDecomposition
 from uniprod.induced import Label, LabelParams, LabelledInstance, _derive_tester_view, adjacency_test
-from uniprod.product import Graph
+from uniprod.product import Graph, PathFactor, ProductWitness
 from uniprod.treeseq import LcpCodec
 from uniprod.unigraph import UgParams, check_vertex, is_edge, row_graph
 
@@ -137,9 +137,33 @@ def assert_is_edge_graph(p: UgParams, g: Graph) -> None:
         assert g.has_edge(u, v) == is_edge(p, u, v), (p.n, p.lam, u, v)
 
 
-def path_shaped(pd: PathDecomposition) -> TreeDecomposition:
-    """A path decomposition as the tree decomposition on a path of its bags."""
-    return TreeDecomposition(dict(enumerate(pd.bags)), [(i, i + 1) for i in range(len(pd.bags) - 1)])
+def path_shaped(bags: list) -> TreeDecomposition:
+    """A path decomposition, its bags in path order, as the tree decomposition on a path of them."""
+    return TreeDecomposition(dict(enumerate(bags)), [(i, i + 1) for i in range(len(bags) - 1)])
+
+
+def strip_instance(k: int, h: int, s: int) -> QtInstance:
+    """A staircase of h rows, each k host vertices wide and s to the right of the last.
+
+    The host is a path on (h - 1)s + k vertices, with the path
+    decomposition of its edges.  Row y holds host vertices (y - 1)s ..
+    (y - 1)s + k - 1, and the edges are the grid edges (u, y)-(u + 1, y)
+    and (u, y)-(u, y + 1).  Consecutive rows overlap in shifted windows,
+    so the next row's signature of a vertex need not extend its own, and
+    transition codes carry a suffix.
+    """
+    width = (h - 1) * s + k
+    host = Graph(range(width), ((u, u + 1) for u in range(width - 1)), name=f"P_{width}")
+    decomposition = TreeDecomposition({u: {u, u + 1} for u in range(width - 1)}, [(u, u + 1) for u in range(width - 2)])
+    cells = sorted((u, y) for y in range(1, h + 1) for u in range((y - 1) * s, (y - 1) * s + k))
+    coords = dict(enumerate(cells))
+    index = {c: i for i, c in coords.items()}
+    edges = [(i, index[u + du, y + dy]) for i, (u, y) in coords.items() for du, dy in ((1, 0), (0, 1))
+             if (u + du, y + dy) in index]
+    graph = Graph(coords, edges, name=f"strip(k={k}, h={h}, s={s})")
+    witness = ProductWitness(graph, (host, PathFactor(h)), coords)
+    witness.validate()
+    return QtInstance(graph, witness, host, decomposition, t=1, h=h, seed=0)
 
 
 def check_tree_sequence(rows, trees) -> None:
@@ -165,9 +189,8 @@ def max_code_len(trees, codec: LcpCodec) -> int:
     """Longest transition code of a key shared by two consecutive trees."""
     worst = 0
     for t0, t1 in zip(trees, trees[1:]):
-        for z in t0.keys():
-            if z in t1:
-                worst = max(worst, len(codec.encode(t0.signature(z), t1.signature(z))))
+        for z in set(t0.keys()).intersection(t1.keys()):
+            worst = max(worst, len(codec.encode(t0.signature(z), t1.signature(z))))
     return worst
 
 

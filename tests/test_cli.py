@@ -6,11 +6,12 @@ import subprocess
 import sys
 
 import pytest
-from graphs import assert_is_edge_graph, read_host
+from graphs import assert_is_edge_graph, read_host, strip_instance
 
 import uniprod
 from uniprod import cli, unigraph
 from uniprod.cli import main
+from uniprod.induced import build_context, label_instance
 from uniprod.product import Graph
 
 
@@ -162,6 +163,45 @@ def test_label_test_adjacency_assemble(tmp_path, monkeypatch):
     run("assemble", "--labels", str(l1), str(l2), "--out", str(uni))
     head = json.loads(uni.read_text().splitlines()[0])
     assert head["kind"] == "graph"
+
+
+def label_audit_assemble(tmp_path, inst):
+    """Label inst in both schemes, audit every pair and assemble, each exiting 0."""
+    for scheme in ("fixed", "legacy"):
+        labels, uni = tmp_path / f"{scheme}.jsonl", tmp_path / f"uni-{scheme}.jsonl"
+        run("label", "--instance", str(inst), "--scheme", scheme, "--out", str(labels))
+        run("test-adjacency", "--labels", str(labels))
+        run("assemble", "--labels", str(labels), "--out", str(uni))
+
+
+def test_label_accepts_an_instance_with_an_empty_row(tmp_path):
+    # embed numbers the rows in use 1..h'; label numbers them the same way
+    inst, wit = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "12", "--h", "3", "--seed", "4", "--out", str(inst))
+    recs = [json.loads(line) for line in inst.read_text().splitlines()]
+    row2 = {rec["gv"] for rec in recs if "gv" in rec and rec["c"][1] == 2}
+    assert len(row2) == 4
+    kept = [rec for rec in recs if rec.get("gv") not in row2 and not row2 & set(rec.get("ge", ()))]
+    inst.write_text("".join(json.dumps(rec) + "\n" for rec in kept))
+    run("embed", "--instance", str(inst), "--out", str(wit))
+    run("verify", "--instance", str(inst), "--witness", str(wit))
+    label_audit_assemble(tmp_path, inst)
+
+
+def test_strip_transition_codes_carry_a_suffix_end_to_end(tmp_path):
+    # shifted rows make a vertex's next-row signature leave its own, so
+    # mu runs past the bare length field in both schemes
+    inst = strip_instance(8, 6, 2)
+    ctx = build_context(inst)
+    width = ctx.params.codec.width
+    for scheme in ("fixed", "legacy"):
+        labels = label_instance(ctx, scheme).labels.values()
+        assert any(label.mu is not None and len(label.mu) > width for label in labels), scheme
+    path, wit = tmp_path / "strip.jsonl", tmp_path / "wit.jsonl"
+    inst.write_jsonl(path)
+    label_audit_assemble(tmp_path, path)
+    run("embed", "--instance", str(path), "--out", str(wit))
+    run("verify", "--instance", str(path), "--witness", str(wit))
 
 
 def test_adjacency_pair_query(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from graphs import path_shaped
 
 from uniprod.decomp import (
-    PathDecomposition,
     QtInstance,
     TTree,
     TreeDecomposition,
@@ -60,9 +59,9 @@ def test_normalize_keeps_validity_and_width():
 
 
 def test_path_decomposition_contiguity():
-    pd = PathDecomposition([{0, 1}, {1, 2}, {2, 3}])
-    path_shaped(pd).validate(Graph(range(4), [(0, 1), (1, 2), (2, 3)]))
-    broken = PathDecomposition([{0, 1}, {2}, {0, 2}])
+    bags = [{0, 1}, {1, 2}, {2, 3}]
+    path_shaped(bags).validate(Graph(range(4), [(0, 1), (1, 2), (2, 3)]))
+    broken = [{0, 1}, {2}, {0, 2}]
     with pytest.raises(ValueError):
         path_shaped(broken).validate(Graph(range(3), [(0, 1), (0, 2)]))
 
@@ -78,20 +77,19 @@ def test_tree_to_path_width_bound():
         pd = tree_to_path_decomposition(td)
         path_shaped(pd).validate(tt.graph)
         cap = (td.width + 1) * (max(1, n - 1).bit_length() + 1) - 1
-        assert pd.width <= cap
+        assert max(map(len, pd)) - 1 <= cap
 
 
 def test_path_shaped_input_passes_through():
     bags = {i: {i, i + 1} for i in range(5)}
     td = TreeDecomposition(bags, [(i, i + 1) for i in range(4)])
     pd = tree_to_path_decomposition(td)
-    assert pd.width == td.width
-    assert len(pd.bags) == 5
+    assert max(map(len, pd)) - 1 == td.width
+    assert len(pd) == 5
 
 
 def test_intervals_from_path_decomposition():
-    pd = PathDecomposition([{0, 1}, {1, 2}, {2, 3}])
-    rep = path_decomposition_to_intervals(pd)
+    rep = path_decomposition_to_intervals([{0, 1}, {1, 2}, {2, 3}])
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     for u, v in itertools.combinations(range(4), 2):
         assert rep.meets(u, v) == g.has_edge(u, v)
@@ -136,11 +134,16 @@ def test_ttree_reachable_ancestors_bound():
 
 
 def test_ttree_rejects_bad_shapes():
-    g = Graph(range(3), [(0, 1), (1, 2)])
+    # 4 attaches to {2, 3}, which no attach set joins
+    attach = {0: frozenset(), 1: frozenset({0}), 2: frozenset({0, 1}), 3: frozenset({0, 1}), 4: frozenset({2, 3})}
+    with pytest.raises(ValueError, match="attach set of 4 is not a clique"):
+        TTree(t=2, order=list(range(5)), attach=attach, owner={1: 0, 2: 1, 3: 2, 4: 3}).validate()
     with pytest.raises(ValueError):
-        TTree(t=1, order=[0, 1, 2], graph=g, attach={0: frozenset(), 1: frozenset({0}), 2: frozenset({0})}).validate()
-    with pytest.raises(ValueError):
-        TTree(t=2, order=[0, 1], graph=Graph(range(2), [(0, 1)]), attach={0: frozenset(), 1: frozenset({0})}).validate()
+        TTree(t=2, order=[0, 1], attach={0: frozenset(), 1: frozenset({0})}).validate()
+    with pytest.raises(ValueError, match="attach set of 1 names a vertex that is not earlier"):
+        TTree(t=1, order=[0, 1, 2], attach={0: frozenset(), 1: frozenset({2}), 2: frozenset({0})}).validate()
+    with pytest.raises(ValueError, match="order repeats a vertex"):
+        TTree(t=1, order=[0, 1, 1], attach={0: frozenset(), 1: frozenset({0})}).validate()
 
 
 def test_ttree_from_decomposition_completes_host():

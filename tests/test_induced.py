@@ -12,7 +12,7 @@ from graphs import all_pairs_disagreements, reference_pack, reference_unpack
 from hypothesis import example, given, settings, strategies as st
 
 from uniprod import induced
-from uniprod.closure import perturb_left_endpoints
+from uniprod.closure import IntervalRep, perturb_left_endpoints
 from uniprod.decomp import TTree, generate_qt_instance, host_layout
 from uniprod.induced import (
     SCHEMES,
@@ -31,7 +31,8 @@ from uniprod.induced import (
     unpack_label,
     verify_labelling,
 )
-from uniprod.product import Graph
+from uniprod.harness import gen_bad_example
+from uniprod.product import Graph, WitnessError
 from uniprod.treeseq import LcpCodec
 
 
@@ -319,11 +320,33 @@ def test_prescribed_ttree_is_validated():
     coords = inst.witness.coords
     used = {frozenset((coords[a][0], coords[b][0])) for a, b in inst.graph.edges()}
     v, w = next((v, w) for v in reversed(tt.order) for w in sorted(tt.attach[v]) if frozenset((v, w)) not in used)
-    graph = Graph(tt.graph.vertices(), (e for e in tt.graph.edges() if set(e) != {v, w}))
-    broken = TTree(tt.t, tt.order, graph, {**tt.attach, v: tt.attach[v] - {w}}, tt.owner)
+    broken = TTree(tt.t, tt.order, {**tt.attach, v: tt.attach[v] - {w}}, tt.owner)
     assert len(broken.parents(v)) == tt.t
     with pytest.raises(ValueError, match="attach set"):
         build_context(inst, rep=rep, tt=broken)
+
+
+def test_prescribed_layout_needs_an_interval_per_host_vertex():
+    ex = gen_bad_example(48, 1, 1)
+    rep = IntervalRep({v: iv for v, iv in ex.rep.intervals.items() if v != "a1"})
+    with pytest.raises(ValueError, match="no interval for host vertex 'a1'"):
+        build_context(ex.instance, rep=rep, tt=ex.ttree)
+
+
+def test_prescribed_layout_must_cover_every_ttree_edge():
+    # a1 hangs off the centre a, whose interval ends at (n - 1) / 2
+    ex = gen_bad_example(48, 1, 1)
+    rep = IntervalRep({**ex.rep.intervals, "a1": (48, 48)})
+    with pytest.raises(ValueError, match="interval supergraph misses edge"):
+        build_context(ex.instance, rep=rep, tt=ex.ttree)
+
+
+def test_prescribed_layout_must_realize_every_instance_edge():
+    # two leaves of one star share a row but no t-tree edge
+    ex = gen_bad_example(48, 1, 1)
+    graph = Graph(ex.graph.vertices(), [*ex.graph.edges(), ("a1", "a9")])
+    with pytest.raises(WitnessError, match="'a1''a9'|'a9''a1'"):
+        build_context(dataclasses.replace(ex.instance, graph=graph), rep=ex.rep, tt=ex.ttree)
 
 
 def test_tester_is_exact_on_random_instances():
