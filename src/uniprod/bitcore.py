@@ -73,6 +73,10 @@ class Bst:
     def signature(self, key) -> str:
         return self._sig[key]
 
+    def signatures(self) -> dict:
+        """The map from each key to its signature, for loops that read many; callers must not change it."""
+        return self._sig
+
     def is_ancestor(self, a, b) -> bool:
         """True iff a is an ancestor of b (every node is its own ancestor)."""
         return self._sig[b].startswith(self._sig[a])

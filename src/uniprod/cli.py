@@ -100,6 +100,8 @@ def _cmd_verify(args) -> int:
             v, x, y = key(rec["v"]), rec["x"], rec["y"]
             if not inst.graph.has_vertex(v):
                 raise ValueError(f"vertex {v!r} is not in {args.instance}")
+            if v in mapping:
+                raise ValueError(f"vertex {v!r} is mapped twice")
             if not (isinstance(x, str) and isinstance(y, str)):
                 raise ValueError(f"vertex {v!r}: x and y must be strings")
             mapping[v] = ((x, y, integer(rec["z"], "z")), integer(rec["i"], "i"))

@@ -173,8 +173,11 @@ class IntervalRep:
         def parse(head, records):
             ivs = {}
             for rec in records:
+                v = key(rec["v"])
+                if v in ivs:
+                    raise ValueError(f"vertex {v!r} has two intervals")
                 (an, ad), (bn, bd) = rec["a"], rec["b"]
-                ivs[key(rec["v"])] = (Fraction(integer(an), integer(ad)), Fraction(integer(bn), integer(bd)))
+                ivs[v] = (Fraction(integer(an), integer(ad)), Fraction(integer(bn), integer(bd)))
             return cls(ivs)
 
         return read_records(path, "intervals", parse)

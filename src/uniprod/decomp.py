@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import chain
 from math import comb
 
@@ -383,17 +384,39 @@ def build_ttree(t: int, n: int, rng_seed: int = 0) -> TTree:
     return _grow_ttree(t, list(range(n)), pick)
 
 
-def _mcs_order(vertices: list, adj: dict) -> list:
-    """Maximum cardinality search; ties broken by repr for determinism."""
-    weight = {v: 0 for v in sorted(vertices, key=repr)}  # unvisited, in repr order
-    out = []
-    while weight:
-        v = max(weight, key=weight.__getitem__)
+def _mcs_order(verts: list, adj: dict) -> list:
+    """Maximum cardinality search; ties go to the earliest vertex of verts.
+
+    A bucket queue: heaps[k] holds the positions in verts of unvisited
+    vertices pushed at weight k.  Weights only grow, so an entry is stale
+    exactly when its vertex was visited or has since gained weight, and
+    stale entries are dropped as they surface.
+    """
+    index = {v: i for i, v in enumerate(verts)}
+    weight = [0] * len(verts)
+    heaps = [list(range(len(verts)))]  # an ascending list is a heap
+    top, out = 0, []
+    while len(out) < len(verts):
+        heap = heaps[top]
+        if not heap:
+            top -= 1
+            continue
+        i = heappop(heap)
+        if weight[i] != top:
+            continue
+        weight[i] = -1  # visited
+        v = verts[i]
         out.append(v)
-        del weight[v]
         for w in adj[v]:
-            if w in weight:
-                weight[w] += 1
+            j = index[w]
+            k = weight[j] + 1
+            if k:
+                weight[j] = k
+                if k == len(heaps):
+                    heaps.append([])
+                heappush(heaps[k], j)
+                if k > top:
+                    top = k
     return out
 
 
@@ -420,12 +443,20 @@ def ttree_from_decomposition(td: TreeDecomposition) -> TTree:
                 adj[w].add(u)
     order = _mcs_order(verts, adj)
     pos = {v: i for i, v in enumerate(order)}
+    # w -> ascending positions whose family clique contains w
+    holders = {w: list(range(t + 1)) if pos[w] <= t else [] for w in verts}
 
     def pick(i: int, cliques: dict):
-        ni = {w for w in adj[order[i]] if pos[w] < i}
+        v = order[i]
+        ni = {w for w in adj[v] if pos[w] < i}
         if len(ni) > t:
             raise ValueError("decomposition width below the cliques it induces")
-        hull = next((u for u in order[i - 1 :: -1] if ni <= cliques[u]), None)
+        if ni:
+            # the latest family clique containing ni is in every holders[w], w in ni
+            scan = holders[min(ni, key=lambda w: len(holders[w]))]
+            hull = next((order[p] for p in reversed(scan) if ni <= cliques[order[p]]), None)
+        else:
+            hull = order[i - 1]
         if hull is None:
             raise AssertionError("earlier neighbours do not form a clique")
         att = set(ni)
@@ -433,6 +464,9 @@ def ttree_from_decomposition(td: TreeDecomposition) -> TTree:
             if len(att) == t:
                 break
             att.add(w)
+        for w in att:
+            holders[w].append(i)
+        holders[v].append(i)
         return frozenset(att), hull
 
     return _grow_ttree(t, order, pick)
@@ -480,6 +514,8 @@ class QtInstance:
             for rec in records:
                 if "gv" in rec:
                     v = key(rec["gv"])
+                    if v in coords:
+                        raise ValueError(f"vertex {v!r} is placed twice")
                     c, y = rec["c"]
                     coords[v] = (key(c), integer(y, "row"))
                     graph.add_vertex(v)
@@ -490,7 +526,10 @@ class QtInstance:
                 elif "he" in rec:
                     host.add_edge(*endpoints(rec["he"], host.vertices()))
                 elif "dnode" in rec:
-                    bags[key(rec["dnode"])] = frozenset(key(v) for v in rec["bag"])
+                    x = key(rec["dnode"])
+                    if x in bags:
+                        raise ValueError(f"decomposition node {x!r} is given twice")
+                    bags[x] = frozenset(key(v) for v in rec["bag"])
                 else:
                     d_edges.append(endpoints(rec["de"], bags))
             t, h, seed = (integer(head[name], name) for name in ("t", "h", "seed"))

@@ -48,7 +48,7 @@ from math import comb
 from .bitcore import Bst, build_biased_bst, check_bits, strip_successor
 from .closure import IntervalRep, min_depth_in_range, perturb_left_endpoints
 from .decomp import QtInstance, TTree, host_layout
-from .io import edge_records, endpoints, integer, key, read_records, write_records
+from .io import endpoints, integer, json_id, key, read_records, write_lines
 from .product import Graph, PathFactor, ProductWitness, row_numbers
 from .treeseq import LcpCodec, build_tree_sequence
 
@@ -86,11 +86,11 @@ def _ancestor_at_depth(tree: Bst, key, depth: int):
     return node
 
 
-def _chain_top(tree: Bst, nodes):
-    """Deepest of a set of nodes that must lie on one root path."""
-    ordered = sorted(set(nodes), key=tree.depth)
+def _chain_top(sig: dict, nodes):
+    """Deepest of a set of nodes that must lie on one root path; sig maps each node to its signature."""
+    ordered = sorted(set(nodes), key=lambda k: len(sig[k]))
     for a, b in zip(ordered, ordered[1:]):
-        if not tree.is_ancestor(a, b):
+        if not sig[b].startswith(sig[a]):
             raise AssertionError(f"nodes {a!r} and {b!r} are not on one root path")
     return ordered[-1]
 
@@ -99,14 +99,16 @@ def _chain_top(tree: Bst, nodes):
 class Placement:
     """Where one label scheme puts the carriers of each row in its row tree.
 
-    node maps each member of the row's clique union to a tree key; bags
-    group the members by node in rank order, and psi is each member's
-    first-fit colour (1-based slot) in its bag.  tops holds, for every
-    carrier of the row (a vertex of rows y-1, y or y+1), the signature of
-    its deepest clique-parent node, which the root-path check finds.
+    node maps each member of the row's clique union to a tree key, and
+    depth to that key's depth; bags group the members by node in rank
+    order, and psi is each member's first-fit colour (1-based slot) in
+    its bag.  tops holds, for every carrier of the row (a vertex of rows
+    y-1, y or y+1), the signature of its deepest clique-parent node,
+    which the root-path check finds.
     """
 
     node: dict  # y -> {vertex: tree key}
+    depth: dict  # y -> {vertex: depth of its tree key}
     bags: dict  # y -> {tree key: members sorted by rank}
     psi: dict  # y -> {vertex: 1-based slot in its bag}
     tops: dict  # y -> {carrier: signature of its deepest clique-parent node}
@@ -136,7 +138,7 @@ class LabelContext:
     alpha1: dict
     hint: dict
     inv: dict  # (host vertex, instance row) -> instance vertex
-    edge_set: set  # instance edges as frozensets of (host vertex, y)
+    nbrs: dict  # (host vertex, y) -> its neighbours in the instance, as (host vertex, y)
     raw: Placement = field(init=False)
     fixed: Placement = field(init=False)
 
@@ -207,7 +209,8 @@ def build_context(
     hint = {y: _successor_hint(alpha1, y, h) for y in range(1, h + 1)}
 
     inv = {c: g for g, c in instance.witness.coords.items()}
-    edge_set = {frozenset((coords[a], coords[b])) for a, b in instance.graph.edges()}
+    graph = instance.graph
+    nbrs = {coords[g]: {coords[u] for u in graph.neighbors(g)} for g in graph.vertices()}
 
     ctx = LabelContext(
         instance=instance,
@@ -222,7 +225,7 @@ def build_context(
         alpha1=alpha1,
         hint=hint,
         inv=inv,
-        edge_set=edge_set,
+        nbrs=nbrs,
     )
     # raw: each vertex at the shallowest node of its interval
     raw = {y: {v: min_depth_in_range(trees[y], *rep.intervals[v]) for v in s_plus[y]} for y in range(1, h + 1)}
@@ -248,9 +251,10 @@ def _place(ctx: LabelContext, node: dict) -> Placement:
     path per row; the chain top of a carrier's clique is the deepest of
     its nodes.
     """
-    bags, psi, tops = {}, {}, {}
+    depth, bags, psi, tops = {}, {}, {}, {}
     for y in range(1, ctx.h + 1):
-        tree = ctx.trees[y]
+        sig = ctx.trees[y].signatures()
+        depth[y] = {v: len(sig[k]) for v, k in node[y].items()}
         grouped = defaultdict(list)
         for v in sorted(node[y], key=ctx.rank.__getitem__):
             grouped[node[y][v]].append(v)
@@ -258,10 +262,10 @@ def _place(ctx: LabelContext, node: dict) -> Placement:
         psi[y] = {v: i + 1 for members in bags[y].values() for i, v in enumerate(members)}
         carriers = set().union(*(ctx.rows.get(y + b, []) for b in (-1, 0, 1) if 1 <= y + b <= ctx.h))
         tops[y] = {
-            v: tree.signature(_chain_top(tree, [node[y][w] for w in ctx.tt.cliques[v]]))
+            v: sig[_chain_top(sig, [node[y][w] for w in ctx.tt.cliques[v]])]
             for v in sorted(carriers, key=ctx.rank.__getitem__)
         }
-    return Placement(node, bags, psi, tops)
+    return Placement(node, depth, bags, psi, tops)
 
 
 def run_fixup_pass(tree: Bst, assign: dict, cliques: dict, members, sort_key) -> dict:
@@ -272,6 +276,7 @@ def run_fixup_pass(tree: Bst, assign: dict, cliques: dict, members, sort_key) ->
     parent's node is replaced by its ancestor one level below the visited
     node.  Returns a new assignment; a second pass is a no-op.
     """
+    sig = tree.signatures()
     domain = set(members)
     xp = dict(assign)
     bags = defaultdict(set)
@@ -279,10 +284,10 @@ def run_fixup_pass(tree: Bst, assign: dict, cliques: dict, members, sort_key) ->
         bags[xp[v]].add(v)
 
     def visit(node):
-        base = tree.depth(node)
+        base = len(sig[node])
         for v in sorted(bags.get(node, ()), key=sort_key):
             for w in sorted((cliques[v] & domain), key=sort_key):
-                if tree.depth(xp[w]) > base + 1:
+                if len(sig[xp[w]]) > base + 1:
                     target = _ancestor_at_depth(tree, xp[w], base + 1)
                     bags[xp[w]].discard(w)
                     xp[w] = target
@@ -306,12 +311,14 @@ def fixup(ctx: LabelContext) -> LabelContext:
     node = {}
     for y in range(1, ctx.h + 1):
         tree, raw, present = ctx.trees[y], ctx.raw.node[y], set(ctx.s_plus[y])
+        sig = tree.signatures()
         node[y] = moved = run_fixup_pass(tree, raw, cliques, ctx.s_plus[y], ctx.rank.__getitem__)
         for v in ctx.s_plus[y]:
-            if not tree.is_ancestor(moved[v], raw[v]):
+            if not sig[raw[v]].startswith(sig[moved[v]]):
                 raise AssertionError(f"fixup moved {v!r} off its root path in row {y}")
+            below = len(sig[moved[v]]) + 1
             for w in ctx.tt.cliques[v]:
-                if w in present and tree.depth(moved[w]) > tree.depth(moved[v]) + 1:
+                if w in present and len(sig[moved[w]]) > below:
                     raise AssertionError(f"parent {w!r} of {v!r} still too deep in row {y}")
     ctx.fixed = _place(ctx, node)
     return ctx
@@ -466,17 +473,18 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
     if mu is not None and J.decode(base, mu) != following:
         raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
 
-    parents = ctx.tt.parents(v)
+    parents = ctx.tt.parents(v).items()
+    near = ctx.nbrs[v, y]
     depths, psi, abits, rsuf = {}, {}, {}, {}
     for b in (-1, 0, 1):
         yb = y + b
         if not 1 <= yb <= ctx.h:
             continue
-        tree = ctx.trees[yb]
-        for i, p in parents.items():
-            depths[(i, b)] = tree.depth(place.node[yb][p])
-            psi[(i, b)] = place.psi[yb][p]
-            abits[(i, b)] = 1 if frozenset(((v, y), (p, yb))) in ctx.edge_set else 0
+        depth_yb, psi_yb = place.depth[yb], place.psi[yb]
+        for i, p in parents:
+            depths[i, b] = depth_yb[p]
+            psi[i, b] = psi_yb[p]
+            abits[i, b] = 1 if (p, yb) in near else 0
         if not legacy:
             full, own = ctx.fixed.tops[yb][v], ctx.sig(yb, ctx.fixed.node[yb][v])
             if not full.startswith(own) or len(full) - len(own) > 1:
@@ -581,8 +589,20 @@ def unpack_label(bits: str, params: LabelParams) -> Label:
         raise ValueError(f"undecodable label: {exc}") from None
 
 
+# every 8-bit window that starts with a whole gamma code of 1..15 -> (value, code length)
+_GAMMA8 = {
+    code + format(rest, f"0{8 - len(code)}b"): (value, len(code))
+    for value in range(1, 16)
+    for code in [_gamma(value)]
+    for rest in range(1 << (8 - len(code)))
+}
+
+
 def _gamma_at(bits: str, pos: int) -> tuple:
     """The gamma-coded value at pos, and the offset just past it."""
+    hit = _GAMMA8.get(bits[pos:pos + 8])
+    if hit is not None:
+        return hit[0], pos + hit[1]
     one = bits.find("1", pos)
     stop = 2 * one - pos + 1
     if one < 0 or stop > len(bits):
@@ -645,7 +665,12 @@ def _unpack(bits: str, params: LabelParams) -> Label:
         raise ValueError(f"depth {max(depths.values())} beyond layout cap")
     psi = {}
     for slot in slots:
-        psi[slot], pos = _gamma_at(bits, pos)
+        hit = _GAMMA8.get(bits[pos:pos + 8])
+        if hit is None:
+            psi[slot], pos = _gamma_at(bits, pos)
+        else:
+            psi[slot] = hit[0]
+            pos += hit[1]
     stop = pos + len(slots)
     if stop > end:
         raise ValueError("bit underrun")
@@ -722,8 +747,16 @@ class LabelledInstance:
             "scheme": self.scheme,
             "count": len(self.labels),
         }
-        labels = ({"v": g, "bits": self.labels[g].bits} for g in sorted(self.labels, key=repr))
-        write_records(path, "labels", head, chain(labels, edge_records("ge", self.graph.edges())))
+        ids = sorted(self.labels, key=repr)
+        for g in ids:
+            bits = self.labels[g].bits
+            if type(bits) is not str or bits.strip("01"):
+                raise ValueError(f"label of {g!r} carries {bits!r}, not a bitstring")
+        text = {g: json_id(g) for g in chain(ids, self.graph.vertices())}
+        # the bytes of write_records on {"v": g, "bits": ...} and edge_records("ge", ...)
+        labels = (f'{{"v": {text[g]}, "bits": "{self.labels[g].bits}"}}\n' for g in ids)
+        edges = (f'{{"ge": [{text[a]}, {text[b]}]}}\n' for a, b in sorted(self.graph.edges(), key=repr))
+        write_lines(path, "labels", head, chain(labels, edges))
 
     @classmethod
     def read_jsonl(cls, path) -> "LabelledInstance":

@@ -33,15 +33,24 @@ def _decode(text: str):
         raise ValueError("JSON nested too deeply to decode") from None
 
 
-def write_records(path, kind: str, head: dict, records) -> None:
-    """Write the header ``{"kind": kind, **head}``, then one line per record.
+def write_lines(path, kind: str, head: dict, lines) -> None:
+    """Write the header ``{"kind": kind, **head}``, then each line, already formatted with its newline.
 
-    Records are streamed from the iterable, so a file is never held whole.
+    Lines are streamed from the iterable, so a file is never held whole.
     """
     with open(path, "w") as fh:
         fh.write(json.dumps({"kind": kind, **head}) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+        fh.writelines(lines)
+
+
+def write_records(path, kind: str, head: dict, records) -> None:
+    """Write the header ``{"kind": kind, **head}``, then one line per record."""
+    write_lines(path, kind, head, (json.dumps(rec) + "\n" for rec in records))
+
+
+def json_id(v) -> str:
+    """The JSON text of a vertex id: an int formatted directly, anything else by ``json.dumps``."""
+    return str(v) if type(v) is int else json.dumps(v)
 
 
 def write_pairs(path, kind: str, head: dict, name: str, groups) -> None:
@@ -53,13 +62,15 @@ def write_pairs(path, kind: str, head: dict, name: str, groups) -> None:
     formatted directly, with one ``str.join``, as ``json.dumps`` per
     record dominates large files.
     """
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": kind, **head}) + "\n")
-        start = "{" + json.dumps(name) + ": ["
+    start = "{" + json.dumps(name) + ": ["
+
+    def lines():
         for a, bs in groups:
             if bs:
                 line = f"{start}{a}, "
-                fh.write(line + f"]}}\n{line}".join(map(str, bs)) + "]}\n")
+                yield line + f"]}}\n{line}".join(map(str, bs)) + "]}\n"
+
+    write_lines(path, kind, head, lines())
 
 
 def edge_records(name: str, edges):

@@ -142,6 +142,46 @@ def path_shaped(bags: list) -> TreeDecomposition:
     return TreeDecomposition(dict(enumerate(bags)), [(i, i + 1) for i in range(len(bags) - 1)])
 
 
+def reference_ttree(td: TreeDecomposition) -> tuple[list, dict, dict]:
+    """The t-tree completion of td by quadratic scans, the oracle ttree_from_decomposition must match.
+
+    Returns its order, attach sets and owners.  The order is a maximum
+    cardinality search that takes the first vertex of greatest weight in
+    repr order; each later vertex's owner is the latest vertex whose
+    family clique holds its earlier neighbours, found by scanning back,
+    and its attach set is padded to t out of that clique in repr order.
+    """
+    t = td.width
+    verts = sorted(td.covered_vertices(), key=repr)
+    adj = {v: set() for v in verts}
+    for bag in td.bags.values():
+        for u, w in itertools.permutations(bag, 2):
+            adj[u].add(w)
+    weight = dict.fromkeys(verts, 0)
+    order = []
+    while weight:
+        v = max(weight, key=weight.__getitem__)
+        order.append(v)
+        del weight[v]
+        for w in adj[v]:
+            if w in weight:
+                weight[w] += 1
+    base = frozenset(order[: t + 1])
+    attach, owner, cliques = {}, {}, {}
+    for i, v in enumerate(order):
+        if i <= t:
+            attach[v], cliques[v] = frozenset(order[:i]), base
+            if i:
+                owner[v] = order[i - 1]
+            continue
+        ni = adj[v] & set(order[:i])
+        hull = next(u for u in order[i - 1 :: -1] if ni <= cliques[u])
+        pad = sorted(cliques[hull] - ni, key=repr)[: t - len(ni)]
+        attach[v], owner[v] = frozenset(ni | set(pad)), hull
+        cliques[v] = attach[v] | {v}
+    return order, attach, owner
+
+
 def strip_instance(k: int, h: int, s: int) -> QtInstance:
     """A staircase of h rows, each k host vertices wide and s to the right of the last.
 

@@ -325,6 +325,49 @@ def test_bag_member_outside_the_host_exits_1(tmp_path, capsys):
     assert "999" in capsys.readouterr().err
 
 
+def insert_line(path, k, rec):
+    """Insert rec as JSON before line k + 1 of path (0-based index k)."""
+    lines = path.read_text().splitlines()
+    lines.insert(k, json.dumps(rec))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_a_repeated_witness_vertex_exits_1(tmp_path, capsys):
+    # the later record used to win, so a first copy with a bad z went unread
+    inst, wit = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "10", "--h", "2", "--seed", "1", "--out", str(inst))
+    run("embed", "--instance", str(inst), "--out", str(wit))
+    rec = json.loads(wit.read_text().splitlines()[1])
+    insert_line(wit, 1, {**rec, "z": rec["z"] + 7})
+    capsys.readouterr()
+    run("verify", "--instance", str(inst), "--witness", str(wit), check=1)
+    assert f"{wit}:3: vertex {rec['v']!r} is mapped twice" in capsys.readouterr().err
+
+
+def test_a_repeated_instance_vertex_exits_1(tmp_path, capsys):
+    # host vertex 99 does not exist, and the real record for vertex 0 used to hide it
+    inst = tmp_path / "inst.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "10", "--h", "2", "--seed", "1", "--out", str(inst))
+    assert json.loads(inst.read_text().splitlines()[1])["gv"] == 0
+    insert_line(inst, 1, {"gv": 0, "c": [99, 1]})
+    for argv in (["embed", "--out", str(tmp_path / "wit.jsonl")], ["label", "--out", str(tmp_path / "labels.jsonl")]):
+        capsys.readouterr()
+        run(argv[0], "--instance", str(inst), *argv[1:], check=1)
+        assert f"{inst}:3: vertex 0 is placed twice" in capsys.readouterr().err
+
+
+def test_a_repeated_decomposition_node_exits_1(tmp_path, capsys):
+    inst = tmp_path / "inst.jsonl"
+    run("gen", "qt", "--t", "2", "--n", "12", "--h", "2", "--seed", "1", "--out", str(inst))
+    lines = inst.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if "dnode" in json.loads(line))
+    rec = json.loads(lines[k])
+    insert_line(inst, k, {**rec, "bag": rec["bag"][:1]})
+    capsys.readouterr()
+    run("embed", "--instance", str(inst), "--out", str(tmp_path / "wit.jsonl"), check=1)
+    assert f"{inst}:{k + 2}: decomposition node {rec['dnode']!r} is given twice" in capsys.readouterr().err
+
+
 def test_label_header_scheme_must_match_the_labels(tmp_path, capsys):
     inst, labels = tmp_path / "inst.jsonl", tmp_path / "labels.jsonl"
     run("gen", "qt", "--t", "1", "--n", "10", "--h", "2", "--out", str(inst))

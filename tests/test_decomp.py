@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from graphs import path_shaped
+from graphs import path_shaped, reference_ttree
 
 from uniprod.decomp import (
     QtInstance,
@@ -16,6 +16,7 @@ from uniprod.decomp import (
     tree_to_path_decomposition,
     ttree_from_decomposition,
 )
+from uniprod.harness import gen_bad_example
 from uniprod.product import Graph
 
 
@@ -153,6 +154,44 @@ def test_ttree_from_decomposition_completes_host():
     for u, v in g.edges():
         assert tt.graph.has_edge(u, v)
     assert tt.t == td.width
+
+
+def completion_sweep():
+    """Decompositions for the completion oracle: gen qt hosts, double stars and string-id paths."""
+    for t in range(1, 5):
+        for h in range(1, 6):
+            for n in (8, 9, 10, 12, 15, 20, 26, 34, 45, 60, 80, 110, 150, 200, 300):
+                yield generate_qt_instance(t, n, h, rng_seed=7 * n + h).decomposition
+    for n, i, j in ((24, 1, 1), (48, 2, 3), (120, 3, 2), (120, 10, 1)):
+        yield gen_bad_example(n, i, j).instance.decomposition
+    rng = random.Random(5)
+    for w in (1, 2, 3):
+        names = [f"s{k}" for k in range(40)]
+        rng.shuffle(names)  # so repr order is not path order
+        yield path_shaped([set(names[k:k + w + 1]) for k in range(len(names) - w)])
+
+
+def test_ttree_completion_matches_the_quadratic_oracle():
+    count = 0
+    for td in completion_sweep():
+        tt = ttree_from_decomposition(td)
+        assert (tt.order, tt.attach, tt.owner) == reference_ttree(td)
+        count += 1
+    assert count == 307
+
+
+def test_ttree_completion_attaches_a_vertex_with_no_earlier_neighbour():
+    # x meets nothing visited before it, so its owner is the vertex just before
+    # it; an isolated vertex 3 does the same at the end of the order
+    for bags, edges in (
+        ({0: {"a", "b"}, 1: {"b", "c"}, 2: {"x", "y"}}, [(0, 1), (1, 2)]),
+        ({0: {0, 1}, 1: {1, 2}, 2: {3}}, [(0, 1), (1, 2)]),
+    ):
+        td = TreeDecomposition(bags, edges)
+        tt = ttree_from_decomposition(td)
+        assert (tt.order, tt.attach, tt.owner) == reference_ttree(td)
+        lone = tt.order[3]
+        assert lone in ("x", 3) and tt.owner[lone] == tt.order[2] and len(tt.attach[lone]) == 1
 
 
 def test_generate_qt_instance_contract():

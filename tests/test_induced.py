@@ -32,6 +32,7 @@ from uniprod.induced import (
     verify_labelling,
 )
 from uniprod.harness import gen_bad_example
+from uniprod.io import edge_records, write_records
 from uniprod.product import Graph, WitnessError
 from uniprod.treeseq import LcpCodec
 
@@ -176,14 +177,51 @@ def test_codec_matches_the_reference_codec():
                     sample.append((li.params, bits))
     assert len(sample) >= 60
     tails = ["".join(p) for n in (1, 2, 3) for p in itertools.product("01", repeat=n)]
-    mutants = 0
+    mutants = canonical = 0
     for params, bits in sample:
         flips = [bits[:i] + "10"[int(bits[i])] + bits[i + 1:] for i in range(len(bits))]
         cuts = [bits[:i] for i in range(len(bits))]
         for mutant in flips + cuts + [bits + tail for tail in tails]:
-            assert decoded(unpack_label, mutant, params) == decoded(reference_unpack, mutant, params), mutant
+            got = decoded(unpack_label, mutant, params)
+            assert got == decoded(reference_unpack, mutant, params), mutant
             mutants += 1
-    assert mutants > 5000
+            if not isinstance(got, str):
+                # canonical: a string that decodes is the packing of what it decodes to
+                assert pack_label(got[0], params) == mutant
+                canonical += 1
+    assert mutants > 5000 and canonical > 500
+
+
+def test_codec_matches_the_reference_past_its_gamma_table():
+    # the decoder looks gamma codes of 1..15 up in an 8-bit window and falls
+    # back when the code is longer or the bits run out; psi values of 1..40
+    # and prefixed fields of 14..20 bits (whose gamma prefix of 15 or more
+    # takes 9 bits) cross the window, and every cut of every draft ends
+    # inside some window
+    params = LabelParams(n=1024, t=2, maxheight=24)
+    ctx = build_context(generate_qt_instance(2, 40, 5, rng_seed=3), params)
+    big_psi = long_fields = 0
+    for scheme in SCHEMES:
+        labels = list(label_instance(ctx, scheme).labels.values())[::2]
+        for k, label in enumerate(labels):
+            width = 14 + k % 7
+
+            def pad(bits):
+                return bits + "0" * (width - len(bits))
+
+            stretched = {"sig": pad(label.sig), "mu": label.mu and pad(label.mu)}
+            if k % 2:
+                stretched["alpha1"] = pad(label.alpha1)
+            psi = {slot: 1 + (5 * k + j) % 40 for j, slot in enumerate(label.psi)}
+            draft = dataclasses.replace(label, psi=psi, **stretched)
+            bits = pack_label(draft, params)
+            for cut in range(len(bits) + 1):
+                got = decoded(unpack_label, bits[:cut], params)
+                assert got == decoded(reference_unpack, bits[:cut], params), (k, cut)
+            if not isinstance(got, str):
+                big_psi += max(psi.values()) > 15
+                long_fields += len(draft.sig) >= 15
+    assert big_psi >= 10 and long_fields >= 10
 
 
 def psi_block(label: Label) -> tuple:
@@ -605,6 +643,33 @@ def test_label_reader_rejects_a_repeated_vertex_or_label(tmp_path):
         bad.write_text("\n".join(lines[:2] + [line] + lines[3:]) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{bad}:3: {message}")):
             LabelledInstance.read_jsonl(bad)
+
+
+def test_label_writer_writes_the_bytes_of_write_records(tmp_path):
+    li = label_instance(next(contexts([8], tmax=2, nmax=18)), "fixed")
+    odd = [7, -3, 2**70, "a", 'say "hi" \\ ü λ 図', ("x", 1), (2, 'q"\\'), "", "ü", "\n\t"]
+    names = odd + [f'v"{k}\\' for k in range(len(li.labels))]
+    rename = dict(zip(sorted(li.labels, key=repr), names))
+    labels = {rename[g]: label for g, label in li.labels.items()}
+    graph = Graph(labels, [(rename[a], rename[b]) for a, b in li.graph.edges()])
+    params = li.params
+    head = {"version": induced.LABEL_FILE_VERSION, "n": params.n, "t": params.t, "maxheight": params.maxheight,
+            "codec_id": LcpCodec.codec_id, "scheme": "fixed", "count": len(labels)}
+    records = ({"v": g, "bits": labels[g].bits} for g in sorted(labels, key=repr))
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    LabelledInstance(params, "fixed", labels, graph).write_jsonl(got)
+    write_records(want, "labels", head, itertools.chain(records, edge_records("ge", graph.edges())))
+    assert got.read_bytes() == want.read_bytes()
+    assert LabelledInstance.read_jsonl(got).labels.keys() == labels.keys()
+    # a label without its bitstring is refused before the file is opened
+    g = names[4]
+    for bits in (None, "01x"):
+        broken = dataclasses.replace(labels[g])
+        broken.bits = bits
+        path = tmp_path / f"broken{bits}.jsonl"
+        with pytest.raises(ValueError, match="not a bitstring"):
+            LabelledInstance(params, "fixed", {**labels, g: broken}, graph).write_jsonl(path)
+        assert not path.exists()
 
 
 def test_label_reader_rejects_other_versions(tmp_path):

@@ -179,6 +179,13 @@ def test_graph_header_mutants_exit_1_naming_line_1(tmp_path, capsys, field, valu
         assert f"{path}:1: {field} must be" in capsys.readouterr().err
 
 
+def test_interval_reader_rejects_a_repeated_vertex(tmp_path):
+    path = tmp_path / "rep.jsonl"
+    path.write_text('{"kind": "intervals", "n": 1}\n{"v": 0, "a": [1, 1], "b": [2, 1]}\n{"v": 0, "a": [5, 1], "b": [6, 1]}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: vertex 0 has two intervals")):
+        IntervalRep.read_jsonl(path)
+
+
 def test_interval_reader_rejects_zero_denominator(tmp_path):
     path = tmp_path / "rep.jsonl"
     path.write_text('{"kind": "intervals", "n": 1}\n{"v": 0, "a": [1, 0], "b": [2, 1]}\n')
