@@ -35,7 +35,7 @@ from .induced import (
     label_instance,
     verify_labelling,
 )
-from .io import integer, key, read_records, write_records
+from .io import integer, json_id, key, read_records, write_lines
 from .product import Graph
 from .unigraph import (
     QtEmbedding,
@@ -82,11 +82,13 @@ def _cmd_embed(args) -> int:
     p = UgParams(args.n or inst.graph.n, lam=args.lam)
     emb = embed_qt(p, inst)
     out = _out_path(args, os.path.basename(args.instance) + ".witness.jsonl")
-    records = (
-        {"v": v, "i": col, "x": x, "y": y, "z": z}
+    # the bytes of write_records on {"v": v, "i": col, "x": x, "y": y, "z": z}:
+    # x and y passed check_bits in embed_qt, and col and z are ints
+    lines = (
+        f'{{"v": {json_id(v)}, "i": {col}, "x": "{x}", "y": "{y}", "z": {z}}}\n'
         for v, ((x, y, z), col) in sorted(emb.mapping.items(), key=lambda item: repr(item[0]))
     )
-    write_records(out, "qt-witness", {"n": p.n, "lam": p.lam, "omega": emb.omega}, records)
+    write_lines(out, "qt-witness", {"n": p.n, "lam": p.lam, "omega": emb.omega}, lines)
     print(f"embedded {inst.graph.n} vertices into ug(n={p.n}) x K_{emb.omega} -> {out}")
     return 0
 
@@ -110,7 +112,9 @@ def _cmd_verify(args) -> int:
 
     emb = read_records(args.witness, "qt-witness", parse)
     validate_qt_embedding(emb.params, inst, emb)
-    print(f"witness ok: {len(emb.mapping)} vertices, {inst.graph.m} edges verified")
+    p = emb.params
+    print(f"witness ok: {len(emb.mapping)} vertices, {inst.graph.m} edges verified "
+          f"in ug(n={p.n}, lam={p.lam}) x K_{emb.omega}")
     return 0
 
 

@@ -127,20 +127,21 @@ def normalize_decomposition(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition(bags, edges)
 
 
-def _centroid(nodes: set, adj: dict):
+def _centroid(nodes: set, adj: dict, rank: dict):
     """Tree node whose removal leaves components of at most len(nodes)//2.
 
-    The search starts at the least node by repr and visits neighbours in
-    repr order, so the centroid chosen does not follow set iteration order.
+    adj lists each node's neighbours in rank order.  The search starts
+    at the node of least rank and visits neighbours in that order, so
+    the centroid chosen does not follow set iteration order.
     """
     n = len(nodes)
-    start = min(nodes, key=repr)
+    start = min(nodes, key=rank.__getitem__)
     order, parent = [], {start: None}
     stack = [start]
     while stack:
         x = stack.pop()
         order.append(x)
-        for y in sorted(adj[x], key=repr):
+        for y in adj[x]:
             if y in nodes and y != parent[x]:
                 parent[y] = x
                 stack.append(y)
@@ -195,32 +196,32 @@ def tree_to_path_decomposition(td: TreeDecomposition) -> list:
         return [td.bags[x] for x in path_order]
     norm = normalize_decomposition(td)
     n = max(1, len(norm.covered_vertices()))
-    adj = norm.adjacency()
+    rank = {x: r for r, x in enumerate(sorted(norm.bags, key=repr))}
+    adj = {x: sorted(ys, key=rank.__getitem__) for x, ys in norm.adjacency().items()}
+    bags = []
 
-    def rec(nodes: set) -> list:
-        if not nodes:
-            return []
-        c = _centroid(nodes, adj)
-        rest = nodes - {c}
-        segs = []
-        for first in sorted(rest, key=repr):  # components in the repr order of their least members
-            if first not in rest:
-                continue
-            comp = {first}
-            stack = list(comp)
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in rest and y not in comp:
-                        comp.add(y)
-                        stack.append(y)
-            segs.extend(rec(comp))
-            rest -= comp
-        if not segs:
-            segs = [frozenset()]
-        return [b | norm.bags[c] for b in segs]
+    def rec(nodes: set, above: frozenset) -> None:
+        """Append the bags of nodes, each unioned with above, the bags of the centroids above them."""
+        c = _centroid(nodes, adj, rank)
+        above = above | norm.bags[c]
+        comps = []  # (least rank, component), one per neighbour of c in nodes
+        for first in adj[c]:
+            if first in nodes:
+                comp, stack = {first}, [first]
+                while stack:
+                    x = stack.pop()
+                    for y in adj[x]:
+                        if y != c and y in nodes and y not in comp:
+                            comp.add(y)
+                            stack.append(y)
+                comps.append((min(map(rank.__getitem__, comp)), comp))
+        if not comps:
+            bags.append(above)
+        for _, comp in sorted(comps, key=lambda item: item[0]):
+            rec(comp, above)
 
-    bags = rec(set(norm.bags))
+    if norm.bags:
+        rec(set(norm.bags), frozenset())
     width = max(map(len, bags), default=0) - 1
     cap = (norm.width + 1) * (max(1, n - 1).bit_length() + 1) - 1
     if width > cap:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan_once = json.JSONDecoder().scan_once  # raw_decode's C scanner, without its Python frame
 
 
 def _decode(text: str):
@@ -25,8 +25,8 @@ def _decode(text: str):
     """
     try:
         try:
-            value, end = _raw_decode(text)
-        except ValueError:
+            value, end = _scan_once(text, 0)
+        except (StopIteration, ValueError):
             return json.loads(text)
         return value if end == len(text) or text[end:] == "\n" else json.loads(text)
     except RecursionError:
@@ -133,8 +133,20 @@ def key(v):
 
 
 def endpoints(pair, declared):
-    """The two ends of an edge record, each of them a member of ``declared``."""
-    a, b = map(key, pair)
+    """The two ends of an edge record, each of them a member of ``declared``.
+
+    An int id is taken as it is; any other end goes through ``key``.  A
+    record that is not a pair is read again as ``map(key, pair)``, so its
+    error is the one that reading gives.
+    """
+    try:
+        a, b = pair
+    except (TypeError, ValueError):
+        a, b = map(key, pair)
+    if type(a) is not int:
+        a = key(a)
+    if type(b) is not int:
+        b = key(b)
     if a not in declared or b not in declared:
         raise ValueError(f"edge {a!r}-{b!r} names an undeclared vertex")
     return a, b

@@ -41,8 +41,15 @@ class Graph:
     def add_edge(self, u, v) -> None:
         if u == v:
             raise ValueError(f"loop at {u!r}")
-        self._adj.setdefault(u, set()).add(v)
-        self._adj.setdefault(v, set()).add(u)
+        adj = self._adj
+        if u in adj:
+            adj[u].add(v)
+        else:
+            adj[u] = {v}
+        if v in adj:
+            adj[v].add(u)
+        else:
+            adj[v] = {u}
 
     @property
     def n(self) -> int:
@@ -178,24 +185,42 @@ class ProductWitness:
     coords: dict
 
     def validate(self) -> None:
-        """Raise WitnessError unless this is a valid product embedding."""
-        n = len(self.factors)
-        if set(self.coords) != set(self.graph.vertices()):
+        """Raise WitnessError unless this is a valid product embedding.
+
+        has_vertex checks every coordinate of every vertex.  Each factor's
+        adjacency test then runs once per distinct ordered pair of unequal
+        coordinates that some edge puts side by side: it reads only the two
+        values, which has_vertex has accepted, so the verdict of one pair
+        is the verdict of every edge that carries it.  The error names the
+        first failing edge in graph.edges() order and, within that edge,
+        the first failing factor.
+        """
+        factors, coords = self.factors, self.coords
+        n = len(factors)
+        if coords.keys() != self.graph.vertices():
             raise WitnessError("coordinate map does not cover the vertex set")
         seen = {}
-        for v, c in self.coords.items():
+        for v, c in coords.items():
             if len(c) != n:
                 raise WitnessError(f"coordinate arity mismatch at {v!r}")
-            for f, x in zip(self.factors, c):
+            for f, x in zip(factors, c):
                 if not f.has_vertex(x):
                     raise WitnessError(f"coordinate {x!r} outside factor {f!r}")
             if c in seen:
                 raise WitnessError(f"vertices {seen[c]!r} and {v!r} collide at {c}")
             seen[c] = v
-        for u, v in self.graph.edges():
-            cu, cv = self.coords[u], self.coords[v]
-            for f, x, y in zip(self.factors, cu, cv):
-                if x != y and not f.adjacent(x, y):
-                    raise WitnessError(f"edge {u!r}{v!r}: {x!r},{y!r} not equal or adjacent in {f!r}")
-            # all-equal is impossible here: coords are injective
-
+        edges = list(self.graph.edges())
+        ends = [(coords[u], coords[v]) for u, v in edges]
+        failures = []  # (edge index, factor index)
+        for k, f in enumerate(factors):
+            first = {}  # (x, y) -> index of the first edge that puts x beside y in factor k
+            for i, (cu, cv) in enumerate(ends):
+                pair = cu[k], cv[k]
+                if pair not in first:
+                    first[pair] = i
+            failures += ((i, k) for (x, y), i in first.items() if x != y and not f.adjacent(x, y))
+        # an edge whose coordinates are all equal cannot occur: coords are injective
+        if failures:
+            i, k = min(failures)
+            (u, v), (cu, cv) = edges[i], ends[i]
+            raise WitnessError(f"edge {u!r}-{v!r}: {cu[k]!r},{cv[k]!r} not equal or adjacent in {factors[k]!r}")

@@ -6,7 +6,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 
 from uniprod.bitcore import Bst, check_bits, is_prefix, strip_successor, successor_set
-from uniprod.decomp import QtInstance, TreeDecomposition
+from uniprod.decomp import QtInstance, TreeDecomposition, _is_path, normalize_decomposition
 from uniprod.induced import Label, LabelParams, LabelledInstance, _derive_tester_view, adjacency_test
 from uniprod.product import Graph, PathFactor, ProductWitness
 from uniprod.treeseq import LcpCodec
@@ -180,6 +180,71 @@ def reference_ttree(td: TreeDecomposition) -> tuple[list, dict, dict]:
         attach[v], owner[v] = frozenset(ni | set(pad)), hull
         cliques[v] = attach[v] | {v}
     return order, attach, owner
+
+
+def reference_path_decomposition(td: TreeDecomposition) -> list:
+    """The path decomposition of td by re-walking every level, the oracle tree_to_path_decomposition must match.
+
+    A path-shaped td passes through.  Otherwise each call re-sorts the
+    neighbours of every node by repr to find a centroid, re-walks what is
+    left for its components in the repr order of their least members,
+    and unions the centroid's bag into every bag its components return.
+    """
+    path_order = _is_path(td)
+    if path_order is not None:
+        return [td.bags[x] for x in path_order]
+    norm = normalize_decomposition(td)
+    adj = norm.adjacency()
+
+    def centroid(nodes: set):
+        n = len(nodes)
+        start = min(nodes, key=repr)
+        order, parent = [], {start: None}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            order.append(x)
+            for y in sorted(adj[x], key=repr):
+                if y in nodes and y != parent[x]:
+                    parent[y] = x
+                    stack.append(y)
+        size = {x: 1 for x in nodes}
+        for x in reversed(order):
+            if parent[x] is not None:
+                size[parent[x]] += size[x]
+        for x in order:
+            heaviest = n - size[x]
+            for y in adj[x]:
+                if y in nodes and parent.get(y) == x:
+                    heaviest = max(heaviest, size[y])
+            if heaviest <= n // 2:
+                return x
+        raise AssertionError("tree has no centroid")
+
+    def rec(nodes: set) -> list:
+        if not nodes:
+            return []
+        c = centroid(nodes)
+        rest = nodes - {c}
+        segs = []
+        for first in sorted(rest, key=repr):
+            if first not in rest:
+                continue
+            comp = {first}
+            stack = list(comp)
+            while stack:
+                x = stack.pop()
+                for y in adj[x]:
+                    if y in rest and y not in comp:
+                        comp.add(y)
+                        stack.append(y)
+            segs.extend(rec(comp))
+            rest -= comp
+        if not segs:
+            segs = [frozenset()]
+        return [b | norm.bags[c] for b in segs]
+
+    return rec(set(norm.bags))
 
 
 def strip_instance(k: int, h: int, s: int) -> QtInstance:

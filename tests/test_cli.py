@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,8 +12,11 @@ from graphs import assert_is_edge_graph, read_host, strip_instance
 import uniprod
 from uniprod import cli, unigraph
 from uniprod.cli import main
+from uniprod.decomp import QtInstance, generate_qt_instance
 from uniprod.induced import build_context, label_instance
-from uniprod.product import Graph
+from uniprod.io import write_records
+from uniprod.product import Graph, ProductWitness
+from uniprod.unigraph import UgParams, embed_qt
 
 
 def run(*argv, check=0):
@@ -37,6 +41,47 @@ def test_gen_embed_verify_roundtrip(tmp_path, monkeypatch):
     lines[1] = json.dumps(rec)
     wit.write_text("\n".join(lines) + "\n")
     run("verify", "--instance", str(inst), "--witness", str(wit), check=1)
+
+
+def test_verify_names_the_host_it_checked(tmp_path, capsys):
+    inst, wit = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl"
+    run("gen", "qt", "--t", "2", "--n", "40", "--h", "4", "--seed", "2", "--out", str(inst))
+    run("embed", "--instance", str(inst), "--out", str(wit))
+    lines = wit.read_text().splitlines()
+    head = json.loads(lines[0])
+    m = QtInstance.read_jsonl(inst).graph.m
+    capsys.readouterr()
+    run("verify", "--instance", str(inst), "--witness", str(wit))
+    assert capsys.readouterr().out == (
+        f"witness ok: 40 vertices, {m} edges verified in ug(n=40, lam={head['lam']}) x K_{head['omega']}\n"
+    )
+    # a witness still holds with lambda raised, so the line must say which host it holds in
+    wit.write_text("\n".join([json.dumps({**head, "lam": 10**12})] + lines[1:]) + "\n")
+    run("verify", "--instance", str(inst), "--witness", str(wit))
+    assert capsys.readouterr().out.endswith(f" verified in ug(n=40, lam=1000000000000) x K_{head['omega']}\n")
+
+
+def test_embed_writes_the_bytes_of_write_records(tmp_path):
+    inst = generate_qt_instance(2, 30, 3, rng_seed=4)
+    odd = [7, -3, 2**70, "a", 'say "hi" \\ ü λ 図', ("x", 1), (2, 'q"\\'), "", "ü", "\n\t"]
+    names = odd + [f'v"{k}\\' for k in range(inst.graph.n - len(odd))]
+    rename = dict(zip(sorted(inst.graph.vertices(), key=repr), names))
+    graph = Graph(map(rename.__getitem__, inst.graph.vertices()), [(rename[a], rename[b]) for a, b in inst.graph.edges()])
+    coords = {rename[g]: c for g, c in inst.witness.coords.items()}
+    witness = ProductWitness(graph, inst.witness.factors, coords)
+    path, got, want = tmp_path / "inst.jsonl", tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    dataclasses.replace(inst, graph=graph, witness=witness).write_jsonl(path)
+    run("embed", "--instance", str(path), "--out", str(got))
+    p = UgParams(inst.graph.n)
+    emb = embed_qt(p, QtInstance.read_jsonl(path))
+    assert set(emb.mapping) == set(names)
+    records = (
+        {"v": v, "i": col, "x": x, "y": y, "z": z}
+        for v, ((x, y, z), col) in sorted(emb.mapping.items(), key=lambda item: repr(item[0]))
+    )
+    write_records(want, "qt-witness", {"n": p.n, "lam": p.lam, "omega": emb.omega}, records)
+    assert got.read_bytes() == want.read_bytes()
+    run("verify", "--instance", str(path), "--witness", str(got))
 
 
 def test_gen_is_deterministic(tmp_path):

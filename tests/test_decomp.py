@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from graphs import path_shaped, reference_ttree
+from graphs import path_shaped, reference_path_decomposition, reference_ttree
 
 from uniprod.decomp import (
     QtInstance,
@@ -178,6 +178,17 @@ def test_ttree_completion_matches_the_quadratic_oracle():
         assert (tt.order, tt.attach, tt.owner) == reference_ttree(td)
         count += 1
     assert count == 307
+
+
+def test_path_decomposition_matches_the_rewalking_oracle():
+    # each sweep decomposition, and the family decomposition of its
+    # completion, which is what host_layout converts
+    count = 0
+    for td in completion_sweep():
+        for d in (td, ttree_from_decomposition(td).family_decomposition()):
+            assert tree_to_path_decomposition(d) == reference_path_decomposition(d)
+            count += 1
+    assert count == 614
 
 
 def test_ttree_completion_attaches_a_vertex_with_no_earlier_neighbour():

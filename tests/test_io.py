@@ -328,3 +328,26 @@ def test_a_header_off_the_fast_path_reads_as_json_loads(tmp_path):
     path.write_text('{"kind": "t"} {"n": 1}\n')
     with pytest.raises(ValueError, match=re.escape(f"{path}:1: Extra data")):
         read_records(path, "t", lambda head, records: list(records))
+
+
+@pytest.mark.parametrize("pair, error", [
+    (5, "'int' object is not iterable"),
+    (None, "'NoneType' object is not iterable"),
+    ([0], "not enough values to unpack (expected 2, got 1)"),
+    ([0, 1, 2], "too many values to unpack (expected 2)"),
+    ([0, 1, {}], "vertex id {} is not a str, an int or a flat list of them"),
+    ([{}, 9], "vertex id {} is not a str, an int or a flat list of them"),
+    ([0, 1.0], "vertex id 1.0 is not a str, an int or a flat list of them"),
+    ([True, 0], "vertex id True is not a str, an int or a flat list of them"),
+    ([0, [1, [2]]], "vertex id [1, [2]] is not a str, an int or a flat list of them"),
+    ([0, 9], "edge 0-9 names an undeclared vertex"),
+    (["0", 1], "edge '0'-1 names an undeclared vertex"),
+])
+def test_an_edge_record_that_is_not_a_declared_pair_is_named(tmp_path, pair, error):
+    # int ends skip the id check; every other record keeps the error it always had
+    path = tmp_path / "g.jsonl"
+    Graph(range(3), [(0, 1), (1, 2)]).write_jsonl(path)
+    path.write_text(path.read_text() + json.dumps({"edge": pair}) + "\n")
+    with pytest.raises(ValueError) as info:
+        Graph.read_jsonl(path)
+    assert str(info.value) == f"{path}:4: {error}"

@@ -103,3 +103,44 @@ def test_graph_factor_witness_is_a_subgraph_embedding():
     sparse = path_graph(4)
     with pytest.raises(WitnessError):
         check({1: 1, 2: 2, 3: 4}, sparse)
+
+
+def raised(witness) -> str:
+    with pytest.raises(WitnessError) as info:
+        witness.validate()
+    return str(info.value)
+
+
+def test_witness_error_separates_the_ends_of_the_edge():
+    # without a separator, edge 12-3 and edge 1-23 would both read "edge 123"
+    coords = {12: (1,), 3: (3,), 1: (2,), 23: (5,)}
+    g = Graph([12, 3, 1, 23], [(12, 3)])
+    assert raised(ProductWitness(g, (PathFactor(5),), coords)) == "edge 12-3: 1,3 not equal or adjacent in PathFactor(5)"
+    g = Graph([1, 23, 12, 3], [(1, 23)])
+    assert raised(ProductWitness(g, (PathFactor(5),), coords)) == "edge 1-23: 2,5 not equal or adjacent in PathFactor(5)"
+
+
+def test_witness_error_names_the_first_failing_edge_then_factor():
+    # edge 2-3 fails in factor 1 only, the later 4-5 in factor 0 only,
+    # and 6-7 puts 2-3's failing pair side by side again
+    factors = (PathFactor(4), PathFactor(5))
+    g = Graph(range(8), [(0, 1), (2, 3), (4, 5), (6, 7)])
+    coords = {0: (1, 1), 1: (2, 1), 2: (3, 2), 3: (3, 4), 4: (1, 5), 5: (4, 5), 6: (2, 2), 7: (2, 4)}
+    assert raised(ProductWitness(g, factors, coords)) == "edge 2-3: 2,4 not equal or adjacent in PathFactor(5)"
+    # an edge that fails in both factors is named with its first one
+    coords[3] = (1, 4)
+    assert raised(ProductWitness(g, factors, coords)) == "edge 2-3: 3,1 not equal or adjacent in PathFactor(4)"
+    # a pair that fails on edges 0-1 and 4-5 is named at 0-1, before 2-3 fails in factor 0
+    host = Graph("xyz", [("x", "y")])
+    g = Graph(range(6), [(0, 1), (2, 3), (4, 5)])
+    coords = {0: (1, "z"), 1: (1, "x"), 2: (1, "y"), 3: (3, "y"), 4: (2, "z"), 5: (2, "x")}
+    assert raised(ProductWitness(g, (PathFactor(3), host), coords)) == (
+        "edge 0-1: 'z','x' not equal or adjacent in Graph(3 vertices, 1 edges)"
+    )
+
+
+def test_witness_checks_the_type_of_every_coordinate():
+    # 1.0 == 1, but a float is not a row: each vertex's coordinates are checked
+    g = Graph("ab", [("a", "b")])
+    coords = {"a": (1, 1), "b": (2, 1.0)}
+    assert raised(ProductWitness(g, (PathFactor(2), PathFactor(2)), coords)) == "coordinate 1.0 outside factor PathFactor(2)"
