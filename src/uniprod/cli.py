@@ -25,8 +25,9 @@ import traceback
 
 from .compressor import build_saturator, compress, verify_saturation
 from .decomp import QtInstance, generate_qt_instance
-from .harness import Report, gen_bad_example, run_suite
+from .harness import _SUITES, Report, gen_bad_example, run_suite
 from .induced import (
+    SCHEMES,
     LabelParams,
     LabelledInstance,
     adjacency_test,
@@ -71,8 +72,9 @@ def _cmd_gen(args) -> int:
         out = _out_path(args, f"bad_n{args.n}_i{args.i}_j{args.j}.jsonl")
         ex.instance.write_jsonl(out)
         ivs = os.path.splitext(out)[0] + ".intervals.jsonl"
-        ex.rep.write_jsonl(ivs)
-        print(f"{ex.graph.name}: {ex.graph.n} vertices -> {out}")
+        _, rep = ex.layout
+        rep.write_jsonl(ivs)
+        print(f"{ex.instance.graph.name}: {ex.instance.graph.n} vertices -> {out}")
         print(f"intervals -> {ivs}")
     return 0
 
@@ -108,6 +110,8 @@ def _cmd_verify(args) -> int:
                 raise ValueError(f"vertex {v!r}: x and y must be strings")
             mapping[v] = ((x, y, integer(rec["z"], "z")), integer(rec["i"], "i"))
         n, lam, omega = (integer(head[name], name) for name in ("n", "lam", "omega"))
+        if omega < 1:
+            raise ValueError("omega >= 1 required")
         return QtEmbedding(mapping=mapping, omega=omega, params=UgParams(n, lam=lam))
 
     emb = read_records(args.witness, "qt-witness", parse)
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     la = sub.add_parser("label", help="compute adjacency labels for an instance")
     la.add_argument("--instance", required=True)
-    la.add_argument("--scheme", choices=("fixed", "legacy"), default="fixed")
+    la.add_argument("--scheme", choices=sorted(SCHEMES), default="fixed")
     la.add_argument("--n", type=int)
     la.add_argument("--out")
     la.set_defaults(func=_cmd_label)
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     asm.set_defaults(func=_cmd_assemble)
 
     rs = sub.add_parser("run-suite", help="run a named verification suite")
-    rs.add_argument("suite", choices=("universality", "sizes", "labels", "growth", "compression"))
+    rs.add_argument("suite", choices=tuple(_SUITES))
     rs.add_argument("--n", type=int)
     rs.add_argument("--t", type=int)
     rs.add_argument("--count", type=int)

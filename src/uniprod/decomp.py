@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import chain, combinations
 from math import comb
 
 from .closure import IntervalRep
@@ -254,18 +254,20 @@ class TTree:
     rest is derived: graph holds the attach edges, added in construction
     order; cliques[v] is the family clique of v (its attach set plus v
     itself, or the initial clique for the first t + 1 vertices); colour
-    is a proper greedy colouring with t + 1 colours.
+    is a proper greedy colouring with t + 1 colours.  It is checked when
+    it is built, so an invalid TTree raises ValueError and never exists.
     """
 
     t: int
     order: list
     attach: dict
-    owner: dict = field(default_factory=dict)
+    owner: dict
     graph: Graph = field(init=False)
     cliques: dict = field(init=False)
     colour: dict = field(init=False)
 
     def __post_init__(self):
+        pos = self._positions()
         self.graph = Graph(self.order, name=f"ttree(t={self.t}, n={self.n})")
         for v in self.order:
             for w in self.attach[v]:
@@ -274,8 +276,9 @@ class TTree:
         self.cliques = {v: base if i <= self.t else self.attach[v] | {v} for i, v in enumerate(self.order)}
         self.colour = {}
         for v in self.order:
-            used = {self.colour.get(w) for w in self.attach[v]}  # a later w has no colour yet; validate refuses it
+            used = {self.colour[w] for w in self.attach[v]}
             self.colour[v] = min(c for c in range(1, self.t + 2) if c not in used)
+        self._check_cliques(pos)
 
     @property
     def n(self) -> int:
@@ -300,34 +303,40 @@ class TTree:
         return comb(dist + self.t, self.t)
 
     def validate(self) -> None:
-        t, n = self.t, self.n
-        if n < t + 1:
+        """The checks every TTree passed when it was built, run again."""
+        self._check_cliques(self._positions())
+
+    def _positions(self) -> dict:
+        """Each vertex's index in order, once order and attach sets are fit to derive the rest from."""
+        if self.n < self.t + 1:
             raise ValueError("need at least t + 1 vertices")
         pos = {v: i for i, v in enumerate(self.order)}
-        if len(pos) != n:
+        if len(pos) != self.n:
             raise ValueError("order repeats a vertex")
         for i, v in enumerate(self.order):
-            att = self.attach[v]
-            if any(pos.get(w, i) >= i for w in att):
+            if v not in self.attach:
+                raise ValueError(f"{v!r} has no attach set")
+            if any(pos.get(w, i) >= i for w in self.attach[v]):
                 raise ValueError(f"attach set of {v!r} names a vertex that is not earlier")
-            if len(att) != min(i, t):
+            if len(self.attach[v]) != min(i, self.t):
                 raise ValueError(f"attach set of {v!r} has wrong size")
-            att_l = sorted(att, key=repr)
-            for a in range(len(att_l)):
-                for b in range(a + 1, len(att_l)):
-                    if not self.graph.has_edge(att_l[a], att_l[b]):
-                        raise ValueError(f"attach set of {v!r} is not a clique")
+        return pos
+
+    def _check_cliques(self, pos: dict) -> None:
+        """Attach sets are cliques, family cliques carry every colour, and owners cover attach sets."""
         for v in self.order:
+            if not all(self.graph.has_edge(a, b) for a, b in combinations(self.attach[v], 2)):
+                raise ValueError(f"attach set of {v!r} is not a clique")
             cq = self.cliques[v]
-            if len(cq) != t + 1 or len({self.colour[w] for w in cq}) != t + 1:
+            if len(cq) != self.t + 1 or len({self.colour[w] for w in cq}) != self.t + 1:
                 raise ValueError(f"family clique of {v!r} misses a colour")
             if self.parents(v)[self.colour[v]] != v:
                 raise ValueError("vertex is not its own colour-parent")
         for v in self.order[1:]:
             u = self.owner.get(v)
-            if u is None or pos[u] >= pos[v]:
+            if u is None or pos.get(u, pos[v]) >= pos[v]:
                 raise ValueError(f"owner of {v!r} missing or too late")
-            if pos[v] > t and not self.attach[v] <= self.cliques[u]:
+            if pos[v] > self.t and not self.attach[v] <= self.cliques[u]:
                 raise ValueError(f"owner clique does not cover attach set of {v!r}")
 
     def family_decomposition(self) -> TreeDecomposition:
@@ -345,8 +354,8 @@ class TTree:
         return td
 
 
-def _grow_ttree(t: int, order: list, pick) -> TTree:
-    """The validated t-tree that grows along order.
+def grow_ttree(t: int, order: list, pick) -> TTree:
+    """The t-tree that grows along order; every t-tree of the package is built here.
 
     The first t + 1 vertices form the initial clique, each attached to
     every vertex before it and owned by the one just before.  For i > t,
@@ -363,9 +372,7 @@ def _grow_ttree(t: int, order: list, pick) -> TTree:
         else:
             attach[v], owner[v] = pick(i, cliques)
             cliques[v] = attach[v] | {v}
-    tt = TTree(t, order, attach, owner)
-    tt.validate()
-    return tt
+    return TTree(t, order, attach, owner)
 
 
 def build_ttree(t: int, n: int, rng_seed: int = 0) -> TTree:
@@ -382,7 +389,7 @@ def build_ttree(t: int, n: int, rng_seed: int = 0) -> TTree:
         u = rng.randrange(i)
         return cliques[u] - {rng.choice(sorted(cliques[u]))}, u
 
-    return _grow_ttree(t, list(range(n)), pick)
+    return grow_ttree(t, list(range(n)), pick)
 
 
 def _mcs_order(verts: list, adj: dict) -> list:
@@ -470,7 +477,7 @@ def ttree_from_decomposition(td: TreeDecomposition) -> TTree:
         holders[v].append(i)
         return frozenset(att), hull
 
-    return _grow_ttree(t, order, pick)
+    return grow_ttree(t, order, pick)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .compressor import build_saturator, compress, embed_compressed, verify_saturation
-from .decomp import QtInstance, TTree, generate_qt_instance
+from .decomp import QtInstance, TTree, generate_qt_instance, grow_ttree
 from .closure import IntervalRep
 from .induced import (
     SCHEMES,
@@ -49,15 +49,10 @@ from .unigraph import (
 
 @dataclass
 class BadExample:
-    """One member of the double-star family, on a single product row."""
+    """One member of the double-star family, on a single product row, with its prescribed host layout."""
 
-    n: int
-    i: int
-    j: int
-    graph: Graph
-    rep: IntervalRep
-    ttree: TTree
     instance: QtInstance
+    layout: tuple[TTree, IntervalRep]
     spine: dict  # role name -> vertex id
 
 
@@ -68,8 +63,9 @@ def gen_bad_example(n: int, i: int, j: int) -> BadExample:
     every leaf is a unit interval; which leaves are present is steered
     by i on the left star and j on the right.  The left hub neighbour w
     is the leaf just past position n/12, so its position among the kept
-    leaves shifts with i (and likewise u with j).  Construction order is
-    a preorder from w, making w the attach vertex of v.
+    leaves shifts with i (and likewise u with j).  The 1-tree grows along
+    a preorder from w, each vertex attached to and owned by its tree
+    parent, making w the attach vertex of v.
     """
     if n % 12 or n < 24:
         raise ValueError("n must be a multiple of 12, at least 24")
@@ -93,18 +89,15 @@ def gen_bad_example(n: int, i: int, j: int) -> BadExample:
         ivs[f"b{k}"] = (n // 2 + k, n // 2 + k)
     rep = IntervalRep(ivs)
 
-    order, attach, owner = [], {}, {}
-    stack = [(w, None)]
+    order, parent, stack = [], {w: None}, [w]
     while stack:
-        v, parent = stack.pop()
+        v = stack.pop()
         order.append(v)
-        attach[v] = frozenset() if parent is None else frozenset({parent})
-        if parent is not None:
-            owner[v] = parent
         for nb in sorted(graph.neighbors(v), reverse=True):
-            if nb != parent:
-                stack.append((nb, v))
-    tt = TTree(t=1, order=order, attach=attach, owner=owner)
+            if nb != parent[v]:
+                parent[nb] = v
+                stack.append(nb)
+    tt = grow_ttree(1, order, lambda pos, cliques: (frozenset({parent[order[pos]]}), parent[order[pos]]))
 
     coords = {v: (v, 1) for v in verts}
     witness = ProductWitness(graph, (graph, PathFactor(1)), coords)
@@ -118,7 +111,7 @@ def gen_bad_example(n: int, i: int, j: int) -> BadExample:
         h=1,
         seed=0,
     )
-    return BadExample(n, i, j, graph, rep, tt, instance, {"v": "v", "u": u, "w": w, "alpha": "a", "beta": "b"})
+    return BadExample(instance, (tt, rep), {"v": "v", "u": u, "w": w, "alpha": "a", "beta": "b"})
 
 
 def bad_family_counts(n: int) -> dict:
@@ -142,7 +135,7 @@ def bad_family_counts(n: int) -> dict:
     hubs = {scheme: ([], []) for scheme in SCHEMES}
     for i in range(1, m + 1):
         ex = gen_bad_example(n, i, i)
-        ctx = build_context(ex.instance, params=params, rep=ex.rep, tt=ex.ttree)
+        ctx = build_context(ex.instance, params=params, layout=ex.layout)
         hv, hu = ex.spine["v"], ex.spine["u"]
         coords = ex.instance.witness.coords
         for scheme, (lv, lu) in hubs.items():
@@ -300,7 +293,7 @@ def _suite_labels(cfg: dict, report: Report) -> None:
         ctx = build_context(inst, params=params)
         stats = bag_stats(ctx)
         report.add(f"bags instance {k}", stats["max_bag_fixed"] <= stats["reference"], **stats)
-        for scheme in ("fixed", "legacy"):
+        for scheme in sorted(SCHEMES):
             li = label_instance(ctx, scheme)
             pairs = verify_labelling(li)
             report.add(f"tester exact {scheme} instance {k}", True, pairs=pairs)

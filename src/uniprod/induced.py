@@ -149,26 +149,20 @@ class LabelContext:
 def build_context(
     instance: QtInstance,
     params: LabelParams | None = None,
-    rep: IntervalRep | None = None,
-    tt: TTree | None = None,
+    layout: tuple[TTree, IntervalRep] | None = None,
 ) -> LabelContext:
     """Derive rows, clique unions, rank trees and row machinery for labelling.
 
-    The host layout is host_layout(instance) unless rep and tt prescribe
-    one together; a prescribed tt must pass TTree.validate, so every
-    family clique carries every colour.  Every t-tree edge must be covered
-    by the interval representation.  The rows in use are renumbered 1..h
+    layout is the host layout (tt, rep), host_layout(instance) unless one
+    is prescribed; tt was checked when it was built, so every family
+    clique carries every colour.  Every t-tree edge must be covered by
+    the interval representation.  The rows in use are renumbered 1..h
     as embed renumbers them, and the instance must then be a product
     witness in (t-tree) x P_h.  Each clique's node set is checked to sit
     on a single root path of its row tree.  The context is returned
     after fixup, so both label schemes can read it.
     """
-    if (rep is None) != (tt is None):
-        raise ValueError("rep and tt prescribe a host layout together")
-    if tt is None:
-        tt, rep = host_layout(instance)
-    else:
-        tt.validate()
+    tt, rep = host_layout(instance) if layout is None else layout
     if params is None:
         params = LabelParams(n=instance.graph.n, t=tt.t)
     if params.t != tt.t:

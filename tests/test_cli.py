@@ -124,6 +124,39 @@ def test_embed_refuses_a_lambda_below_the_transition_code(tmp_path, capsys):
     run("verify", "--instance", str(inst), "--witness", str(wit))
 
 
+def test_embed_refuses_a_host_closure_taller_than_the_params(tmp_path, capsys):
+    inst = tmp_path / "inst.jsonl"
+    run("gen", "qt", "--t", "2", "--n", "14", "--h", "3", "--seed", "5", "--out", str(inst))
+    capsys.readouterr()
+    run("embed", "--instance", str(inst), "--n", "1", "--out", str(tmp_path / "wit.jsonl"), check=1)
+    assert capsys.readouterr().err == "error: host closure needs d = 3 but params give 0\n"
+
+
+@pytest.mark.parametrize("omega", [0, -1])
+def test_verify_names_the_witness_file_when_omega_is_below_1(tmp_path, capsys, omega):
+    inst, wit = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "12", "--h", "2", "--seed", "3", "--out", str(inst))
+    run("embed", "--instance", str(inst), "--out", str(wit))
+    lines = wit.read_text().splitlines()
+    wit.write_text("\n".join([json.dumps({**json.loads(lines[0]), "omega": omega})] + lines[1:]) + "\n")
+    capsys.readouterr()
+    run("verify", "--instance", str(inst), "--witness", str(wit), check=1)
+    assert capsys.readouterr().err == f"error: {wit}:1: omega >= 1 required\n"
+
+
+def test_verify_refuses_signatures_that_are_not_strings(tmp_path, capsys):
+    inst, wit = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "12", "--h", "2", "--seed", "3", "--out", str(inst))
+    run("embed", "--instance", str(inst), "--out", str(wit))
+    lines = wit.read_text().splitlines()
+    rec = json.loads(lines[1])
+    for field in ("x", "y"):
+        wit.write_text("\n".join([lines[0], json.dumps({**rec, field: 1})] + lines[2:]) + "\n")
+        capsys.readouterr()
+        run("verify", "--instance", str(inst), "--witness", str(wit), check=1)
+        assert capsys.readouterr().err == f"error: {wit}:2: vertex {rec['v']!r}: x and y must be strings\n"
+
+
 # (n, lam): (|V|, |E|) of the materialized host, on the bounds grid.
 HOST_SIZES = {
     (1, 0): (17, 14), (1, 1): (49, 62), (1, 2): (129, 222), (1, 3): (321, 2_134),

@@ -102,7 +102,6 @@ def test_ttree_structure():
         t = rng.randint(1, 4)
         n = rng.randint(t + 1, 30)
         tt = build_ttree(t, n, rng_seed=trial)
-        tt.validate()
         assert tt.graph.m == t * (t + 1) // 2 + (n - t - 1) * t
         for v in tt.order:
             cq = tt.cliques[v]
@@ -138,19 +137,49 @@ def test_ttree_rejects_bad_shapes():
     # 4 attaches to {2, 3}, which no attach set joins
     attach = {0: frozenset(), 1: frozenset({0}), 2: frozenset({0, 1}), 3: frozenset({0, 1}), 4: frozenset({2, 3})}
     with pytest.raises(ValueError, match="attach set of 4 is not a clique"):
-        TTree(t=2, order=list(range(5)), attach=attach, owner={1: 0, 2: 1, 3: 2, 4: 3}).validate()
-    with pytest.raises(ValueError):
-        TTree(t=2, order=[0, 1], attach={0: frozenset(), 1: frozenset({0})}).validate()
+        TTree(t=2, order=list(range(5)), attach=attach, owner={1: 0, 2: 1, 3: 2, 4: 3})
+    with pytest.raises(ValueError, match="need at least t \\+ 1 vertices"):
+        TTree(t=2, order=[0, 1], attach={0: frozenset(), 1: frozenset({0})}, owner={1: 0})
     with pytest.raises(ValueError, match="attach set of 1 names a vertex that is not earlier"):
-        TTree(t=1, order=[0, 1, 2], attach={0: frozenset(), 1: frozenset({2}), 2: frozenset({0})}).validate()
+        TTree(t=1, order=[0, 1, 2], attach={0: frozenset(), 1: frozenset({2}), 2: frozenset({0})}, owner={1: 0, 2: 0})
     with pytest.raises(ValueError, match="order repeats a vertex"):
-        TTree(t=1, order=[0, 1, 1], attach={0: frozenset(), 1: frozenset({0})}).validate()
+        TTree(t=1, order=[0, 1, 1], attach={0: frozenset(), 1: frozenset({0})}, owner={1: 0})
+
+
+def refusal(t, order, attach, owner):
+    """The message TTree raises at construction."""
+    with pytest.raises(ValueError) as info:
+        TTree(t, order, attach, owner)
+    return str(info.value)
+
+
+def test_ttree_names_a_malformed_attach_set_before_deriving_from_it():
+    path = {0: frozenset(), 1: frozenset({0})}
+    # an oversized attach set used to leave no free colour: min() of an empty sequence
+    assert refusal(1, [0, 1, 2], {**path, 2: frozenset({0, 1})}, {1: 0, 2: 1}) == "attach set of 2 has wrong size"
+    # a vertex without an attach entry used to raise a bare KeyError
+    assert refusal(1, [0, 1, 2], path, {1: 0, 2: 1}) == "2 has no attach set"
+
+
+def test_ttree_checks_owners_at_construction():
+    # the triangle 0 1 2, then 3 on the edge {1, 2}, a 2-tree
+    attach = {0: frozenset(), 1: frozenset({0}), 2: frozenset({0, 1}), 3: frozenset({1, 2})}
+    tt = TTree(2, [0, 1, 2, 3], attach, {1: 0, 2: 1, 3: 2})
+    assert tt.cliques[3] == {1, 2, 3}
+    assert refusal(2, [0, 1, 2, 3], attach, {1: 0, 2: 1}) == "owner of 3 missing or too late"
+    assert refusal(2, [0, 1, 2, 3], attach, {1: 0, 2: 1, 3: 3}) == "owner of 3 missing or too late"
+    assert refusal(2, [0, 1, 2, 3], attach, {1: 0, 2: 1, 3: 9}) == "owner of 3 missing or too late"
+    # 4 attaches to {1, 3}, which lies in the family clique of 3 but not of 2
+    attach[4] = frozenset({1, 3})
+    assert TTree(2, [0, 1, 2, 3, 4], attach, {1: 0, 2: 1, 3: 2, 4: 3}).cliques[4] == {1, 3, 4}
+    assert refusal(2, [0, 1, 2, 3, 4], attach, {1: 0, 2: 1, 3: 2, 4: 2}) == (
+        "owner clique does not cover attach set of 4"
+    )
 
 
 def test_ttree_from_decomposition_completes_host():
     g, td = sample_tree_decomposition()
     tt = ttree_from_decomposition(td)
-    tt.validate()
     for u, v in g.edges():
         assert tt.graph.has_edge(u, v)
     assert tt.t == td.width

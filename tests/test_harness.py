@@ -19,9 +19,10 @@ def test_bad_example_recipe_counts():
         for i, j in [(1, 1), (m, 1), (m, m)]:
             ex = gen_bad_example(n, i, j)
             # spine of 5 plus m kept leaves in each of two blocks per side
-            assert ex.graph.n == 4 * m + 5
-            assert ex.graph.m == ex.graph.n - 1
-            deg = {v: len(ex.graph.neighbors(v)) for v in ex.graph.vertices()}
+            graph = ex.instance.graph
+            assert graph.n == 4 * m + 5
+            assert graph.m == graph.n - 1
+            deg = {v: len(graph.neighbors(v)) for v in graph.vertices()}
             assert deg["v"] == 2
             assert deg[ex.spine["w"]] == deg[ex.spine["u"]] == 2
             assert deg["a"] == deg["b"] == 2 * m + 1
@@ -29,26 +30,35 @@ def test_bad_example_recipe_counts():
 
 def test_bad_example_is_a_tree_with_matching_intervals():
     ex = gen_bad_example(36, 2, 3)
+    graph, (tt, rep) = ex.instance.graph, ex.layout
     seen, stack = set(), ["v"]
     while stack:
         v = stack.pop()
         if v in seen:
             continue
         seen.add(v)
-        stack.extend(ex.graph.neighbors(v))
-    assert seen == set(ex.graph.vertices())
-    for u, v in ex.graph.edges():
-        assert ex.rep.meets(u, v)
-    assert not ex.rep.meets("a", "b")
-    assert ex.ttree.order[0] == ex.spine["w"]
-    ex.ttree.validate()
+        stack.extend(graph.neighbors(v))
+    assert seen == set(graph.vertices())
+    for u, v in graph.edges():
+        assert rep.meets(u, v)
+    assert not rep.meets("a", "b")
+    assert tt.order[0] == ex.spine["w"]
+    assert {frozenset(e) for e in tt.graph.edges()} == {frozenset(e) for e in graph.edges()}
     ex.instance.witness.validate()
 
 
 def test_bad_example_ttrees_are_valid():
-    # build_context validates a prescribed t-tree; the construction itself is checked here
+    # each member's 1-tree grows along a preorder from w, every later vertex
+    # attached to and owned by its tree parent, and passes its checks again
     for i in range(1, 48 // 12 + 1):
-        gen_bad_example(48, i, i).ttree.validate()
+        ex = gen_bad_example(48, i, i)
+        tt, graph = ex.layout[0], ex.instance.graph
+        pos = {v: k for k, v in enumerate(tt.order)}
+        assert tt.order[0] == ex.spine["w"]
+        for v in tt.order[1:]:
+            (parent,) = tt.attach[v]
+            assert tt.owner[v] == parent and pos[parent] < pos[v] and graph.has_edge(v, parent)
+        tt.validate()
 
 
 def test_bad_example_parameter_guards():
@@ -72,13 +82,13 @@ def reference_family(n):
     bits = {}
     for i in range(1, n // 12 + 1):
         ex = gen_bad_example(n, i, i)
-        ctx = build_context(ex.instance, params=params, rep=ex.rep, tt=ex.ttree)
+        ctx = build_context(ex.instance, params=params, layout=ex.layout)
         for scheme, by_role in hubs.items():
             li = label_instance(ctx, scheme)
             for role, labels in by_role.items():
                 label = li.labels[ex.spine[role]]
                 labels[label.bits] = label
-                bits[ex.graph.name, ex.spine[role], scheme] = label.bits
+                bits[ex.instance.graph.name, ex.spine[role], scheme] = label.bits
     counts = {}
     for scheme, by_role in hubs.items():
         lv, lu = by_role["v"].values(), by_role["u"].values()

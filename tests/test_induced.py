@@ -352,39 +352,39 @@ def test_unpack_refuses_a_successor_hint_past_maxheight():
 
 def test_prescribed_ttree_is_validated():
     # a family clique that misses a colour would leave a parent slot empty;
-    # build_context refuses such a t-tree before any label is made
+    # such a t-tree is refused when it is built, so no layout can carry it
     inst = generate_qt_instance(2, 12, 1, rng_seed=3)
-    tt, rep = host_layout(inst)
+    tt, _ = host_layout(inst)
     coords = inst.witness.coords
     used = {frozenset((coords[a][0], coords[b][0])) for a, b in inst.graph.edges()}
     v, w = next((v, w) for v in reversed(tt.order) for w in sorted(tt.attach[v]) if frozenset((v, w)) not in used)
-    broken = TTree(tt.t, tt.order, {**tt.attach, v: tt.attach[v] - {w}}, tt.owner)
-    assert len(broken.parents(v)) == tt.t
-    with pytest.raises(ValueError, match="attach set"):
-        build_context(inst, rep=rep, tt=broken)
+    with pytest.raises(ValueError, match=f"^attach set of {v!r} has wrong size$"):
+        TTree(tt.t, tt.order, {**tt.attach, v: tt.attach[v] - {w}}, tt.owner)
 
 
 def test_prescribed_layout_needs_an_interval_per_host_vertex():
     ex = gen_bad_example(48, 1, 1)
-    rep = IntervalRep({v: iv for v, iv in ex.rep.intervals.items() if v != "a1"})
+    tt, rep = ex.layout
+    rep = IntervalRep({v: iv for v, iv in rep.intervals.items() if v != "a1"})
     with pytest.raises(ValueError, match="no interval for host vertex 'a1'"):
-        build_context(ex.instance, rep=rep, tt=ex.ttree)
+        build_context(ex.instance, layout=(tt, rep))
 
 
 def test_prescribed_layout_must_cover_every_ttree_edge():
     # a1 hangs off the centre a, whose interval ends at (n - 1) / 2
     ex = gen_bad_example(48, 1, 1)
-    rep = IntervalRep({**ex.rep.intervals, "a1": (48, 48)})
+    tt, rep = ex.layout
+    rep = IntervalRep({**rep.intervals, "a1": (48, 48)})
     with pytest.raises(ValueError, match="interval supergraph misses edge"):
-        build_context(ex.instance, rep=rep, tt=ex.ttree)
+        build_context(ex.instance, layout=(tt, rep))
 
 
 def test_prescribed_layout_must_realize_every_instance_edge():
     # two leaves of one star share a row but no t-tree edge
     ex = gen_bad_example(48, 1, 1)
-    graph = Graph(ex.graph.vertices(), [*ex.graph.edges(), ("a1", "a9")])
+    graph = Graph(ex.instance.graph.vertices(), [*ex.instance.graph.edges(), ("a1", "a9")])
     with pytest.raises(WitnessError, match="edge 'a1'-'a9'|edge 'a9'-'a1'"):
-        build_context(dataclasses.replace(ex.instance, graph=graph), rep=ex.rep, tt=ex.ttree)
+        build_context(dataclasses.replace(ex.instance, graph=graph), layout=ex.layout)
 
 
 def test_tester_is_exact_on_random_instances():

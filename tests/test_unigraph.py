@@ -281,6 +281,17 @@ def test_embed_rejects_wrong_factor():
         embed(UgParams(4), w2)  # closure taller than params allow
 
 
+def test_embed_refuses_signatures_over_the_budget():
+    # sixteen one-vertex rows make row signatures of up to 4 bits, and
+    # n = 2 at lam = 0 leaves a budget of d + lam + 2 = 3
+    cg = ClosureGraph(1)
+    coords = {y: (cg.root, y) for y in range(1, 17)}
+    w = ProductWitness(Graph(coords), (cg, PathFactor(16)), coords)
+    with pytest.raises(ValueError) as info:
+        embed(UgParams(2, lam=0), w)
+    assert str(info.value) == "lambda too small: signatures take 4 bits, budget is 3"
+
+
 def test_embed_qt_end_to_end():
     rng = random.Random(16)
     for trial in range(30):
