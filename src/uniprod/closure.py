@@ -15,6 +15,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from operator import lt
 from typing import Hashable
 
 from .bitcore import Bst
@@ -158,8 +160,16 @@ class IntervalRep:
         return best
 
     def left_order(self) -> list:
-        """Vertices by left endpoint, ties broken by repr for determinism."""
-        return sorted(self.intervals, key=lambda v: (self.intervals[v][0], repr(v)))
+        """Vertices by left endpoint, ties broken by repr for determinism.
+
+        A rep keyed in strictly increasing left order, as the rank form
+        and every sub-rep of its separator recursion are, is that order.
+        """
+        ivs = self.intervals
+        lefts = [a for a, _ in ivs.values()]
+        if all(map(lt, lefts, islice(lefts, 1, None))):
+            return list(ivs)
+        return sorted(ivs, key=lambda v: (ivs[v][0], repr(v)))
 
     def write_jsonl(self, path) -> None:
         records = (

@@ -330,8 +330,6 @@ class TTree:
             cq = self.cliques[v]
             if len(cq) != self.t + 1 or len({self.colour[w] for w in cq}) != self.t + 1:
                 raise ValueError(f"family clique of {v!r} misses a colour")
-            if self.parents(v)[self.colour[v]] != v:
-                raise ValueError("vertex is not its own colour-parent")
         for v in self.order[1:]:
             u = self.owner.get(v)
             if u is None or pos.get(u, pos[v]) >= pos[v]:

@@ -33,14 +33,28 @@ def _decode(text: str):
         raise ValueError("JSON nested too deeply to decode") from None
 
 
+CHUNK = 1 << 16  # characters joined into one write
+
+
 def write_lines(path, kind: str, head: dict, lines) -> None:
     """Write the header ``{"kind": kind, **head}``, then each line, already formatted with its newline.
 
-    Lines are streamed from the iterable, so a file is never held whole.
+    An item may hold several lines.  Items are streamed from the iterable
+    and joined into chunks of about CHUNK characters, one ``write`` each,
+    as a write per line pays the text layer's per-call cost on every line;
+    only one chunk is held at a time, so a file is never held whole.
     """
     with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": kind, **head}) + "\n")
-        fh.writelines(lines)
+        write = fh.write
+        write(json.dumps({"kind": kind, **head}) + "\n")
+        chunk, size = [], 0
+        for line in lines:
+            chunk.append(line)
+            size += len(line)
+            if size >= CHUNK:
+                write("".join(chunk))
+                chunk, size = [], 0
+        write("".join(chunk))
 
 
 def write_records(path, kind: str, head: dict, records) -> None:
@@ -56,11 +70,9 @@ def json_id(v) -> str:
 def write_pairs(path, kind: str, head: dict, name: str, groups) -> None:
     """Write the header, then one record ``{name: [a, b]}`` per b of each group (a, bs).
 
-    Ids are ints, or their decimal strings, so that a writer naming each
-    id many times can format it once; either way the bytes are those of
-    ``write_records`` on the int records.  Each group's lines are
-    formatted directly, with one ``str.join``, as ``json.dumps`` per
-    record dominates large files.
+    Ids are ints, and the bytes are those of ``write_records`` on the
+    records.  Each group's lines are formatted directly, with one
+    ``str.join``, as ``json.dumps`` per record dominates large files.
     """
     start = "{" + json.dumps(name) + ": ["
 

@@ -27,7 +27,7 @@ from .bitcore import (
 )
 from .closure import ClosureGraph, embed_interval_graph, min_depth_in_range
 from .decomp import QtInstance, host_layout
-from .io import write_pairs
+from .io import write_lines
 from .product import CliqueFactor, Graph, PathFactor, ProductWitness, row_numbers
 from .treeseq import LcpCodec, build_tree_sequence, lambda_default
 
@@ -259,23 +259,31 @@ class Host:
         neighbourhood, are consecutive in repr order: r gets the ids
         b_r .. b_r + k - 1, its closed neighbourhood is sorted once, and
         each of its triples writes the tail of that list after its own id.
+        That order is sorted(rows): between pairs of bitstrings repr puts
+        the closing quote, which sorts below 0 and 1, where a proper
+        prefix ends, just as plain string comparison puts the prefix first.
+        Each triple's records are formatted as one string, from ids each
+        formatted once, with the bytes write_records gives them.
         """
         k, rows = self.k, self.rows
-        order = sorted(rows, key=lambda r: repr((*r, 0)))
+        order = sorted(rows)
         base = {r: k * i for i, r in enumerate(order)}
-        names = list(map(str, range(self.n)))  # each id is formatted once
+        names = list(map(str, range(self.n)))
 
-        def groups():
+        def lines():
             zs = range(k)
             for r in order:
                 b = base[r]
                 firsts = sorted([b, *map(base.__getitem__, rows[r])])
                 ids = [names[f + z] for f in firsts for z in zs]
-                at = k * firsts.index(b)
+                at = k * firsts.index(b) + 1
                 for z in zs:
-                    yield names[b + z], ids[at + z + 1:]
+                    tail = ids[at + z:]
+                    if tail:
+                        head = f'{{"edge": [{names[b + z]}, '
+                        yield head + (']}\n' + head).join(tail) + ']}\n'
 
-        write_pairs(path, "graph", {"n": self.n, "name": self.name}, "edge", groups())
+        write_lines(path, "graph", {"n": self.n, "name": self.name}, lines())
 
 
 def materialize(p: UgParams) -> Host:

@@ -98,3 +98,42 @@ def unused_members():
 def test_every_public_member_has_a_reader_in_the_package():
     # a pinned member the package starts reading, or deletes, leaves this list too
     assert unused_members() == sorted(PINNED)
+
+
+# Every pipeline file goes through io.write_lines and its chunked writes;
+# only the suite report writers open files of their own.
+WRITERS = ("harness.Report.write", "harness.Report.write_csv", "io.write_lines")
+
+
+def _writes(call) -> bool:
+    """Whether a call may write a file: write_text, write_bytes, or an open not in a literal read mode."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(path, mode) takes the path first; path.open(mode) does not
+    modes = call.args[1:] if isinstance(func, ast.Name) else call.args
+    modes = [*modes, *(kw.value for kw in call.keywords if kw.arg == "mode")]
+    return not all(isinstance(m, ast.Constant) and isinstance(m.value, str) and not set(m.value) & set("wax+") for m in modes)
+
+
+def file_writers():
+    """The qualified name of every function in the package that may write a file."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _writes(child):
+                found.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for mod, tree in _modules().items():
+        visit(tree, mod)
+    return sorted(found)
+
+
+def test_only_the_line_writer_and_the_report_writers_open_files_for_writing():
+    assert file_writers() == sorted(WRITERS)

@@ -115,6 +115,20 @@ def test_perturbation_keeps_the_graph():
         assert perturb_left_endpoints(pert) == pert
 
 
+def test_left_order_is_the_sorted_order():
+    # distinct or tied left endpoints, keyed in left order or not; int keys,
+    # so repr breaks ties in another order than the ints do
+    rng = random.Random(11)
+    for trial in range(400):
+        n = rng.randint(0, 12)
+        lefts = rng.sample(range(40), n) if trial % 2 else [rng.randint(0, 3) for _ in range(n)]
+        if trial % 4 < 2:
+            lefts.sort()
+        keys = rng.sample(range(100), n)
+        rep = IntervalRep({v: (a, a + rng.randint(0, 5)) for v, a in zip(keys, lefts)})
+        assert rep.left_order() == sorted(rep.intervals, key=lambda v: (rep.intervals[v][0], repr(v)))
+
+
 def test_intersection_graph_matches_pairwise_meets():
     rng = random.Random(8)
     for _ in range(400):

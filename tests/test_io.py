@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from uniprod.closure import IntervalRep
 from uniprod.compressor import Saturator, build_saturator
 from uniprod.decomp import QtInstance, generate_qt_instance
 from uniprod.induced import LabelledInstance, LabelParams, build_context, label_instance
-from uniprod.io import read_records, write_pairs, write_records
+from uniprod.io import CHUNK, read_records, write_lines, write_pairs, write_records
 from uniprod.product import Graph
 
 
@@ -208,11 +209,37 @@ def test_pair_writer_matches_write_records(tmp_path, name, pairs):
     assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "slow.jsonl").read_bytes()
 
 
-def test_pair_writer_takes_decimal_string_ids(tmp_path):
-    groups = [(0, [0, 1]), (3, [2**31]), (2**31 + 5, [2**63 + 1])]
-    write_pairs(tmp_path / "int.jsonl", "graph", {"n": 3}, "edge", groups)
-    write_pairs(tmp_path / "str.jsonl", "graph", {"n": 3}, "edge", [(str(a), list(map(str, bs))) for a, bs in groups])
-    assert (tmp_path / "int.jsonl").read_bytes() == (tmp_path / "str.jsonl").read_bytes()
+def edge_lines(count: int):
+    return (f'{{"edge": [{i}, {i + 1}]}}\n' for i in range(count))
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [],
+        list(edge_lines(3 * CHUNK // 10)),  # several chunks and a part chunk
+        ["short\n", "x" * (2 * CHUNK) + "\n", "two\nlines\n"],  # one item longer than a chunk
+    ],
+    ids=["empty", "several-chunks", "longer-than-a-chunk"],
+)
+def test_line_writer_writes_the_lines_unchanged(tmp_path, lines):
+    write_lines(tmp_path / "chunked.jsonl", "graph", {"n": 3, "name": ODD_NAME}, iter(lines))
+    with open(tmp_path / "plain.jsonl", "w") as fh:
+        fh.write(json.dumps({"kind": "graph", "n": 3, "name": ODD_NAME}) + "\n")
+        fh.writelines(lines)
+    assert (tmp_path / "chunked.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
+
+
+def test_line_writer_holds_one_chunk_at_a_time(tmp_path):
+    count = 400_000  # about 9 MB of lines
+    tracemalloc.start()
+    try:
+        write_lines(tmp_path / "big.jsonl", "graph", {"n": count + 1}, edge_lines(count))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big.jsonl").stat().st_size >= 8_000_000
+    assert peak < 1 << 20
 
 
 def test_graph_and_saturator_files_match_write_records(tmp_path):

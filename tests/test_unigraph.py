@@ -178,6 +178,14 @@ def test_host_file_is_the_reference_file(tmp_path, n, lam):
     assert (tmp_path / "host.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
 
 
+def test_plain_row_order_is_the_triple_repr_order():
+    # Host.write_jsonl numbers the rows in sorted order, the reference host in repr order
+    for n in range(1, 17):
+        for lam in range(4):
+            rows = row_graph(UgParams(n, lam=lam))
+            assert sorted(rows) == sorted(rows, key=lambda r: repr((*r, 0))), (n, lam)
+
+
 def test_row_graph_gives_the_host_sizes():
     grid = [(n, lam) for n in range(1, 9) for lam in range(4)] + [(16, 1)]
     for n, lam in grid:
