@@ -340,16 +340,18 @@ class TTree:
     def family_decomposition(self) -> TreeDecomposition:
         """Tree decomposition whose bags are the family cliques.
 
-        The parent of each node is its owner; any vertex w inside a bag
-        other than its own lies in that bag's attach set, hence also in
-        the owner's bag, so the bags containing w chain down to w itself
-        and form a subtree.
+        It is one by construction, so it is not checked again.  The
+        parent of each node is its owner, which is earlier, so the nodes
+        form a tree.  Vertex v lies in its own bag, and so does each
+        attach edge (v, w), as w is in attach[v].  The first t + 1 nodes
+        all hold the initial clique and form a subtree.  Any vertex w in
+        a later bag other than its own lies in that bag's attach set,
+        hence also in the owner's bag, so the bags containing w chain
+        down to w's own node or to the initial nodes, and form a subtree.
         """
         bags = {v: self.cliques[v] for v in self.order}
         edges = [(v, self.owner[v]) for v in self.order[1:]]
-        td = TreeDecomposition(bags, edges)
-        td.validate(self.graph)
-        return td
+        return TreeDecomposition(bags, edges)
 
 
 def grow_ttree(t: int, order: list, pick) -> TTree:
@@ -484,18 +486,33 @@ def ttree_from_decomposition(td: TreeDecomposition) -> TTree:
 
 @dataclass
 class QtInstance:
-    """A graph drawn inside host x path, with the host's decomposition."""
+    """A graph drawn inside host x path, with the host's decomposition.
+
+    coords places each graph vertex at a (host vertex, row) pair.  It is
+    checked when it is built: t >= 1, coords is a product witness in
+    host x P_h, the decomposition is a tree decomposition of the host,
+    and its width is t.  So an invalid QtInstance raises ValueError and
+    never exists.
+    """
 
     graph: Graph
-    witness: ProductWitness
     host: Graph
+    coords: dict
     decomposition: TreeDecomposition
     t: int
     h: int
     seed: int
 
+    def __post_init__(self):
+        if self.t < 1:
+            raise ValueError("t >= 1 required")
+        ProductWitness(self.graph, (self.host, PathFactor(self.h)), self.coords).validate()
+        self.decomposition.validate(self.host)
+        if self.decomposition.width != self.t:
+            raise ValueError(f"header says t = {self.t} but the decomposition has width {self.decomposition.width}")
+
     def write_jsonl(self, path) -> None:
-        coords = self.witness.coords
+        coords = self.coords
 
         def records():
             for g in sorted(coords, key=repr):
@@ -514,6 +531,8 @@ class QtInstance:
 
     @classmethod
     def read_jsonl(cls, path) -> "QtInstance":
+        """Read an instance file; its checks run as it is built, so their errors name the file."""
+
         def parse(head, records):
             graph, host = Graph(name="qt instance"), Graph(name="host")
             coords, bags, d_edges = {}, {}, []
@@ -539,37 +558,29 @@ class QtInstance:
                 else:
                     d_edges.append(endpoints(rec["de"], bags))
             t, h, seed = (integer(head[name], name) for name in ("t", "h", "seed"))
-            witness = ProductWitness(graph, (host, PathFactor(h)), coords)
-            decomposition = TreeDecomposition(bags, d_edges)
-            return cls(graph, witness, host, decomposition, t=t, h=h, seed=seed)
+            return cls(graph, host, coords, TreeDecomposition(bags, d_edges), t=t, h=h, seed=seed)
 
-        inst = read_records(path, "qt-instance", parse)
-        inst.witness.validate()
-        inst.decomposition.validate(inst.host)
-        if inst.decomposition.width != inst.t:
-            raise ValueError(f"{path}:1: header says t = {inst.t} but the decomposition has width {inst.decomposition.width}")
-        return inst
+        return read_records(path, "qt-instance", parse)
 
 
 def host_layout(inst: QtInstance) -> tuple[TTree, IntervalRep]:
     """The host layout that embedding and labelling both start from.
 
-    The host's decomposition is completed to a t-tree, which must keep
-    every host edge; the intervals are those of the path decomposition
-    converted from the t-tree's family decomposition.
+    The host's decomposition is completed to a t-tree, which keeps every
+    host edge: the decomposition covers each host edge with a bag, and
+    ttree_from_decomposition attaches each vertex to all its earlier
+    bag-clique neighbours.  The intervals are those of the path
+    decomposition converted from the t-tree's family decomposition.
     """
     tt = ttree_from_decomposition(inst.decomposition)
-    for u, v in inst.host.edges():
-        if not tt.graph.has_edge(u, v):
-            raise ValueError(f"t-tree completion lost host edge {u!r}-{v!r}")
     return tt, path_decomposition_to_intervals(tree_to_path_decomposition(tt.family_decomposition()))
 
 
 def generate_qt_instance(t: int, n: int, h: int, rng_seed: int = 0) -> QtInstance:
     """Random n-vertex subgraph of (random t-tree) x (path on h rows).
 
-    Every row hosts at least one vertex.  The returned witness places
-    the graph inside host x P_h; the decomposition is the host t-tree's
+    Every row hosts at least one vertex.  The returned coords place the
+    graph inside host x P_h; the decomposition is the host t-tree's
     own family decomposition, so its width is exactly t.
     """
     if h < 1 or n < h:
@@ -595,14 +606,4 @@ def generate_qt_instance(t: int, n: int, h: int, rng_seed: int = 0) -> QtInstanc
         for j in sorted(j for j in near if j is not None and j > i):
             if rng.random() < 0.5:
                 g.add_edge(i, j)
-    witness = ProductWitness(g, (host, PathFactor(h)), coords)
-    witness.validate()
-    return QtInstance(
-        graph=g,
-        witness=witness,
-        host=host,
-        decomposition=tt.family_decomposition(),
-        t=t,
-        h=h,
-        seed=rng_seed,
-    )
+    return QtInstance(g, host, coords, tt.family_decomposition(), t=t, h=h, seed=rng_seed)

@@ -35,7 +35,7 @@ from .induced import (
     make_label,
     verify_labelling,
 )
-from .product import Graph, PathFactor, ProductWitness
+from .product import Graph
 from .unigraph import (
     HOST_CAP,
     UgParams,
@@ -99,18 +99,7 @@ def gen_bad_example(n: int, i: int, j: int) -> BadExample:
                 stack.append(nb)
     tt = grow_ttree(1, order, lambda pos, cliques: (frozenset({parent[order[pos]]}), parent[order[pos]]))
 
-    coords = {v: (v, 1) for v in verts}
-    witness = ProductWitness(graph, (graph, PathFactor(1)), coords)
-    witness.validate()
-    instance = QtInstance(
-        graph=graph,
-        witness=witness,
-        host=graph,
-        decomposition=tt.family_decomposition(),
-        t=1,
-        h=1,
-        seed=0,
-    )
+    instance = QtInstance(graph, graph, {v: (v, 1) for v in verts}, tt.family_decomposition(), t=1, h=1, seed=0)
     return BadExample(instance, (tt, rep), {"v": "v", "u": u, "w": w, "alpha": "a", "beta": "b"})
 
 
@@ -137,7 +126,7 @@ def bad_family_counts(n: int) -> dict:
         ex = gen_bad_example(n, i, i)
         ctx = build_context(ex.instance, params=params, layout=ex.layout)
         hv, hu = ex.spine["v"], ex.spine["u"]
-        coords = ex.instance.witness.coords
+        coords = ex.instance.coords
         for scheme, (lv, lu) in hubs.items():
             if i == 1:
                 li = label_instance(ctx, scheme)

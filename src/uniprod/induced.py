@@ -49,7 +49,7 @@ from .bitcore import Bst, build_biased_bst, check_bits, strip_successor
 from .closure import IntervalRep, min_depth_in_range, perturb_left_endpoints
 from .decomp import QtInstance, TTree, host_layout
 from .io import endpoints, integer, json_id, key, read_records, write_lines
-from .product import Graph, PathFactor, ProductWitness, row_numbers
+from .product import Graph, row_numbers
 from .treeseq import LcpCodec, build_tree_sequence
 
 
@@ -155,12 +155,16 @@ def build_context(
 
     layout is the host layout (tt, rep), host_layout(instance) unless one
     is prescribed; tt was checked when it was built, so every family
-    clique carries every colour.  Every t-tree edge must be covered by
-    the interval representation.  The rows in use are renumbered 1..h
-    as embed renumbers them, and the instance must then be a product
-    witness in (t-tree) x P_h.  Each clique's node set is checked to sit
-    on a single root path of its row tree.  The context is returned
-    after fixup, so both label schemes can read it.
+    clique carries every colour.  Every layout, computed or prescribed,
+    is checked here once: tt holds every host vertex and host edge,
+    every t-tree vertex has an interval, and every t-tree edge is
+    covered by the interval representation.  The instance was checked
+    when it was built, so its coords are then a product witness in
+    (t-tree) x P_h, also once the rows in use are renumbered 1..h as
+    embed renumbers them (no edge joins rows two apart).  Each clique's
+    node set is checked to sit on a single root path of its row tree.
+    The context is returned after fixup, so both label schemes can read
+    it.
     """
     tt, rep = host_layout(instance) if layout is None else layout
     if params is None:
@@ -170,6 +174,12 @@ def build_context(
     if instance.graph.n > params.n:
         raise ValueError(f"instance has {instance.graph.n} vertices but params.n = {params.n}")
     rep = perturb_left_endpoints(rep)
+    for v in instance.host.vertices():
+        if not tt.graph.has_vertex(v):
+            raise ValueError(f"layout t-tree misses host vertex {v!r}")
+    for u, v in instance.host.edges():
+        if not tt.graph.has_edge(u, v):
+            raise ValueError(f"layout t-tree misses host edge {u!r}-{v!r}")
     for v in tt.graph.vertices():
         if v not in rep.intervals:
             raise ValueError(f"no interval for host vertex {v!r}")
@@ -179,10 +189,9 @@ def build_context(
 
     rank = {v: lo for v, (lo, _) in rep.intervals.items()}
 
-    row = row_numbers(instance.witness.coords)
+    row = row_numbers(instance.coords)
     h = len(row)
-    coords = {g: (v, row[y]) for g, (v, y) in instance.witness.coords.items()}
-    ProductWitness(instance.graph, (tt.graph, PathFactor(h)), coords).validate()
+    coords = {g: (v, row[y]) for g, (v, y) in instance.coords.items()}
     rows = {y: set() for y in range(1, h + 1)}
     for v, y in coords.values():
         rows[y].add(v)
@@ -202,7 +211,7 @@ def build_context(
     alpha1 = {y: row_tree.signature(y) for y in range(1, h + 1)}
     hint = {y: _successor_hint(alpha1, y, h) for y in range(1, h + 1)}
 
-    inv = {c: g for g, c in instance.witness.coords.items()}
+    inv = {c: g for g, c in instance.coords.items()}
     graph = instance.graph
     nbrs = {coords[g]: {coords[u] for u in graph.neighbors(g)} for g in graph.vertices()}
 
@@ -797,7 +806,7 @@ def _check_distinct(li: LabelledInstance) -> None:
 
 def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance:
     """Label every vertex and run the per-instance assertion suite."""
-    coords = ctx.instance.witness.coords
+    coords = ctx.instance.coords
     labels = {}
     for g in sorted(coords, key=repr):
         v, y = coords[g]

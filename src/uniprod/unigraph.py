@@ -474,7 +474,11 @@ def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
     Stages: lay the host out as intervals (host_layout), embed those into
     closure x clique, project the instance through that embedding
     (colours absorb the contracted pairs), then apply embed over
-    closure x path.
+    closure x path.  The projection is a witness in closure x path
+    without a check: an instance edge joins equal or host-adjacent
+    vertices in equal or adjacent rows, each host edge is a t-tree edge
+    whose intervals meet, and the checked row witness maps meeting
+    intervals to equal or adjacent closure nodes.
     """
     _, rep = host_layout(inst)
     row_witness = embed_interval_graph(rep)
@@ -482,7 +486,7 @@ def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
     if host_cg.d > p.d:
         raise ValueError(f"host closure needs d = {host_cg.d} but params give {p.d}")
     proj, colour = {}, {}
-    for v, (u, y) in inst.witness.coords.items():
+    for v, (u, y) in inst.coords.items():
         node, col = row_witness.coords[u]
         proj[v] = (node, y)
         colour[v] = col
@@ -490,9 +494,7 @@ def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
     for a, b in inst.graph.edges():
         if proj[a] != proj[b]:
             pg.add_edge(proj[a], proj[b])
-    pw = ProductWitness(pg, (host_cg, PathFactor(inst.h)), {q: q for q in pg.vertices()})
-    pw.validate()
-    zeta = embed(p, pw)
+    zeta = embed(p, ProductWitness(pg, (host_cg, PathFactor(inst.h)), {q: q for q in pg.vertices()}))
     mapping = {v: (zeta[proj[v]], colour[v]) for v in inst.graph.vertices()}
     out = QtEmbedding(mapping=mapping, omega=omega, params=p)
     validate_qt_embedding(p, inst, out)

@@ -8,7 +8,7 @@ from collections.abc import Iterator, Sequence
 from uniprod.bitcore import Bst, check_bits, is_prefix, strip_successor, successor_set
 from uniprod.decomp import QtInstance, TreeDecomposition, _is_path, normalize_decomposition
 from uniprod.induced import Label, LabelParams, LabelledInstance, _derive_tester_view, adjacency_test
-from uniprod.product import Graph, PathFactor, ProductWitness
+from uniprod.product import Graph
 from uniprod.treeseq import LcpCodec
 from uniprod.unigraph import UgParams, check_vertex, is_edge, row_graph
 
@@ -266,9 +266,7 @@ def strip_instance(k: int, h: int, s: int) -> QtInstance:
     edges = [(i, index[u + du, y + dy]) for i, (u, y) in coords.items() for du, dy in ((1, 0), (0, 1))
              if (u + du, y + dy) in index]
     graph = Graph(coords, edges, name=f"strip(k={k}, h={h}, s={s})")
-    witness = ProductWitness(graph, (host, PathFactor(h)), coords)
-    witness.validate()
-    return QtInstance(graph, witness, host, decomposition, t=1, h=h, seed=0)
+    return QtInstance(graph, host, coords, decomposition, t=1, h=h, seed=0)
 
 
 def check_tree_sequence(rows, trees) -> None:

@@ -12,7 +12,7 @@ from graphs import assert_is_edge_graph, read_host, strip_instance
 import uniprod
 from uniprod import cli, unigraph
 from uniprod.cli import main
-from uniprod.decomp import QtInstance, generate_qt_instance
+from uniprod.decomp import QtInstance, TreeDecomposition, generate_qt_instance
 from uniprod.induced import build_context, label_instance
 from uniprod.io import write_records
 from uniprod.product import Graph, ProductWitness
@@ -67,10 +67,9 @@ def test_embed_writes_the_bytes_of_write_records(tmp_path):
     names = odd + [f'v"{k}\\' for k in range(inst.graph.n - len(odd))]
     rename = dict(zip(sorted(inst.graph.vertices(), key=repr), names))
     graph = Graph(map(rename.__getitem__, inst.graph.vertices()), [(rename[a], rename[b]) for a, b in inst.graph.edges()])
-    coords = {rename[g]: c for g, c in inst.witness.coords.items()}
-    witness = ProductWitness(graph, inst.witness.factors, coords)
+    coords = {rename[g]: c for g, c in inst.coords.items()}
     path, got, want = tmp_path / "inst.jsonl", tmp_path / "got.jsonl", tmp_path / "want.jsonl"
-    dataclasses.replace(inst, graph=graph, witness=witness).write_jsonl(path)
+    dataclasses.replace(inst, graph=graph, coords=coords).write_jsonl(path)
     run("embed", "--instance", str(path), "--out", str(got))
     p = UgParams(inst.graph.n)
     emb = embed_qt(p, QtInstance.read_jsonl(path))
@@ -444,6 +443,85 @@ def test_a_repeated_decomposition_node_exits_1(tmp_path, capsys):
     capsys.readouterr()
     run("embed", "--instance", str(inst), "--out", str(tmp_path / "wit.jsonl"), check=1)
     assert f"{inst}:{k + 2}: decomposition node {rec['dnode']!r} is given twice" in capsys.readouterr().err
+
+
+def refused_by_every_instance_reader(tmp_path, capsys, inst, line):
+    """embed, verify and label each exit 1 on inst, their one stderr line being line."""
+    wit = tmp_path / "wit.jsonl"
+    wit.write_text(json.dumps({"kind": "qt-witness", "n": 1, "lam": 1, "omega": 1}) + "\n")
+    for argv in (["embed", "--out", str(tmp_path / "out.jsonl")], ["verify", "--witness", str(wit)],
+                 ["label", "--out", str(tmp_path / "labels.jsonl")]):
+        capsys.readouterr()
+        run(argv[0], "--instance", str(inst), *argv[1:], check=1)
+        assert capsys.readouterr().err == line, argv[0]
+
+
+def test_an_instance_edge_between_rows_two_apart_names_the_file(tmp_path, capsys):
+    # vertex 0 sits in row 1 and vertex 11 in row 3
+    inst = tmp_path / "inst.jsonl"
+    run("gen", "qt", "--t", "2", "--n", "30", "--h", "3", "--seed", "4", "--out", str(inst))
+    with inst.open("a") as fh:
+        fh.write(json.dumps({"ge": [0, 11]}) + "\n")
+    line = f"error: {inst}:1: edge 0-11: 1,3 not equal or adjacent in PathFactor(3)\n"
+    refused_by_every_instance_reader(tmp_path, capsys, inst, line)
+
+
+def test_a_bag_that_misses_a_host_edge_names_the_file(tmp_path, capsys):
+    # in a 1-tree's family decomposition, the bag of a leaf v is {v, its parent};
+    # dropping the parent leaves the edge between them in no bag
+    inst = tmp_path / "inst.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "10", "--h", "2", "--seed", "1", "--out", str(inst))
+    host = QtInstance.read_jsonl(inst).host
+    recs = [json.loads(line) for line in inst.read_text().splitlines()]
+    parents = {rec["de"][1] for rec in recs if "de" in rec}
+    k = next(k for k, rec in enumerate(recs) if "dnode" in rec and rec["dnode"] not in parents)
+    v = recs[k]["dnode"]
+    (parent,) = set(recs[k]["bag"]) - {v}
+    recs[k] = {**recs[k], "bag": [v]}
+    inst.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    a, b = next(e for e in host.edges() if set(e) == {v, parent})
+    refused_by_every_instance_reader(tmp_path, capsys, inst, f"error: {inst}:1: edge {a}-{b} in no bag\n")
+
+
+def test_a_width_0_instance_is_refused_naming_the_file(tmp_path, capsys):
+    # an edgeless host with one-vertex bags has width 0, as its header says
+    inst = tmp_path / "inst.jsonl"
+    recs = [{"kind": "qt-instance", "t": 0, "h": 1, "seed": 0}, {"gv": 0, "c": [0, 1]}, {"gv": 1, "c": [1, 1]},
+            {"hv": 0}, {"hv": 1}, {"dnode": 0, "bag": [0]}, {"dnode": 1, "bag": [1]}, {"de": [0, 1]}]
+    inst.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    refused_by_every_instance_reader(tmp_path, capsys, inst, f"error: {inst}:1: t >= 1 required\n")
+
+
+def count_checks(monkeypatch):
+    """Count ProductWitness.validate and TreeDecomposition.validate calls, in a two-item list."""
+    calls = [0, 0]
+    for i, cls in enumerate((ProductWitness, TreeDecomposition)):
+        def counted(self, *args, _validate=cls.validate, _i=i):
+            calls[_i] += 1
+            return _validate(self, *args)
+
+        monkeypatch.setattr(cls, "validate", counted)
+    return calls
+
+
+def test_each_claim_is_checked_once_per_command(tmp_path, monkeypatch):
+    # the ledger in the uniprod docstring: the reader checks the instance,
+    # embed_interval_graph the row witness and validate_qt_embedding the
+    # output; nothing checks again what these imply
+    inst, wit, labels = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl", tmp_path / "labels.jsonl"
+    run("gen", "qt", "--t", "2", "--n", "64", "--h", "4", "--seed", "3", "--out", str(inst))
+    calls = count_checks(monkeypatch)
+    counts = {}
+    for argv in (["embed", "--instance", str(inst), "--out", str(wit)],
+                 ["verify", "--instance", str(inst), "--witness", str(wit)],
+                 ["label", "--instance", str(inst), "--out", str(labels)],
+                 ["test-adjacency", "--labels", str(labels)],
+                 ["assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl")]):
+        calls[:] = [0, 0]
+        run(*argv)
+        counts[argv[0]] = tuple(calls)
+    assert counts == {"embed": (3, 1), "verify": (2, 1), "label": (1, 1), "test-adjacency": (0, 0),
+                      "assemble": (0, 0)}
 
 
 def test_label_header_scheme_must_match_the_labels(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import math
 import random
+import re
 
 import pytest
-from graphs import path_shaped, reference_path_decomposition, reference_ttree
+from graphs import path_shaped, reference_path_decomposition, reference_ttree, strip_instance
 
 from uniprod.decomp import (
     QtInstance,
@@ -11,13 +13,14 @@ from uniprod.decomp import (
     TreeDecomposition,
     build_ttree,
     generate_qt_instance,
+    host_layout,
     normalize_decomposition,
     path_decomposition_to_intervals,
     tree_to_path_decomposition,
     ttree_from_decomposition,
 )
 from uniprod.harness import gen_bad_example
-from uniprod.product import Graph
+from uniprod.product import Graph, PathFactor, ProductWitness
 
 
 def sample_tree_decomposition():
@@ -242,10 +245,10 @@ def test_generate_qt_instance_contract():
         h = rng.randint(1, max(1, n // 2))
         inst = generate_qt_instance(t, n, h, rng_seed=trial)
         assert inst.graph.n == n
-        inst.witness.validate()
+        ProductWitness(inst.graph, (inst.host, PathFactor(h)), inst.coords).validate()
         inst.decomposition.validate(inst.host)
         assert inst.decomposition.width == t
-        rows = {y for _, y in inst.witness.coords.values()}
+        rows = {y for _, y in inst.coords.values()}
         assert rows == set(range(1, h + 1))
     with pytest.raises(ValueError):
         generate_qt_instance(2, 3, 5)
@@ -259,5 +262,46 @@ def test_qt_instance_jsonl_roundtrip(tmp_path):
     assert (back.t, back.h, back.seed) == (inst.t, inst.h, inst.seed)
     assert sorted(back.graph.vertices()) == sorted(inst.graph.vertices())
     assert sorted(map(sorted, back.graph.edges())) == sorted(map(sorted, inst.graph.edges()))
-    assert back.witness.coords == inst.witness.coords
+    assert back.coords == inst.coords
     assert back.decomposition.bags == inst.decomposition.bags
+
+
+def test_a_qt_instance_is_checked_when_it_is_built():
+    # each mutant breaks a claim that embed and label no longer check again
+    inst = generate_qt_instance(2, 20, 3, rng_seed=5)
+    coords, host = inst.coords, inst.host
+    a, b = next((a, b) for a, b in itertools.combinations(sorted(coords), 2)
+                if coords[a][1] == coords[b][1] and not host.has_edge(coords[a][0], coords[b][0])
+                and coords[a][0] != coords[b][0])
+    graph = Graph(inst.graph.vertices(), [*inst.graph.edges(), (a, b)])
+    wider = Graph([*host.vertices(), 99], host.edges())
+    mutants = {
+        f"edge {a}-{b}: {coords[a][0]},{coords[b][0]} not equal or adjacent in {host!r}": {"graph": graph},
+        "vertices not covered: ['99']": {"host": wider},
+        "header says t = 3 but the decomposition has width 2": {"t": 3},
+        "t >= 1 required": {"t": 0},
+    }
+    for message, change in mutants.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(inst, **change)
+
+
+def test_host_layouts_keep_the_host_and_family_decompositions_are_valid():
+    # host_layout does not check that the t-tree completion keeps every host
+    # edge, nor family_decomposition its bags: both hold by construction
+    rng = random.Random(8)
+    insts = []
+    for seed in range(30):
+        t = rng.randint(1, 3)
+        n = rng.randint(t + 2, 80)
+        insts.append(generate_qt_instance(t, n, rng.randint(1, n // 2), rng_seed=seed))
+    insts += [strip_instance(k, h, s) for k, h, s in ((3, 4, 1), (8, 6, 2), (5, 3, 5))]
+    bad = [gen_bad_example(n, i, j) for n, i, j in ((24, 1, 2), (48, 3, 1), (120, 10, 10))]
+    ttrees = [ex.layout[0] for ex in bad]
+    for inst in insts + [ex.instance for ex in bad]:
+        tt, _ = host_layout(inst)
+        assert inst.host.vertices() <= tt.graph.vertices()
+        assert all(tt.graph.has_edge(u, v) for u, v in inst.host.edges())
+        ttrees.append(tt)
+    for tt in ttrees:
+        tt.family_decomposition().validate(tt.graph)

@@ -11,6 +11,7 @@ from uniprod.harness import (
     run_suite,
 )
 from uniprod.induced import SCHEMES, LabelParams, adjacency_test, build_context, label_instance
+from uniprod.product import PathFactor, ProductWitness
 
 
 def test_bad_example_recipe_counts():
@@ -44,7 +45,7 @@ def test_bad_example_is_a_tree_with_matching_intervals():
     assert not rep.meets("a", "b")
     assert tt.order[0] == ex.spine["w"]
     assert {frozenset(e) for e in tt.graph.edges()} == {frozenset(e) for e in graph.edges()}
-    ex.instance.witness.validate()
+    ProductWitness(graph, (graph, PathFactor(1)), ex.instance.coords).validate()
 
 
 def test_bad_example_ttrees_are_valid():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from uniprod import induced
 from uniprod.closure import IntervalRep, perturb_left_endpoints
-from uniprod.decomp import TTree, generate_qt_instance, host_layout
+from uniprod.decomp import TTree, TreeDecomposition, generate_qt_instance, grow_ttree, host_layout
 from uniprod.induced import (
     SCHEMES,
     Label,
@@ -355,7 +355,7 @@ def test_prescribed_ttree_is_validated():
     # such a t-tree is refused when it is built, so no layout can carry it
     inst = generate_qt_instance(2, 12, 1, rng_seed=3)
     tt, _ = host_layout(inst)
-    coords = inst.witness.coords
+    coords = inst.coords
     used = {frozenset((coords[a][0], coords[b][0])) for a, b in inst.graph.edges()}
     v, w = next((v, w) for v in reversed(tt.order) for w in sorted(tt.attach[v]) if frozenset((v, w)) not in used)
     with pytest.raises(ValueError, match=f"^attach set of {v!r} has wrong size$"):
@@ -377,6 +377,33 @@ def test_prescribed_layout_must_cover_every_ttree_edge():
     rep = IntervalRep({**rep.intervals, "a1": (48, 48)})
     with pytest.raises(ValueError, match="interval supergraph misses edge"):
         build_context(ex.instance, layout=(tt, rep))
+
+
+def test_prescribed_layout_must_hold_every_host_vertex_and_edge():
+    # the prescribed 1-tree hangs leaf a1 off the hub v, whose interval meets
+    # every other, in place of its centre a: the intervals realize the
+    # 1-tree, but the instance's edge a-a1 has no 1-tree edge to land on
+    ex = gen_bad_example(48, 1, 1)
+    tt, rep = ex.layout
+    host = ex.instance.host
+    tree = Graph(host.vertices(), [*(e for e in host.edges() if set(e) != {"a", "a1"}), ("v", "a1")])
+    order, parent = [tt.order[0]], {tt.order[0]: None}
+    for x in order:
+        for y in sorted(tree.neighbors(x)):
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    other = grow_ttree(1, order, lambda i, cliques: (frozenset({parent[order[i]]}), parent[order[i]]))
+    assert other.graph.has_edge("v", "a1") and ex.instance.graph.has_edge("a", "a1")
+    with pytest.raises(ValueError, match="^layout t-tree misses host edge 'a'-'a1'$"):
+        build_context(ex.instance, layout=(other, rep))
+    # an isolated host vertex, in a bag of its own, that the prescribed 1-tree lacks
+    td = ex.instance.decomposition
+    decomposition = TreeDecomposition({**td.bags, "z": {"z"}}, [*td.edges, ("z", "v")])
+    wider = dataclasses.replace(ex.instance, host=Graph([*host.vertices(), "z"], host.edges()),
+                                decomposition=decomposition)
+    with pytest.raises(ValueError, match="^layout t-tree misses host vertex 'z'$"):
+        build_context(wider, layout=ex.layout)
 
 
 def test_prescribed_layout_must_realize_every_instance_edge():
@@ -406,7 +433,7 @@ def audit_mutants(ctx, li):
     edges = sorted(li.graph.edges(), key=repr)
     for e in edges[:3]:  # a removed edge
         yield with_graph(li, Graph(vertices, (f for f in edges if f != e)))
-    coords = ctx.instance.witness.coords
+    coords = ctx.instance.coords
     far = [(a, b) for a, b in itertools.combinations(vertices, 2) if abs(coords[a][1] - coords[b][1]) > 1]
     for a, b in far[:2]:  # an added edge between two rows that do not meet
         yield with_graph(li, Graph(vertices, edges + [(a, b)]))
@@ -442,7 +469,7 @@ def test_audit_raises_exactly_when_the_all_pairs_oracle_does():
 def test_audit_names_an_edge_out_of_reach():
     ctx = build_context(generate_qt_instance(2, 20, 5, rng_seed=4))
     li = label_instance(ctx, "fixed")
-    coords = ctx.instance.witness.coords
+    coords = ctx.instance.coords
     a, b = next((a, b) for a, b in itertools.combinations(sorted(coords), 2) if coords[b][1] - coords[a][1] > 1)
     mutant = with_graph(li, Graph(li.graph.vertices(), list(li.graph.edges()) + [(a, b)]))
     want = f"edge {a!r}-{b!r} joins rows {li.labels[a].alpha1!r} and {li.labels[b].alpha1!r}"
@@ -453,7 +480,7 @@ def test_audit_names_an_edge_out_of_reach():
 def test_audit_names_an_in_reach_edge_whose_keys_never_meet():
     ctx = build_context(generate_qt_instance(2, 20, 5, rng_seed=4))
     li = label_instance(ctx, "fixed")
-    coords = ctx.instance.witness.coords
+    coords = ctx.instance.coords
     vertices = sorted(coords)
     # same row, and neither host vertex is a clique parent of the other
     a, b = next((a, b) for a, b in itertools.combinations(vertices, 2)
