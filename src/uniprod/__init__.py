@@ -11,39 +11,90 @@ vertex compression) is its own module with exact validity checks.
 Each claim is checked once per command, by one function:
 
 - an instance is a product witness in host x P_h, its decomposition is
-  a tree decomposition of the host, and its width is t >= 1:
-  QtInstance, when it is built (so inside the reader, and in every
-  generator);
-- a t-tree is well formed: TTree, when it is built;
+  a tree decomposition of the host, its width is t >= 1, and it has a
+  vertex: QtInstance, when it is built (so inside the reader, and in
+  every generator);
+- a t-tree is well formed: TTree, when it is built (its order, attach
+  sets and owners);
 - the host's intervals embed in closure x K_omega: embed_interval_graph;
 - a host layout is fit to label: build_context checks every layout it
   gets, computed or prescribed (its t-tree holds every host vertex and
   host edge, every t-tree vertex has an interval, every t-tree edge's
   intervals meet);
-- an embedding is a witness in G_n x K_omega: validate_qt_embedding,
-  in embed and in verify (embed's is_edge pass over the edge images
-  comes first, to say why an image fails);
+- an embedding is a witness in G_n x K_omega: in embed, embed's own
+  budget check and its is_edge pass over the edge images, which names
+  the lambda cause of a failure; in verify, validate_qt_embedding on
+  the witness file;
 - labels decide the instance's graph: verify_labelling, and
-  assemble_universal for each instance it takes.
+  assemble_universal for each instance it takes;
+- no two vertices of one instance share a label: label_instance, and
+  assemble_universal for each instance it takes (the label file reader
+  refuses a shared label on its line);
+- a saturator read from a file is well formed: Saturator.validate; a
+  saturator saturates: verify_saturation.
 
-So embed runs three product witness checks (instance, intervals,
-output) and one decomposition check, verify two and one, label one and
-one, test-adjacency and assemble none.  These checks are not run, as
-the checks above imply them:
+So embed runs two product witness checks (instance, intervals) and one
+decomposition check, verify two and one, label one and one,
+test-adjacency, assemble and compress none.  These checks are not run,
+as the checks above, or the construction, imply them:
 
 - the projection of an instance onto closure x P_h in embed_qt: an
   instance edge joins equal or host-adjacent vertices in equal or
   adjacent rows, each host edge is a t-tree edge whose intervals meet,
   and the row witness maps meeting intervals to equal or adjacent
   closure nodes;
+- validate_qt_embedding in embed_qt: each triple passed embed's budget
+  check, z is a closure depth at most d, each colour is in 1..omega by
+  the row witness, (triple, colour) is injective as the row witness,
+  the instance coords and embed's placement are, an edge whose ends
+  project to one cell joins two colours, and every other edge image
+  passed is_edge;
+- embed's collision check: two cells of one row at one closure depth
+  have disjoint descendant intervals, each holding its own key, so they
+  get different nodes; any other two cells differ in y or in z;
 - host_layout's check that the t-tree completion keeps each host edge:
   a bag holds each host edge, and ttree_from_decomposition attaches
   each vertex to all its earlier bag-clique neighbours;
+- TTree's clique and colour checks: the first t + 1 attach sets are all
+  the earlier vertices, and each later one lies in its owner's family
+  clique, a clique with t + 1 colours, so by induction it is a clique
+  and greedy colouring gives its vertex the one missing colour;
 - the decomposition check in TTree.family_decomposition: its bags form
   a tree decomposition of any valid t-tree, as its docstring proves;
 - the instance as a witness in (t-tree) x P_h in build_context: it is
   one in host x P_h, and the layout check puts every host vertex and
-  host edge in the t-tree.
+  host edge in the t-tree;
+- fixup's check that each node stays on its root path: run_fixup_pass
+  only ever moves a node to an ancestor of its current one;
+- make_label's check that each clique path ends at most one level
+  below the vertex's own node: _place's chain check puts the vertex's
+  own node on its clique's root path, and fixup checks that every
+  clique parent of every member of s_plus, which holds every carrier,
+  lies at most one level below that member;
+- Saturator.validate in build_saturator: k divides N, and each round
+  gives each v one neighbour perm[v] // k < N / k, so every degree is at
+  most d_sat and every neighbour lies in U.
+
+The call sites of these checks, as "module.function: check" (the test
+of the package surface pins them):
+
+    cli._cmd_compress: verify_saturation
+    cli._cmd_test_adjacency: verify_labelling
+    cli._cmd_verify: validate_qt_embedding
+    closure.embed_interval_graph: validate
+    compressor.Saturator.read_jsonl: validate
+    compressor.embed_compressed: validate
+    decomp.QtInstance.__post_init__: validate
+    decomp.TTree.__post_init__: _check_owners
+    decomp.TTree.validate: _check_owners
+    harness._suite_compression: verify_saturation
+    harness._suite_labels: verify_labelling
+    harness.bad_family_counts: verify_labelling
+    induced.assemble_universal: _check_distinct
+    induced.assemble_universal: _check_induced
+    induced.label_instance: _check_distinct
+    induced.verify_labelling: _check_induced
+    unigraph.validate_qt_embedding: validate
 """
 
 from .bitcore import Bst, build_biased_bst, successor_set

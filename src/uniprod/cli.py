@@ -9,8 +9,9 @@ overridable via UNIPROD_CACHE.
 
 Exit codes: 0 success; 1 verification failed or an input was rejected
 (AssertionError, ValueError, OSError); 2 bad usage; 3 internal error: any
-other exception is a bug, RuntimeError included (embed raises it only for
-its cannot-happen cases), and its traceback goes to stderr.
+other exception is a bug, RuntimeError included (embed raises it only as
+"edge image ... fails adjacency", which cannot happen), and its traceback
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _cmd_embed(args) -> int:
     emb = embed_qt(p, inst)
     out = _out_path(args, os.path.basename(args.instance) + ".witness.jsonl")
     # the bytes of write_records on {"v": v, "i": col, "x": x, "y": y, "z": z}:
-    # x and y passed check_bits in embed_qt, and col and z are ints
+    # x and y are row-tree signatures, and col and z are ints
     lines = (
         f'{{"v": {json_id(v)}, "i": {col}, "x": "{x}", "y": "{y}", "z": {z}}}\n'
         for v, ((x, y, z), col) in sorted(emb.mapping.items(), key=lambda item: repr(item[0]))

@@ -39,6 +39,7 @@ class Saturator:
         return self.n_v // self.k
 
     def validate(self) -> None:
+        """Checks a saturator read from a file; build_saturator's are valid by construction."""
         if self.n_v % self.k:
             raise ValueError("N must be divisible by k")
         if set(self.adj) != set(range(self.n_v)):
@@ -80,7 +81,10 @@ def build_saturator(n0: int, k: int, eps: float, seed: int = 0) -> Saturator:
     so every V-vertex gains at most one neighbour per round.  The round
     count d_sat follows the 2^8 k^2 / eps^2 window, clamped to |U|.  The
     rounds draw neighbours independently, so even at d_sat = |U| a
-    V-vertex meets only about 1 - 1/e of U, not all of it.
+    V-vertex meets only about 1 - 1/e of U, not all of it.  The result is
+    valid by construction, so it is not checked: k divides N, and each
+    round gives each v one neighbour perm[v] // k < N / k, so every
+    degree is at most d_sat and every neighbour lies in U.
     """
     if n0 < 1 or k < 1 or eps <= 0:
         raise ValueError("need n0 >= 1, k >= 1, eps > 0")
@@ -94,7 +98,7 @@ def build_saturator(n0: int, k: int, eps: float, seed: int = 0) -> Saturator:
         rng.shuffle(perm)
         for v in range(n_v):
             adj[v].add(perm[v] // k)
-    s = Saturator(
+    return Saturator(
         n0=n0,
         k=k,
         eps=eps,
@@ -103,8 +107,6 @@ def build_saturator(n0: int, k: int, eps: float, seed: int = 0) -> Saturator:
         n_v=n_v,
         adj={v: frozenset(us) for v, us in adj.items()},
     )
-    s.validate()
-    return s
 
 
 @dataclass

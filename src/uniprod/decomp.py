@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 
 from .closure import IntervalRep
@@ -256,6 +256,13 @@ class TTree:
     itself, or the initial clique for the first t + 1 vertices); colour
     is a proper greedy colouring with t + 1 colours.  It is checked when
     it is built, so an invalid TTree raises ValueError and never exists.
+
+    Only the order, the attach sets and the owners are checked; the rest
+    follows by induction.  The first t + 1 attach sets are all the
+    earlier vertices, so the initial clique is a clique with t + 1
+    colours.  After that attach[v] lies in cliques[owner[v]], a clique
+    with t + 1 colours, so attach[v] is a clique with t colours, and the
+    greedy colouring gives v the one missing colour.
     """
 
     t: int
@@ -278,7 +285,7 @@ class TTree:
         for v in self.order:
             used = {self.colour[w] for w in self.attach[v]}
             self.colour[v] = min(c for c in range(1, self.t + 2) if c not in used)
-        self._check_cliques(pos)
+        self._check_owners(pos)
 
     @property
     def n(self) -> int:
@@ -304,7 +311,7 @@ class TTree:
 
     def validate(self) -> None:
         """The checks every TTree passed when it was built, run again."""
-        self._check_cliques(self._positions())
+        self._check_owners(self._positions())
 
     def _positions(self) -> dict:
         """Each vertex's index in order, once order and attach sets are fit to derive the rest from."""
@@ -322,14 +329,8 @@ class TTree:
                 raise ValueError(f"attach set of {v!r} has wrong size")
         return pos
 
-    def _check_cliques(self, pos: dict) -> None:
-        """Attach sets are cliques, family cliques carry every colour, and owners cover attach sets."""
-        for v in self.order:
-            if not all(self.graph.has_edge(a, b) for a, b in combinations(self.attach[v], 2)):
-                raise ValueError(f"attach set of {v!r} is not a clique")
-            cq = self.cliques[v]
-            if len(cq) != self.t + 1 or len({self.colour[w] for w in cq}) != self.t + 1:
-                raise ValueError(f"family clique of {v!r} misses a colour")
+    def _check_owners(self, pos: dict) -> None:
+        """Every owner is earlier, and past the initial clique its family clique covers the attach set."""
         for v in self.order[1:]:
             u = self.owner.get(v)
             if u is None or pos.get(u, pos[v]) >= pos[v]:
@@ -489,10 +490,10 @@ class QtInstance:
     """A graph drawn inside host x path, with the host's decomposition.
 
     coords places each graph vertex at a (host vertex, row) pair.  It is
-    checked when it is built: t >= 1, coords is a product witness in
-    host x P_h, the decomposition is a tree decomposition of the host,
-    and its width is t.  So an invalid QtInstance raises ValueError and
-    never exists.
+    checked when it is built: t >= 1, the graph has a vertex, coords is
+    a product witness in host x P_h, the decomposition is a tree
+    decomposition of the host, and its width is t.  So an invalid
+    QtInstance raises ValueError and never exists.
     """
 
     graph: Graph
@@ -506,6 +507,8 @@ class QtInstance:
     def __post_init__(self):
         if self.t < 1:
             raise ValueError("t >= 1 required")
+        if not self.graph.n:
+            raise ValueError("instance has no vertices")
         ProductWitness(self.graph, (self.host, PathFactor(self.h)), self.coords).validate()
         self.decomposition.validate(self.host)
         if self.decomposition.width != self.t:

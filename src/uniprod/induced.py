@@ -307,18 +307,18 @@ def fixup(ctx: LabelContext) -> LabelContext:
     """Bound every clique parent's node depth by its child's plus one.
 
     Sets ctx.fixed to the placement of the fixup pass over ctx.raw, whose
-    nodes are ancestors of the raw ones.  build_context runs it; running
-    it again recomputes it.
+    nodes are ancestors of the raw ones, as the pass only ever moves a
+    node to an ancestor of its current one.  Checks that every clique
+    parent lies at most one level below its child.  build_context runs
+    it; running it again recomputes it.
     """
     cliques = {v: frozenset(ctx.tt.cliques[v]) for v in ctx.tt.order}
     node = {}
     for y in range(1, ctx.h + 1):
-        tree, raw, present = ctx.trees[y], ctx.raw.node[y], set(ctx.s_plus[y])
+        tree, present = ctx.trees[y], set(ctx.s_plus[y])
         sig = tree.signatures()
-        node[y] = moved = run_fixup_pass(tree, raw, cliques, ctx.s_plus[y], ctx.rank.__getitem__)
+        node[y] = moved = run_fixup_pass(tree, ctx.raw.node[y], cliques, ctx.s_plus[y], ctx.rank.__getitem__)
         for v in ctx.s_plus[y]:
-            if not sig[raw[v]].startswith(sig[moved[v]]):
-                raise AssertionError(f"fixup moved {v!r} off its root path in row {y}")
             below = len(sig[moved[v]]) + 1
             for w in ctx.tt.cliques[v]:
                 if w in present and len(sig[moved[w]]) > below:
@@ -455,7 +455,11 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
     the vertex's own raw node signature plus one overflow bit per row.
     The label is checked where it is made: its transition code must
     decode to the next row's signature, and the fields it is drafted
-    from must survive a pack round trip.
+    from must survive a pack round trip.  Each overflow suffix r is at
+    most one bit without a check: _place's chain check puts v's own node
+    on its clique's root path, and fixup checks that every clique parent
+    of every member of s_plus, which holds every carrier, lies at most
+    one level below that member.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown label scheme {scheme!r}")
@@ -489,10 +493,7 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
             psi[i, b] = psi_yb[p]
             abits[i, b] = 1 if (p, yb) in near else 0
         if not legacy:
-            full, own = ctx.fixed.tops[yb][v], ctx.sig(yb, ctx.fixed.node[yb][v])
-            if not full.startswith(own) or len(full) - len(own) > 1:
-                raise AssertionError(f"clique path of {v!r} in row {yb} overruns its node by more than one level")
-            rsuf[b] = full[len(own):]
+            rsuf[b] = ctx.fixed.tops[yb][v][ctx.fixed.depth[yb][v]:]
 
     draft = Label(
         scheme=scheme,

@@ -129,8 +129,8 @@ class Graph:
         return read_records(path, "graph", parse)
 
 
-# Host factors: anything exposing vertex membership and an adjacency test,
-# a Graph included.
+# Host factors: anything exposing vertex membership and a symmetric
+# adjacency test, a Graph included.
 
 
 class PathFactor:
@@ -187,13 +187,14 @@ class ProductWitness:
     def validate(self) -> None:
         """Raise WitnessError unless this is a valid product embedding.
 
+        Every factor is symmetric: adjacent(x, y) == adjacent(y, x).
         has_vertex checks every coordinate of every vertex.  Each factor's
-        adjacency test then runs once per distinct ordered pair of unequal
+        adjacency test then runs once per distinct unordered pair of unequal
         coordinates that some edge puts side by side: it reads only the two
         values, which has_vertex has accepted, so the verdict of one pair
-        is the verdict of every edge that carries it.  The error names the
-        first failing edge in graph.edges() order and, within that edge,
-        the first failing factor.
+        is the verdict of every edge that carries it, in either orientation.
+        The error names the first failing edge in graph.edges() order and,
+        within that edge, the first failing factor.
         """
         factors, coords = self.factors, self.coords
         n = len(factors)
@@ -213,10 +214,10 @@ class ProductWitness:
         ends = [(coords[u], coords[v]) for u, v in edges]
         failures = []  # (edge index, factor index)
         for k, f in enumerate(factors):
-            first = {}  # (x, y) -> index of the first edge that puts x beside y in factor k
+            first = {}  # (x, y) -> index of the first edge that puts x beside y, either way round, in factor k
             for i, (cu, cv) in enumerate(ends):
-                pair = cu[k], cv[k]
-                if pair not in first:
+                x, y = pair = cu[k], cv[k]
+                if pair not in first and (y, x) not in first:
                     first[pair] = i
             failures += ((i, k) for (x, y), i in first.items() if x != y and not f.adjacent(x, y))
         # an edge whose coordinates are all equal cannot occur: coords are injective

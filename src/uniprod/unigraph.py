@@ -410,9 +410,12 @@ def embed(p: UgParams, w: ProductWitness) -> dict:
 
     Per-row trees come from the tree-sequence builder over the closure
     nodes each row uses; the row tree is biased by tree sizes, so the
-    two signature lengths always fit the vertex budget.  Every edge
-    image is checked with is_edge; a failing transition certificate
-    reports its length against lam.
+    two signature lengths always fit the vertex budget.  The map is
+    injective by construction: two cells of one row at one closure depth
+    have disjoint descendant intervals, each holding its own key, so
+    min_depth_in_range gives them different nodes; any other two cells
+    differ in y or in z.  Every edge image is checked with is_edge; a
+    failing transition certificate reports its length against lam.
     """
     if len(w.factors) != 2:
         raise ValueError("expected a closure x path witness")
@@ -442,8 +445,6 @@ def embed(p: UgParams, w: ProductWitness) -> dict:
                 f"lambda too small: signatures take {len(x) + len(y)} bits, budget is {p.budget}"
             )
         zeta[v] = (x, y, cg.depth(c))
-    if len(set(zeta.values())) != len(zeta):
-        raise RuntimeError("embedding collided; depth coordinate failed to separate")
     for a, b in w.graph.edges():
         if not is_edge(p, zeta[a], zeta[b]):
             needs = [
@@ -479,6 +480,15 @@ def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
     vertices in equal or adjacent rows, each host edge is a t-tree edge
     whose intervals meet, and the checked row witness maps meeting
     intervals to equal or adjacent closure nodes.
+
+    The result is a witness in G_n x K_omega without a second check,
+    which verify runs on a witness file: each triple is two row-tree
+    signatures within embed's budget check, with z a closure depth at
+    most host_cg.d <= p.d; each colour is in 1..omega, by the row
+    witness; (triple, colour) is injective, as the row witness, the
+    instance coords and embed are; an edge whose two ends project to one
+    cell joins two different colours; and every other edge image passed
+    embed's is_edge.
     """
     _, rep = host_layout(inst)
     row_witness = embed_interval_graph(rep)
@@ -496,11 +506,9 @@ def embed_qt(p: UgParams, inst: QtInstance) -> QtEmbedding:
             pg.add_edge(proj[a], proj[b])
     zeta = embed(p, ProductWitness(pg, (host_cg, PathFactor(inst.h)), {q: q for q in pg.vertices()}))
     mapping = {v: (zeta[proj[v]], colour[v]) for v in inst.graph.vertices()}
-    out = QtEmbedding(mapping=mapping, omega=omega, params=p)
-    validate_qt_embedding(p, inst, out)
-    return out
+    return QtEmbedding(mapping=mapping, omega=omega, params=p)
 
 
 def validate_qt_embedding(p: UgParams, inst: QtInstance, emb: QtEmbedding) -> None:
-    """Edge-by-edge audit of a pipeline result, as a witness over G_n x K_omega."""
+    """Edge-by-edge audit of an embedding as a witness over G_n x K_omega; verify runs it on a witness file."""
     ProductWitness(inst.graph, (p, CliqueFactor(emb.omega)), emb.mapping).validate()

@@ -137,3 +137,54 @@ def file_writers():
 
 def test_only_the_line_writer_and_the_report_writers_open_files_for_writing():
     assert file_writers() == sorted(WRITERS)
+
+
+# The ledger in the uniprod docstring names the one function that checks
+# each claim; these are the calls that run those checks.
+CHECKS = ("validate", "validate_qt_embedding", "verify_labelling", "verify_saturation",
+          "_check_induced", "_check_distinct", "_check_owners")
+CHECK_SITES = (
+    "cli._cmd_compress: verify_saturation",
+    "cli._cmd_test_adjacency: verify_labelling",
+    "cli._cmd_verify: validate_qt_embedding",
+    "closure.embed_interval_graph: validate",
+    "compressor.Saturator.read_jsonl: validate",
+    "compressor.embed_compressed: validate",
+    "decomp.QtInstance.__post_init__: validate",
+    "decomp.TTree.__post_init__: _check_owners",
+    "decomp.TTree.validate: _check_owners",
+    "harness._suite_compression: verify_saturation",
+    "harness._suite_labels: verify_labelling",
+    "harness.bad_family_counts: verify_labelling",
+    "induced.assemble_universal: _check_distinct",
+    "induced.assemble_universal: _check_induced",
+    "induced.label_instance: _check_distinct",
+    "induced.verify_labelling: _check_induced",
+    "unigraph.validate_qt_embedding: validate",
+)
+
+
+def check_sites():
+    """Each distinct "function: check" pair of a call to a check in the package."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                if name in CHECKS:
+                    found.add(f"{scope}: {name}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for mod, tree in _modules().items():
+        visit(tree, mod)
+    return sorted(found)
+
+
+def test_every_check_runs_where_the_ledger_says():
+    # a check added, moved or removed changes this list, and the ledger with it
+    assert check_sites() == sorted(CHECK_SITES)
+    ledger = {line.strip() for line in ast.get_docstring(ast.parse((SRC / "__init__.py").read_text())).splitlines()}
+    assert [site for site in CHECK_SITES if site not in ledger] == []

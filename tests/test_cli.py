@@ -12,6 +12,7 @@ from graphs import assert_is_edge_graph, read_host, strip_instance
 import uniprod
 from uniprod import cli, unigraph
 from uniprod.cli import main
+from uniprod.compressor import Saturator
 from uniprod.decomp import QtInstance, TreeDecomposition, generate_qt_instance
 from uniprod.induced import build_context, label_instance
 from uniprod.io import write_records
@@ -493,9 +494,9 @@ def test_a_width_0_instance_is_refused_naming_the_file(tmp_path, capsys):
 
 
 def count_checks(monkeypatch):
-    """Count ProductWitness.validate and TreeDecomposition.validate calls, in a two-item list."""
-    calls = [0, 0]
-    for i, cls in enumerate((ProductWitness, TreeDecomposition)):
+    """Count ProductWitness.validate, TreeDecomposition.validate and Saturator.validate calls, in a list."""
+    calls = [0, 0, 0]
+    for i, cls in enumerate((ProductWitness, TreeDecomposition, Saturator)):
         def counted(self, *args, _validate=cls.validate, _i=i):
             calls[_i] += 1
             return _validate(self, *args)
@@ -506,22 +507,41 @@ def count_checks(monkeypatch):
 
 def test_each_claim_is_checked_once_per_command(tmp_path, monkeypatch):
     # the ledger in the uniprod docstring: the reader checks the instance,
-    # embed_interval_graph the row witness and validate_qt_embedding the
-    # output; nothing checks again what these imply
+    # embed_interval_graph the row witness, embed's is_edge pass its output
+    # and validate_qt_embedding a witness file; nothing checks again what
+    # these imply, and a saturator is checked only when it is read
     inst, wit, labels = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl", tmp_path / "labels.jsonl"
+    host = tmp_path / "ug4.jsonl"
     run("gen", "qt", "--t", "2", "--n", "64", "--h", "4", "--seed", "3", "--out", str(inst))
+    run("build-ug", "--n", "4", "--lambda", "1", "--mode", "explicit", "--out", str(host))
     calls = count_checks(monkeypatch)
     counts = {}
     for argv in (["embed", "--instance", str(inst), "--out", str(wit)],
                  ["verify", "--instance", str(inst), "--witness", str(wit)],
                  ["label", "--instance", str(inst), "--out", str(labels)],
                  ["test-adjacency", "--labels", str(labels)],
-                 ["assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl")]):
-        calls[:] = [0, 0]
+                 ["assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl")],
+                 ["compress", "--graph", str(host), "--k", "2", "--out", str(tmp_path / "c.jsonl")]):
+        calls[:] = [0, 0, 0]
         run(*argv)
         counts[argv[0]] = tuple(calls)
-    assert counts == {"embed": (3, 1), "verify": (2, 1), "label": (1, 1), "test-adjacency": (0, 0),
-                      "assemble": (0, 0)}
+    assert counts == {"embed": (2, 1, 0), "verify": (2, 1, 0), "label": (1, 1, 0), "test-adjacency": (0, 0, 0),
+                      "assemble": (0, 0, 0), "compress": (0, 0, 0)}
+    Saturator.read_jsonl(tmp_path / "c.saturator.jsonl")
+    assert calls == [0, 0, 1]
+
+
+def test_an_instance_with_no_vertices_is_refused_naming_its_file(tmp_path, capsys):
+    # t = 1, host vertices 0 and 1, one host edge, one bag, no gv records
+    inst = tmp_path / "empty.jsonl"
+    write_records(inst, "qt-instance", {"t": 1, "h": 1, "seed": 0},
+                  [{"hv": 0}, {"hv": 1}, {"he": [0, 1]}, {"dnode": 0, "bag": [0, 1]}])
+    for argv in (["embed", "--instance", str(inst)], ["embed", "--instance", str(inst), "--n", "4"],
+                 ["verify", "--instance", str(inst), "--witness", str(tmp_path / "none.jsonl")],
+                 ["label", "--instance", str(inst)], ["label", "--instance", str(inst), "--n", "4"]):
+        capsys.readouterr()
+        run(*argv, check=1)
+        assert capsys.readouterr().err == f"error: {inst}:1: instance has no vertices\n", argv
 
 
 def test_label_header_scheme_must_match_the_labels(tmp_path, capsys):

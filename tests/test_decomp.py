@@ -139,7 +139,7 @@ def test_ttree_reachable_ancestors_bound():
 def test_ttree_rejects_bad_shapes():
     # 4 attaches to {2, 3}, which no attach set joins
     attach = {0: frozenset(), 1: frozenset({0}), 2: frozenset({0, 1}), 3: frozenset({0, 1}), 4: frozenset({2, 3})}
-    with pytest.raises(ValueError, match="attach set of 4 is not a clique"):
+    with pytest.raises(ValueError, match="owner clique does not cover attach set of 4"):
         TTree(t=2, order=list(range(5)), attach=attach, owner={1: 0, 2: 1, 3: 2, 4: 3})
     with pytest.raises(ValueError, match="need at least t \\+ 1 vertices"):
         TTree(t=2, order=[0, 1], attach={0: frozenset(), 1: frozenset({0})}, owner={1: 0})
@@ -178,6 +178,31 @@ def test_ttree_checks_owners_at_construction():
     assert refusal(2, [0, 1, 2, 3, 4], attach, {1: 0, 2: 1, 3: 2, 4: 2}) == (
         "owner clique does not cover attach set of 4"
     )
+
+
+def test_every_accepted_ttree_has_clique_attach_sets_and_full_colour_cliques():
+    # TTree checks only the order, attach sets and owners; on random shapes
+    # (attach sets of the right size, random earlier owners) every tree it
+    # accepts has clique attach sets and t + 1 colours in each family clique
+    rng = random.Random(27)
+    accepted = refused = 0
+    for _ in range(2000):
+        t = rng.randint(1, 3)
+        order = list(range(rng.randint(t + 1, 9)))
+        attach = {v: frozenset(range(v)) if v <= t else frozenset(rng.sample(range(v), t)) for v in order}
+        owner = {v: rng.randrange(v) for v in order[1:]}
+        try:
+            tt = TTree(t, order, attach, owner)
+        except ValueError as exc:
+            assert str(exc).startswith("owner clique does not cover attach set of ")
+            refused += 1
+            continue
+        accepted += 1
+        for v in order:
+            assert all(tt.graph.has_edge(a, b) for a, b in itertools.combinations(attach[v], 2))
+            assert len(tt.cliques[v]) == t + 1
+            assert {tt.colour[w] for w in tt.cliques[v]} == set(range(1, t + 2))
+    assert accepted > 100 and refused > 100, (accepted, refused)
 
 
 def test_ttree_from_decomposition_completes_host():

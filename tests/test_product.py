@@ -5,6 +5,7 @@ import re
 import pytest
 from graphs import path_graph
 
+from uniprod.decomp import generate_qt_instance
 from uniprod.product import (
     CliqueFactor,
     Graph,
@@ -12,6 +13,7 @@ from uniprod.product import (
     ProductWitness,
     WitnessError,
 )
+from uniprod.unigraph import UgParams, embed_qt
 
 
 def test_graph_basics():
@@ -144,3 +146,49 @@ def test_witness_checks_the_type_of_every_coordinate():
     g = Graph("ab", [("a", "b")])
     coords = {"a": (1, 1), "b": (2, 1.0)}
     assert raised(ProductWitness(g, (PathFactor(2), PathFactor(2)), coords)) == "coordinate 1.0 outside factor PathFactor(2)"
+
+
+class Counted:
+    """A factor that counts its adjacency tests."""
+
+    def __init__(self, factor):
+        self.factor, self.calls = factor, 0
+
+    def has_vertex(self, v):
+        return self.factor.has_vertex(v)
+
+    def adjacent(self, u, v):
+        self.calls += 1
+        return self.factor.adjacent(u, v)
+
+    def __repr__(self):
+        return repr(self.factor)
+
+
+def test_witness_tests_each_unordered_coordinate_pair_once():
+    # every factor is symmetric, so a pair and its reverse share one verdict;
+    # this embedding puts some pairs side by side both ways round
+    inst = generate_qt_instance(2, 128, 8, rng_seed=1)
+    p = UgParams(128)
+    emb = embed_qt(p, inst)
+    factors = (Counted(p), Counted(CliqueFactor(emb.omega)))
+    ProductWitness(inst.graph, factors, emb.mapping).validate()
+    for k, f in enumerate(factors):
+        ordered = {(emb.mapping[u][k], emb.mapping[v][k]) for u, v in inst.graph.edges()}
+        ordered = {(x, y) for x, y in ordered if x != y}
+        unordered = {frozenset(pair) for pair in ordered}
+        assert f.calls == len(unordered) < len(ordered)
+        assert len(unordered) == 205 if k == 0 else 7
+
+
+def test_witness_names_the_first_edge_of_a_pair_that_recurs_reversed():
+    # 1,3 fails on edge 0-1 and again, reversed, on the later 4-5; 2-3 fails in between
+    factors = (PathFactor(5), CliqueFactor(6))
+    g = Graph(range(6), [(0, 1), (2, 3), (4, 5)])
+    coords = {0: (1, 1), 1: (3, 2), 2: (2, 3), 3: (5, 4), 4: (3, 5), 5: (1, 6)}
+    assert raised(ProductWitness(g, factors, coords)) == "edge 0-1: 1,3 not equal or adjacent in PathFactor(5)"
+    # with 0-1 mended, 2-3 comes first, and with 2-3 mended too, the reversed pair at 4-5
+    coords[1] = (2, 2)
+    assert raised(ProductWitness(g, factors, coords)) == "edge 2-3: 2,5 not equal or adjacent in PathFactor(5)"
+    coords[3] = (3, 4)
+    assert raised(ProductWitness(g, factors, coords)) == "edge 4-5: 3,1 not equal or adjacent in PathFactor(5)"

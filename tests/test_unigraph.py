@@ -11,12 +11,14 @@ from graphs import (
     path_graph,
     read_host,
     reference_host,
+    strip_instance,
 )
 from hypothesis import given, settings, strategies as st
 
 from uniprod.bitcore import successor_set
 from uniprod.closure import ClosureGraph
 from uniprod.decomp import generate_qt_instance
+from uniprod.harness import gen_bad_example
 from uniprod.product import Graph, PathFactor, ProductWitness
 from uniprod.unigraph import (
     QtEmbedding,
@@ -310,6 +312,16 @@ def test_embed_qt_end_to_end():
         emb = embed_qt(UgParams(n), inst)
         assert emb.omega >= 1
         validate_qt_embedding(emb.params, inst, emb)
+
+
+def test_embed_qt_output_is_a_witness_on_strips_and_double_stars():
+    # embed_qt does not check its output again; strips carry suffix codes,
+    # double stars string ids
+    insts = [strip_instance(k, h, s) for k, h, s in ((3, 4, 1), (8, 6, 2), (5, 3, 5), (4, 9, 3))]
+    insts += [gen_bad_example(n, i, j).instance for n, i, j in ((24, 1, 1), (48, 2, 3), (120, 3, 2))]
+    for inst in insts:
+        p = UgParams(inst.graph.n)
+        validate_qt_embedding(p, inst, embed_qt(p, inst))
 
 
 def test_validate_qt_embedding_catches_corruption():
