@@ -85,7 +85,7 @@ def _cmd_embed(args) -> int:
     p = UgParams(args.n or inst.graph.n, lam=args.lam)
     emb = embed_qt(p, inst)
     out = _out_path(args, os.path.basename(args.instance) + ".witness.jsonl")
-    # the bytes of write_records on {"v": v, "i": col, "x": x, "y": y, "z": z}:
+    # the bytes of json.dumps on {"v": v, "i": col, "x": x, "y": y, "z": z}:
     # x and y are row-tree signatures, and col and z are ints
     lines = (
         f'{{"v": {json_id(v)}, "i": {col}, "x": "{x}", "y": "{y}", "z": {z}}}\n'

@@ -20,7 +20,7 @@ from operator import lt
 from typing import Hashable
 
 from .bitcore import Bst
-from .io import integer, key, read_records, write_records
+from .io import integer, json_id, key, read_records, write_lines
 from .product import CliqueFactor, Graph, ProductWitness
 
 
@@ -172,11 +172,16 @@ class IntervalRep:
         return sorted(ivs, key=lambda v: (ivs[v][0], repr(v)))
 
     def write_jsonl(self, path) -> None:
-        records = (
-            {"v": v, "a": [a.numerator, a.denominator], "b": [b.numerator, b.denominator]}
+        """One line ``{"v": v, "a": [num, den], "b": [num, den]}`` per interval, in dict order.
+
+        The bytes are those of ``json.dumps`` on each record; numerators
+        and denominators are exact ints.
+        """
+        lines = (
+            f'{{"v": {json_id(v)}, "a": [{a.numerator}, {a.denominator}], "b": [{b.numerator}, {b.denominator}]}}\n'
             for v, (a, b) in self.intervals.items()
         )
-        write_records(path, "intervals", {"n": self.n}, records)
+        write_lines(path, "intervals", {"n": self.n}, lines)
 
     @classmethod
     def read_jsonl(cls, path) -> "IntervalRep":

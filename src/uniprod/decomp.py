@@ -17,7 +17,7 @@ from itertools import chain
 from math import comb
 
 from .closure import IntervalRep
-from .io import edge_records, endpoints, integer, key, read_records, write_records
+from .io import endpoints, integer, json_id, key, read_records, write_lines
 from .product import Graph, PathFactor, ProductWitness
 
 
@@ -515,22 +515,37 @@ class QtInstance:
             raise ValueError(f"header says t = {self.t} but the decomposition has width {self.decomposition.width}")
 
     def write_jsonl(self, path) -> None:
-        coords = self.coords
+        """Write the instance file, its lines formatted from ids each formatted once.
 
-        def records():
-            for g in sorted(coords, key=repr):
-                v, y = coords[g]
-                yield {"gv": g, "c": [v, y]}
-            yield from edge_records("ge", self.graph.edges())
-            for v in sorted(self.host.vertices(), key=repr):
-                yield {"hv": v}
-            yield from edge_records("he", self.host.edges())
-            for x, bag in self.decomposition.bags.items():
-                yield {"dnode": x, "bag": sorted(bag, key=repr)}
-            for a, b in self.decomposition.edges:
-                yield {"de": [a, b]}
+        The bytes are those of ``json.dumps`` on each record.  ``gv`` and
+        ``hv`` records follow the repr order of the ids, ``ge`` and ``he``
+        the repr order of the pairs, each pair as it is given; ``dnode``
+        (members in repr order) and ``de`` follow the decomposition.  A
+        row is formatted where it stands, so a ``bool`` row is ``true``.
+        """
+        coords, bags = self.coords, self.decomposition.bags
+        gids = sorted(coords, key=repr)
+        gtext = {g: json_id(g) for g in gids}
+        htext = {v: json_id(v) for v in sorted(self.host.vertices(), key=repr)}
+        ntext = {x: json_id(x) for x in bags}
 
-        write_records(path, "qt-instance", {"t": self.t, "h": self.h, "seed": self.seed}, records())
+        def vertex(g):
+            v, y = coords[g]
+            return f'{{"gv": {gtext[g]}, "c": [{htext[v]}, {json_id(y)}]}}\n'
+
+        def bag(x):
+            members = ", ".join([htext[v] for v in sorted(bags[x], key=repr)])
+            return f'{{"dnode": {ntext[x]}, "bag": [{members}]}}\n'
+
+        lines = chain(
+            map(vertex, gids),
+            (f'{{"ge": [{gtext[a]}, {gtext[b]}]}}\n' for a, b in sorted(self.graph.edges(), key=repr)),
+            (f'{{"hv": {text}}}\n' for text in htext.values()),
+            (f'{{"he": [{htext[a]}, {htext[b]}]}}\n' for a, b in sorted(self.host.edges(), key=repr)),
+            map(bag, bags),
+            (f'{{"de": [{ntext[a]}, {ntext[b]}]}}\n' for a, b in self.decomposition.edges),
+        )
+        write_lines(path, "qt-instance", {"t": self.t, "h": self.h, "seed": self.seed}, lines)
 
     @classmethod
     def read_jsonl(cls, path) -> "QtInstance":
@@ -603,10 +618,12 @@ def generate_qt_instance(t: int, n: int, h: int, rng_seed: int = 0) -> QtInstanc
     g = Graph(range(n), name=f"qt(t={t}, n={n}, h={h})")
     # candidates j > i share or neighbour i's row and host vertex; each is
     # offered one coin, in increasing (i, j) order
+    closed = [(u, *host.neighbors(u)) for u in range(n_host)]
     for i in range(n):
         u, y = coords[i]
-        near = (index.get((w, z)) for w in chain((u,), host.neighbors(u)) for z in (y - 1, y, y + 1))
-        for j in sorted(j for j in near if j is not None and j > i):
+        near = [j for w in closed[u] for z in (y - 1, y, y + 1) if (j := index.get((w, z), -1)) > i]
+        near.sort()
+        for j in near:
             if rng.random() < 0.5:
                 g.add_edge(i, j)
     return QtInstance(g, host, coords, tt.family_decomposition(), t=t, h=h, seed=rng_seed)

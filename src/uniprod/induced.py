@@ -757,7 +757,7 @@ class LabelledInstance:
             if type(bits) is not str or bits.strip("01"):
                 raise ValueError(f"label of {g!r} carries {bits!r}, not a bitstring")
         text = {g: json_id(g) for g in chain(ids, self.graph.vertices())}
-        # the bytes of write_records on {"v": g, "bits": ...} and edge_records("ge", ...)
+        # the bytes of json.dumps on {"v": g, "bits": ...} and on {"ge": [a, b]}, pairs in repr order
         labels = (f'{{"v": {text[g]}, "bits": "{self.labels[g].bits}"}}\n' for g in ids)
         edges = (f'{{"ge": [{text[a]}, {text[b]}]}}\n' for a, b in sorted(self.graph.edges(), key=repr))
         write_lines(path, "labels", head, chain(labels, edges))

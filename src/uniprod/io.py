@@ -2,6 +2,10 @@
 
 Line 1 is a JSON header object whose ``kind`` names the format (``graph``,
 ``qt-instance``, ``labels``, ...); every later line is one JSON record.
+Each writer formats its own lines, with the bytes ``json.dumps`` gives
+each record and every id through ``json_id``, and streams them through
+``write_lines``; the tests check each writer against one ``json.dumps``
+per record.
 Readers are total: a malformed file raises ``ValueError("<path>:<line>: ...")``.
 Each line is decoded once in C and gives the object or the error that
 ``json.loads`` gives; a line nested too deeply to decode is a ``ValueError``
@@ -57,11 +61,6 @@ def write_lines(path, kind: str, head: dict, lines) -> None:
         write("".join(chunk))
 
 
-def write_records(path, kind: str, head: dict, records) -> None:
-    """Write the header ``{"kind": kind, **head}``, then one line per record."""
-    write_lines(path, kind, head, (json.dumps(rec) + "\n" for rec in records))
-
-
 def json_id(v) -> str:
     """The JSON text of a vertex id: an int formatted directly, anything else by ``json.dumps``."""
     return str(v) if type(v) is int else json.dumps(v)
@@ -70,8 +69,8 @@ def json_id(v) -> str:
 def write_pairs(path, kind: str, head: dict, name: str, groups) -> None:
     """Write the header, then one record ``{name: [a, b]}`` per b of each group (a, bs).
 
-    Ids are ints, and the bytes are those of ``write_records`` on the
-    records.  Each group's lines are formatted directly, with one
+    Ids are ints, and the bytes are those of ``json.dumps`` on each
+    record.  Each group's lines are formatted directly, with one
     ``str.join``, as ``json.dumps`` per record dominates large files.
     """
     start = "{" + json.dumps(name) + ": ["
@@ -83,15 +82,6 @@ def write_pairs(path, kind: str, head: dict, name: str, groups) -> None:
                 yield line + f"]}}\n{line}".join(map(str, bs)) + "]}\n"
 
     write_lines(path, kind, head, lines())
-
-
-def edge_records(name: str, edges):
-    """One record ``{name: [a, b]}`` per edge, in the repr order of the pairs.
-
-    Each pair keeps the orientation it is given; only the order of the
-    records is sorted, so a file does not follow set iteration order.
-    """
-    return ({name: [a, b]} for a, b in sorted(edges, key=repr))
 
 
 def read_records(path, kind: str, parse):

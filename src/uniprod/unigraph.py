@@ -263,7 +263,7 @@ class Host:
         the closing quote, which sorts below 0 and 1, where a proper
         prefix ends, just as plain string comparison puts the prefix first.
         Each triple's records are formatted as one string, from ids each
-        formatted once, with the bytes write_records gives them.
+        formatted once, with the bytes json.dumps gives them.
         """
         k, rows = self.k, self.rows
         order = sorted(rows)

@@ -1,6 +1,7 @@
 """Small graphs, contract checks and brute-force oracles the tests share."""
 
 import itertools
+import json
 import math
 from collections import Counter
 from collections.abc import Iterator, Sequence
@@ -8,6 +9,7 @@ from collections.abc import Iterator, Sequence
 from uniprod.bitcore import Bst, check_bits, is_prefix, strip_successor, successor_set
 from uniprod.decomp import QtInstance, TreeDecomposition, _is_path, normalize_decomposition
 from uniprod.induced import Label, LabelParams, LabelledInstance, _derive_tester_view, adjacency_test
+from uniprod.io import write_lines
 from uniprod.product import Graph
 from uniprod.treeseq import LcpCodec
 from uniprod.unigraph import UgParams, check_vertex, is_edge, row_graph
@@ -121,6 +123,24 @@ def host_degree_sequence(p: UgParams) -> list[int]:
 def degree_runs(seq) -> list[tuple[int, int]]:
     """A degree sequence as (degree, multiplicity) pairs, degree descending."""
     return sorted(Counter(seq).items(), reverse=True)
+
+
+def write_records(path, kind: str, head: dict, records) -> None:
+    """Write the header ``{"kind": kind, **head}``, then one ``json.dumps`` line per record.
+
+    The byte oracle of every pipeline writer, each of which formats its
+    own lines.
+    """
+    write_lines(path, kind, head, (json.dumps(rec) + "\n" for rec in records))
+
+
+def edge_records(name: str, edges):
+    """One record ``{name: [a, b]}`` per edge, in the repr order of the pairs.
+
+    Each pair keeps the orientation it is given; only the order of the
+    records is sorted, so a file does not follow set iteration order.
+    """
+    return ({name: [a, b]} for a, b in sorted(edges, key=repr))
 
 
 def read_host(path, p: UgParams) -> Graph:

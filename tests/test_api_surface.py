@@ -139,6 +139,34 @@ def test_only_the_line_writer_and_the_report_writers_open_files_for_writing():
     assert file_writers() == sorted(WRITERS)
 
 
+# Writers format their own records; json.dumps is left to a header, an id
+# that is not an int, a record name, the count row and the suite report.
+DUMPERS = ("cli._cmd_count", "harness.Report.write", "io.json_id", "io.write_lines", "io.write_pairs")
+
+
+def json_dumpers():
+    """The qualified name of every function in the package that calls json.dump or json.dumps."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                        and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                    found.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for mod, tree in _modules().items():
+        visit(tree, mod)
+    return sorted(found)
+
+
+def test_json_dumps_runs_only_outside_the_record_writers():
+    assert json_dumpers() == sorted(DUMPERS)
+
+
 # The ledger in the uniprod docstring names the one function that checks
 # each claim; these are the calls that run those checks.
 CHECKS = ("validate", "validate_qt_embedding", "verify_labelling", "verify_saturation",

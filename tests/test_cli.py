@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from graphs import assert_is_edge_graph, read_host, strip_instance
+from graphs import assert_is_edge_graph, read_host, strip_instance, write_records
 
 import uniprod
 from uniprod import cli, unigraph
@@ -15,7 +15,6 @@ from uniprod.cli import main
 from uniprod.compressor import Saturator
 from uniprod.decomp import QtInstance, TreeDecomposition, generate_qt_instance
 from uniprod.induced import build_context, label_instance
-from uniprod.io import write_records
 from uniprod.product import Graph, ProductWitness
 from uniprod.unigraph import UgParams, embed_qt
 

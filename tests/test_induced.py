@@ -8,7 +8,7 @@ import re
 import tracemalloc
 
 import pytest
-from graphs import all_pairs_disagreements, reference_pack, reference_unpack
+from graphs import all_pairs_disagreements, edge_records, reference_pack, reference_unpack, write_records
 from hypothesis import example, given, settings, strategies as st
 
 from uniprod import induced
@@ -32,7 +32,6 @@ from uniprod.induced import (
     verify_labelling,
 )
 from uniprod.harness import gen_bad_example
-from uniprod.io import edge_records, write_records
 from uniprod.product import Graph, WitnessError
 from uniprod.treeseq import LcpCodec
 

@@ -7,14 +7,16 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from graphs import edge_records, write_records
 
 from uniprod import cli, induced
 from uniprod.cli import main
 from uniprod.closure import IntervalRep
 from uniprod.compressor import Saturator, build_saturator
-from uniprod.decomp import QtInstance, generate_qt_instance
+from uniprod.decomp import QtInstance, TreeDecomposition, generate_qt_instance
+from uniprod.harness import gen_bad_example
 from uniprod.induced import LabelledInstance, LabelParams, build_context, label_instance
-from uniprod.io import CHUNK, read_records, write_lines, write_pairs, write_records
+from uniprod.io import CHUNK, read_records, write_lines, write_pairs
 from uniprod.product import Graph
 
 
@@ -263,6 +265,79 @@ def test_graph_and_saturator_files_match_write_records(tmp_path):
     write_records(tmp_path / "s0.jsonl", "saturator", head, recs)
     assert (tmp_path / "s.jsonl").read_bytes() == (tmp_path / "s0.jsonl").read_bytes()
     assert Saturator.read_jsonl(tmp_path / "s.jsonl").adj == s.adj
+
+
+def instance_records(inst):
+    """The records of an instance file, in file order, as json.dumps would take them."""
+    coords = inst.coords
+    for g in sorted(coords, key=repr):
+        v, y = coords[g]
+        yield {"gv": g, "c": [v, y]}
+    yield from edge_records("ge", inst.graph.edges())
+    for v in sorted(inst.host.vertices(), key=repr):
+        yield {"hv": v}
+    yield from edge_records("he", inst.host.edges())
+    for x, bag in inst.decomposition.bags.items():
+        yield {"dnode": x, "bag": sorted(bag, key=repr)}
+    for a, b in inst.decomposition.edges:
+        yield {"de": [a, b]}
+
+
+def odd_instance(first_row=1) -> QtInstance:
+    """A triangle host with str and tuple ids, one decomposition node, and a graph on six cells."""
+    host_ids = [ODD_NAME, ("x", 1), (2, 'q"\\')]
+    host = Graph(host_ids, [(host_ids[0], host_ids[1]), (host_ids[1], host_ids[2]), (host_ids[2], host_ids[0])])
+    names = ['v"0\\', ("ü", -3), "", "\n\t", 7, ("a", 2**70)]
+    coords = {g: (host_ids[k % 3], 1 + k // 3) for k, g in enumerate(names)}
+    coords[names[0]] = (host_ids[0], first_row)
+    graph = Graph(names, [(names[0], names[4]), (names[5], names[1]), (names[2], names[3]), (names[3], names[0])])
+    return QtInstance(graph, host, coords, TreeDecomposition({"only": host_ids}, []), t=2, h=2, seed=5)
+
+
+def test_instance_and_interval_files_match_write_records(tmp_path):
+    bad = gen_bad_example(24, 1, 1)
+    cases = {
+        "t1": generate_qt_instance(1, 40, 5, rng_seed=2),
+        "t2": generate_qt_instance(2, 30, 3, rng_seed=4),
+        "t3-chunks": generate_qt_instance(3, 2048, 16, rng_seed=1),
+        "bad": bad.instance,
+        "odd": odd_instance(),
+    }
+    for name, inst in cases.items():
+        got, want = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.want.jsonl"
+        inst.write_jsonl(got)
+        write_records(want, "qt-instance", {"t": inst.t, "h": inst.h, "seed": inst.seed}, instance_records(inst))
+        assert got.read_bytes() == want.read_bytes(), name
+        back = QtInstance.read_jsonl(got)
+        for g0, g1 in ((inst.graph, back.graph), (inst.host, back.host)):
+            assert set(g1.vertices()) == set(g0.vertices()), name
+            assert set(map(frozenset, g1.edges())) == set(map(frozenset, g0.edges())), name
+        assert back.coords == inst.coords, name
+        assert back.decomposition.bags == inst.decomposition.bags, name
+        assert back.decomposition.edges == inst.decomposition.edges, name
+        assert (back.t, back.h, back.seed) == (inst.t, inst.h, inst.seed), name
+    assert (tmp_path / "t3-chunks.jsonl").stat().st_size > 3 * CHUNK
+    assert '"de"' not in (tmp_path / "odd.jsonl").read_text()
+
+    # a bool row is a row to the witness check, and json.dumps writes it as true
+    inst = odd_instance(first_row=True)
+    got, want = tmp_path / "bool.jsonl", tmp_path / "bool.want.jsonl"
+    inst.write_jsonl(got)
+    write_records(want, "qt-instance", {"t": 2, "h": 2, "seed": 5}, instance_records(inst))
+    assert got.read_bytes() == want.read_bytes()
+    assert ", true]}" in got.read_text()
+    with pytest.raises(ValueError, match=re.escape(f"{got}:4: row must be an integer, not True")):
+        QtInstance.read_jsonl(got)
+
+    reps = {"bad": bad.layout[1], "odd": IntervalRep({("x", 1): (Fraction(1, 3), 2), ODD_NAME: (0, Fraction(7, 2)), 5: (2, 2)})}
+    for name, rep in reps.items():
+        got, want = tmp_path / f"{name}.iv.jsonl", tmp_path / f"{name}.iv.want.jsonl"
+        rep.write_jsonl(got)
+        recs = ({"v": v, "a": [a.numerator, a.denominator], "b": [b.numerator, b.denominator]}
+                for v, (a, b) in rep.intervals.items())
+        write_records(want, "intervals", {"n": rep.n}, recs)
+        assert got.read_bytes() == want.read_bytes(), name
+        assert IntervalRep.read_jsonl(got).intervals == rep.intervals, name
 
 
 NESTED = "[" * 100_000 + "]" * 100_000
