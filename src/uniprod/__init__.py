@@ -64,8 +64,8 @@ as the checks above, or the construction, imply them:
 - the instance as a witness in (t-tree) x P_h in build_context: it is
   one in host x P_h, and the layout check puts every host vertex and
   host edge in the t-tree;
-- fixup's check that each node stays on its root path: run_fixup_pass
-  only ever moves a node to an ancestor of its current one;
+- fixup's check that each node stays on its root path: its pass only
+  ever moves a node to an ancestor of its current one;
 - make_label's check that each clique path ends at most one level
   below the vertex's own node: _place's chain check puts the vertex's
   own node on its clique's root path, and fixup checks that every

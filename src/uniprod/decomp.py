@@ -90,43 +90,6 @@ class TreeDecomposition:
                 raise ValueError(f"bags containing {v!r} are disconnected")
 
 
-def normalize_decomposition(td: TreeDecomposition) -> TreeDecomposition:
-    """Contract tree edges whose one bag contains the other.
-
-    Afterwards no bag is a subset of a neighbouring bag, which caps the
-    node count at the number of covered vertices (each leaf then owns a
-    private vertex).  Neighbours are visited in repr order, so the result
-    does not follow set iteration order.
-    """
-    bags = dict(td.bags)
-    adj = {x: set(ys) for x, ys in td.adjacency().items()}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(bags):
-            for b in sorted(adj[a], key=repr):
-                if bags[a] <= bags[b]:
-                    for c in adj[a]:
-                        if c != b:
-                            adj[c].discard(a)
-                            adj[c].add(b)
-                            adj[b].add(c)
-                    adj[b].discard(a)
-                    del adj[a], bags[a]
-                    changed = True
-                    break
-            if changed:
-                break
-    seen, edges = set(), []
-    for a, ys in adj.items():
-        for b in ys:
-            key = frozenset((a, b))
-            if key not in seen:
-                seen.add(key)
-                edges.append((a, b))
-    return TreeDecomposition(bags, edges)
-
-
 def _centroid(nodes: set, adj: dict, rank: dict):
     """Tree node whose removal leaves components of at most len(nodes)//2.
 
@@ -159,51 +122,44 @@ def _centroid(nodes: set, adj: dict, rank: dict):
     raise AssertionError("tree has no centroid")
 
 
-def _is_path(td: TreeDecomposition):
-    adj = td.adjacency()
-    if any(len(ys) > 2 for ys in adj.values()):
-        return None
-    if len(td.edges) != len(td.bags) - 1:
-        return None
-    start = min(
-        (x for x in td.bags if len(adj[x]) <= 1), key=repr, default=None
-    )
-    if start is None:
-        return None
-    order, prev = [start], None
-    while True:
-        nxt = [y for y in adj[order[-1]] if y != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
-    if len(order) != len(td.bags):
-        return None
-    return order
+def tree_to_path_decomposition(tt: TTree) -> list:
+    """Convert a t-tree's family tree into a path decomposition: its bags in path order.
 
-
-def tree_to_path_decomposition(td: TreeDecomposition) -> list:
-    """Convert a tree decomposition into a path decomposition: its bags in path order.
-
-    Path-shaped inputs pass through unchanged.  Otherwise the tree is
-    normalized and split at a centroid whose bag is unioned into every
-    bag of the recursively built segments, so the width of the result is
-    below (w + 1) * (ceil(log2 n) + 1) where w is the input width and n
-    the number of covered vertices.
+    The family tree has one node per vertex, whose bag is its family
+    clique, and an edge from each vertex past the first to its owner.  A
+    path-shaped family tree passes through: its bags in the order of a
+    walk from its end of least repr.  Otherwise the first t + 1 nodes,
+    whose bags are all the initial clique, merge into order[t]; no other
+    bag contains a neighbour's, as each later bag holds its own vertex,
+    which no earlier bag holds.  The merged tree is split at a centroid
+    whose bag is unioned into every bag of the recursively built
+    segments, so the width of the result is below
+    (t + 1) * (ceil(log2 n) + 1).
     """
-    path_order = _is_path(td)
-    if path_order is not None:
-        return [td.bags[x] for x in path_order]
-    norm = normalize_decomposition(td)
-    n = max(1, len(norm.covered_vertices()))
-    rank = {x: r for r, x in enumerate(sorted(norm.bags, key=repr))}
-    adj = {x: sorted(ys, key=rank.__getitem__) for x, ys in norm.adjacency().items()}
+    order, owner, t = tt.order, tt.owner, tt.t
+    adj = {v: [] for v in order}
+    for v in order[1:]:
+        adj[v].append(owner[v])
+        adj[owner[v]].append(v)
+    if all(len(ys) <= 2 for ys in adj.values()):
+        x, prev = min((v for v in order if len(adj[v]) <= 1), key=repr), None
+        walk = [x]
+        while len(walk) < tt.n:
+            x, prev = next(y for y in adj[x] if y != prev), x
+            walk.append(x)
+        return [tt.cliques[x] for x in walk]
+    top, initial = order[t], set(order[: t + 1])
+    adj[top] = [y for x in order[: t + 1] for y in adj.pop(x) if y not in initial]
+    for y in adj[top]:
+        adj[y] = [top if u in initial else u for u in adj[y]]
+    rank = {x: r for r, x in enumerate(sorted(order[t:], key=repr))}
+    adj = {x: sorted(ys, key=rank.__getitem__) for x, ys in adj.items()}
     bags = []
 
     def rec(nodes: set, above: frozenset) -> None:
         """Append the bags of nodes, each unioned with above, the bags of the centroids above them."""
         c = _centroid(nodes, adj, rank)
-        above = above | norm.bags[c]
+        above = above | tt.cliques[c]
         comps = []  # (least rank, component), one per neighbour of c in nodes
         for first in adj[c]:
             if first in nodes:
@@ -220,10 +176,9 @@ def tree_to_path_decomposition(td: TreeDecomposition) -> list:
         for _, comp in sorted(comps, key=lambda item: item[0]):
             rec(comp, above)
 
-    if norm.bags:
-        rec(set(norm.bags), frozenset())
-    width = max(map(len, bags), default=0) - 1
-    cap = (norm.width + 1) * (max(1, n - 1).bit_length() + 1) - 1
+    rec(set(adj), frozenset())
+    width = max(map(len, bags)) - 1
+    cap = (t + 1) * ((tt.n - 1).bit_length() + 1) - 1
     if width > cap:
         raise AssertionError(f"pathwidth {width} exceeds bound {cap}")
     return bags
@@ -588,10 +543,10 @@ def host_layout(inst: QtInstance) -> tuple[TTree, IntervalRep]:
     host edge: the decomposition covers each host edge with a bag, and
     ttree_from_decomposition attaches each vertex to all its earlier
     bag-clique neighbours.  The intervals are those of the path
-    decomposition converted from the t-tree's family decomposition.
+    decomposition converted from the t-tree's family tree.
     """
     tt = ttree_from_decomposition(inst.decomposition)
-    return tt, path_decomposition_to_intervals(tree_to_path_decomposition(tt.family_decomposition()))
+    return tt, path_decomposition_to_intervals(tree_to_path_decomposition(tt))
 
 
 def generate_qt_instance(t: int, n: int, h: int, rng_seed: int = 0) -> QtInstance:

@@ -126,7 +126,6 @@ def bad_family_counts(n: int) -> dict:
         ex = gen_bad_example(n, i, i)
         ctx = build_context(ex.instance, params=params, layout=ex.layout)
         hv, hu = ex.spine["v"], ex.spine["u"]
-        coords = ex.instance.coords
         for scheme, (lv, lu) in hubs.items():
             if i == 1:
                 li = label_instance(ctx, scheme)
@@ -134,8 +133,8 @@ def bad_family_counts(n: int) -> dict:
                 lv.append(li.labels[hv])
                 lu.append(li.labels[hu])
             else:
-                lv.append(make_label(ctx, *coords[hv], scheme))
-                lu.append(make_label(ctx, *coords[hu], scheme))
+                lv.append(make_label(ctx, hv, scheme))
+                lu.append(make_label(ctx, hu, scheme))
     points = {}
     for scheme, (lv, lu) in hubs.items():
         sv, su = ({label.bits: label for label in hub} for hub in (lv, lu))
@@ -145,7 +144,7 @@ def bad_family_counts(n: int) -> dict:
     return points
 
 
-def bad_family_slope(ns=(120, 240, 480)) -> dict:
+def bad_family_slope(ns) -> dict:
     """Per scheme, the log-log growth rate of the cross-edge count from the first family size to the last."""
     if len(ns) < 2 or any(a >= b for a, b in zip(ns, ns[1:])):
         raise ValueError(f"need at least two family sizes in increasing order, got {list(ns)}")

@@ -137,7 +137,6 @@ class LabelContext:
     trees: dict  # y -> Bst over ranks
     alpha1: dict
     hint: dict
-    inv: dict  # (host vertex, instance row) -> instance vertex
     nbrs: dict  # (host vertex, y) -> its neighbours in the instance, as (host vertex, y)
     raw: Placement = field(init=False)
     fixed: Placement = field(init=False)
@@ -211,7 +210,6 @@ def build_context(
     alpha1 = {y: row_tree.signature(y) for y in range(1, h + 1)}
     hint = {y: _successor_hint(alpha1, y, h) for y in range(1, h + 1)}
 
-    inv = {c: g for g, c in instance.coords.items()}
     graph = instance.graph
     nbrs = {coords[g]: {coords[u] for u in graph.neighbors(g)} for g in graph.vertices()}
 
@@ -227,7 +225,6 @@ def build_context(
         trees=trees,
         alpha1=alpha1,
         hint=hint,
-        inv=inv,
         nbrs=nbrs,
     )
     # raw: each vertex at the shallowest node of its interval
@@ -271,57 +268,41 @@ def _place(ctx: LabelContext, node: dict) -> Placement:
     return Placement(node, depth, bags, psi, tops)
 
 
-def run_fixup_pass(tree: Bst, assign: dict, cliques: dict, members, sort_key) -> dict:
-    """One top-down pass pulling deep clique parents next to their children.
-
-    Visits nodes root first; whenever a vertex sitting at the visited node
-    has a clique parent whose node is more than one level deeper, that
-    parent's node is replaced by its ancestor one level below the visited
-    node.  Returns a new assignment; a second pass is a no-op.
-    """
-    sig = tree.signatures()
-    domain = set(members)
-    xp = dict(assign)
-    bags = defaultdict(set)
-    for v in domain:
-        bags[xp[v]].add(v)
-
-    def visit(node):
-        base = len(sig[node])
-        for v in sorted(bags.get(node, ()), key=sort_key):
-            for w in sorted((cliques[v] & domain), key=sort_key):
-                if len(sig[xp[w]]) > base + 1:
-                    target = _ancestor_at_depth(tree, xp[w], base + 1)
-                    bags[xp[w]].discard(w)
-                    xp[w] = target
-                    bags[target].add(w)
-        for child in (tree.left(node), tree.right(node)):
-            if child is not None:
-                visit(child)
-
-    visit(tree.root)
-    return xp
-
-
 def fixup(ctx: LabelContext) -> LabelContext:
     """Bound every clique parent's node depth by its child's plus one.
 
-    Sets ctx.fixed to the placement of the fixup pass over ctx.raw, whose
-    nodes are ancestors of the raw ones, as the pass only ever moves a
-    node to an ancestor of its current one.  Checks that every clique
-    parent lies at most one level below its child.  build_context runs
-    it; running it again recomputes it.
+    Sets ctx.fixed to the placement of one top-down pass per row over
+    ctx.raw.  The pass visits the row tree's nodes in preorder, left
+    subtree first, which is the order of their signatures; whenever a
+    vertex sitting at the visited node has a clique parent whose node is more than one
+    level deeper, that parent's node is replaced by its ancestor one
+    level below the visited node.  So the pass only ever moves a node to
+    an ancestor of its current one, and a second pass is a no-op.
+    Checks that every clique parent lies at most one level below its
+    child.  build_context runs it; running it again recomputes it.
     """
-    cliques = {v: frozenset(ctx.tt.cliques[v]) for v in ctx.tt.order}
+    cliques, by_rank = ctx.tt.cliques, ctx.rank.__getitem__
     node = {}
     for y in range(1, ctx.h + 1):
         tree, present = ctx.trees[y], set(ctx.s_plus[y])
         sig = tree.signatures()
-        node[y] = moved = run_fixup_pass(tree, ctx.raw.node[y], cliques, ctx.s_plus[y], ctx.rank.__getitem__)
+        node[y] = xp = dict(ctx.raw.node[y])
+        bags = defaultdict(set)
+        for v in present:
+            bags[xp[v]].add(v)
+        for at in sorted(sig, key=sig.__getitem__):
+            base = len(sig[at])
+            for v in sorted(bags.get(at, ()), key=by_rank):
+                for w in sorted(cliques[v] & present, key=by_rank):
+                    if len(sig[xp[w]]) > base + 1:
+                        target = _ancestor_at_depth(tree, xp[w], base + 1)
+                        bags[xp[w]].discard(w)
+                        xp[w] = target
+                        bags[target].add(w)
         for v in ctx.s_plus[y]:
-            below = len(sig[moved[v]]) + 1
-            for w in ctx.tt.cliques[v]:
-                if w in present and len(sig[moved[w]]) > below:
+            below = len(sig[xp[v]]) + 1
+            for w in cliques[v]:
+                if w in present and len(sig[xp[w]]) > below:
                     raise AssertionError(f"parent {w!r} of {v!r} still too deep in row {y}")
     ctx.fixed = _place(ctx, node)
     return ctx
@@ -447,8 +428,8 @@ def _derive_tester_view(label: Label, params: LabelParams) -> None:
 SCHEMES = ("legacy", "fixed")
 
 
-def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
-    """Label of v in row y, as unpack_label decodes it from its bits.
+def make_label(ctx: LabelContext, g, scheme: str = "fixed") -> Label:
+    """Label of the instance vertex g, as unpack_label decodes it from its bits.
 
     The legacy scheme reads the raw placement and ships the full clique
     path signature; the default scheme reads the fixed placement and ships
@@ -463,8 +444,9 @@ def make_label(ctx: LabelContext, v, y: int, scheme: str = "fixed") -> Label:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown label scheme {scheme!r}")
-    if (v, y) not in ctx.inv:
-        raise ValueError(f"({v!r}, {y}) is not a vertex of the instance")
+    if g not in ctx.instance.coords:
+        raise ValueError(f"{g!r} is not a vertex of the instance")
+    v, y = ctx.instance.coords[g]
     y = ctx.row[y]
     legacy = scheme == "legacy"
     place = ctx.raw if legacy else ctx.fixed
@@ -807,11 +789,7 @@ def _check_distinct(li: LabelledInstance) -> None:
 
 def label_instance(ctx: LabelContext, scheme: str = "fixed") -> LabelledInstance:
     """Label every vertex and run the per-instance assertion suite."""
-    coords = ctx.instance.coords
-    labels = {}
-    for g in sorted(coords, key=repr):
-        v, y = coords[g]
-        labels[g] = make_label(ctx, v, y, scheme)
+    labels = {g: make_label(ctx, g, scheme) for g in sorted(ctx.instance.coords, key=repr)}
     li = LabelledInstance(ctx.params, scheme, labels, ctx.instance.graph)
     _check_distinct(li)
     return li

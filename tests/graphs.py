@@ -7,7 +7,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 
 from uniprod.bitcore import Bst, check_bits, is_prefix, strip_successor, successor_set
-from uniprod.decomp import QtInstance, TreeDecomposition, _is_path, normalize_decomposition
+from uniprod.decomp import QtInstance, TreeDecomposition
 from uniprod.induced import Label, LabelParams, LabelledInstance, _derive_tester_view, adjacency_test
 from uniprod.io import write_lines
 from uniprod.product import Graph
@@ -202,13 +202,77 @@ def reference_ttree(td: TreeDecomposition) -> tuple[list, dict, dict]:
     return order, attach, owner
 
 
-def reference_path_decomposition(td: TreeDecomposition) -> list:
-    """The path decomposition of td by re-walking every level, the oracle tree_to_path_decomposition must match.
+def normalize_decomposition(td: TreeDecomposition) -> TreeDecomposition:
+    """Contract tree edges whose one bag contains the other.
 
-    A path-shaped td passes through.  Otherwise each call re-sorts the
-    neighbours of every node by repr to find a centroid, re-walks what is
-    left for its components in the repr order of their least members,
-    and unions the centroid's bag into every bag its components return.
+    Afterwards no bag is a subset of a neighbouring bag, which caps the
+    node count at the number of covered vertices (each leaf then owns a
+    private vertex).  Neighbours are visited in repr order, so the result
+    does not follow set iteration order.
+    """
+    bags = dict(td.bags)
+    adj = {x: set(ys) for x, ys in td.adjacency().items()}
+    changed = True
+    while changed:
+        changed = False
+        for a in list(bags):
+            for b in sorted(adj[a], key=repr):
+                if bags[a] <= bags[b]:
+                    for c in adj[a]:
+                        if c != b:
+                            adj[c].discard(a)
+                            adj[c].add(b)
+                            adj[b].add(c)
+                    adj[b].discard(a)
+                    del adj[a], bags[a]
+                    changed = True
+                    break
+            if changed:
+                break
+    seen, edges = set(), []
+    for a, ys in adj.items():
+        for b in ys:
+            key = frozenset((a, b))
+            if key not in seen:
+                seen.add(key)
+                edges.append((a, b))
+    return TreeDecomposition(bags, edges)
+
+
+def _is_path(td: TreeDecomposition):
+    """The nodes of a path-shaped td in walk order from its end of least repr, else None."""
+    adj = td.adjacency()
+    if any(len(ys) > 2 for ys in adj.values()):
+        return None
+    if len(td.edges) != len(td.bags) - 1:
+        return None
+    start = min(
+        (x for x in td.bags if len(adj[x]) <= 1), key=repr, default=None
+    )
+    if start is None:
+        return None
+    order, prev = [start], None
+    while True:
+        nxt = [y for y in adj[order[-1]] if y != prev]
+        if not nxt:
+            break
+        prev = order[-1]
+        order.append(nxt[0])
+    if len(order) != len(td.bags):
+        return None
+    return order
+
+
+def reference_path_decomposition(td: TreeDecomposition) -> list:
+    """The path decomposition of td by re-walking every level.
+
+    tree_to_path_decomposition(tt) must match it on td =
+    tt.family_decomposition(), which this merges with the generic
+    normalize_decomposition.  A path-shaped td passes through.
+    Otherwise each call re-sorts the neighbours of every node by repr to
+    find a centroid, re-walks what is left for its components in the
+    repr order of their least members, and unions the centroid's bag
+    into every bag its components return.
     """
     path_order = _is_path(td)
     if path_order is not None:

@@ -4,7 +4,9 @@ A top-level function or class counts as used when its name is loaded in
 its own module, or in another module that imports it from there;
 ``__init__.py`` re-exports are not uses.  A public method, property or
 dataclass field counts as used when its name is loaded as an attribute
-somewhere in the package outside its own definition.  Test oracles, whose
+somewhere in the package outside its own definition.  Private
+module-level functions and private methods need a reader by the same
+rules, so a helper whose last caller goes is caught.  Test oracles, whose
 whole purpose is to cross-check the pipeline, live in tests/graphs.py;
 members pinned by the benchmark are listed with the reason they stay.
 """
@@ -63,6 +65,47 @@ def unused_definitions():
 def test_every_public_definition_has_a_caller_in_the_package():
     # a definition only the tests call belongs in tests/graphs.py
     assert unused_definitions() == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _name_loads(node) -> Counter:
+    return Counter(n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+
+
+def orphaned_private_helpers():
+    """Private module-level functions and private methods that nothing in the package reads.
+
+    A function is read when its name is loaded in its own module, or in
+    another module that imports it from there; a method when its name is
+    loaded as an attribute anywhere in the package.  Loads inside the
+    definition itself, a recursive call's, do not count.
+    """
+    mods = _modules()
+    names = {m: _name_loads(tree) for m, tree in mods.items()}
+    attrs = sum((_attribute_loads(tree) for tree in mods.values()), Counter())
+    imports = {m: _imports(tree) for m, tree in mods.items()}
+    orphans = []
+    for mod, tree in mods.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and _private(node.name):
+                loads = names[mod][node.name] + sum(
+                    names[other][node.name] for other in mods if (mod, node.name) in imports[other])
+                if loads == _name_loads(node)[node.name]:
+                    orphans.append(f"{mod}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _private(item.name):
+                        if attrs[item.name] == _attribute_loads(item)[item.name]:
+                            orphans.append(f"{mod}.{node.name}.{item.name}")
+    return sorted(orphans)
+
+
+def test_every_private_helper_has_a_reader_in_the_package():
+    # a helper left behind when its last caller goes, goes with it
+    assert orphaned_private_helpers() == []
 
 
 def _attribute_loads(node) -> Counter:

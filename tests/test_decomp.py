@@ -3,9 +3,10 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
-from graphs import path_shaped, reference_path_decomposition, reference_ttree, strip_instance
+from graphs import normalize_decomposition, path_shaped, reference_path_decomposition, reference_ttree, strip_instance
 
 from uniprod.decomp import (
     QtInstance,
@@ -14,7 +15,6 @@ from uniprod.decomp import (
     build_ttree,
     generate_qt_instance,
     host_layout,
-    normalize_decomposition,
     path_decomposition_to_intervals,
     tree_to_path_decomposition,
     ttree_from_decomposition,
@@ -78,18 +78,24 @@ def test_tree_to_path_width_bound():
         tt = build_ttree(t, n, rng_seed=trial)
         td = tt.family_decomposition()
         td.validate(tt.graph)
-        pd = tree_to_path_decomposition(td)
+        pd = tree_to_path_decomposition(tt)
         path_shaped(pd).validate(tt.graph)
         cap = (td.width + 1) * (max(1, n - 1).bit_length() + 1) - 1
         assert max(map(len, pd)) - 1 <= cap
 
 
 def test_path_shaped_input_passes_through():
-    bags = {i: {i, i + 1} for i in range(5)}
-    td = TreeDecomposition(bags, [(i, i + 1) for i in range(4)])
-    pd = tree_to_path_decomposition(td)
-    assert max(map(len, pd)) - 1 == td.width
-    assert len(pd) == 5
+    # the family tree of this 2-tree is the path 0-1-2-3-4-5: each vertex
+    # past the initial triangle attaches to the last two and is owned by
+    # the one before it
+    order = list(range(6))
+    attach = {v: frozenset(range(v)) if v <= 2 else frozenset({v - 2, v - 1}) for v in order}
+    tt = TTree(2, order, attach, {v: v - 1 for v in order[1:]})
+    pd = tree_to_path_decomposition(tt)
+    assert pd == [tt.cliques[v] for v in order]
+    # the t + 1 copies of the initial clique are kept, not merged
+    assert pd[:3] == [frozenset({0, 1, 2})] * 3
+    assert max(map(len, pd)) - 1 == tt.t
 
 
 def test_intervals_from_path_decomposition():
@@ -238,14 +244,40 @@ def test_ttree_completion_matches_the_quadratic_oracle():
 
 
 def test_path_decomposition_matches_the_rewalking_oracle():
-    # each sweep decomposition, and the family decomposition of its
-    # completion, which is what host_layout converts
+    # the completion of each sweep decomposition, which is what host_layout converts
     count = 0
     for td in completion_sweep():
-        for d in (td, ttree_from_decomposition(td).family_decomposition()):
-            assert tree_to_path_decomposition(d) == reference_path_decomposition(d)
-            count += 1
-    assert count == 614
+        tt = ttree_from_decomposition(td)
+        assert tree_to_path_decomposition(tt) == reference_path_decomposition(tt.family_decomposition())
+        count += 1
+    assert count == 307
+
+
+def ttree_sweep():
+    """t-trees from all three growers: build_ttree, ttree_from_decomposition and the double star's."""
+    rng = random.Random(29)
+    for _ in range(220):
+        t = rng.randint(1, 4)
+        yield build_ttree(t, rng.randint(t + 1, 60), rng_seed=rng.randrange(1 << 30))
+    for _ in range(80):
+        t, h = rng.randint(1, 3), rng.randint(1, 8)
+        inst = generate_qt_instance(t, rng.randint(max(h, 2), 120), h, rng_seed=rng.randrange(1 << 30))
+        yield ttree_from_decomposition(inst.decomposition)
+    for n in (24, 48, 120):
+        for i in range(1, n // 12 + 1):
+            yield gen_bad_example(n, i, n // 12 + 1 - i).layout[0]
+
+
+def test_path_decomposition_matches_the_oracle_on_every_grower():
+    count = paths = 0
+    for tt in ttree_sweep():
+        assert tree_to_path_decomposition(tt) == reference_path_decomposition(tt.family_decomposition())
+        degree = Counter(tt.owner.values()) + Counter(tt.order[1:])
+        paths += max(degree.values()) <= 2
+        count += 1
+    assert count >= 300
+    # both routes run: some family trees are paths, and most are not
+    assert 0 < paths < count // 2, (paths, count)
 
 
 def test_ttree_completion_attaches_a_vertex_with_no_earlier_neighbour():

@@ -103,9 +103,9 @@ def test_hub_only_family_counts_match_full_labelling(monkeypatch):
     made = {}
     real = harness.make_label
 
-    def recording(ctx, v, y, scheme):
-        label = real(ctx, v, y, scheme)
-        made[ctx.instance.graph.name, v, scheme] = label.bits
+    def recording(ctx, g, scheme):
+        label = real(ctx, g, scheme)
+        made[ctx.instance.graph.name, g, scheme] = label.bits
         return label
 
     monkeypatch.setattr(harness, "make_label", recording)

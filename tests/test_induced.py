@@ -106,17 +106,17 @@ def test_bag_stats_accounting():
 def test_labels_pack_and_unpack_exactly():
     for ctx in contexts(range(30, 36)):
         for scheme in ("fixed", "legacy"):
-            for (hv, y) in sorted(ctx.inv, key=repr):
-                label = make_label(ctx, hv, y, scheme)
+            for g in sorted(ctx.instance.coords, key=repr):
+                label = make_label(ctx, g, scheme)
                 bits = pack_label(label, ctx.params)
                 back = unpack_label(bits, ctx.params)
-                assert back == label, (scheme, hv, y)
+                assert back == label, (scheme, g)
 
 
 def test_make_label_checks_the_pack_round_trip(monkeypatch):
     ctx = next(contexts([31], tmax=2, nmax=20))
-    hv, y = min(ctx.inv, key=repr)
-    make_label(ctx, hv, y, "fixed")
+    g = min(ctx.instance.coords, key=repr)
+    make_label(ctx, g, "fixed")
     real = induced.unpack_label
 
     def changed(bits, params):
@@ -128,12 +128,20 @@ def test_make_label_checks_the_pack_round_trip(monkeypatch):
     monkeypatch.setattr(induced, "unpack_label", changed)
     for scheme in ("fixed", "legacy"):
         with pytest.raises(AssertionError, match="does not survive a pack round-trip"):
-            make_label(ctx, hv, y, scheme)
+            make_label(ctx, g, scheme)
+
+
+def test_make_label_names_a_vertex_the_instance_does_not_have():
+    ctx = next(contexts([31], tmax=2, nmax=20))
+    for g in ("x", max(ctx.instance.coords) + 1, ctx.instance.coords[0]):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(g))} is not a vertex of the instance$"):
+            make_label(ctx, g)
 
 
 def test_make_label_checks_the_transition_code_before_packing(monkeypatch):
     ctx = next(contexts([31], tmax=2, nmax=20))
-    hv, y = min((c for c in ctx.inv if c[1] < ctx.h), key=repr)
+    g = min((g for g, c in ctx.instance.coords.items() if c[1] < ctx.h), key=repr)
+    hv, y = ctx.instance.coords[g]
     encode = LcpCodec.encode
 
     def corrupted(self, before, after):
@@ -146,7 +154,7 @@ def test_make_label_checks_the_transition_code_before_packing(monkeypatch):
     monkeypatch.setattr(induced, "pack_label", lambda *args: packed.append(args))
     for scheme in SCHEMES:
         with pytest.raises(AssertionError, match=rf"transition code for {re.escape(repr(hv))}@{y} does not round-trip"):
-            make_label(ctx, hv, y, scheme)
+            make_label(ctx, g, scheme)
     assert packed == []
 
 
