@@ -154,10 +154,12 @@ def tree_to_path_decomposition(tt: TTree) -> list:
         adj[y] = [top if u in initial else u for u in adj[y]]
     rank = {x: r for r, x in enumerate(sorted(order[t:], key=repr))}
     adj = {x: sorted(ys, key=rank.__getitem__) for x, ys in adj.items()}
-    bags = []
-
-    def rec(nodes: set, above: frozenset) -> None:
-        """Append the bags of nodes, each unioned with above, the bags of the centroids above them."""
+    # each task (nodes, above) appends the bags of nodes, each unioned with
+    # above, the bags of the centroids above them; a task's components are
+    # done in order of least rank, before any later task
+    bags, tasks = [], [(set(adj), frozenset())]
+    while tasks:
+        nodes, above = tasks.pop()
         c = _centroid(nodes, adj, rank)
         above = above | tt.cliques[c]
         comps = []  # (least rank, component), one per neighbour of c in nodes
@@ -173,10 +175,7 @@ def tree_to_path_decomposition(tt: TTree) -> list:
                 comps.append((min(map(rank.__getitem__, comp)), comp))
         if not comps:
             bags.append(above)
-        for _, comp in sorted(comps, key=lambda item: item[0]):
-            rec(comp, above)
-
-    rec(set(adj), frozenset())
+        tasks += [(comp, above) for _, comp in sorted(comps, key=lambda item: item[0], reverse=True)]
     width = max(map(len, bags)) - 1
     cap = (t + 1) * ((tt.n - 1).bit_length() + 1) - 1
     if width > cap:

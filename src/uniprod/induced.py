@@ -21,11 +21,16 @@ bag colours stay injective per bag, so the tester keeps exact.
 
 A Label is its bits, the packed string it carries, and unpack_label is
 the only producer of the labels the tester reads: make_label too returns
-the label that its bits decode to.  The decoder derives what the tester
-reads once: the next row's signature is decoded from its transition code,
-and each parent slot is keyed by (node signature, bag colour).  Testing a
-pair is then one dict lookup per direction, so the full-pair audit and
-the assembly decode nothing.
+the label that its bits decode to.  A label keeps its parent slots as
+flat tuples.  The decoder derives what the tester reads once per
+distinct tuple of the fields it depends on, and keeps it in the
+LabelParams it decodes with: the next row's signature is decoded from its
+transition code, and each parent slot is keyed by (node signature, bag
+colour).  Rows of an instance repeat its host's layout, so the labels of
+one file share few views; each label command and each file read builds
+its own LabelParams, so no view outlives them.  Testing a pair is then
+one dict lookup per direction, so the full-pair audit and the assembly
+decode nothing.
 
 The tester can say True only where one label's own key meets a parent
 slot key of the other in the same row.  The tester graph on a set of
@@ -64,6 +69,10 @@ class LabelParams:
     # wide enough for maxheight + 1; unpack rejects the codes above maxheight
     depth_bits: int = field(init=False, repr=False, compare=False)
     phi_bits: int = field(init=False, repr=False, compare=False)
+    # the tester views _derive_tester_view has derived with these params:
+    # (alpha1, hint) -> next_alpha, and
+    # (scheme, has_prev, sig, mu, phi, depths, psi, r) -> (own_key, parent_slot)
+    views: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.t < 1:
@@ -74,6 +83,7 @@ class LabelParams:
         object.__setattr__(self, "codec", LcpCodec(self.maxheight))
         object.__setattr__(self, "depth_bits", (self.maxheight + 1).bit_length())
         object.__setattr__(self, "phi_bits", max(1, self.t.bit_length()))
+        object.__setattr__(self, "views", {})
 
 
 def _ancestor_at_depth(tree: Bst, key, depth: int):
@@ -349,12 +359,20 @@ def bag_stats(ctx: LabelContext) -> dict:
 class Label:
     """Decoded label; bits, its packed string, is its identity.
 
+    Its parent slots (i, b) are colour i = 1..t+1 in each row y+b that
+    exists, b = -1, 0, 1 in that order.  depths, psi and abits are flat
+    tuples with one entry per slot, row by row and colour by colour
+    within a row; r holds the default scheme's overflow suffix of each
+    existing row, and is empty in the legacy scheme.
+
     unpack_label also sets, by _derive_tester_view, what the tester reads:
     the next row's alpha1 and, for rows y and y+1, the vertex's own (node
     signature, bag colour) key and a map from each parent slot's (node
-    signature, bag colour) to the first slot holding it; row y+1's
-    signature is decoded from mu.  These fields stay out of equality, and
-    a label built from fields alone, as make_label drafts one, has none.
+    signature, bag colour) to the first colour holding it; row y+1's
+    signature is decoded from mu.  Labels decoded with one LabelParams
+    share these views wherever the fields they derive from agree.  These
+    fields stay out of equality, and a label built from fields alone, as
+    make_label drafts one, has none.
     """
 
     scheme: str
@@ -364,10 +382,10 @@ class Label:
     sig: str
     mu: str | None
     phi: int
-    depths: dict
-    psi: dict
-    abits: dict
-    r: dict
+    depths: tuple
+    psi: tuple
+    abits: tuple
+    r: tuple
     has_prev: bool
     bits: str | None = field(default=None, init=False, compare=False)  # set by unpack_label
     next_alpha: str | None = field(init=False, repr=False, compare=False)
@@ -396,33 +414,50 @@ def _derive_tester_view(label: Label, params: LabelParams) -> None:
     """Set the fields the tester reads on a label whose other fields were just decoded.
 
     Fields that contradict each other, as unpack_label lists, raise
-    ValueError here, so the tester never meets such a label.
+    ValueError here, so the tester never meets such a label.  Each view
+    is derived once per distinct tuple of the fields it depends on and
+    kept in params.views; an error is raised again on every label that
+    carries it, as nothing is kept for it.
     """
-    next_sig = params.codec.decode(label.sig, label.mu) if label.mu is not None else None
+    views = params.views
+    key = (label.alpha1, label.hint)
+    if key not in views:
+        views[key] = _next_alpha(*key)
+    label.next_alpha = views[key]
+    key = (label.scheme, label.has_prev, label.sig, label.mu, label.phi, label.depths, label.psi, label.r)
+    view = views.get(key)
+    if view is None:
+        view = views[key] = _tester_view(*key, params)
+    label.own_key, label.parent_slot = view
+
+
+def _tester_view(scheme, has_prev, sig, mu, phi, depths, psi, r, params: LabelParams) -> tuple:
+    """own_key and parent_slot of a label with these fields."""
+    next_sig = params.codec.decode(sig, mu) if mu is not None else None
     # build_context refuses a row tree taller than maxheight
     if next_sig is not None and len(next_sig) > params.maxheight:
         raise ValueError(f"mu decodes to a {len(next_sig)}-bit signature, deeper than maxheight {params.maxheight}")
-    label.next_alpha = _next_alpha(label.alpha1, label.hint)
+    k = params.t + 1
     own, slots = [], []
-    for b, base in ((0, label.sig), (1, next_sig)):
+    for b, base in ((0, sig), (1, next_sig)):
         if base is None:
             own.append(None)
             slots.append({})
             continue
-        d = label.depths[(label.phi, b)]
+        row = b + has_prev  # position of row y+b among the label's rows
+        d = depths[row * k + phi - 1]
         if d > len(base):
             raise ValueError(f"own colour slot of row y{b:+d} is deeper than its {len(base)}-bit signature")
-        own.append((base[:d], label.psi[(label.phi, b)]))
+        own.append((base[:d], psi[row * k + phi - 1]))
         # signature of the deepest clique-parent node in row y+b
-        path = base if label.scheme == "legacy" else base[:d] + label.r[b]
+        path = base if scheme == "legacy" else base[:d] + r[row]
         first = {}
-        for i in range(1, label.t + 2):
-            di = label.depths[(i, b)]
+        for i in range(k):
+            di = depths[row * k + i]
             if di <= len(path):
-                first.setdefault((path[:di], label.psi[(i, b)]), i)
+                first.setdefault((path[:di], psi[row * k + i]), i + 1)
         slots.append(first)
-    label.own_key = tuple(own)
-    label.parent_slot = tuple(slots)
+    return tuple(own), tuple(slots)
 
 
 SCHEMES = ("legacy", "fixed")
@@ -462,20 +497,19 @@ def make_label(ctx: LabelContext, g, scheme: str = "fixed") -> Label:
     if mu is not None and J.decode(base, mu) != following:
         raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
 
-    parents = ctx.tt.parents(v).items()
+    by_colour = ctx.tt.parents(v)
+    parents = [by_colour[i] for i in range(1, t + 2)]
     near = ctx.nbrs[v, y]
-    depths, psi, abits, rsuf = {}, {}, {}, {}
-    for b in (-1, 0, 1):
+    depths, psi, abits, rsuf = [], [], [], []
+    for b in _layout(t, y > 1, y < ctx.h)[0]:
         yb = y + b
-        if not 1 <= yb <= ctx.h:
-            continue
         depth_yb, psi_yb = place.depth[yb], place.psi[yb]
-        for i, p in parents:
-            depths[i, b] = depth_yb[p]
-            psi[i, b] = psi_yb[p]
-            abits[i, b] = 1 if (p, yb) in near else 0
+        for p in parents:
+            depths.append(depth_yb[p])
+            psi.append(psi_yb[p])
+            abits.append(1 if (p, yb) in near else 0)
         if not legacy:
-            rsuf[b] = ctx.fixed.tops[yb][v][ctx.fixed.depth[yb][v]:]
+            rsuf.append(ctx.fixed.tops[yb][v][ctx.fixed.depth[yb][v]:])
 
     draft = Label(
         scheme=scheme,
@@ -485,10 +519,10 @@ def make_label(ctx: LabelContext, g, scheme: str = "fixed") -> Label:
         sig=base,
         mu=mu,
         phi=ctx.tt.colour[v],
-        depths=depths,
-        psi=psi,
-        abits=abits,
-        r=rsuf,
+        depths=tuple(depths),
+        psi=tuple(psi),
+        abits=tuple(abits),
+        r=tuple(rsuf),
         has_prev=y > 1,
     )
     label = unpack_label(pack_label(draft, ctx.params), ctx.params)
@@ -533,13 +567,18 @@ def pack_label(label: Label, params: LabelParams) -> str:
     has_prev, has_next); alpha1, prefixed; the successor hint in 2 bits
     (00 end, 01 strip, 10 append), then gamma(delta + 1) unless it is
     "end"; sig, prefixed; mu, prefixed, if there is a next row; phi - 1 in
-    phi_bits; over the parent slots (i, b), row by row for the rows
-    b = -1, 0, 1 that exist and colour i = 1..t+1 within a row, each
-    depth in depth_bits, then each psi as gamma, then each adjacency bit;
-    and in the default scheme only, per existing row, "0" for an empty
-    overflow suffix r[b], else "1" and its one bit.
+    phi_bits; over the parent slots in Label's order, each depth in
+    depth_bits, then each psi as gamma, then each adjacency bit; and in
+    the default scheme only, per existing row, "0" for an empty overflow
+    suffix, else "1" and its one bit.  A label whose slot tuples do not
+    hold one entry per slot, or whose r does not hold one suffix per row
+    (none in the legacy scheme), raises ValueError.
     """
     rows, slots = _layout(label.t, label.has_prev, label.has_next)
+    if not len(label.depths) == len(label.psi) == len(label.abits) == len(slots):
+        raise ValueError(f"a label of {len(rows)} rows needs {len(slots)} parent slots")
+    if len(label.r) != (0 if label.scheme == "legacy" else len(rows)):
+        raise ValueError(f"a {label.scheme} label of {len(rows)} rows carries {len(label.r)} overflow suffixes")
     kind, delta = label.hint
     parts = ["1" if label.scheme == "legacy" else "0", "1" if label.has_prev else "0",
              "1" if label.has_next else "0", _gamma(len(label.alpha1) + 1), label.alpha1, _HINT_CODES[kind]]
@@ -549,11 +588,10 @@ def pack_label(label: Label, params: LabelParams) -> str:
     if label.has_next:
         parts += (_gamma(len(label.mu) + 1), label.mu)
     parts.append(_fixed(label.phi - 1, params.phi_bits))
-    parts += [_fixed(label.depths[s], params.depth_bits) for s in slots]
-    parts += [_gamma(label.psi[s]) for s in slots]
-    parts += [str(label.abits[s]) for s in slots]
-    if label.scheme != "legacy":
-        parts += ["0" if label.r[b] == "" else "1" + label.r[b] for b in rows]
+    parts += [_fixed(d, params.depth_bits) for d in label.depths]
+    parts += map(_gamma, label.psi)
+    parts += map(str, label.abits)
+    parts += ["0" if r == "" else "1" + r for r in label.r]
     return check_bits("".join(parts))
 
 
@@ -645,33 +683,35 @@ def _unpack(bits: str, params: LabelParams) -> Label:
     w = params.depth_bits
     stop = pos + w * len(slots)
     block, mask = int(bits[pos:stop], 2), (1 << w) - 1
-    depths = dict(zip(slots, [block >> shift & mask for shift in range(stop - pos - w, -1, -w)]))
+    depths = tuple([block >> shift & mask for shift in range(stop - pos - w, -1, -w)])
     pos = stop
-    if max(depths.values()) > params.maxheight:
-        raise ValueError(f"depth {max(depths.values())} beyond layout cap")
-    psi = {}
-    for slot in slots:
+    if max(depths) > params.maxheight:
+        raise ValueError(f"depth {max(depths)} beyond layout cap")
+    psi = []
+    for _ in slots:
         hit = _GAMMA8.get(bits[pos:pos + 8])
         if hit is None:
-            psi[slot], pos = _gamma_at(bits, pos)
+            value, pos = _gamma_at(bits, pos)
         else:
-            psi[slot] = hit[0]
+            value = hit[0]
             pos += hit[1]
+        psi.append(value)
     stop = pos + len(slots)
     if stop > end:
         raise ValueError("bit underrun")
-    abits = dict(zip(slots, map(_BIT_VALUE.__getitem__, bits[pos:stop])))
+    abits = tuple(map(_BIT_VALUE.__getitem__, bits[pos:stop]))
     pos = stop
-    rsuf = {}
+    rsuf = []
     if scheme != "legacy":
-        for b in rows:
+        for _ in rows:
             if pos >= end or (bits[pos] == "1" and pos + 1 >= end):
                 raise ValueError("bit underrun")
-            rsuf[b] = "" if bits[pos] == "0" else bits[pos + 1]
-            pos += 1 + len(rsuf[b])
+            rsuf.append("" if bits[pos] == "0" else bits[pos + 1])
+            pos += 1 + len(rsuf[-1])
     if pos != end:
         raise ValueError("trailing bits")
-    label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev)
+    label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, tuple(psi), abits, tuple(rsuf),
+                  has_prev)
     _derive_tester_view(label, params)
     label.bits = bits
     return label
@@ -708,7 +748,9 @@ def _parent_bit(la: Label, ba: int, lb: Label, bb: int):
     i = lb.parent_slot[bb].get(key)
     if i is None:
         return None
-    return lb.abits.get((i, bb - ba), 0)  # bb - ba: row offset of la's vertex from lb's
+    k = lb.t + 1
+    row = bb - ba + lb.has_prev  # bb - ba: row offset of la's vertex from lb's; a row lb lacks reads 0
+    return lb.abits[row * k + i - 1] if 0 <= row * k < len(lb.abits) else 0
 
 
 LABEL_FILE_VERSION = 1
@@ -754,6 +796,9 @@ class LabelledInstance:
                 raise ValueError(f"label file version {version!r}, expected {LABEL_FILE_VERSION}")
             if codec_id != LcpCodec.codec_id:
                 raise ValueError("codec mismatch")
+            scheme = head["scheme"]
+            if scheme not in SCHEMES:
+                raise ValueError(f"unknown label scheme {scheme!r}")
             params = LabelParams(n=n, t=t, maxheight=maxheight)
             labels, graph = {}, Graph(name="labelled instance")
             owner = {}  # bits -> the vertex they label
@@ -766,14 +811,14 @@ class LabelledInstance:
                         raise ValueError(f"vertices {owner[rec['bits']]!r} and {v!r} share one label")
                     owner[rec["bits"]] = v
                     labels[v] = unpack_label(rec["bits"], params)
-                    if labels[v].scheme != head["scheme"]:
-                        raise ValueError(f"label of {v!r} is {labels[v].scheme} but the header says {head['scheme']!r}")
+                    if labels[v].scheme != scheme:
+                        raise ValueError(f"label of {v!r} is {labels[v].scheme} but the header says {scheme!r}")
                     graph.add_vertex(v)
                 else:
                     graph.add_edge(*endpoints(rec["ge"], labels))
             if len(labels) != count:
                 raise ValueError(f"header count {count} but {len(labels)} labelled vertices")
-            return cls(params, head["scheme"], labels, graph)
+            return cls(params, scheme, labels, graph)
 
         return read_records(path, "labels", parse)
 

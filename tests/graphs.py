@@ -481,16 +481,17 @@ def reference_pack(label: Label, params: LabelParams) -> str:
     if label.has_next:
         w.prefixed(label.mu)
     w.fixed(label.phi - 1, params.phi_bits)
-    slots = _slots(label.t, label.has_prev, label.has_next)
-    for i, b in slots:
-        w.fixed(label.depths[(i, b)], params.depth_bits)
-    for i, b in slots:
-        w.gamma(label.psi[(i, b)])
-    for i, b in slots:
-        w.bits(str(label.abits[(i, b)]))
+    # the slot fields hold one entry per slot of _slots, r one suffix per row of _rows
+    slots = range(len(_slots(label.t, label.has_prev, label.has_next)))
+    for k in slots:
+        w.fixed(label.depths[k], params.depth_bits)
+    for k in slots:
+        w.gamma(label.psi[k])
+    for k in slots:
+        w.bits(str(label.abits[k]))
     if label.scheme != "legacy":
-        for b in _rows(label.has_prev, label.has_next):
-            rv = label.r[b]
+        for k in range(len(_rows(label.has_prev, label.has_next))):
+            rv = label.r[k]
             w.bits("0" if rv == "" else "1" + rv)
     return w.getvalue()
 
@@ -529,15 +530,14 @@ def _reference_unpack(bits: str, params: LabelParams) -> Label:
     if len(rows) * (params.t + 1) * (params.depth_bits + 2) > r.remaining():
         raise ValueError(f"{r.remaining()} bits left cannot hold {len(rows)} rows of {params.t + 1} parent slots")
     slots = _slots(params.t, has_prev, has_next)
-    depths = {slot: r.fixed(params.depth_bits) for slot in slots}
-    if max(depths.values()) > params.maxheight:
-        raise ValueError(f"depth {max(depths.values())} beyond layout cap")
-    psi = {slot: r.gamma() for slot in slots}
-    abits = {slot: int(r.bits(1)) for slot in slots}
-    rsuf = {}
+    depths = tuple(r.fixed(params.depth_bits) for _ in slots)
+    if max(depths) > params.maxheight:
+        raise ValueError(f"depth {max(depths)} beyond layout cap")
+    psi = tuple(r.gamma() for _ in slots)
+    abits = tuple(int(r.bits(1)) for _ in slots)
+    rsuf = ()
     if scheme != "legacy":
-        for b in _rows(has_prev, has_next):
-            rsuf[b] = "" if r.bits(1) == "0" else r.bits(1)
+        rsuf = tuple("" if r.bits(1) == "0" else r.bits(1) for _ in _rows(has_prev, has_next))
     if not r.at_end():
         raise ValueError("trailing bits")
     label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, psi, abits, rsuf, has_prev)

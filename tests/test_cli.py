@@ -10,7 +10,7 @@ import pytest
 from graphs import assert_is_edge_graph, read_host, strip_instance, write_records
 
 import uniprod
-from uniprod import cli, unigraph
+from uniprod import cli, induced, unigraph
 from uniprod.cli import main
 from uniprod.compressor import Saturator
 from uniprod.decomp import QtInstance, TreeDecomposition, generate_qt_instance
@@ -555,6 +555,46 @@ def test_label_header_scheme_must_match_the_labels(tmp_path, capsys):
     assert f"{labels}:2:" in capsys.readouterr().err
     run("assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl"), check=1)
     assert f"{labels}:2:" in capsys.readouterr().err
+
+
+# a label header whose scheme is missing or unknown, and the line-1 error that refuses it
+BAD_SCHEMES = {
+    "missing": (lambda head: {k: v for k, v in head.items() if k != "scheme"}, "missing field 'scheme'"),
+    "unknown": (lambda head: {**head, "scheme": "weird"}, "unknown label scheme 'weird'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCHEMES))
+def test_label_header_scheme_must_be_a_known_one(tmp_path, capsys, case):
+    change, error = BAD_SCHEMES[case]
+    inst, labels = tmp_path / "inst.jsonl", tmp_path / "labels.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "10", "--h", "2", "--out", str(inst))
+    run("label", "--instance", str(inst), "--scheme", "fixed", "--out", str(labels))
+    lines = labels.read_text().splitlines()
+    lines[0] = json.dumps(change(json.loads(lines[0])))
+    labels.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    run("test-adjacency", "--labels", str(labels), check=1)
+    assert capsys.readouterr().err == f"error: {labels}:1: {error}\n"
+    run("assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl"), check=1)
+    assert capsys.readouterr().err == f"error: {labels}:1: {error}\n"
+
+
+def test_no_tester_view_outlives_its_command(tmp_path, monkeypatch):
+    # each label command and each label-file read derives its own views, so
+    # a second label -> test-adjacency pass in one process derives as many
+    inst, labels = tmp_path / "inst.jsonl", tmp_path / "labels.jsonl"
+    run("gen", "qt", "--t", "2", "--n", "256", "--h", "16", "--seed", "1", "--out", str(inst))
+    built = []
+    view = induced._tester_view
+    monkeypatch.setattr(induced, "_tester_view", lambda *fields: built.append(fields) or view(*fields))
+    passes = []
+    for _ in range(2):
+        run("label", "--instance", str(inst), "--out", str(labels))
+        run("test-adjacency", "--labels", str(labels))
+        passes.append(len(built))
+        built.clear()
+    assert passes[0] == passes[1] > 0
 
 
 def test_a_label_shared_by_two_vertices_exits_1(tmp_path, capsys):

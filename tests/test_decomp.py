@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -278,6 +279,25 @@ def test_path_decomposition_matches_the_oracle_on_every_grower():
     assert count >= 300
     # both routes run: some family trees are paths, and most are not
     assert 0 < paths < count // 2, (paths, count)
+
+
+def test_path_decomposition_and_host_layout_leave_no_cyclic_garbage():
+    # what they build is freed by reference counts alone, not left for the
+    # cyclic collector, so a long pipeline does not hold the t-tree's
+    # family tree until the next collection
+    inst = generate_qt_instance(2, 2048, 2, rng_seed=1)
+    tt = ttree_from_decomposition(inst.decomposition)
+    gc.collect()
+    gc.disable()
+    try:
+        bags = tree_to_path_decomposition(tt)
+        assert gc.collect() == 0
+        layout = host_layout(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert bags == reference_path_decomposition(tt.family_decomposition())
+    assert layout[1] == path_decomposition_to_intervals(bags)
 
 
 def test_ttree_completion_attaches_a_vertex_with_no_earlier_neighbour():

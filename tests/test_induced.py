@@ -113,6 +113,17 @@ def test_labels_pack_and_unpack_exactly():
                 assert back == label, (scheme, g)
 
 
+def test_pack_refuses_slot_fields_that_do_not_fit_the_layout():
+    ctx = next(contexts([31], tmax=2, nmax=20))
+    for scheme in SCHEMES:
+        label = make_label(ctx, min(ctx.instance.coords, key=repr), scheme)
+        for change in ({"depths": label.depths[:-1]}, {"psi": label.psi[:-1]}, {"abits": label.abits + (0,)}):
+            with pytest.raises(ValueError, match="rows needs .* parent slots$"):
+                pack_label(dataclasses.replace(label, **change), ctx.params)
+        with pytest.raises(ValueError, match="overflow suffixes$"):
+            pack_label(dataclasses.replace(label, r=label.r + ("",)), ctx.params)
+
+
 def test_make_label_checks_the_pack_round_trip(monkeypatch):
     ctx = next(contexts([31], tmax=2, nmax=20))
     g = min(ctx.instance.coords, key=repr)
@@ -121,8 +132,7 @@ def test_make_label_checks_the_pack_round_trip(monkeypatch):
 
     def changed(bits, params):
         label = real(bits, params)
-        slot = min(label.abits)
-        label.abits = {**label.abits, slot: 1 - label.abits[slot]}
+        label.abits = (1 - label.abits[0], *label.abits[1:])
         return label
 
     monkeypatch.setattr(induced, "unpack_label", changed)
@@ -158,13 +168,23 @@ def test_make_label_checks_the_transition_code_before_packing(monkeypatch):
     assert packed == []
 
 
+def seen_by_tester(label: Label) -> tuple:
+    """A decoded label, its bits, and the fields the tester reads."""
+    return label, label.bits, label.next_alpha, label.own_key, label.parent_slot
+
+
 def decoded(reader, bits, params):
-    """What a label reader makes of bits: the label and its bits, or the ValueError text."""
+    """What a label reader makes of bits: the label, its bits and its tester view, or the ValueError text."""
     try:
         label = reader(bits, params)
     except ValueError as exc:
         return str(exc)
-    return label, label.bits
+    return seen_by_tester(label)
+
+
+def fresh(params: LabelParams) -> LabelParams:
+    """Params equal to params, with no tester view derived yet."""
+    return LabelParams(params.n, params.t, params.maxheight)
 
 
 def test_codec_matches_the_reference_codec():
@@ -219,14 +239,14 @@ def test_codec_matches_the_reference_past_its_gamma_table():
             stretched = {"sig": pad(label.sig), "mu": label.mu and pad(label.mu)}
             if k % 2:
                 stretched["alpha1"] = pad(label.alpha1)
-            psi = {slot: 1 + (5 * k + j) % 40 for j, slot in enumerate(label.psi)}
+            psi = tuple(1 + (5 * k + j) % 40 for j in range(len(label.psi)))
             draft = dataclasses.replace(label, psi=psi, **stretched)
             bits = pack_label(draft, params)
             for cut in range(len(bits) + 1):
                 got = decoded(unpack_label, bits[:cut], params)
                 assert got == decoded(reference_unpack, bits[:cut], params), (k, cut)
             if not isinstance(got, str):
-                big_psi += max(psi.values()) > 15
+                big_psi += max(psi) > 15
                 long_fields += len(draft.sig) >= 15
     assert big_psi >= 10 and long_fields >= 10
 
@@ -234,8 +254,8 @@ def test_codec_matches_the_reference_past_its_gamma_table():
 def psi_block(label: Label) -> tuple:
     """Offsets of the first psi field and of the bit after the last, from the field order of pack_label."""
     slots = len(label.psi)
-    end = len(label.bits) - slots - sum(1 + len(r) for r in label.r.values())
-    return end - sum(2 * p.bit_length() - 1 for p in label.psi.values()), end
+    end = len(label.bits) - slots - sum(1 + len(r) for r in label.r)
+    return end - sum(2 * p.bit_length() - 1 for p in label.psi), end
 
 
 def test_unpack_reports_a_bit_underrun():
@@ -249,8 +269,7 @@ def test_unpack_reports_a_bit_underrun():
         with pytest.raises(ValueError, match="bit underrun"):
             unpack_label(label.bits[:cut], params)
     # cut inside a psi gamma field: the last slot's psi, 2^20, takes 41 bits
-    last = max(label.psi, key=lambda slot: slot[::-1])  # slots run row by row, colours within a row
-    big = dataclasses.replace(label, psi={**label.psi, last: 1 << 20})
+    big = dataclasses.replace(label, psi=label.psi[:-1] + (1 << 20,))
     big.bits = pack_label(big, params)
     start, end = psi_block(big)
     assert big.bits[end - 41:end] == "0" * 20 + "1" + "0" * 20 and start < end - 41
@@ -450,8 +469,8 @@ def audit_mutants(ctx, li):
         yield with_graph(li, Graph(vertices, edges + [(a, b)]))
     for g in vertices[:3]:  # a flipped adjacency bit
         lab = li.labels[g]
-        for slot, bit in sorted(lab.abits.items()):
-            draft = dataclasses.replace(lab, abits={**lab.abits, slot: 1 - bit})
+        for slot, bit in enumerate(lab.abits):
+            draft = dataclasses.replace(lab, abits=lab.abits[:slot] + (1 - bit,) + lab.abits[slot + 1:])
             flipped = unpack_label(pack_label(draft, li.params), li.params)
             yield LabelledInstance(li.params, li.scheme, {**li.labels, g: flipped}, li.graph)
 
@@ -773,7 +792,9 @@ def test_tester_reads_no_codes_on_built_labels(monkeypatch):
     li = corpus[0]
     g = next(g for g, lab in li.labels.items() if lab.has_next)
     unpack_label(li.labels[g].bits, params)
-    assert len(calls) == 1  # a label read from bits decodes its own code once
+    assert calls == []  # params already hold this label's view
+    unpack_label(li.labels[g].bits, LabelParams(n=20, t=2))
+    assert len(calls) == 1  # a label read from bits with fresh params decodes its own code once
 
 
 def test_built_and_unpacked_labels_agree_with_the_graph():
@@ -838,10 +859,14 @@ def test_unpack_is_total_on_mutants(scheme, k, kind, pos, tail):
         bits = bits[:pos]
     else:
         bits = bits + tail
-    try:
-        mutant = unpack_label(bits, params)
-    except ValueError:
+    # params hold the views of every label of the instance and of every
+    # earlier mutant; a mutant decodes, or is refused with the same text,
+    # as through fresh params, and again the second time, as no error is kept
+    got = decoded(unpack_label, bits, params)
+    assert got == decoded(unpack_label, bits, fresh(params)) == decoded(unpack_label, bits, params)
+    if isinstance(got, str):
         return
+    mutant = got[0]
     for other in labels:
         if other.scheme != mutant.scheme:
             with pytest.raises(ValueError):
@@ -849,3 +874,37 @@ def test_unpack_is_total_on_mutants(scheme, k, kind, pos, tail):
             continue
         assert adjacency_test(mutant, other) in (True, False)
         assert adjacency_test(other, mutant) in (True, False)
+
+
+@functools.cache
+def tall_labels(scheme: str):
+    """The params and the bits of every label of a tall-shaped instance, t=2 n=1024 h=64."""
+    li = label_instance(build_context(generate_qt_instance(2, 1024, 64, rng_seed=1)), scheme)
+    return li.params, [li.labels[g].bits for g in sorted(li.labels, key=repr)]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_view_memo_changes_no_decoded_label(scheme):
+    # one params shared by every label, and fresh params per label, decode
+    # the same fields and derive the same tester views
+    params, packed = tall_labels(scheme)
+    shared = fresh(params)
+    for bits in packed:
+        assert decoded(unpack_label, bits, shared) == decoded(unpack_label, bits, fresh(params))
+    # every row repeats the host's layout, so most labels share a view
+    assert sum(len(k) == 8 for k in shared.views) < len(packed) // 8
+
+
+def test_decoded_tall_labels_hold_at_most_1200_bytes_each():
+    # flat slot tuples, and tester views shared through the params' memo,
+    # which is counted too
+    params, packed = tall_labels("fixed")
+    tracemalloc.start()
+    try:
+        shared = fresh(params)
+        labels = [unpack_label(bits, shared) for bits in packed]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) == 1024
+    assert held / len(labels) <= 1200, held / len(labels)
