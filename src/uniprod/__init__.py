@@ -24,7 +24,8 @@ Each claim is checked once per command, by one function:
 - an embedding is a witness in G_n x K_omega: in embed, embed's own
   budget check and its is_edge pass over the edge images, which names
   the lambda cause of a failure; in verify, validate_qt_embedding on
-  the witness file;
+  the witness file, the one check that the file maps every instance
+  vertex (its reader refuses only an unknown or a repeated one);
 - labels decide the instance's graph: verify_labelling, and
   assemble_universal for each instance it takes;
 - no two vertices of one instance share a label: label_instance, and

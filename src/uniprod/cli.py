@@ -100,16 +100,23 @@ def _cmd_verify(args) -> int:
     inst = QtInstance.read_jsonl(args.instance)
 
     def parse(head, records):
-        mapping = {}
+        mapping, vertices = {}, inst.graph.vertices()
         for rec in records:
             v, x, y = key(rec["v"]), rec["x"], rec["y"]
-            if not inst.graph.has_vertex(v):
+            if v not in vertices:
                 raise ValueError(f"vertex {v!r} is not in {args.instance}")
             if v in mapping:
                 raise ValueError(f"vertex {v!r} is mapped twice")
-            if not (isinstance(x, str) and isinstance(y, str)):
+            if type(x) is not str or type(y) is not str:
                 raise ValueError(f"vertex {v!r}: x and y must be strings")
-            mapping[v] = ((x, y, integer(rec["z"], "z")), integer(rec["i"], "i"))
+            # integer() is called only to raise its error
+            z = rec["z"]
+            if type(z) is not int:
+                integer(z, "z")
+            i = rec["i"]
+            if type(i) is not int:
+                integer(i, "i")
+            mapping[v] = ((x, y, z), i)
         n, lam, omega = (integer(head[name], name) for name in ("n", "lam", "omega"))
         if omega < 1:
             raise ValueError("omega >= 1 required")

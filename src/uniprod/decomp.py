@@ -17,7 +17,7 @@ from itertools import chain
 from math import comb
 
 from .closure import IntervalRep
-from .io import endpoints, integer, json_id, key, read_records, write_lines
+from .io import add_edge_record, endpoints, integer, json_id, key, read_records, write_lines
 from .product import Graph, PathFactor, ProductWitness
 
 
@@ -506,8 +506,7 @@ class QtInstance:
         """Read an instance file; its checks run as it is built, so their errors name the file."""
 
         def parse(head, records):
-            graph, host = Graph(name="qt instance"), Graph(name="host")
-            coords, bags, d_edges = {}, {}, []
+            adj, host_adj, coords, bags, d_edges = {}, {}, {}, {}, []  # adj: vertex -> neighbour set, as Graph keeps it
             for rec in records:
                 if "gv" in rec:
                     v = key(rec["gv"])
@@ -515,13 +514,13 @@ class QtInstance:
                         raise ValueError(f"vertex {v!r} is placed twice")
                     c, y = rec["c"]
                     coords[v] = (key(c), integer(y, "row"))
-                    graph.add_vertex(v)
+                    adj[v] = set()
                 elif "ge" in rec:
-                    graph.add_edge(*endpoints(rec["ge"], coords))
+                    add_edge_record(adj, rec["ge"])
                 elif "hv" in rec:
-                    host.add_vertex(key(rec["hv"]))
+                    host_adj.setdefault(key(rec["hv"]), set())
                 elif "he" in rec:
-                    host.add_edge(*endpoints(rec["he"], host.vertices()))
+                    add_edge_record(host_adj, rec["he"])
                 elif "dnode" in rec:
                     x = key(rec["dnode"])
                     if x in bags:
@@ -530,6 +529,7 @@ class QtInstance:
                 else:
                     d_edges.append(endpoints(rec["de"], bags))
             t, h, seed = (integer(head[name], name) for name in ("t", "h", "seed"))
+            graph, host = Graph.from_adjacency(adj, name="qt instance"), Graph.from_adjacency(host_adj, name="host")
             return cls(graph, host, coords, TreeDecomposition(bags, d_edges), t=t, h=h, seed=seed)
 
         return read_records(path, "qt-instance", parse)

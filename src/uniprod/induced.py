@@ -53,7 +53,7 @@ from math import comb
 from .bitcore import Bst, build_biased_bst, check_bits, strip_successor
 from .closure import IntervalRep, min_depth_in_range, perturb_left_endpoints
 from .decomp import QtInstance, TTree, host_layout
-from .io import endpoints, integer, json_id, key, read_records, write_lines
+from .io import add_edge_record, integer, json_id, key, read_records, write_lines
 from .product import Graph, row_numbers
 from .treeseq import LcpCodec, build_tree_sequence
 
@@ -800,7 +800,7 @@ class LabelledInstance:
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown label scheme {scheme!r}")
             params = LabelParams(n=n, t=t, maxheight=maxheight)
-            labels, graph = {}, Graph(name="labelled instance")
+            labels, adj = {}, {}  # adj: the graph's vertex -> neighbour-set map
             owner = {}  # bits -> the vertex they label
             for rec in records:
                 if "v" in rec:
@@ -813,12 +813,12 @@ class LabelledInstance:
                     labels[v] = unpack_label(rec["bits"], params)
                     if labels[v].scheme != scheme:
                         raise ValueError(f"label of {v!r} is {labels[v].scheme} but the header says {scheme!r}")
-                    graph.add_vertex(v)
+                    adj[v] = set()
                 else:
-                    graph.add_edge(*endpoints(rec["ge"], labels))
+                    add_edge_record(adj, rec["ge"])
             if len(labels) != count:
                 raise ValueError(f"header count {count} but {len(labels)} labelled vertices")
-            return cls(params, scheme, labels, graph)
+            return cls(params, scheme, labels, Graph.from_adjacency(adj, name="labelled instance"))
 
         return read_records(path, "labels", parse)
 

@@ -11,7 +11,10 @@ Each line is decoded once in C and gives the object or the error that
 ``json.loads`` gives; a line nested too deeply to decode is a ``ValueError``
 that names it too.
 Every reader takes its integer fields through ``integer`` and its vertex
-ids through ``key``, so a value of the wrong type fails on its own line.
+ids through ``key``, so a value of the wrong type fails on its own line
+(a hot reader may test ``type(value) is int`` itself and call ``integer``
+only to raise its error).  Edge records go through ``add_edge_record``
+straight into the graph's adjacency map.
 """
 
 from __future__ import annotations
@@ -152,3 +155,16 @@ def endpoints(pair, declared):
     if a not in declared or b not in declared:
         raise ValueError(f"edge {a!r}-{b!r} names an undeclared vertex")
     return a, b
+
+
+def add_edge_record(adj: dict, pair) -> None:
+    """Add an edge record to a vertex -> neighbour-set map, in place.
+
+    Its ends are read by ``endpoints``, so each is a key of ``adj``; a
+    loop raises ``loop at <end>``, as ``Graph.add_edge`` does.
+    """
+    a, b = endpoints(pair, adj)
+    if a == b:
+        raise ValueError(f"loop at {a!r}")
+    adj[a].add(b)
+    adj[b].add(a)

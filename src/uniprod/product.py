@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .io import endpoints, integer, read_records, write_pairs
+from .io import add_edge_record, integer, read_records, write_pairs
 
 
 class Graph:
@@ -121,10 +121,10 @@ class Graph:
                 raise ValueError(f"n must be >= 0, not {n}")
             if type(name) is not str:
                 raise ValueError(f"name must be a string, not {name!r}")
-            g = cls(range(n), name=name)
+            adj = {v: set() for v in range(n)}
             for rec in records:
-                g.add_edge(*endpoints(rec["edge"], g._adj))
-            return g
+                add_edge_record(adj, rec["edge"])
+            return cls.from_adjacency(adj, name=name)
 
         return read_records(path, "graph", parse)
 
@@ -187,21 +187,63 @@ class ProductWitness:
     def validate(self) -> None:
         """Raise WitnessError unless this is a valid product embedding.
 
-        Every factor is symmetric: adjacent(x, y) == adjacent(y, x).
-        has_vertex checks every coordinate of every vertex.  Each factor's
-        adjacency test then runs once per distinct unordered pair of unequal
-        coordinates that some edge puts side by side: it reads only the two
-        values, which has_vertex has accepted, so the verdict of one pair
-        is the verdict of every edge that carries it, in either orientation.
-        The error names the first failing edge in graph.edges() order and,
-        within that edge, the first failing factor.
+        Every factor is symmetric: adjacent(x, y) == adjacent(y, x).  And
+        has_vertex gives one verdict for coordinates of one type that
+        compare equal.  So pass or fail is decided in bulk: coverage,
+        arity and injectivity over the whole map; has_vertex once per
+        distinct (type, value) coordinate of each factor, so 1.0 and True
+        are checked beside 1; then each factor's adjacency test once per
+        distinct unordered pair of unequal coordinates that some edge puts
+        side by side, in the orientation of its first edge.  The test reads
+        only the two values, which has_vertex has accepted, so the verdict
+        of one pair is the verdict of every edge that carries it, in either
+        orientation.  A coverage error names the first vertex without
+        coordinates, in graph order, or else the first coordinate holder
+        that is no vertex.  Only when another check fails is the map
+        scanned again in order, reusing the pair verdicts: the error names
+        the first failing vertex, or else the first failing edge in
+        graph.edges() order and, within that edge, the first failing
+        factor.
         """
         factors, coords = self.factors, self.coords
-        n = len(factors)
         if coords.keys() != self.graph.vertices():
-            raise WitnessError("coordinate map does not cover the vertex set")
+            for v in self.graph.vertices():
+                if v not in coords:
+                    raise WitnessError(f"vertex {v!r} has no coordinates")
+            extra = next(v for v in coords if not self.graph.has_vertex(v))
+            raise WitnessError(f"coordinates given for {extra!r}, which is not a vertex")
+        cs = coords.values()
+        try:
+            ok = (
+                {len(c) for c in cs} <= {len(factors)}
+                and len(set(cs)) == len(cs)
+                and all(f.has_vertex(x) for f, xs in zip(factors, zip(*cs)) for _, x in {(type(x), x) for x in xs})
+            )
+        except TypeError:  # an unhashable coordinate: the scan meets it in its place
+            ok = False
+        if not ok:
+            self._scan_vertices()
+        ends = [(coords[u], coords[v]) for u, v in self.graph.edges()]
+        verdicts = []  # per factor: (x, y) -> adjacent(x, y), one orientation per unordered pair
+        for k, f in enumerate(factors):
+            verdict = {}
+            for x, y in dict.fromkeys((cu[k], cv[k]) for cu, cv in ends):
+                if x != y and (y, x) not in verdict:
+                    verdict[x, y] = f.adjacent(x, y)
+            verdicts.append(verdict)
+        # an edge whose coordinates are all equal cannot occur: coords are injective
+        if not all(all(verdict.values()) for verdict in verdicts):
+            for (u, v), (cu, cv) in zip(self.graph.edges(), ends):
+                for k, verdict in enumerate(verdicts):
+                    x, y = cu[k], cv[k]
+                    if x != y and not verdict.get((x, y), verdict.get((y, x))):
+                        raise WitnessError(f"edge {u!r}-{v!r}: {x!r},{y!r} not equal or adjacent in {factors[k]!r}")
+
+    def _scan_vertices(self) -> None:
+        """Check the vertices one by one, each coordinate then the collisions, and raise at the first failure."""
+        factors, n = self.factors, len(self.factors)
         seen = {}
-        for v, c in coords.items():
+        for v, c in self.coords.items():
             if len(c) != n:
                 raise WitnessError(f"coordinate arity mismatch at {v!r}")
             for f, x in zip(factors, c):
@@ -210,18 +252,3 @@ class ProductWitness:
             if c in seen:
                 raise WitnessError(f"vertices {seen[c]!r} and {v!r} collide at {c}")
             seen[c] = v
-        edges = list(self.graph.edges())
-        ends = [(coords[u], coords[v]) for u, v in edges]
-        failures = []  # (edge index, factor index)
-        for k, f in enumerate(factors):
-            first = {}  # (x, y) -> index of the first edge that puts x beside y, either way round, in factor k
-            for i, (cu, cv) in enumerate(ends):
-                x, y = pair = cu[k], cv[k]
-                if pair not in first and (y, x) not in first:
-                    first[pair] = i
-            failures += ((i, k) for (x, y), i in first.items() if x != y and not f.adjacent(x, y))
-        # an edge whose coordinates are all equal cannot occur: coords are injective
-        if failures:
-            i, k = min(failures)
-            (u, v), (cu, cv) = edges[i], ends[i]
-            raise WitnessError(f"edge {u!r}-{v!r}: {cu[k]!r},{cv[k]!r} not equal or adjacent in {factors[k]!r}")

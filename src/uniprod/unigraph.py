@@ -50,6 +50,8 @@ class UgParams:
     codec: LcpCodec = field(init=False, repr=False, compare=False)
     # row signature y1 -> frozenset(successor_set(y1, horizon)), filled by _type2_need
     successors: dict = field(init=False, repr=False, compare=False)
+    # tuples with an int z that have passed check_vertex, kept by is_edge
+    checked: set = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -66,7 +68,7 @@ class UgParams:
         if lam < 0:
             raise ValueError("lam >= 0 required")
         derived = {"lam": lam, "d": d, "horizon": d + 2, "budget": d + lam + 2, "codec": LcpCodec(d + lam + 2),
-                   "successors": {}}
+                   "successors": {}, "checked": set()}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -140,8 +142,25 @@ def directed_edge(p: UgParams, u, v) -> bool:
 
 
 def is_edge(p: UgParams, u, v) -> bool:
-    check_vertex(p, u)
-    check_vertex(p, v)
+    """Adjacency of two triples, each checked with check_vertex first.
+
+    A tuple with an int z that passes is kept in p.checked, so these
+    params check it once: check_vertex gives one verdict for triples
+    that compare equal and have an int z (x and y pass or fail as
+    strings, z is compared with 0 and d).  Any other triple, an invalid
+    or an unhashable one included, is checked on every call and never
+    kept.
+    """
+    checked = p.checked
+    for w in (u, v):
+        try:
+            if w in checked and type(w[2]) is int:
+                continue
+        except TypeError:  # unhashable
+            pass
+        check_vertex(p, w)
+        if type(w) is tuple and type(w[2]) is int:
+            checked.add(w)
     return p.adjacent(u, v)
 
 

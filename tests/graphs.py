@@ -10,7 +10,7 @@ from uniprod.bitcore import Bst, check_bits, is_prefix, strip_successor, success
 from uniprod.decomp import QtInstance, TreeDecomposition
 from uniprod.induced import Label, LabelParams, LabelledInstance, _derive_tester_view, adjacency_test
 from uniprod.io import write_lines
-from uniprod.product import Graph
+from uniprod.product import Graph, ProductWitness, WitnessError
 from uniprod.treeseq import LcpCodec
 from uniprod.unigraph import UgParams, check_vertex, is_edge, row_graph
 
@@ -155,6 +155,51 @@ def assert_is_edge_graph(p: UgParams, g: Graph) -> None:
     """Every pair of g's vertices is an edge of g exactly when is_edge says so."""
     for u, v in itertools.combinations(g.vertices(), 2):
         assert g.has_edge(u, v) == is_edge(p, u, v), (p.n, p.lam, u, v)
+
+
+def reference_validate(w: ProductWitness) -> None:
+    """ProductWitness.validate's oracle: every check in order, edge by edge.
+
+    Coverage names the first vertex without coordinates, in graph order,
+    or else the first coordinate holder that is no vertex.  Then each
+    vertex in turn: its arity, each coordinate's membership, a collision
+    with an earlier vertex.  Then each factor's adjacency test once per
+    unordered pair of unequal coordinates, charged to the first edge
+    that carries the pair either way round; the error names the failing
+    (edge, factor) that comes first, edges in graph.edges() order.
+    """
+    factors, coords = w.factors, w.coords
+    n = len(factors)
+    if coords.keys() != w.graph.vertices():
+        for v in w.graph.vertices():
+            if v not in coords:
+                raise WitnessError(f"vertex {v!r} has no coordinates")
+        extra = next(v for v in coords if not w.graph.has_vertex(v))
+        raise WitnessError(f"coordinates given for {extra!r}, which is not a vertex")
+    seen = {}
+    for v, c in coords.items():
+        if len(c) != n:
+            raise WitnessError(f"coordinate arity mismatch at {v!r}")
+        for f, x in zip(factors, c):
+            if not f.has_vertex(x):
+                raise WitnessError(f"coordinate {x!r} outside factor {f!r}")
+        if c in seen:
+            raise WitnessError(f"vertices {seen[c]!r} and {v!r} collide at {c}")
+        seen[c] = v
+    edges = list(w.graph.edges())
+    ends = [(coords[u], coords[v]) for u, v in edges]
+    failures = []  # (edge index, factor index)
+    for k, f in enumerate(factors):
+        first = {}  # (x, y) -> index of the first edge that puts x beside y, either way round, in factor k
+        for i, (cu, cv) in enumerate(ends):
+            x, y = pair = cu[k], cv[k]
+            if pair not in first and (y, x) not in first:
+                first[pair] = i
+        failures += ((i, k) for (x, y), i in first.items() if x != y and not f.adjacent(x, y))
+    if failures:
+        i, k = min(failures)
+        (u, v), (cu, cv) = edges[i], ends[i]
+        raise WitnessError(f"edge {u!r}-{v!r}: {cu[k]!r},{cv[k]!r} not equal or adjacent in {factors[k]!r}")
 
 
 def path_shaped(bags: list) -> TreeDecomposition:

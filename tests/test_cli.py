@@ -43,6 +43,18 @@ def test_gen_embed_verify_roundtrip(tmp_path, monkeypatch):
     run("verify", "--instance", str(inst), "--witness", str(wit), check=1)
 
 
+def test_verify_names_a_vertex_the_witness_leaves_out(tmp_path, capsys):
+    inst, wit = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl"
+    run("gen", "qt", "--t", "1", "--n", "8", "--h", "2", "--seed", "3", "--out", str(inst))
+    run("embed", "--instance", str(inst), "--out", str(wit))
+    lines = wit.read_text().splitlines(keepends=True)
+    assert json.loads(lines[2])["v"] == 1
+    wit.write_text("".join(lines[:2] + lines[3:]))
+    capsys.readouterr()
+    run("verify", "--instance", str(inst), "--witness", str(wit), check=1)
+    assert capsys.readouterr().err == "error: vertex 1 has no coordinates\n"
+
+
 def test_verify_names_the_host_it_checked(tmp_path, capsys):
     inst, wit = tmp_path / "inst.jsonl", tmp_path / "wit.jsonl"
     run("gen", "qt", "--t", "2", "--n", "40", "--h", "4", "--seed", "2", "--out", str(inst))

@@ -1,10 +1,13 @@
 import itertools
 import json
+import random
 import re
+from collections import Counter
 
 import pytest
-from graphs import path_graph
+from graphs import path_graph, reference_validate
 
+from uniprod.closure import ClosureGraph
 from uniprod.decomp import generate_qt_instance
 from uniprod.product import (
     CliqueFactor,
@@ -13,7 +16,7 @@ from uniprod.product import (
     ProductWitness,
     WitnessError,
 )
-from uniprod.unigraph import UgParams, embed_qt
+from uniprod.unigraph import UgParams, embed_qt, row_graph
 
 
 def test_graph_basics():
@@ -141,6 +144,16 @@ def test_witness_error_names_the_first_failing_edge_then_factor():
     )
 
 
+def test_witness_coverage_error_names_a_vertex():
+    # the first vertex without coordinates in graph order, else the first coordinate holder that is no vertex
+    g = Graph("cab", [("a", "b")])
+    factors = (PathFactor(3),)
+    assert raised(ProductWitness(g, factors, {"a": (1,), "z": (3,)})) == "vertex 'c' has no coordinates"
+    assert raised(ProductWitness(g, factors, {"c": (3,), "z": (3,), "a": (1,), "b": (2,)})) == (
+        "coordinates given for 'z', which is not a vertex"
+    )
+
+
 def test_witness_checks_the_type_of_every_coordinate():
     # 1.0 == 1, but a float is not a row: each vertex's coordinates are checked
     g = Graph("ab", [("a", "b")])
@@ -153,6 +166,10 @@ class Counted:
 
     def __init__(self, factor):
         self.factor, self.calls = factor, 0
+
+    @classmethod
+    def wrap(cls, factors) -> tuple:
+        return tuple(map(cls, factors))
 
     def has_vertex(self, v):
         return self.factor.has_vertex(v)
@@ -192,3 +209,147 @@ def test_witness_names_the_first_edge_of_a_pair_that_recurs_reversed():
     assert raised(ProductWitness(g, factors, coords)) == "edge 2-3: 2,5 not equal or adjacent in PathFactor(5)"
     coords[3] = (3, 4)
     assert raised(ProductWitness(g, factors, coords)) == "edge 4-5: 3,1 not equal or adjacent in PathFactor(5)"
+
+
+# A seeded fault-injection sweep: validate against reference_validate, the
+# sequential check it replaces, over every kind of factor the package uses.
+
+
+def factor_kinds(rng):
+    """name -> (factor, valid coordinates, coordinates outside it)."""
+    host = Graph(range(6), [e for e in itertools.combinations(range(6), 2) if rng.random() < 0.5], name="host")
+    p = UgParams(4, lam=1)
+    rows = row_graph(p)
+    r0 = rng.choice(sorted(rows))
+    near = [r0, *rng.sample(sorted(rows[r0]), min(4, len(rows[r0])))]
+    triples = [(x, y, z) for x, y in near for z in range(p.d + 1)]
+    x, y, _ = triples[0]
+    return {
+        "path": (PathFactor(4), [1, 2, 3, 4], [0, 5, 1.0, True, "1", None]),
+        "clique": (CliqueFactor(3), [1, 2, 3], [0, 4, 1.0, True, "2"]),
+        "graph": (host, list(range(6)), [6, "a", (1,), 1.0, True, [1]]),
+        "ug": (p, triples, [("2", y, 0), (x, y, p.d + 1), (x, y), [x, y, 0], (x, y, 1.0), "abc", None]),
+        "closure": (ClosureGraph(2), list(range(1, 8)), [0, 8, 2.0, True, "3"]),
+    }
+
+
+def fresh_coords(rng, pools, taken, fixed=None):
+    """A coordinate tuple not among taken, with position k set to fixed[k] where given."""
+    fixed = fixed or {}
+    for _ in range(100):
+        c = tuple(fixed[k] if k in fixed else rng.choice(pool) for k, pool in enumerate(pools))
+        if c not in taken:
+            return c
+    return c
+
+
+def inside(factors, c):
+    try:
+        return len(c) == len(factors) and all(f.has_vertex(x) for f, x in zip(factors, c))
+    except TypeError:  # unhashable, in a Graph
+        return False
+
+
+def fits(factors, cu, cv):
+    return all(a == b or f.adjacent(a, b) for f, a, b in zip(factors, cu, cv))
+
+
+def base_witness(rng, factors, pools):
+    n = rng.randint(4, 9)
+    coords = {}
+    for v in range(n):
+        coords[v] = fresh_coords(rng, pools, list(coords.values()))
+    order = list(coords)
+    rng.shuffle(order)
+    edges = [(u, v) for u, v in itertools.combinations(order, 2)
+             if fits(factors, coords[u], coords[v]) and rng.random() < 0.7]
+    return order, edges, coords
+
+
+def inject(rng, fault, factors, pools, bad, order, edges, coords):
+    """Apply one fault in place to (order, edges, coords)."""
+    vs = list(coords)
+    if fault == "missing":
+        del coords[rng.choice(vs)]
+    elif fault == "extra":
+        coords["ghost"] = fresh_coords(rng, pools, list(coords.values()))
+    elif fault == "arity":
+        v = rng.choice(vs)
+        coords[v] = coords[v] + coords[v][:1] if rng.random() < 0.5 else coords[v][:1]
+    elif fault == "outside":
+        v, k = rng.choice(vs), rng.randrange(len(factors))
+        value = rng.choice(bad[k])
+        if value in (1.0, True) and 1 in pools[k] and len(vs) > 1:
+            # the float or bool stands beside a plain 1 in the same factor
+            u = rng.choice([u for u in vs if u != v])
+            coords[u] = coords[u][:k] + (1,) + coords[u][k + 1:]
+        coords[v] = coords[v][:k] + (value,) + coords[v][k + 1:]
+    elif fault == "collision":
+        u, v = rng.sample(vs, 2)
+        coords[v] = coords[u]
+    elif fault == "nonadjacent":
+        members = [v for v in vs if inside(factors, coords[v])]  # not broken by an earlier fault
+        pairs = [(u, v) for u, v in itertools.permutations(members, 2) if not fits(factors, coords[u], coords[v])]
+        if pairs:
+            edges.append(rng.choice(pairs))
+    elif fault == "reversed":
+        # a, b put the failing pair x, y side by side in factor k, and the later c, d put y, x
+        failing = [(k, x, y) for k, f in enumerate(factors) for x in pools[k] for y in pools[k]
+                   if x != y and not f.adjacent(x, y)]
+        if not failing:  # every unequal pair is adjacent, in every factor
+            return
+        k, x, y = rng.choice(failing)
+        taken = list(coords.values())
+        for name, first, second in (("a", x, y), ("c", y, x)):
+            cu = fresh_coords(rng, pools, taken, {k: first})
+            cv = fresh_coords(rng, pools, taken + [cu], {**{j: cu[j] for j in range(len(pools)) if j != k}, k: second})
+            taken += [cu, cv]
+            coords[name + "0"], coords[name + "1"] = cu, cv
+            order += [name + "0", name + "1"]
+            edges.append((name + "0", name + "1"))
+
+
+FAULTS = ("missing", "extra", "arity", "outside", "collision", "nonadjacent", "reversed")
+
+
+def outcome(check, witness):
+    try:
+        check(witness)
+    except (WitnessError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", ""
+
+
+def test_validate_matches_the_sequential_reference_under_injected_faults():
+    seen = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        kinds = factor_kinds(rng)
+        for pair in itertools.permutations(sorted(kinds), 2):
+            factors = tuple(kinds[name][0] for name in pair)
+            pools = [kinds[name][1] for name in pair]
+            bad = [kinds[name][2] for name in pair]
+            order, edges, coords = base_witness(rng, factors, pools)
+            faults = [()] + [(f,) for f in FAULTS] + [tuple(rng.sample(FAULTS, 2))]
+            for chosen in faults:
+                o, e, c = list(order), list(edges), dict(coords)
+                for fault in chosen:
+                    inject(rng, fault, factors, pools, bad, o, e, c)
+                g = Graph(o, e)
+                got, want = Counted.wrap(factors), Counted.wrap(factors)
+                result = outcome(ProductWitness.validate, ProductWitness(g, got, c))
+                assert result == outcome(reference_validate, ProductWitness(g, want, c)), (seed, pair, chosen)
+                assert [f.calls for f in got] == [f.calls for f in want], (seed, pair, chosen)
+                if result[0] == "ok" or "not equal or adjacent" in result[1]:
+                    for k, f in enumerate(got):
+                        unordered = {frozenset((c[u][k], c[v][k])) for u, v in g.edges() if c[u][k] != c[v][k]}
+                        assert f.calls == len(unordered)
+                kind, message = result
+                seen[next((name for name, text in ERRORS.items() if text in message), kind)] += 1
+    # every verdict the check can give is reached: each error, an unhashable coordinate's TypeError, a pass
+    assert set(seen) == {*ERRORS, "TypeError", "ok"}, seen
+
+
+# a fragment of each error text of validate
+ERRORS = {"missing": "has no coordinates", "extra": "which is not a vertex", "arity": "arity mismatch",
+          "outside": "outside factor", "collision": "collide at", "edge": "not equal or adjacent"}

@@ -15,6 +15,7 @@ from graphs import (
 )
 from hypothesis import given, settings, strategies as st
 
+from uniprod import unigraph
 from uniprod.bitcore import successor_set
 from uniprod.closure import ClosureGraph
 from uniprod.decomp import generate_qt_instance
@@ -87,6 +88,60 @@ def test_params_are_a_host_factor():
     vs = list(all_vertices(p, 2))
     for u, v in itertools.product(vs, repeat=2):
         assert p.adjacent(u, v) == is_edge(p, u, v)
+
+
+def checked_is_edge(p: UgParams, u, v) -> bool:
+    """is_edge without its memo: both ends through check_vertex on every call."""
+    check_vertex(p, u)
+    check_vertex(p, v)
+    return p.adjacent(u, v)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_is_edge_checks_each_vertex_once_per_params(monkeypatch):
+    p = UgParams(4, lam=1)
+    vs = list(all_vertices(p, 2))
+    checked = Counter()
+
+    def counted(q, v):
+        checked[v] += 1
+        check_vertex(q, v)
+
+    monkeypatch.setattr(unigraph, "check_vertex", counted)
+    for u, v in itertools.product(vs[:40], repeat=2):
+        assert is_edge(p, u, v) == checked_is_edge(p, u, v)
+    assert set(checked.values()) == {1} and len(checked) == 40 == len(p.checked)
+    # fresh params check again; the memo is no part of their equality or hash
+    q = UgParams(4, lam=1)
+    assert q == p and hash(q) == hash(p) and repr(q) == repr(p) and not q.checked
+    is_edge(q, vs[0], vs[1])
+    assert checked[vs[0]] == checked[vs[1]] == 2
+
+
+def test_is_edge_memo_keeps_every_verdict_and_error():
+    p = UgParams(4, lam=1)
+    good = ("01", "0", 2)
+    bad = [("01", "0", p.d + 1), ("2", "", 0), ("0" * p.budget, "1", 0), ("0", "", "1"), ("0", ""), 7,
+           ["2", "", 0], ("01", "0", [2]), ("01", "0", 2 + 0j)]
+    odd = [["01", "0", 2], ["", "", 0], ("01", "0", 2.0), ("01", "0", True), ("", "", False)]
+    is_edge(p, good, ("", "", 0))  # both ends kept; a bad or odd triple equal to one must still be checked
+    for v in bad + odd:
+        for u in (good, ("", "", 0), ("0", "", 1)):
+            for _ in range(2):  # the second call is not answered from the memo
+                assert outcome(is_edge, p, u, v) == outcome(checked_is_edge, p, u, v), (u, v)
+                assert outcome(is_edge, p, v, u) == outcome(checked_is_edge, p, v, u), (v, u)
+    for v in bad:
+        with pytest.raises((TypeError, ValueError)):
+            is_edge(p, good, v)
+    # only tuples with an int z that passed are kept: a list, a float or bool z, a bad triple never
+    assert p.checked == {good, ("", "", 0), ("0", "", 1)}
+    assert all(type(v) is tuple and type(v[2]) is int for v in p.checked)
 
 
 def test_closed_form_matches_exhaustive_adjacency():
