@@ -8,6 +8,12 @@ edges from two labels alone.  Each pipeline stage (biased search trees,
 tree sequences, interval embeddings, product witnesses, labelling,
 vertex compression) is its own module with exact validity checks.
 
+Importing the package imports none of those modules.  Each name in
+__all__ is looked up in a table of the module that defines it, and that
+module is imported on the name's first use (a module ``__getattr__``).
+So ``import uniprod.cli`` loads only the package, cli and io, and each
+command then imports the modules it runs.
+
 Each claim is checked once per command, by one function:
 
 - an instance is a product witness in host x P_h, its decomposition is
@@ -98,73 +104,52 @@ of the package surface pins them):
     unigraph.validate_qt_embedding: validate
 """
 
-from .bitcore import Bst, build_biased_bst, successor_set
-from .closure import ClosureGraph, IntervalRep, embed_interval_graph, interval_separator
-from .compressor import build_saturator, compress, embed_compressed, verify_saturation
-from .decomp import (
-    QtInstance,
-    TTree,
-    TreeDecomposition,
-    build_ttree,
-    generate_qt_instance,
-    tree_to_path_decomposition,
-    ttree_from_decomposition,
-)
-from .harness import Report, gen_bad_example, run_suite
-from .induced import (
-    LabelParams,
-    adjacency_test,
-    assemble_universal,
-    build_context,
-    fixup,
-    label_instance,
-    verify_labelling,
-)
-from .product import CliqueFactor, Graph, PathFactor, ProductWitness
-from .treeseq import LcpCodec, build_tree_sequence
-from .unigraph import UgParams, embed_qt, is_edge, materialize, validate_qt_embedding
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bst",
-    "build_biased_bst",
-    "successor_set",
-    "ClosureGraph",
-    "IntervalRep",
-    "embed_interval_graph",
-    "interval_separator",
-    "build_saturator",
-    "verify_saturation",
-    "compress",
-    "embed_compressed",
-    "TreeDecomposition",
-    "TTree",
-    "QtInstance",
-    "build_ttree",
-    "ttree_from_decomposition",
-    "tree_to_path_decomposition",
-    "generate_qt_instance",
-    "Report",
-    "gen_bad_example",
-    "run_suite",
-    "LabelParams",
-    "build_context",
-    "fixup",
-    "label_instance",
-    "adjacency_test",
-    "verify_labelling",
-    "assemble_universal",
-    "Graph",
-    "PathFactor",
-    "CliqueFactor",
-    "ProductWitness",
-    "LcpCodec",
-    "build_tree_sequence",
-    "UgParams",
-    "is_edge",
-    "materialize",
-    "embed_qt",
-    "validate_qt_embedding",
-    "__version__",
-]
+# Each public name and the module that defines it, in __all__ order.
+_EXPORTS = {
+    "bitcore": ("Bst", "build_biased_bst", "successor_set"),
+    "closure": ("ClosureGraph", "IntervalRep", "embed_interval_graph", "interval_separator"),
+    "compressor": ("build_saturator", "verify_saturation", "compress", "embed_compressed"),
+    "decomp": (
+        "TreeDecomposition",
+        "TTree",
+        "QtInstance",
+        "build_ttree",
+        "ttree_from_decomposition",
+        "tree_to_path_decomposition",
+        "generate_qt_instance",
+    ),
+    "harness": ("Report", "gen_bad_example", "run_suite"),
+    "induced": (
+        "LabelParams",
+        "build_context",
+        "fixup",
+        "label_instance",
+        "adjacency_test",
+        "verify_labelling",
+        "assemble_universal",
+    ),
+    "product": ("Graph", "PathFactor", "CliqueFactor", "ProductWitness"),
+    "treeseq": ("LcpCodec", "build_tree_sequence"),
+    "unigraph": ("UgParams", "is_edge", "materialize", "embed_qt", "validate_qt_embedding"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    """Import the module that defines a public name on its first use, and keep the name here."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,6 +7,12 @@ induced-universal graph, and run batch suites.  Every command is
 deterministic given its flags; artifacts default into a cache directory
 overridable via UNIPROD_CACHE.
 
+This module imports only io and the standard library.  Each command
+imports the modules it runs when it runs, so ``gen qt`` loads the
+instance layer alone (io, product, bitcore, closure, decomp), never the
+host, labelling or compression modules.  The label schemes and suite
+names that the parser offers are defined in io for that reason.
+
 Exit codes: 0 success; 1 verification failed or an input was rejected
 (AssertionError, ValueError, OSError); 2 bad usage; 3 internal error: any
 other exception is a bug, RuntimeError included (embed raises it only as
@@ -24,31 +30,7 @@ import sys
 import tempfile
 import traceback
 
-from .compressor import build_saturator, compress, verify_saturation
-from .decomp import QtInstance, generate_qt_instance
-from .harness import _SUITES, Report, gen_bad_example, run_suite
-from .induced import (
-    SCHEMES,
-    LabelParams,
-    LabelledInstance,
-    adjacency_test,
-    assemble_universal,
-    build_context,
-    label_instance,
-    verify_labelling,
-)
-from .io import integer, json_id, key, read_records, write_lines
-from .product import Graph
-from .unigraph import (
-    QtEmbedding,
-    UgParams,
-    edge_count_bound,
-    embed_qt,
-    host_degrees,
-    materialize,
-    validate_qt_embedding,
-    vertex_count_bound,
-)
+from .io import SCHEMES, SUITES, integer, json_id, key, read_records, write_lines
 
 
 def _cache_dir() -> str:
@@ -63,12 +45,16 @@ def _out_path(args, default_name: str) -> str:
 
 def _cmd_gen(args) -> int:
     if args.kind == "qt":
+        from .decomp import generate_qt_instance
+
         inst = generate_qt_instance(args.t, args.n, args.h, args.seed)
         out = _out_path(args, f"qt_t{args.t}_n{args.n}_h{args.h}_s{args.seed}.jsonl")
         inst.write_jsonl(out)
         print(f"instance: {inst.graph.n} vertices, {inst.graph.m} edges, "
               f"t={inst.t}, rows={inst.h} -> {out}")
     else:
+        from .harness import gen_bad_example
+
         ex = gen_bad_example(args.n, args.i, args.j)
         out = _out_path(args, f"bad_n{args.n}_i{args.i}_j{args.j}.jsonl")
         ex.instance.write_jsonl(out)
@@ -81,6 +67,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .decomp import QtInstance
+    from .unigraph import UgParams, embed_qt
+
     inst = QtInstance.read_jsonl(args.instance)
     p = UgParams(args.n or inst.graph.n, lam=args.lam)
     emb = embed_qt(p, inst)
@@ -97,6 +86,9 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .decomp import QtInstance
+    from .unigraph import QtEmbedding, UgParams, validate_qt_embedding
+
     inst = QtInstance.read_jsonl(args.instance)
 
     def parse(head, records):
@@ -131,6 +123,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_build_ug(args) -> int:
+    from .unigraph import UgParams, edge_count_bound, materialize, vertex_count_bound
+
     p = UgParams(args.n, lam=args.lam)
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
     if args.mode == "implicit":
@@ -145,6 +139,8 @@ def _cmd_build_ug(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .unigraph import UgParams, edge_count_bound, host_degrees, vertex_count_bound
+
     p = UgParams(args.n, lam=args.lam)
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
     row = {"n": p.n, "d": p.d, "lam": p.lam, "vertex_bound": vb, "edge_bound": eb}
@@ -156,6 +152,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    from .compressor import build_saturator, compress, verify_saturation
+    from .product import Graph
+
     g = Graph.read_jsonl(args.graph)  # vertices 0..n-1, as saturators expect
     n0 = args.n0 if args.n0 is not None else g.n
     s = verdict = None
@@ -182,6 +181,9 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_label(args) -> int:
+    from .decomp import QtInstance
+    from .induced import LabelParams, build_context, label_instance
+
     inst = QtInstance.read_jsonl(args.instance)
     params = LabelParams(n=args.n or inst.graph.n, t=inst.t)
     ctx = build_context(inst, params=params)
@@ -194,6 +196,8 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_test_adjacency(args) -> int:
+    from .induced import LabelledInstance, adjacency_test, verify_labelling
+
     li = LabelledInstance.read_jsonl(args.labels)
     if (args.u is None) != (args.v is None):
         raise ValueError("--u needs --v" if args.v is None else "--v needs --u")
@@ -212,6 +216,8 @@ def _cmd_test_adjacency(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
+    from .induced import LabelledInstance, assemble_universal
+
     corpus = [LabelledInstance.read_jsonl(path) for path in args.labels]
     un = assemble_universal(corpus)
     out = _out_path(args, "universal.jsonl")
@@ -223,6 +229,8 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_run_suite(args) -> int:
+    from .harness import run_suite
+
     cfg = {"seed": args.seed}
     for key in ("n", "t", "count", "n0", "k", "eps"):
         val = getattr(args, key, None)
@@ -243,6 +251,8 @@ def _cmd_run_suite(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .harness import Report
+
     try:
         with open(args.path) as fh:
             data = json.load(fh)
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     asm.set_defaults(func=_cmd_assemble)
 
     rs = sub.add_parser("run-suite", help="run a named verification suite")
-    rs.add_argument("suite", choices=tuple(_SUITES))
+    rs.add_argument("suite", choices=SUITES)
     rs.add_argument("--n", type=int)
     rs.add_argument("--t", type=int)
     rs.add_argument("--count", type=int)

@@ -46,7 +46,7 @@ class ClosureGraph:
         return (1 << (self.d + 1)) - 1
 
     def has_vertex(self, v) -> bool:
-        return isinstance(v, int) and 1 <= v <= self.n
+        return type(v) is int and 1 <= v <= self.n
 
     def vertices(self):
         return range(1, self.n + 1)

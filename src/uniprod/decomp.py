@@ -475,7 +475,7 @@ class QtInstance:
         ``hv`` records follow the repr order of the ids, ``ge`` and ``he``
         the repr order of the pairs, each pair as it is given; ``dnode``
         (members in repr order) and ``de`` follow the decomposition.  A
-        row is formatted where it stands, so a ``bool`` row is ``true``.
+        row is an int, as the witness check refuses any other.
         """
         coords, bags = self.coords, self.decomposition.bags
         gids = sorted(coords, key=repr)
@@ -485,7 +485,7 @@ class QtInstance:
 
         def vertex(g):
             v, y = coords[g]
-            return f'{{"gv": {gtext[g]}, "c": [{htext[v]}, {json_id(y)}]}}\n'
+            return f'{{"gv": {gtext[g]}, "c": [{htext[v]}, {y}]}}\n'
 
         def bag(x):
             members = ", ".join([htext[v] for v in sorted(bags[x], key=repr)])

@@ -9,6 +9,9 @@ the two slopes side by side.
 
 Suites bundle the end-to-end checks behind one entry point returning a
 machine-readable report; the CLI maps report failures to exit codes.
+Only the instance layer is imported with this module, so ``gen bad``
+loads no more; each suite, and the family counts, import the host,
+labelling or compression modules they run.
 """
 
 from __future__ import annotations
@@ -20,31 +23,10 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .compressor import build_saturator, compress, embed_compressed, verify_saturation
-from .decomp import QtInstance, TTree, generate_qt_instance, grow_ttree
 from .closure import IntervalRep
-from .induced import (
-    SCHEMES,
-    LabelParams,
-    adjacency_test,
-    assemble_universal,
-    bag_stats,
-    build_context,
-    growth_report,
-    label_instance,
-    make_label,
-    verify_labelling,
-)
+from .decomp import QtInstance, TTree, generate_qt_instance, grow_ttree
+from .io import SCHEMES, SUITES
 from .product import Graph
-from .unigraph import (
-    HOST_CAP,
-    UgParams,
-    dominates_stars,
-    edge_count_bound,
-    embed_qt,
-    host_degrees,
-    vertex_count_bound,
-)
 
 
 @dataclass
@@ -119,6 +101,8 @@ def bad_family_counts(n: int) -> dict:
 
     The non-hub labels of members 2..n/12 are not built.
     """
+    from .induced import LabelParams, adjacency_test, build_context, label_instance, make_label, verify_labelling
+
     params = LabelParams(n=n, t=1)
     m = n // 12
     hubs = {scheme: ([], []) for scheme in SCHEMES}
@@ -224,6 +208,8 @@ def run_suite(name: str, config: dict | None = None) -> Report:
 
 
 def _suite_universality(cfg: dict, report: Report) -> None:
+    from .unigraph import UgParams, embed_qt
+
     n = int(cfg.get("n", 128))
     t = int(cfg.get("t", 2))
     count = int(cfg.get("count", 5))
@@ -249,6 +235,8 @@ def _suite_universality(cfg: dict, report: Report) -> None:
 
 
 def _suite_sizes(cfg: dict, report: Report) -> None:
+    from .unigraph import HOST_CAP, UgParams, dominates_stars, edge_count_bound, host_degrees, vertex_count_bound
+
     n = int(cfg.get("n", 4))
     p = UgParams(n, lam=cfg.get("lam"))
     vb, eb = vertex_count_bound(p), edge_count_bound(p)
@@ -266,6 +254,16 @@ def _suite_sizes(cfg: dict, report: Report) -> None:
 
 
 def _suite_labels(cfg: dict, report: Report) -> None:
+    from .induced import (
+        LabelParams,
+        assemble_universal,
+        bag_stats,
+        build_context,
+        growth_report,
+        label_instance,
+        verify_labelling,
+    )
+
     n = int(cfg.get("n", 24))
     t = int(cfg.get("t", 2))
     count = int(cfg.get("count", 4))
@@ -304,6 +302,8 @@ def _suite_growth(cfg: dict, report: Report) -> None:
 
 
 def _suite_compression(cfg: dict, report: Report) -> None:
+    from .compressor import build_saturator, compress, embed_compressed, verify_saturation
+
     n0 = int(cfg.get("n0", 16))
     k = int(cfg.get("k", 2))
     eps = float(cfg.get("eps", 0.5))
@@ -328,10 +328,5 @@ def _suite_compression(cfg: dict, report: Report) -> None:
         report.add(f"compressed embedding {idx}", True, u_vertices=hn.n, u_edges=hn.m, image=sorted(emb.values()))
 
 
-_SUITES = {
-    "universality": _suite_universality,
-    "sizes": _suite_sizes,
-    "labels": _suite_labels,
-    "growth": _suite_growth,
-    "compression": _suite_compression,
-}
+_SUITES = dict(zip(SUITES, (_suite_universality, _suite_sizes, _suite_labels, _suite_growth, _suite_compression),
+                   strict=True))

@@ -53,7 +53,7 @@ from math import comb
 from .bitcore import Bst, build_biased_bst, check_bits, strip_successor
 from .closure import IntervalRep, min_depth_in_range, perturb_left_endpoints
 from .decomp import QtInstance, TTree, host_layout
-from .io import add_edge_record, integer, json_id, key, read_records, write_lines
+from .io import SCHEMES, add_edge_record, integer, json_id, key, read_records, write_lines
 from .product import Graph, row_numbers
 from .treeseq import LcpCodec, build_tree_sequence
 
@@ -458,9 +458,6 @@ def _tester_view(scheme, has_prev, sig, mu, phi, depths, psi, r, params: LabelPa
                 first.setdefault((path[:di], psi[row * k + i]), i + 1)
         slots.append(first)
     return tuple(own), tuple(slots)
-
-
-SCHEMES = ("legacy", "fixed")
 
 
 def make_label(ctx: LabelContext, g, scheme: str = "fixed") -> Label:

@@ -21,6 +21,12 @@ from __future__ import annotations
 
 import json
 
+# The names that files carry: a label file's scheme and a suite report's
+# suite.  induced and harness run them; the CLI lists them as choices
+# without importing either.
+SCHEMES = ("legacy", "fixed")
+SUITES = ("universality", "sizes", "labels", "growth", "compression")
+
 _scan_once = json.JSONDecoder().scan_once  # raw_decode's C scanner, without its Python frame
 
 

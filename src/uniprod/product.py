@@ -140,7 +140,7 @@ class PathFactor:
         self.h = h
 
     def has_vertex(self, v):
-        return isinstance(v, int) and 1 <= v <= self.h
+        return type(v) is int and 1 <= v <= self.h
 
     def adjacent(self, u, v):
         return abs(u - v) == 1
@@ -156,7 +156,7 @@ class CliqueFactor:
         self.k = k
 
     def has_vertex(self, v):
-        return isinstance(v, int) and 1 <= v <= self.k
+        return type(v) is int and 1 <= v <= self.k
 
     def adjacent(self, u, v):
         return u != v
@@ -187,23 +187,22 @@ class ProductWitness:
     def validate(self) -> None:
         """Raise WitnessError unless this is a valid product embedding.
 
-        Every factor is symmetric: adjacent(x, y) == adjacent(y, x).  And
-        has_vertex gives one verdict for coordinates of one type that
-        compare equal.  So pass or fail is decided in bulk: coverage,
-        arity and injectivity over the whole map; has_vertex once per
-        distinct (type, value) coordinate of each factor, so 1.0 and True
-        are checked beside 1; then each factor's adjacency test once per
-        distinct unordered pair of unequal coordinates that some edge puts
-        side by side, in the orientation of its first edge.  The test reads
-        only the two values, which has_vertex has accepted, so the verdict
-        of one pair is the verdict of every edge that carries it, in either
-        orientation.  A coverage error names the first vertex without
-        coordinates, in graph order, or else the first coordinate holder
-        that is no vertex.  Only when another check fails is the map
-        scanned again in order, reusing the pair verdicts: the error names
-        the first failing vertex, or else the first failing edge in
-        graph.edges() order and, within that edge, the first failing
-        factor.
+        Every factor is symmetric: adjacent(x, y) == adjacent(y, x).  So
+        pass or fail is decided in bulk: coverage, arity and injectivity
+        over the whole map; has_vertex on every coordinate of each factor,
+        so a 1.0 or True beside a 1 is checked on its own (a set of the
+        distinct coordinates costs more to build than the calls it saves);
+        then each factor's adjacency test once per distinct unordered pair
+        of unequal coordinates that some edge puts side by side, in the
+        orientation of its first edge.  The test reads only the two values,
+        which has_vertex has accepted, so the verdict of one pair is the
+        verdict of every edge that carries it, in either orientation.  A
+        coverage error names the first vertex without coordinates, in
+        graph order, or else the first coordinate holder that is no vertex.
+        Only when another check fails is the map scanned again in order,
+        reusing the pair verdicts: the error names the first failing
+        vertex, or else the first failing edge in graph.edges() order and,
+        within that edge, the first failing factor.
         """
         factors, coords = self.factors, self.coords
         if coords.keys() != self.graph.vertices():
@@ -217,7 +216,7 @@ class ProductWitness:
             ok = (
                 {len(c) for c in cs} <= {len(factors)}
                 and len(set(cs)) == len(cs)
-                and all(f.has_vertex(x) for f, xs in zip(factors, zip(*cs)) for _, x in {(type(x), x) for x in xs})
+                and all(f.has_vertex(x) for f, xs in zip(factors, zip(*cs)) for x in xs)
             )
         except TypeError:  # an unhashable coordinate: the scan meets it in its place
             ok = False

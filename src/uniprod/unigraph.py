@@ -98,6 +98,8 @@ def check_vertex(p: UgParams, v) -> None:
     check_bits(y)
     if len(x) + len(y) > p.budget:
         raise ValueError(f"|x| + |y| = {len(x) + len(y)} exceeds budget {p.budget}")
+    if type(z) is not int:
+        raise ValueError(f"z = {z!r} is not an int")
     if not 0 <= z <= p.d:
         raise ValueError(f"z = {z} outside 0..{p.d}")
 
@@ -144,12 +146,13 @@ def directed_edge(p: UgParams, u, v) -> bool:
 def is_edge(p: UgParams, u, v) -> bool:
     """Adjacency of two triples, each checked with check_vertex first.
 
-    A tuple with an int z that passes is kept in p.checked, so these
-    params check it once: check_vertex gives one verdict for triples
-    that compare equal and have an int z (x and y pass or fail as
-    strings, z is compared with 0 and d).  Any other triple, an invalid
-    or an unhashable one included, is checked on every call and never
-    kept.
+    A tuple that passes is kept in p.checked, so these params check it
+    once: check_vertex gives one verdict for triples that compare equal
+    and have an int z (x and y pass or fail as strings, z must be an int
+    from 0 to d).  A triple equal to a kept one counts as checked only
+    if its z is an int too, as True and 1.0 compare equal to 1.  Any
+    other triple, an invalid or an unhashable one included, is checked
+    on every call and never kept.
     """
     checked = p.checked
     for w in (u, v):
@@ -159,7 +162,7 @@ def is_edge(p: UgParams, u, v) -> bool:
         except TypeError:  # unhashable
             pass
         check_vertex(p, w)
-        if type(w) is tuple and type(w[2]) is int:
+        if type(w) is tuple:
             checked.add(w)
     return p.adjacent(u, v)
 

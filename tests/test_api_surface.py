@@ -12,8 +12,14 @@ members pinned by the benchmark are listed with the reason they stay.
 """
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
+
+import pytest
+
+import uniprod
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "uniprod"
 
@@ -259,3 +265,24 @@ def test_every_check_runs_where_the_ledger_says():
     assert check_sites() == sorted(CHECK_SITES)
     ledger = {line.strip() for line in ast.get_docstring(ast.parse((SRC / "__init__.py").read_text())).splitlines()}
     assert [site for site in CHECK_SITES if site not in ledger] == []
+
+
+def test_the_lazy_export_table_names_each_exports_home():
+    # every public name resolves, on first use, to the object its module defines
+    for name in uniprod.__all__:
+        assert name in dir(uniprod), name
+        if name == "__version__":
+            continue
+        module = importlib.import_module(f"uniprod.{uniprod._MODULE_OF[name]}")
+        obj = getattr(uniprod, name)
+        assert obj is getattr(module, name), name
+        assert inspect.getmodule(obj) is module, name
+
+
+def test_a_name_missing_from_the_export_table_is_no_attribute(monkeypatch):
+    monkeypatch.delitem(uniprod._MODULE_OF, "embed_qt")
+    monkeypatch.delitem(vars(uniprod), "embed_qt", raising=False)
+    with pytest.raises(AttributeError, match="has no attribute 'embed_qt'"):
+        uniprod.embed_qt
+    with pytest.raises(AttributeError):
+        uniprod.make_label  # defined in induced, never exported

@@ -365,6 +365,9 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["gen", "qt", "--n", "not-a-number"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["label", "--instance", "inst.jsonl", "--scheme", "bogus"])
+    assert exc.value.code == 2
 
 
 def test_main_can_be_called_again_and_again(tmp_path, capsys):
@@ -673,7 +676,7 @@ def test_internal_error_exits_3_with_traceback(monkeypatch, capsys):
     def broken(p):
         raise TypeError("a bug")
 
-    monkeypatch.setattr(cli, "vertex_count_bound", broken)
+    monkeypatch.setattr(unigraph, "vertex_count_bound", broken)
     run("count", "--n", "4", check=3)
     err = capsys.readouterr().err
     assert "Traceback" in err and "TypeError: a bug" in err
@@ -720,6 +723,47 @@ def test_labels_do_not_follow_string_hashing(tmp_path):
         subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, timeout=120)
         files.append((inst.read_text(), labels.read_text()))
     assert '"bits"' in files[0][1] and files[0] == files[1]
+
+
+# The modules each command loads beside the package, cli and io, which
+# `import uniprod.cli` alone loads; names drop the "uniprod." prefix.
+INSTANCE = {"product", "bitcore", "closure", "decomp"}
+HOST = INSTANCE | {"treeseq", "unigraph"}
+LABELS = INSTANCE | {"treeseq", "induced"}
+COMMAND_MODULES = {
+    "": set(),
+    "gen qt --t 2 --n 20 --h 3 --out inst.jsonl": INSTANCE,
+    "gen bad --n 24 --out bad.jsonl": INSTANCE | {"harness"},
+    "embed --instance inst.jsonl --out wit.jsonl": HOST,
+    "verify --instance inst.jsonl --witness wit.jsonl": HOST,
+    "count --n 8": HOST,
+    "build-ug --n 4 --lambda 1 --mode explicit --out ug.jsonl": HOST,
+    "label --instance inst.jsonl --out lab.jsonl": LABELS,
+    "test-adjacency --labels lab.jsonl": LABELS,
+    "assemble --labels lab.jsonl --out uni.jsonl": LABELS,
+    "compress --graph ug.jsonl --k 2 --out comp.jsonl": {"product", "compressor"},
+    "run-suite sizes --n 4 --out sizes.json": HOST | {"harness"},
+    "run-suite compression --count 1 --out comp.json": INSTANCE | {"harness", "compressor"},
+    "report sizes.json": INSTANCE | {"harness"},
+}
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # each command runs in a fresh process, after the inputs it reads exist
+    src = os.path.dirname(os.path.dirname(uniprod.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "UNIPROD_CACHE": str(tmp_path / "cache")}
+    script = ("import sys\nimport uniprod.cli\n"
+              "code = uniprod.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+              "print(code, *sorted(name for name in sys.modules if name.startswith('uniprod')))")
+    loaded = {}
+    for command in COMMAND_MODULES:
+        proc = subprocess.run([sys.executable, "-c", script, *command.split()], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        code, *names = proc.stdout.splitlines()[-1].split()
+        assert code == "0", command
+        loaded[command] = {name.removeprefix("uniprod.") for name in names}
+    assert loaded == {command: {"uniprod", "cli", "io"} | mods for command, mods in COMMAND_MODULES.items()}
 
 
 # SHA-256 of every file the commands in test_file_formats_are_stable write.

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from uniprod import harness
+from uniprod import induced
 from uniprod.harness import (
     Report,
     bad_family_counts,
@@ -101,21 +101,25 @@ def reference_family(n):
 
 def test_hub_only_family_counts_match_full_labelling(monkeypatch):
     made = {}
-    real = harness.make_label
+    real = induced.make_label
 
     def recording(ctx, g, scheme):
         label = real(ctx, g, scheme)
         made[ctx.instance.graph.name, g, scheme] = label.bits
         return label
 
-    monkeypatch.setattr(harness, "make_label", recording)
     for n in (48, 96):
-        made.clear()
         counts, bits = reference_family(n)
-        assert bad_family_counts(n) == counts
-        # members 2..m label their two hubs only, under each scheme
-        assert len(made) == 2 * len(SCHEMES) * (n // 12 - 1)
-        assert all(bits[k] == b for k, b in made.items())
+        first = gen_bad_example(n, 1, 1).instance.graph.name
+        made.clear()
+        with monkeypatch.context() as patched:
+            patched.setattr(induced, "make_label", recording)
+            assert bad_family_counts(n) == counts
+        # member 1 is labelled in full; members 2..m label their two hubs only, under each scheme
+        later = {k: b for k, b in made.items() if k[0] != first}
+        assert len(made) - len(later) == len(SCHEMES) * (4 * (n // 12) + 5)
+        assert len(later) == 2 * len(SCHEMES) * (n // 12 - 1)
+        assert all(bits[k] == b for k, b in later.items())
 
 
 def test_slope_measurement():

@@ -319,12 +319,16 @@ def test_instance_and_interval_files_match_write_records(tmp_path):
     assert (tmp_path / "t3-chunks.jsonl").stat().st_size > 3 * CHUNK
     assert '"de"' not in (tmp_path / "odd.jsonl").read_text()
 
-    # a bool row is a row to the witness check, and json.dumps writes it as true
-    inst = odd_instance(first_row=True)
-    got, want = tmp_path / "bool.jsonl", tmp_path / "bool.want.jsonl"
-    inst.write_jsonl(got)
-    write_records(want, "qt-instance", {"t": 2, "h": 2, "seed": 5}, instance_records(inst))
-    assert got.read_bytes() == want.read_bytes()
+    # a bool row is no row: the witness check refuses it when an instance is
+    # built, and the reader on its line
+    with pytest.raises(ValueError, match=re.escape("coordinate True outside factor PathFactor(2)")):
+        odd_instance(first_row=True)
+    records = list(instance_records(odd_instance()))
+    for rec in records:
+        if rec.get("gv") == 'v"0\\':
+            rec["c"][1] = True
+    got = tmp_path / "bool.jsonl"
+    write_records(got, "qt-instance", {"t": 2, "h": 2, "seed": 5}, records)
     assert ", true]}" in got.read_text()
     with pytest.raises(ValueError, match=re.escape(f"{got}:4: row must be an integer, not True")):
         QtInstance.read_jsonl(got)

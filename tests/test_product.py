@@ -155,10 +155,18 @@ def test_witness_coverage_error_names_a_vertex():
 
 
 def test_witness_checks_the_type_of_every_coordinate():
-    # 1.0 == 1, but a float is not a row: each vertex's coordinates are checked
+    # 1.0 == 1 and True == 1, but neither is a row: each vertex's coordinates are checked
     g = Graph("ab", [("a", "b")])
     coords = {"a": (1, 1), "b": (2, 1.0)}
     assert raised(ProductWitness(g, (PathFactor(2), PathFactor(2)), coords)) == "coordinate 1.0 outside factor PathFactor(2)"
+    coords = {"a": (True,), "b": (2,)}
+    assert raised(ProductWitness(g, (PathFactor(2),), coords)) == "coordinate True outside factor PathFactor(2)"
+    for factor in (PathFactor(2), CliqueFactor(2), ClosureGraph(1)):
+        assert factor.has_vertex(1) and not factor.has_vertex(True) and not factor.has_vertex(1.0)
+    # a host triple whose depth is True stands beside the equal triple with depth 1
+    p = UgParams(4, lam=1)
+    coords = {"a": (("0", "", 1), 1), "b": (("0", "", True), 2)}
+    assert raised(ProductWitness(g, (p, CliqueFactor(2)), coords)) == "coordinate ('0', '', True) outside factor UgParams(n=4, lam=1)"
 
 
 class Counted:

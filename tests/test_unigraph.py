@@ -71,13 +71,17 @@ def test_check_vertex():
         check_vertex(p, ("0" * p.budget, "1", 0))
     with pytest.raises(ValueError):
         check_vertex(p, ("2", "", 0))
+    for z in (0.5, 1.0, True, 1j):  # 1.0 and True compare equal to 1, but a depth is an int
+        with pytest.raises(ValueError, match="is not an int"):
+            check_vertex(p, ("0", "", z))
 
 
 def test_params_are_a_host_factor():
     # has_vertex is False exactly where check_vertex raises; on vertices, adjacent is is_edge
     p = UgParams(4, lam=1)
     inside = [("01", "0", 2), ("", "", 0), ("0", "", p.d)]
-    outside = [("01", "0", p.d + 1), ("0" * p.budget, "1", 0), ("2", "", 0), ("0", "", "1"), ("0", ""), 7]
+    outside = [("01", "0", p.d + 1), ("0" * p.budget, "1", 0), ("2", "", 0), ("0", "", "1"), ("0", ""), 7,
+               ("0", "", 0.5), ("0", "", 1.0), ("0", "", True), ("0", "", 1j)]
     for v in inside:
         check_vertex(p, v)
         assert p.has_vertex(v)
