@@ -32,6 +32,16 @@ its own LabelParams, so no view outlives them.  Testing a pair is then
 one dict lookup per direction, so the full-pair audit and the assembly
 decode nothing.
 
+The codec keeps memos in the same LabelParams, as label segments repeat
+within a file: pack_label formats each distinct header, (sig, mu, phi)
+group and (depths, psi) block once, unpack_label decodes each distinct
+header, depth block, psi block, adjacency-bit block and overflow tail
+once, and make_label encodes and checks each distinct transition once.
+A memo is keyed on exact field values when packing and on exact bits
+when decoding, keeps only what was built without error, and leaves every
+check that reads beyond its key to run on each label; so every label,
+string and error is the one the codec would give without it.
+
 The tester can say True only where one label's own key meets a parent
 slot key of the other in the same row.  The tester graph on a set of
 labels therefore joins own keys with parent-slot keys and puts only the
@@ -69,10 +79,36 @@ class LabelParams:
     # wide enough for maxheight + 1; unpack rejects the codes above maxheight
     depth_bits: int = field(init=False, repr=False, compare=False)
     phi_bits: int = field(init=False, repr=False, compare=False)
-    # the tester views _derive_tester_view has derived with these params:
+    # The memos below hold what the codec and the tester derived with these
+    # params.  Each maps a key to what a pure function of the key and the
+    # params gave without error, so a hit returns what that function would
+    # give; nothing is kept for an error, which is raised again on every
+    # label that carries it.  A check that reads more than a key runs on
+    # every label.
+    # the tester views _derive_tester_view has derived:
     # (alpha1, hint) -> next_alpha, and
     # (scheme, has_prev, sig, mu, phi, depths, psi, r) -> (own_key, parent_slot)
     views: dict = field(init=False, repr=False, compare=False)
+    # the views' parent-slot dicts, interned: (*keys, *values) -> the dict
+    slot_maps: dict = field(init=False, repr=False, compare=False)
+    # what pack_label has formatted, keyed on exact field values:
+    # (scheme, has_prev, alpha1, hint), (has_next, sig, mu, phi) and (depths, psi) -> their bits
+    segments: dict = field(init=False, repr=False, compare=False)
+    # what _unpack has decoded, keyed on exact bits: every field ends where
+    # its own bits say, so a key decodes alike wherever it sits.
+    # header bits -> (scheme, has_prev, has_next, alpha1, hint)
+    heads: dict = field(init=False, repr=False, compare=False)
+    # depth block -> depths
+    depth_blocks: dict = field(init=False, repr=False, compare=False)
+    # psi block -> psi
+    psi_blocks: dict = field(init=False, repr=False, compare=False)
+    # adjacency-bit block -> abits
+    abit_blocks: dict = field(init=False, repr=False, compare=False)
+    # (scheme, row count, the bits after the adjacency bits) -> r
+    tails: dict = field(init=False, repr=False, compare=False)
+    # the transition codes make_label has checked: (base, following) -> mu,
+    # which decodes from base to following
+    codes: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.t < 1:
@@ -83,7 +119,11 @@ class LabelParams:
         object.__setattr__(self, "codec", LcpCodec(self.maxheight))
         object.__setattr__(self, "depth_bits", (self.maxheight + 1).bit_length())
         object.__setattr__(self, "phi_bits", max(1, self.t.bit_length()))
-        object.__setattr__(self, "views", {})
+        for name in _MEMOS:
+            object.__setattr__(self, name, {})
+
+
+_MEMOS = ("views", "slot_maps", "segments", "heads", "depth_blocks", "psi_blocks", "abit_blocks", "tails", "codes")
 
 
 def _ancestor_at_depth(tree: Bst, key, depth: int):
@@ -148,6 +188,7 @@ class LabelContext:
     alpha1: dict
     hint: dict
     nbrs: dict  # (host vertex, y) -> its neighbours in the instance, as (host vertex, y)
+    parents: dict  # host vertex -> its clique parents in colour order 1..t+1
     raw: Placement = field(init=False)
     fixed: Placement = field(init=False)
 
@@ -236,6 +277,7 @@ def build_context(
         alpha1=alpha1,
         hint=hint,
         nbrs=nbrs,
+        parents={v: tuple(map(tt.parents(v).__getitem__, range(1, tt.t + 2))) for v in tt.order},
     )
     # raw: each vertex at the shallowest node of its interval
     raw = {y: {v: min_depth_in_range(trees[y], *rep.intervals[v]) for v in s_plus[y]} for y in range(1, h + 1)}
@@ -442,7 +484,7 @@ def _tester_view(scheme, has_prev, sig, mu, phi, depths, psi, r, params: LabelPa
     for b, base in ((0, sig), (1, next_sig)):
         if base is None:
             own.append(None)
-            slots.append({})
+            slots.append(params.slot_maps.setdefault((), {}))
             continue
         row = b + has_prev  # position of row y+b among the label's rows
         d = depths[row * k + phi - 1]
@@ -456,7 +498,8 @@ def _tester_view(scheme, has_prev, sig, mu, phi, depths, psi, r, params: LabelPa
             di = depths[row * k + i]
             if di <= len(path):
                 first.setdefault((path[:di], psi[row * k + i]), i + 1)
-        slots.append(first)
+        # values rise in insertion order, so equal dicts flatten alike
+        slots.append(params.slot_maps.setdefault((*first, *first.values()), first))
     return tuple(own), tuple(slots)
 
 
@@ -467,12 +510,15 @@ def make_label(ctx: LabelContext, g, scheme: str = "fixed") -> Label:
     path signature; the default scheme reads the fixed placement and ships
     the vertex's own raw node signature plus one overflow bit per row.
     The label is checked where it is made: its transition code must
-    decode to the next row's signature, and the fields it is drafted
-    from must survive a pack round trip.  Each overflow suffix r is at
-    most one bit without a check: _place's chain check puts v's own node
-    on its clique's root path, and fixup checks that every clique parent
-    of every member of s_plus, which holds every carrier, lies at most
-    one level below that member.
+    decode to the next row's signature, every bag colour must be within
+    the cap (t + 1) n that unpack_label sets, and the fields it is
+    drafted from must survive a pack round trip.  A transition code is
+    encoded and checked once per distinct (base, following) pair and
+    kept in ctx.params.codes.  Each overflow suffix r is at most one bit
+    without a check: _place's chain check puts v's own node on its
+    clique's root path, and fixup checks that every clique parent of
+    every member of s_plus, which holds every carrier, lies at most one
+    level below that member.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown label scheme {scheme!r}")
@@ -482,7 +528,7 @@ def make_label(ctx: LabelContext, g, scheme: str = "fixed") -> Label:
     y = ctx.row[y]
     legacy = scheme == "legacy"
     place = ctx.raw if legacy else ctx.fixed
-    t, J = ctx.params.t, ctx.params.codec
+    params = ctx.params
 
     def shipped(yb: int) -> str:
         """The signature the label ships for row yb."""
@@ -490,39 +536,39 @@ def make_label(ctx: LabelContext, g, scheme: str = "fixed") -> Label:
 
     base = shipped(y)
     following = shipped(y + 1) if y < ctx.h else None
-    mu = None if following is None else J.encode(base, following)
-    if mu is not None and J.decode(base, mu) != following:
-        raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
+    mu = None if following is None else params.codes.get((base, following))
+    if mu is None and following is not None:
+        mu = params.codec.encode(base, following)
+        if params.codec.decode(base, mu) != following:
+            raise AssertionError(f"transition code for {v!r}@{y} does not round-trip")
+        params.codes[base, following] = mu
 
-    by_colour = ctx.tt.parents(v)
-    parents = [by_colour[i] for i in range(1, t + 2)]
+    parents = ctx.parents[v]
     near = ctx.nbrs[v, y]
-    depths, psi, abits, rsuf = [], [], [], []
-    for b in _layout(t, y > 1, y < ctx.h)[0]:
-        yb = y + b
-        depth_yb, psi_yb = place.depth[yb], place.psi[yb]
-        for p in parents:
-            depths.append(depth_yb[p])
-            psi.append(psi_yb[p])
-            abits.append(1 if (p, yb) in near else 0)
-        if not legacy:
-            rsuf.append(ctx.fixed.tops[yb][v][ctx.fixed.depth[yb][v]:])
+    ybs = [y + b for b in _layout(params.t, y > 1, y < ctx.h)[0]]
+    depths = tuple([place.depth[yb][p] for yb in ybs for p in parents])
+    psi = tuple([place.psi[yb][p] for yb in ybs for p in parents])
+    abits = tuple([1 if (p, yb) in near else 0 for yb in ybs for p in parents])
+    rsuf = () if legacy else tuple([ctx.fixed.tops[yb][v][ctx.fixed.depth[yb][v]:] for yb in ybs])
+    # _unpack's cap, which a colour within a bag of s_plus[y] meets
+    if max(psi) > (params.t + 1) * params.n:
+        raise AssertionError(f"bag colour {max(psi)} of {v!r}@{y} exceeds (t + 1) n = {(params.t + 1) * params.n}")
 
     draft = Label(
         scheme=scheme,
-        t=t,
+        t=params.t,
         alpha1=ctx.alpha1[y],
         hint=ctx.hint[y],
         sig=base,
         mu=mu,
         phi=ctx.tt.colour[v],
-        depths=tuple(depths),
-        psi=tuple(psi),
-        abits=tuple(abits),
-        r=tuple(rsuf),
+        depths=depths,
+        psi=psi,
+        abits=abits,
+        r=rsuf,
         has_prev=y > 1,
     )
-    label = unpack_label(pack_label(draft, ctx.params), ctx.params)
+    label = unpack_label(pack_label(draft, params), params)
     if label != draft:
         raise AssertionError(f"label of {v!r}@{y} does not survive a pack round-trip")
     return label
@@ -570,26 +616,58 @@ def pack_label(label: Label, params: LabelParams) -> str:
     suffix, else "1" and its one bit.  A label whose slot tuples do not
     hold one entry per slot, or whose r does not hold one suffix per row
     (none in the legacy scheme), raises ValueError.
+
+    The header (flags, alpha1 and hint), the (sig, mu, phi) group and the
+    (depths, psi) block are each formatted once per distinct value of the
+    fields they hold and kept in params.segments; the adjacency bits and
+    the overflow suffixes are formatted per label, and the whole string
+    is checked to be bits.
     """
     rows, slots = _layout(label.t, label.has_prev, label.has_next)
     if not len(label.depths) == len(label.psi) == len(label.abits) == len(slots):
         raise ValueError(f"a label of {len(rows)} rows needs {len(slots)} parent slots")
     if len(label.r) != (0 if label.scheme == "legacy" else len(rows)):
         raise ValueError(f"a {label.scheme} label of {len(rows)} rows carries {len(label.r)} overflow suffixes")
-    kind, delta = label.hint
-    parts = ["1" if label.scheme == "legacy" else "0", "1" if label.has_prev else "0",
-             "1" if label.has_next else "0", _gamma(len(label.alpha1) + 1), label.alpha1, _HINT_CODES[kind]]
-    if kind != "end":
-        parts.append(_gamma(delta + 1))
-    parts += (_gamma(len(label.sig) + 1), label.sig)
-    if label.has_next:
-        parts += (_gamma(len(label.mu) + 1), label.mu)
-    parts.append(_fixed(label.phi - 1, params.phi_bits))
-    parts += [_fixed(d, params.depth_bits) for d in label.depths]
-    parts += map(_gamma, label.psi)
-    parts += map(str, label.abits)
+    segments = params.segments
+    key = (label.scheme, label.has_prev, label.alpha1, label.hint)
+    head = segments.get(key)
+    if head is None:
+        head = segments[key] = _head_bits(*key)
+    key = (label.has_next, label.sig, label.mu, label.phi)
+    sig = segments.get(key)
+    if sig is None:
+        sig = segments[key] = _sig_bits(*key, params.phi_bits)
+    key = (label.depths, label.psi)
+    block = segments.get(key)
+    if block is None:
+        block = segments[key] = _slot_bits(*key, params.depth_bits)
+    parts = [head, sig, block, *map(str, label.abits)]
     parts += ["0" if r == "" else "1" + r for r in label.r]
     return check_bits("".join(parts))
+
+
+def _head_bits(scheme: str, has_prev: bool, alpha1: str, hint: tuple) -> str:
+    """The three flags, alpha1, prefixed, and the successor hint."""
+    kind, delta = hint
+    parts = ["1" if scheme == "legacy" else "0", "1" if has_prev else "0", "1" if kind != "end" else "0",
+             _gamma(len(alpha1) + 1), alpha1, _HINT_CODES[kind]]
+    if kind != "end":
+        parts.append(_gamma(delta + 1))
+    return "".join(parts)
+
+
+def _sig_bits(has_next: bool, sig: str, mu: str | None, phi: int, phi_bits: int) -> str:
+    """sig, prefixed, mu, prefixed, if there is a next row, and phi - 1 in phi_bits."""
+    parts = [_gamma(len(sig) + 1), sig]
+    if has_next:
+        parts += (_gamma(len(mu) + 1), mu)
+    parts.append(_fixed(phi - 1, phi_bits))
+    return "".join(parts)
+
+
+def _slot_bits(depths: tuple, psi: tuple, depth_bits: int) -> str:
+    """Each depth in depth_bits, then each psi as gamma."""
+    return "".join([_fixed(d, depth_bits) for d in depths] + list(map(_gamma, psi)))
 
 
 def unpack_label(bits: str, params: LabelParams) -> Label:
@@ -600,9 +678,10 @@ def unpack_label(bits: str, params: LabelParams) -> Label:
     against the codec, alpha1, sig and the next row's signature that mu
     decodes to are no longer than maxheight, the successor hint is "end"
     exactly when there is no next row and fits alpha1, the row count n
-    and maxheight, every slot depth is within maxheight, and the own
-    colour's slots in rows y and y+1 are no deeper than that row's
-    signature.  The label keeps bits as its bits.
+    and maxheight, every slot depth is within maxheight, every bag colour
+    psi is at most (t + 1) n, and the own colour's slots in rows y and
+    y+1 are no deeper than that row's signature.  The label keeps bits as
+    its bits.
     """
     try:
         return _unpack(bits, params)
@@ -641,25 +720,39 @@ def _prefixed_at(bits: str, pos: int) -> tuple:
 
 
 def _unpack(bits: str, params: LabelParams) -> Label:
-    """Read the fields of pack_label in one pass over bits, slicing fixed-width fields at their offsets."""
+    """Read the fields of pack_label in one pass over bits, slicing fixed-width fields at their offsets.
+
+    The header, the depth block, the psi block, the adjacency-bit block
+    and the overflow tail are each decoded once per distinct bit string
+    and kept in the params' memos.  A field of the format ends where its
+    own bits say, so a header, or a psi block of the same slot count,
+    that decoded once is the one at the front of every string that
+    starts with it.  The header's candidate end is found from the gamma
+    window table; the psi block's candidate ends lie before the
+    adjacency bits and a tail of one or two bits per row (none in the
+    legacy scheme); a string whose header or psi block is no known one
+    is read field by field.  The depth and adjacency-bit blocks are
+    keyed on their slices, and the tail on its scheme, its row count and
+    the bits after the adjacency bits.
+    """
     end = len(check_bits(bits))
     if end < 3:
         raise ValueError("bit underrun")
-    scheme = "legacy" if bits[0] == "1" else "fixed"
-    has_prev = bits[1] == "1"
-    has_next = bits[2] == "1"
-    alpha1, pos = _prefixed_at(bits, 3)
-    if pos + 2 > end:
-        raise ValueError("bit underrun")
-    kind = _HINT_KINDS[int(bits[pos:pos + 2], 2)]
-    pos += 2
-    if has_next != (kind != "end"):
-        raise ValueError(f"successor hint {kind!r} contradicts has_next = {has_next}")
-    delta, pos = _gamma_at(bits, pos) if kind != "end" else (1, pos)
-    delta -= 1
+    head = None
+    hit = _GAMMA8.get(bits[3:11])  # gamma(len(alpha1) + 1)
+    if hit is not None:
+        pos = 4 + hit[0] + hit[1]  # past alpha1 and the hint code
+        if bits[pos - 2:pos] != "00":  # every hint but "end" carries gamma(delta + 1)
+            hit = _GAMMA8.get(bits[pos:pos + 8])
+            pos = 0 if hit is None else pos + hit[1]
+        head = params.heads.get(bits[:pos])
+    if head is None:
+        head, pos = _read_head(bits)
+        params.heads[bits[:pos]] = head
+    scheme, has_prev, has_next, alpha1, hint = head
     # the row tree has at most n nodes and, as build_context checks, height at most maxheight
-    if kind == "append" and len(alpha1) + 1 + delta > min(params.n - 1, params.maxheight):
-        raise ValueError(f"successor hint {delta} overruns a row tree of height {params.maxheight} over {params.n} rows")
+    if hint[0] == "append" and len(alpha1) + 1 + hint[1] > min(params.n - 1, params.maxheight):
+        raise ValueError(f"successor hint {hint[1]} overruns a row tree of height {params.maxheight} over {params.n} rows")
     sig, pos = _prefixed_at(bits, pos)
     if max(len(alpha1), len(sig)) > params.maxheight:
         raise ValueError(f"a {max(len(alpha1), len(sig))}-bit signature is deeper than maxheight {params.maxheight}")
@@ -676,16 +769,75 @@ def _unpack(bits: str, params: LabelParams) -> Label:
     nrows = 1 + has_prev + has_next
     if nrows * (params.t + 1) * (params.depth_bits + 2) > end - pos:
         raise ValueError(f"{end - pos} bits left cannot hold {nrows} rows of {params.t + 1} parent slots")
-    rows, slots = _layout(params.t, has_prev, has_next)
+    nslots = len(_layout(params.t, has_prev, has_next)[1])
+    stop = pos + params.depth_bits * nslots
+    block = bits[pos:stop]
+    depths = params.depth_blocks.get(block)
+    if depths is None:
+        depths = params.depth_blocks[block] = _read_depths(block, params)
+    # the psi block ends before the adjacency bits and a tail of one or two bits per row, or none
+    last = end - nslots
+    for pos in (last,) if scheme == "legacy" else range(last - nrows, last - 2 * nrows - 1, -1):
+        psi = params.psi_blocks.get(bits[stop:pos])
+        if psi is not None and len(psi) == nslots:
+            break
+    else:
+        psi, pos = _read_psi(bits, stop, nslots, params)
+        params.psi_blocks[bits[stop:pos]] = psi
+    stop = pos + nslots
+    if stop > end:
+        raise ValueError("bit underrun")
+    block = bits[pos:stop]
+    abits = params.abit_blocks.get(block)
+    if abits is None:
+        abits = params.abit_blocks[block] = tuple(map(_BIT_VALUE.__getitem__, block))
+    key = (scheme, nrows, bits[stop:])
+    rsuf = params.tails.get(key)
+    if rsuf is None:
+        rsuf = params.tails[key] = _read_tail(*key)
+    label = Label(scheme, params.t, alpha1, hint, sig, mu, phi, depths, psi, abits, rsuf, has_prev)
+    _derive_tester_view(label, params)
+    label.bits = bits
+    return label
+
+
+def _read_head(bits: str) -> tuple:
+    """(scheme, has_prev, has_next, alpha1, hint) of a label of at least 3 bits, and the offset past its hint.
+
+    The hint must say "end" exactly when has_next is not set.
+    """
+    has_next = bits[2] == "1"
+    alpha1, pos = _prefixed_at(bits, 3)
+    if pos + 2 > len(bits):
+        raise ValueError("bit underrun")
+    kind = _HINT_KINDS[int(bits[pos:pos + 2], 2)]
+    pos += 2
+    if has_next != (kind != "end"):
+        raise ValueError(f"successor hint {kind!r} contradicts has_next = {has_next}")
+    delta, pos = _gamma_at(bits, pos) if kind != "end" else (1, pos)
+    return ("legacy" if bits[0] == "1" else "fixed", bits[1] == "1", has_next, alpha1, (kind, delta - 1)), pos
+
+
+def _read_depths(block: str, params: LabelParams) -> tuple:
+    """The depth fields of a depth block, each within maxheight."""
     w = params.depth_bits
-    stop = pos + w * len(slots)
-    block, mask = int(bits[pos:stop], 2), (1 << w) - 1
-    depths = tuple([block >> shift & mask for shift in range(stop - pos - w, -1, -w)])
-    pos = stop
+    value, mask = int(block, 2), (1 << w) - 1
+    depths = tuple([value >> shift & mask for shift in range(len(block) - w, -1, -w)])
     if max(depths) > params.maxheight:
         raise ValueError(f"depth {max(depths)} beyond layout cap")
+    return depths
+
+
+def _read_psi(bits: str, pos: int, nslots: int, params: LabelParams) -> tuple:
+    """The nslots gamma-coded bag colours at pos, and the offset past them.
+
+    A psi is a 1-based slot in a bag of s_plus[y].  s_plus[y] is the
+    union of the (t + 1)-cliques of the host vertices in rows y-1..y+1,
+    and those rows hold at most n instance vertices, so a psi above
+    (t + 1) n is refused.
+    """
     psi = []
-    for _ in slots:
+    for _ in range(nslots):
         hit = _GAMMA8.get(bits[pos:pos + 8])
         if hit is None:
             value, pos = _gamma_at(bits, pos)
@@ -693,25 +845,23 @@ def _unpack(bits: str, params: LabelParams) -> Label:
             value = hit[0]
             pos += hit[1]
         psi.append(value)
-    stop = pos + len(slots)
-    if stop > end:
-        raise ValueError("bit underrun")
-    abits = tuple(map(_BIT_VALUE.__getitem__, bits[pos:stop]))
-    pos = stop
-    rsuf = []
+    if max(psi) > (params.t + 1) * params.n:
+        raise ValueError(f"bag colour {max(psi)} exceeds (t + 1) n = {(params.t + 1) * params.n}")
+    return tuple(psi), pos
+
+
+def _read_tail(scheme: str, nrows: int, tail: str) -> tuple:
+    """The overflow suffixes that end a label: one per row in the default scheme, none in the legacy one."""
+    rsuf, pos, end = [], 0, len(tail)
     if scheme != "legacy":
-        for _ in rows:
-            if pos >= end or (bits[pos] == "1" and pos + 1 >= end):
+        for _ in range(nrows):
+            if pos >= end or (tail[pos] == "1" and pos + 1 >= end):
                 raise ValueError("bit underrun")
-            rsuf.append("" if bits[pos] == "0" else bits[pos + 1])
+            rsuf.append("" if tail[pos] == "0" else tail[pos + 1])
             pos += 1 + len(rsuf[-1])
     if pos != end:
         raise ValueError("trailing bits")
-    label = Label(scheme, params.t, alpha1, (kind, delta), sig, mu, phi, depths, tuple(psi), abits, tuple(rsuf),
-                  has_prev)
-    _derive_tester_view(label, params)
-    label.bits = bits
-    return label
+    return tuple(rsuf)
 
 
 def adjacency_test(l1: Label, l2: Label) -> bool:

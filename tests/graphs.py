@@ -579,6 +579,8 @@ def _reference_unpack(bits: str, params: LabelParams) -> Label:
     if max(depths) > params.maxheight:
         raise ValueError(f"depth {max(depths)} beyond layout cap")
     psi = tuple(r.gamma() for _ in slots)
+    if max(psi) > (params.t + 1) * params.n:
+        raise ValueError(f"bag colour {max(psi)} exceeds (t + 1) n = {(params.t + 1) * params.n}")
     abits = tuple(int(r.bits(1)) for _ in slots)
     rsuf = ()
     if scheme != "legacy":

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -16,6 +17,7 @@ from uniprod.compressor import Saturator
 from uniprod.decomp import QtInstance, TreeDecomposition, generate_qt_instance
 from uniprod.induced import build_context, label_instance
 from uniprod.product import Graph, ProductWitness
+from uniprod.treeseq import LcpCodec
 from uniprod.unigraph import UgParams, embed_qt
 
 
@@ -596,20 +598,62 @@ def test_label_header_scheme_must_be_a_known_one(tmp_path, capsys, case):
 
 
 def test_no_tester_view_outlives_its_command(tmp_path, monkeypatch):
-    # each label command and each label-file read derives its own views, so
-    # a second label -> test-adjacency pass in one process derives as many
+    # each label command and each label-file read builds its own LabelParams,
+    # whose memos start empty, so a second label -> test-adjacency ->
+    # assemble pass in one process derives, formats and decodes as much as
+    # the first, and fills its memos alike
     inst, labels = tmp_path / "inst.jsonl", tmp_path / "labels.jsonl"
     run("gen", "qt", "--t", "2", "--n", "256", "--h", "16", "--seed", "1", "--out", str(inst))
-    built = []
-    view = induced._tester_view
-    monkeypatch.setattr(induced, "_tester_view", lambda *fields: built.append(fields) or view(*fields))
+    made, misses = [], collections.Counter()
+    init = induced.LabelParams.__post_init__
+    monkeypatch.setattr(induced.LabelParams, "__post_init__", lambda self: made.append(self) or init(self))
+    for name in ("_tester_view", "_head_bits", "_sig_bits", "_slot_bits", "_read_head", "_read_depths", "_read_psi",
+                 "_read_tail"):
+        monkeypatch.setattr(induced, name, lambda *a, _real=getattr(induced, name), _name=name:
+                            misses.update([_name]) or _real(*a))
+    encode = LcpCodec.encode
+    monkeypatch.setattr(LcpCodec, "encode", lambda *a: misses.update(["encode"]) or encode(*a))
+    commands = (("label", "--instance", str(inst), "--out", str(labels)),
+                ("test-adjacency", "--labels", str(labels)),
+                ("assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl")))
     passes = []
     for _ in range(2):
-        run("label", "--instance", str(inst), "--out", str(labels))
-        run("test-adjacency", "--labels", str(labels))
-        passes.append(len(built))
-        built.clear()
-    assert passes[0] == passes[1] > 0
+        seen = {}
+        for argv in commands:
+            made.clear()
+            misses.clear()
+            run(*argv)
+            (params,) = made
+            seen[argv[0]] = dict(misses), {name: len(getattr(params, name)) for name in induced._MEMOS}
+        passes.append(seen)
+    assert passes[0] == passes[1]
+    for command, (missed, sizes) in passes[0].items():
+        written = command == "label"
+        read = ("views", "slot_maps", "heads", "depth_blocks", "psi_blocks", "abit_blocks", "tails")
+        assert all(sizes[name] > 0 for name in read)
+        assert (sizes["segments"] > 0, sizes["codes"] > 0, "encode" in missed, "_head_bits" in missed) == (written,) * 4
+        assert missed["_tester_view"] > 0 and missed["_read_head"] > 0
+
+
+def test_a_bag_colour_past_its_cap_exits_1(tmp_path, capsys):
+    # every psi of the longest label of t=2 n=64 h=2 seed 1 raised by 1000:
+    # its bag colours pass the cap (t + 1) n = 192, so the reader refuses it
+    inst, labels = tmp_path / "inst.jsonl", tmp_path / "labels.jsonl"
+    run("gen", "qt", "--t", "2", "--n", "64", "--h", "2", "--seed", "1", "--out", str(inst))
+    run("label", "--instance", str(inst), "--out", str(labels))
+    li = induced.LabelledInstance.read_jsonl(labels)
+    label = max(li.labels.values(), key=lambda lab: len(lab.bits))
+    bits = induced.pack_label(dataclasses.replace(label, psi=tuple(p + 1000 for p in label.psi)), li.params)
+    assert len(bits) == 179
+    recs = [json.loads(line) for line in labels.read_text().splitlines()]
+    k = next(k for k, rec in enumerate(recs) if rec.get("bits") == label.bits)
+    recs[k] = {**recs[k], "bits": bits}
+    labels.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    capsys.readouterr()
+    run("test-adjacency", "--labels", str(labels), check=1)
+    assert f"{labels}:{k + 1}: undecodable label: bag colour 1004 exceeds (t + 1) n = 192" in capsys.readouterr().err
+    run("assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl"), check=1)
+    assert f"{labels}:{k + 1}:" in capsys.readouterr().err
 
 
 def test_a_label_shared_by_two_vertices_exits_1(tmp_path, capsys):

@@ -118,10 +118,23 @@ def test_pack_refuses_slot_fields_that_do_not_fit_the_layout():
     for scheme in SCHEMES:
         label = make_label(ctx, min(ctx.instance.coords, key=repr), scheme)
         for change in ({"depths": label.depths[:-1]}, {"psi": label.psi[:-1]}, {"abits": label.abits + (0,)}):
-            with pytest.raises(ValueError, match="rows needs .* parent slots$"):
-                pack_label(dataclasses.replace(label, **change), ctx.params)
-        with pytest.raises(ValueError, match="overflow suffixes$"):
-            pack_label(dataclasses.replace(label, r=label.r + ("",)), ctx.params)
+            for _ in range(2):  # an error is raised again, as the memo keeps nothing for it
+                with pytest.raises(ValueError, match="rows needs .* parent slots$"):
+                    pack_label(dataclasses.replace(label, **change), ctx.params)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="overflow suffixes$"):
+                pack_label(dataclasses.replace(label, r=label.r + ("",)), ctx.params)
+        # a segment that fails to format is formatted again, and fails again, on the next call
+        wide = 1 << ctx.params.depth_bits
+        for change, error in (({"psi": (0,) + label.psi[1:]}, "gamma codes positive integers"),
+                              ({"depths": (wide,) + label.depths[1:]}, f"{wide} does not fit in"),
+                              ({"phi": 0}, "-1 does not fit in"),
+                              ({"hint": ("sideways", 0)}, "sideways")):
+            bad = dataclasses.replace(label, **change)
+            for _ in range(2):
+                with pytest.raises((ValueError, KeyError), match=error):
+                    pack_label(bad, ctx.params)
+        assert pack_label(label, ctx.params) == label.bits
 
 
 def test_make_label_checks_the_pack_round_trip(monkeypatch):
@@ -166,6 +179,51 @@ def test_make_label_checks_the_transition_code_before_packing(monkeypatch):
         with pytest.raises(AssertionError, match=rf"transition code for {re.escape(repr(hv))}@{y} does not round-trip"):
             make_label(ctx, g, scheme)
     assert packed == []
+
+
+def test_make_label_encodes_each_transition_once(monkeypatch):
+    # labels of one context share their (base, following) signature pairs;
+    # each pair's code is encoded and checked once, and kept in the params
+    encoded = collections.Counter()
+    encode = LcpCodec.encode
+
+    def counted(self, before, after):
+        encoded[before, after] += 1
+        return encode(self, before, after)
+
+    monkeypatch.setattr(LcpCodec, "encode", counted)
+    tried = 0
+    for ctx in contexts(range(40, 50)):
+        if ctx.h < 3:
+            continue
+        tried += 1
+        encoded.clear()
+        pairs = []
+        for scheme in SCHEMES:
+            li = label_instance(ctx, scheme)
+            pairs += [(lab.sig, ctx.params.codec.decode(lab.sig, lab.mu)) for lab in li.labels.values() if lab.has_next]
+        assert set(encoded) == set(pairs) == set(ctx.params.codes)
+        assert max(encoded.values()) == 1 and len(encoded) < len(pairs)
+    assert tried >= 3
+
+
+def test_make_label_checks_each_new_code_against_the_decoder(monkeypatch):
+    # a code is kept only once it decodes back; with a faulty decoder no
+    # code is kept, and every label with a next row is refused
+    ctx = next(contexts([31], tmax=2, nmax=20))
+    inner = sorted((g for g, c in ctx.instance.coords.items() if ctx.row[c[1]] < ctx.h), key=repr)
+    decode = LcpCodec.decode
+    monkeypatch.setattr(LcpCodec, "decode", lambda self, before, nu: decode(self, before, nu) + "0")
+    for scheme in SCHEMES:
+        for g in inner[:3] * 2:
+            hv, y = ctx.instance.coords[g]
+            with pytest.raises(AssertionError, match=rf"transition code for {re.escape(repr(hv))}@{ctx.row[y]} does not"
+                                                     " round-trip"):
+                make_label(ctx, g, scheme)
+    assert ctx.params.codes == {}
+    monkeypatch.undo()
+    label = make_label(ctx, inner[0])
+    assert ctx.params.codes == {(label.sig, ctx.params.codec.decode(label.sig, label.mu)): label.mu}
 
 
 def seen_by_tester(label: Label) -> tuple:
@@ -374,6 +432,41 @@ def test_unpack_refuses_a_successor_hint_past_maxheight():
     finally:
         tracemalloc.stop()
     assert peak < 64_000, peak
+
+
+def test_unpack_refuses_a_bag_colour_past_its_cap():
+    # a psi is a 1-based slot in a bag of s_plus[y], whose rows y-1..y+1 hold
+    # at most n vertices with t + 1 clique members each; the longest label of
+    # t=2 n=64 h=2 seed 1, its every psi raised by 1000, decoded before the cap
+    li = label_instance(build_context(generate_qt_instance(2, 64, 2, rng_seed=1)), "fixed")
+    assert max(max(lab.psi) for lab in li.labels.values()) == 5
+    label = max(li.labels.values(), key=lambda lab: len(lab.bits))
+    raised = dataclasses.replace(label, psi=tuple(p + 1000 for p in label.psi))
+    assert raised.psi[:3] == (1001, 1004, 1002)
+    bits = pack_label(raised, li.params)
+    assert len(bits) == 179
+    for params in (LabelParams(n=64, t=2), li.params, LabelParams(n=64, t=2)):
+        for reader in (unpack_label, reference_unpack):
+            with pytest.raises(ValueError, match=r"^undecodable label: bag colour 1004 exceeds \(t \+ 1\) n = 192$"):
+                reader(bits, params)
+    # the cap itself decodes
+    for top, verdict in ((192, None), (193, "bag colour 193 exceeds")):
+        bits = pack_label(dataclasses.replace(label, psi=label.psi[:-1] + (top,)), li.params)
+        got = decoded(unpack_label, bits, li.params)
+        assert got == decoded(reference_unpack, bits, fresh(li.params))
+        assert (got[0].psi[-1] == top) if verdict is None else verdict in got
+
+
+def test_make_label_asserts_the_bag_colour_cap():
+    ctx = build_context(generate_qt_instance(2, 24, 2, rng_seed=1))
+    g = min(ctx.instance.coords, key=repr)
+    hv, y = ctx.instance.coords[g]
+    parent = ctx.parents[hv][0]
+    for place in (ctx.raw, ctx.fixed):
+        place.psi[ctx.row[y]][parent] = 3 * ctx.params.n + 1
+    for scheme in SCHEMES:
+        with pytest.raises(AssertionError, match=rf"^bag colour {3 * ctx.params.n + 1} of {hv!r}@{ctx.row[y]} exceeds"):
+            make_label(ctx, g, scheme)
 
 
 def test_prescribed_ttree_is_validated():
@@ -837,10 +930,13 @@ def mutant_instances():
     return out
 
 
-# explicit mutants: flip 21 gives an own-colour depth past the row signature,
-# flip 6 a strip hint that contradicts alpha1
+# explicit mutants: flip 21 gives colour 3, flip 23 an own-colour depth past
+# the row signature, flip 6 a strip hint that contradicts alpha1, and flip 57
+# trailing bits behind the first 10 bits, a header the params have memoized
 @example(0, 0, "flip", 21, "")
+@example(0, 0, "flip", 23, "")
 @example(0, 0, "flip", 6, "")
+@example(0, 0, "flip", 57, "")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     st.integers(0, 1),
@@ -885,14 +981,61 @@ def tall_labels(scheme: str):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_the_view_memo_changes_no_decoded_label(scheme):
+    # every label packs to the reference bits through the params that
+    # labelled it, and decodes as the reference decodes it through warm
+    # params, fresh params, and the warm params again
+    for ctx in contexts(range(40, 46)):
+        li = label_instance(ctx, scheme)
+        for g in sorted(li.labels, key=repr):
+            label = li.labels[g]
+            assert pack_label(label, li.params) == reference_pack(label, li.params) == label.bits
+            want = decoded(reference_unpack, label.bits, fresh(li.params))
+            for params in (li.params, fresh(li.params), li.params):
+                assert decoded(unpack_label, label.bits, params) == want
     # one params shared by every label, and fresh params per label, decode
     # the same fields and derive the same tester views
     params, packed = tall_labels(scheme)
     shared = fresh(params)
     for bits in packed:
         assert decoded(unpack_label, bits, shared) == decoded(unpack_label, bits, fresh(params))
-    # every row repeats the host's layout, so most labels share a view
+    # every row repeats the host's layout, so most labels share a view and a header
     assert sum(len(k) == 8 for k in shared.views) < len(packed) // 8
+    assert len(shared.heads) <= 64 and len(shared.depth_blocks) < len(packed) // 8
+
+
+def test_a_mutant_behind_a_memoized_header_decodes_as_through_fresh_params():
+    # the params hold the header of every label of the instance; a flip or
+    # cut past it keeps that header, and decodes, or is refused with the same
+    # text, as the reference does through fresh params
+    params, packed, labels = mutant_instances()[0]
+    checked = 0
+    for bits, label in list(zip(packed, labels))[::4]:
+        head = next(bits[:k] for k in range(len(bits)) if bits[:k] in params.heads)
+        assert params.heads[head][3:] == (label.alpha1, label.hint)
+        for pos in range(len(head), len(bits)):
+            for mutant in (bits[:pos] + "10"[int(bits[pos])] + bits[pos + 1:], bits[:pos]):
+                want = decoded(reference_unpack, mutant, fresh(params))
+                assert decoded(unpack_label, mutant, params) == want == decoded(unpack_label, mutant, fresh(params))
+                checked += 1
+    assert checked > 1000
+
+
+def test_decoded_wide_labels_share_their_parent_slot_dicts():
+    # on t=2 n=512 h=2 almost every label has its own view; equal slot dicts
+    # are interned, so the labels hold less than the 1,549 B each they held
+    # with two dicts per view
+    li = label_instance(build_context(generate_qt_instance(2, 512, 2, rng_seed=1)), "fixed")
+    packed = [li.labels[g].bits for g in sorted(li.labels, key=repr)]
+    tracemalloc.start()
+    try:
+        shared = fresh(li.params)
+        labels = [unpack_label(bits, shared) for bits in packed]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    slot_dicts = {id(d) for label in labels for d in label.parent_slot}
+    assert len(slot_dicts) == len(shared.slot_maps) < len(labels)
+    assert held / len(labels) <= 1100, held / len(labels)
 
 
 def test_decoded_tall_labels_hold_at_most_1200_bytes_each():
