@@ -90,96 +90,84 @@ class TreeDecomposition:
                 raise ValueError(f"bags containing {v!r} are disconnected")
 
 
-def _centroid(nodes: set, adj: dict, rank: dict):
-    """Tree node whose removal leaves components of at most len(nodes)//2.
-
-    adj lists each node's neighbours in rank order.  The search starts
-    at the node of least rank and visits neighbours in that order, so
-    the centroid chosen does not follow set iteration order.
-    """
-    n = len(nodes)
-    start = min(nodes, key=rank.__getitem__)
-    order, parent = [], {start: None}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in adj[x]:
-            if y in nodes and y != parent[x]:
-                parent[y] = x
-                stack.append(y)
-    size = {x: 1 for x in nodes}
-    for x in reversed(order):
-        if parent[x] is not None:
-            size[parent[x]] += size[x]
-    for x in order:
-        heaviest = n - size[x]
-        for y in adj[x]:
-            if y in nodes and parent.get(y) == x:
-                heaviest = max(heaviest, size[y])
-        if heaviest <= n // 2:
-            return x
-    raise AssertionError("tree has no centroid")
-
-
 def tree_to_path_decomposition(tt: TTree) -> list:
     """Convert a t-tree's family tree into a path decomposition: its bags in path order.
 
     The family tree has one node per vertex, whose bag is its family
-    clique, and an edge from each vertex past the first to its owner.  A
-    path-shaped family tree passes through: its bags in the order of a
-    walk from its end of least repr.  Otherwise the first t + 1 nodes,
-    whose bags are all the initial clique, merge into order[t]; no other
-    bag contains a neighbour's, as each later bag holds its own vertex,
-    which no earlier bag holds.  The merged tree is split at a centroid
-    whose bag is unioned into every bag of the recursively built
-    segments, so the width of the result is below
-    (t + 1) * (ceil(log2 n) + 1).
+    clique, and an edge from each vertex past the first to its owner.
+    The first t + 1 nodes, whose bags are all the initial clique, merge
+    into order[t]; no other bag contains a neighbour's, as each later bag
+    holds its own vertex, which no earlier bag holds.  The merged tree is
+    rooted at its leaf of least repr, and each node gets its Strahler
+    rank: 0 at a leaf, else the largest rank of its children, plus 1 if
+    two children share it.  Each node's children are ordered by rank,
+    largest first, then by repr; the first is its spine child.  A spine
+    runs from a node through spine children down to a leaf.  Walking it,
+    each spine node with other children emits the decomposition of each
+    of their subtrees in turn, with the spine node's bag unioned into
+    every bag, and a spine node with no other child emits its own bag.
+    A path is one spine, walked end to end.
+
+    The result is a path decomposition.  Each family bag lies in an
+    emitted bag, so every edge is covered.  Take a task's spine and a
+    vertex v outside the bags above it.  The nodes of its subtree whose
+    bags hold v form a subtree T_v, and no node outside holds v, or the
+    spine node that the subtree hangs from would.  If T_v meets the spine,
+    it meets it in consecutive spine nodes; v is in every bag they emit,
+    side subtrees included, and the rest of T_v hangs from them, so v's
+    bags are contiguous.  Otherwise T_v lies in one side subtree, whose
+    bags are contiguous by the same argument.
+
+    Width: a side child of a spine node x has a smaller rank than x (if it
+    shares the largest child rank, x's rank is one more), and no spine
+    node outranks its spine's top.  So each level of nesting lowers the
+    rank of the spine's top, a spine lies inside at most R side subtrees,
+    where R is the root's rank, and each emitted bag is the union of at
+    most R + 1 family bags of t + 1 vertices: the width is at most
+    (t + 1)(R + 1) - 1.  A node of rank r has at least 2^r leaves below
+    it, so R <= log2 n.
     """
-    order, owner, t = tt.order, tt.owner, tt.t
-    adj = {v: [] for v in order}
-    for v in order[1:]:
-        adj[v].append(owner[v])
-        adj[owner[v]].append(v)
-    if all(len(ys) <= 2 for ys in adj.values()):
-        x, prev = min((v for v in order if len(adj[v]) <= 1), key=repr), None
-        walk = [x]
-        while len(walk) < tt.n:
-            x, prev = next(y for y in adj[x] if y != prev), x
-            walk.append(x)
-        return [tt.cliques[x] for x in walk]
-    top, initial = order[t], set(order[: t + 1])
-    adj[top] = [y for x in order[: t + 1] for y in adj.pop(x) if y not in initial]
-    for y in adj[top]:
-        adj[y] = [top if u in initial else u for u in adj[y]]
-    rank = {x: r for r, x in enumerate(sorted(order[t:], key=repr))}
-    adj = {x: sorted(ys, key=rank.__getitem__) for x, ys in adj.items()}
-    # each task (nodes, above) appends the bags of nodes, each unioned with
-    # above, the bags of the centroids above them; a task's components are
-    # done in order of least rank, before any later task
-    bags, tasks = [], [(set(adj), frozenset())]
+    order, owner, cliques, t = tt.order, tt.owner, tt.cliques, tt.t
+    top = order[t]
+    adj = {x: [] for x in order[t:]}
+    for v in order[t + 1 :]:
+        u = owner[v] if owner[v] in adj else top
+        adj[v].append(u)
+        adj[u].append(v)
+    root = min((x for x, ys in adj.items() if len(ys) <= 1), key=repr)
+    # kids[x] lists x's children, spine child first; walk is a BFS order
+    # from the root, so each node's children come after it
+    kids, walk, up = {}, [root], {root: None}
+    for x in walk:
+        kids[x] = ys = [y for y in adj[x] if y != up[x]]
+        for y in ys:
+            up[y] = x
+        walk += ys
+    rank, sort_key = {}, {}
+    for x in reversed(walk):
+        ys = kids[x]
+        if len(ys) > 1:
+            ys.sort(key=sort_key.__getitem__)
+            r = rank[ys[0]] + (rank[ys[1]] == rank[ys[0]])
+        else:
+            r = rank[ys[0]] if ys else 0
+        rank[x], sort_key[x] = r, (-r, repr(x))
+    # each task (x, above) walks the spine from x, each bag unioned with
+    # above; a spine's continuation waits below its side subtrees
+    bags, tasks = [], [(root, frozenset())]
     while tasks:
-        nodes, above = tasks.pop()
-        c = _centroid(nodes, adj, rank)
-        above = above | tt.cliques[c]
-        comps = []  # (least rank, component), one per neighbour of c in nodes
-        for first in adj[c]:
-            if first in nodes:
-                comp, stack = {first}, [first]
-                while stack:
-                    x = stack.pop()
-                    for y in adj[x]:
-                        if y != c and y in nodes and y not in comp:
-                            comp.add(y)
-                            stack.append(y)
-                comps.append((min(map(rank.__getitem__, comp)), comp))
-        if not comps:
-            bags.append(above)
-        tasks += [(comp, above) for _, comp in sorted(comps, key=lambda item: item[0], reverse=True)]
-    width = max(map(len, bags)) - 1
-    cap = (t + 1) * ((tt.n - 1).bit_length() + 1) - 1
+        x, above = tasks.pop()
+        ys = kids[x]
+        if ys:
+            tasks.append((ys[0], above))
+        if len(ys) > 1:
+            here = above | cliques[x]
+            tasks += [(y, here) for y in reversed(ys[1:])]
+        else:
+            bags.append(above | cliques[x])
+    width, cap = max(map(len, bags)) - 1, (t + 1) * (rank[root] + 1) - 1
     if width > cap:
-        raise AssertionError(f"pathwidth {width} exceeds bound {cap}")
+        raise AssertionError(f"pathwidth {width} exceeds rank bound {cap}")
     return bags
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 
 from uniprod.bitcore import Bst, check_bits, is_prefix, strip_successor, successor_set
-from uniprod.decomp import QtInstance, TreeDecomposition
+from uniprod.decomp import QtInstance, TTree, TreeDecomposition
 from uniprod.induced import Label, LabelParams, LabelledInstance, _derive_tester_view, adjacency_test
 from uniprod.io import write_lines
 from uniprod.product import Graph, ProductWitness, WitnessError
@@ -308,11 +308,36 @@ def _is_path(td: TreeDecomposition):
     return order
 
 
-def reference_path_decomposition(td: TreeDecomposition) -> list:
-    """The path decomposition of td by re-walking every level.
+def spine_width_bound(tt: TTree) -> int:
+    """(t + 1)(R + 1) - 1, the width bound of tree_to_path_decomposition(tt).
 
-    tree_to_path_decomposition(tt) must match it on td =
-    tt.family_decomposition(), which this merges with the generic
+    R is the Strahler rank of tt's family tree, its first t + 1 nodes
+    contracted into order[t], rooted at its leaf of least repr.  It is
+    computed here apart from the conversion, by recursion over each
+    node's children.
+    """
+    t, top = tt.t, tt.order[tt.t]
+    adj = {x: set() for x in tt.order[t:]}
+    for v in tt.order[t + 1 :]:
+        u = tt.owner[v] if tt.owner[v] in adj else top
+        adj[v].add(u)
+        adj[u].add(v)
+
+    def rank(x, parent) -> int:
+        ranks = sorted((rank(y, x) for y in adj[x] if y != parent), reverse=True)
+        if len(ranks) < 2:
+            return ranks[0] if ranks else 0
+        return ranks[0] + (ranks[0] == ranks[1])
+
+    return (t + 1) * (rank(min((x for x in adj if len(adj[x]) <= 1), key=repr), None) + 1) - 1
+
+
+def reference_path_decomposition(td: TreeDecomposition) -> list:
+    """The path decomposition of td by the centroid route, re-walking every level.
+
+    It is the comparator for tree_to_path_decomposition(tt) on td =
+    tt.family_decomposition(): on the test sweeps the spine routine is
+    no wider, but for the trees they name.  It merges td with the generic
     normalize_decomposition.  A path-shaped td passes through.
     Otherwise each call re-sorts the neighbours of every node by repr to
     find a centroid, re-walks what is left for its components in the

@@ -644,14 +644,14 @@ def test_a_bag_colour_past_its_cap_exits_1(tmp_path, capsys):
     li = induced.LabelledInstance.read_jsonl(labels)
     label = max(li.labels.values(), key=lambda lab: len(lab.bits))
     bits = induced.pack_label(dataclasses.replace(label, psi=tuple(p + 1000 for p in label.psi)), li.params)
-    assert len(bits) == 179
+    assert len(bits) == 172
     recs = [json.loads(line) for line in labels.read_text().splitlines()]
     k = next(k for k, rec in enumerate(recs) if rec.get("bits") == label.bits)
     recs[k] = {**recs[k], "bits": bits}
     labels.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
     capsys.readouterr()
     run("test-adjacency", "--labels", str(labels), check=1)
-    assert f"{labels}:{k + 1}: undecodable label: bag colour 1004 exceeds (t + 1) n = 192" in capsys.readouterr().err
+    assert f"{labels}:{k + 1}: undecodable label: bag colour 1007 exceeds (t + 1) n = 192" in capsys.readouterr().err
     run("assemble", "--labels", str(labels), "--out", str(tmp_path / "uni.jsonl"), check=1)
     assert f"{labels}:{k + 1}:" in capsys.readouterr().err
 
@@ -823,8 +823,8 @@ FORMATS = {
     "comp.saturator.jsonl": "c92a7cb1f49bd340fb148c5e83323cebb1e9e0f1629265866da0cecf53ecfe61",
     "bad.jsonl": "0d6ee593b38b3524af90de036a64f22a0c4e682232975089874b027bb8d0ba57",
     "bad.intervals.jsonl": "7cec124e4b0107e0fab9524c2cf93d73e71802e8656d408bff5fa7ce6ab61bfe",
-    "wit120.jsonl": "9d50a1a55d8e6743e169ff563a61d90cdad64310f987f7534f98619150829982",
-    "lab120.jsonl": "e76ee66cebcd9219df68a15ae2e1825fc581f00930c80429b4e32f047fd82975",
+    "wit120.jsonl": "746a695f3b0be45480d16dd8477e87e03f5e7a201e62d5f897e7ad2fce862bcc",
+    "lab120.jsonl": "7e6561bf42661943ae322d4fd7ef0d58039e4c1caec4ac53bb17bd6262966dd0",
     "ug8.jsonl": "b659fda05946ae9137a1b2c4b6a679dc69f4c9a9f896887fd35c380bde620063",
 }
 

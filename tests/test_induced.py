@@ -439,15 +439,15 @@ def test_unpack_refuses_a_bag_colour_past_its_cap():
     # at most n vertices with t + 1 clique members each; the longest label of
     # t=2 n=64 h=2 seed 1, its every psi raised by 1000, decoded before the cap
     li = label_instance(build_context(generate_qt_instance(2, 64, 2, rng_seed=1)), "fixed")
-    assert max(max(lab.psi) for lab in li.labels.values()) == 5
+    assert max(max(lab.psi) for lab in li.labels.values()) == 7
     label = max(li.labels.values(), key=lambda lab: len(lab.bits))
     raised = dataclasses.replace(label, psi=tuple(p + 1000 for p in label.psi))
-    assert raised.psi[:3] == (1001, 1004, 1002)
+    assert raised.psi[:3] == (1007, 1004, 1006)
     bits = pack_label(raised, li.params)
-    assert len(bits) == 179
+    assert len(bits) == 172
     for params in (LabelParams(n=64, t=2), li.params, LabelParams(n=64, t=2)):
         for reader in (unpack_label, reference_unpack):
-            with pytest.raises(ValueError, match=r"^undecodable label: bag colour 1004 exceeds \(t \+ 1\) n = 192$"):
+            with pytest.raises(ValueError, match=r"^undecodable label: bag colour 1007 exceeds \(t \+ 1\) n = 192$"):
                 reader(bits, params)
     # the cap itself decodes
     for top, verdict in ((192, None), (193, "bag colour 193 exceeds")):

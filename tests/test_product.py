@@ -203,7 +203,7 @@ def test_witness_tests_each_unordered_coordinate_pair_once():
         ordered = {(x, y) for x, y in ordered if x != y}
         unordered = {frozenset(pair) for pair in ordered}
         assert f.calls == len(unordered) < len(ordered)
-        assert len(unordered) == 205 if k == 0 else 7
+        assert len(unordered) == (237 if k == 0 else 3)
 
 
 def test_witness_names_the_first_edge_of_a_pair_that_recurs_reversed():
